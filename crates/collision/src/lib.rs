@@ -21,11 +21,9 @@
 
 #![deny(missing_docs)]
 
-pub mod parallel;
-
 use std::fmt;
 
-use moped_geometry::{sat, Config, InterpolationSteps, Obb, OpCount};
+use moped_geometry::{sat, Config, InterpolationSteps, Obb, OpCount, Vec3};
 use moped_robot::Robot;
 use moped_rtree::{FilterStats, RTree};
 
@@ -172,7 +170,8 @@ impl CollisionChecker for NaiveChecker {
 #[derive(Clone, Debug)]
 pub struct NaiveAabbChecker {
     obstacles: Vec<Obb>,
-    aabbs: Vec<moped_geometry::Aabb>,
+    /// Center and half-extents of each obstacle's AABB relaxation.
+    aabbs: Vec<(Vec3, Vec3)>,
     bodies: std::cell::RefCell<Vec<Obb>>,
 }
 
@@ -181,7 +180,10 @@ impl NaiveAabbChecker {
     pub fn new(obstacles: Vec<Obb>) -> Self {
         let aabbs = obstacles
             .iter()
-            .map(moped_geometry::Aabb::from_obb)
+            .map(|o| {
+                let a = moped_geometry::Aabb::from_obb(o);
+                (a.center(), a.half_extents())
+            })
             .collect();
         NaiveAabbChecker {
             obstacles,
@@ -203,11 +205,17 @@ impl CollisionChecker for NaiveAabbChecker {
         robot.body_obbs_into(q, &mut bodies);
         let _broad = moped_obs::span(moped_obs::Stage::BroadPhase);
         for body in bodies.iter() {
-            for aabb in &self.aabbs {
-                ledger.first_stage.mem_words += if body.is_planar() { 4 } else { 6 };
-                if sat::aabb_obb(aabb, body, &mut ledger.first_stage) {
-                    return false;
-                }
+            let mut prepared = sat::AabbObbBody::new(body);
+            let words = if body.is_planar() { 4 } else { 6 };
+            let mut tested = 0;
+            let hit = self.aabbs.iter().any(|&(c, h)| {
+                tested += 1;
+                prepared.overlaps(c, h)
+            });
+            ledger.first_stage.mem_words += words * tested;
+            prepared.charge(&mut ledger.first_stage);
+            if hit {
+                return false;
             }
         }
         true
@@ -467,7 +475,6 @@ impl CollisionChecker for TwoStageChecker {
 mod tests {
     use super::*;
     use moped_env::{Scenario, ScenarioParams};
-    use moped_geometry::Vec3;
 
     fn drone_scene(seed: u64, obstacles: usize) -> Scenario {
         Scenario::generate(

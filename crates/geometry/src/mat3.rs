@@ -65,7 +65,53 @@ impl Mat3 {
     /// Z-Y-X (yaw, pitch, roll) Euler-angle rotation, the convention used
     /// for the 6-DoF drone model.
     pub fn from_euler(yaw: f64, pitch: f64, roll: f64) -> Self {
-        Mat3::rotation_z(yaw) * Mat3::rotation_y(pitch) * Mat3::rotation_x(roll)
+        let mut m = Mat3::rotation_z(yaw);
+        m.post_rotate(1, pitch);
+        m.post_rotate(0, roll);
+        m
+    }
+
+    /// `self ← self · R` for `R` the rotation by `theta` about axis
+    /// `axis` (0 = X, 1 = Y, 2 = Z), bit-identical to
+    /// `self * Mat3::rotation_{x,y,z}(theta)` but without the full
+    /// 27-product matrix multiply.
+    ///
+    /// With `(u, v)` the other two axes in cyclic order, the product's
+    /// columns `u` and `v` are two-term dots plus a `m_a·0` term, and
+    /// column `a` is `m_a·1` plus two `·0` terms. A `·0` product is a
+    /// signed zero, and adding a signed zero changes a sum only when the
+    /// sum is itself zero, where it decides the zero's sign, in whatever
+    /// order the terms are added. So each entry keeps its sign-carrying
+    /// zero term and drops only the multiplications by one, which are
+    /// exact. Serial-arm forward kinematics chains one of these per joint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axis >= 3`.
+    #[inline(always)]
+    pub fn post_rotate(&mut self, axis: usize, theta: f64) {
+        let (s, c) = theta.sin_cos();
+        // One arm per axis so every index is a constant: the matrix can
+        // then stay in registers across a chain of updates.
+        match axis {
+            0 => self.rotate_columns::<1, 2, 0>(s, c),
+            1 => self.rotate_columns::<2, 0, 1>(s, c),
+            2 => self.rotate_columns::<0, 1, 2>(s, c),
+            _ => panic!("rotation axis {axis} out of range"),
+        }
+    }
+
+    /// Columns `U`, `V` ← the rotation by `(s, c)` about axis `A`; see
+    /// [`Mat3::post_rotate`].
+    #[inline(always)]
+    fn rotate_columns<const U: usize, const V: usize, const A: usize>(&mut self, s: f64, c: f64) {
+        for row in &mut self.m {
+            let (mu, mv, ma) = (row[U], row[V], row[A]);
+            let za = ma * 0.0;
+            row[U] = (mu * c + mv * s) + za;
+            row[V] = (mu * -s + mv * c) + za;
+            row[A] = ma + mu * 0.0 + mv * 0.0;
+        }
     }
 
     /// The `i`-th column as a vector. Columns of an OBB rotation are the

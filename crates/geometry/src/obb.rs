@@ -36,6 +36,7 @@ impl Obb {
     /// # Panics
     ///
     /// Panics if any halfwidth is negative.
+    #[inline]
     pub fn new(center: Vec3, half: Vec3, rot: Mat3) -> Self {
         assert!(
             half.x >= 0.0 && half.y >= 0.0 && half.z >= 0.0,

@@ -50,84 +50,257 @@ pub fn obb_obb(a: &Obb, b: &Obb, ops: &mut OpCount) -> bool {
 /// First-stage AABB–OBB intersection test.
 ///
 /// The AABB plays the role of an R-tree node (obstacle group or single
-/// obstacle relaxed to its AABB); the OBB is the robot body. Because the
-/// AABB's frame is the world frame, the relative rotation *is* the OBB's
-/// rotation — no change-of-basis product is paid — and each of the nine
-/// cross-product axes reduces to a two-component test. Increments
-/// `ops.sat_queries`.
-// Indexed loops mirror the paper's per-axis SAT tables; iterator chains
-// would obscure the i/j axis pairing the comments refer to.
-#[allow(clippy::needless_range_loop)]
+/// obstacle relaxed to its AABB); the OBB is the robot body. This is
+/// [`AabbObbBody`] prepared for a single test: callers that test one body
+/// against many boxes (the R-tree filter, the all-pairs AABB baseline)
+/// prepare the body once instead. Increments `ops.sat_queries`.
 pub fn aabb_obb(a: &Aabb, b: &Obb, ops: &mut OpCount) -> bool {
-    ops.sat_queries += 1;
-    if b.is_planar() {
-        return aabb_obb_2d(a, b, ops);
-    }
-    let ha = a.half_extents();
-    let hb = b.half_extents();
-    // Relative rotation in the AABB's (= world) frame.
-    let r = b.rotation();
-    let t = b.center() - a.center();
-    ops.add += 3;
+    let mut body = AabbObbBody::new(b);
+    let hit = body.overlaps(a.center(), a.half_extents());
+    body.charge(ops);
+    hit
+}
 
-    let mut abs_r = [[0.0; 3]; 3];
-    for i in 0..3 {
-        for j in 0..3 {
-            abs_r[i][j] = r.m[i][j].abs() + SAT_EPS;
+/// Exit codes of one AABB–OBB test: 0 (overlap) or the 1-based
+/// separating axis, at most 15.
+const EXITS: usize = 16;
+static COST_3D: [[u64; 4]; EXITS] = exit_costs(false);
+static COST_2D: [[u64; 4]; EXITS] = exit_costs(true);
+
+/// Modelled `[mul, add, cmp]` of evaluating 1-based `axis`: world axes
+/// need a 3-term (2D: 2-term) body radius; box axes two dots; cross axes
+/// two 2-element dots per radius plus the projection.
+const fn axis_cost(planar: bool, axis: usize) -> [u64; 3] {
+    match (planar, axis) {
+        (true, 1..=2) => [2, 2, 1],
+        (true, _) => [4, 3, 1],
+        (false, 1..=3) => [3, 3, 1],
+        (false, 4..=6) => [6, 5, 1],
+        (false, _) => [6, 4, 1],
+    }
+}
+
+/// Modelled `[sat_queries, mul, add, cmp]` charge of one AABB–OBB test,
+/// indexed by its exit (see [`AabbObbBody::overlaps`]): the setup adds
+/// (`t`, then `|R| + ε`) plus every axis evaluated up to and including
+/// the separating one, or all axes for an overlap.
+const fn exit_costs(planar: bool) -> [[u64; 4]; EXITS] {
+    let (axes, setup_add) = if planar { (4, 2 + 4) } else { (15, 3 + 9) };
+    let mut table = [[0u64; 4]; EXITS];
+    let mut exit = 0;
+    while exit < EXITS {
+        let evaluated = if exit == 0 || exit > axes { axes } else { exit };
+        let mut cost = [1, 0, setup_add, 0];
+        let mut axis = 1;
+        while axis <= evaluated {
+            let c = axis_cost(planar, axis);
+            cost[1] += c[0];
+            cost[2] += c[1];
+            cost[3] += c[2];
+            axis += 1;
         }
+        table[exit] = cost;
+        exit += 1;
     }
-    ops.add += 9; // epsilon adds; abs is free in hardware (sign strip)
+    table
+}
 
-    let ta = [t.x, t.y, t.z];
-    let haa = [ha.x, ha.y, ha.z];
-    let hba = [hb.x, hb.y, hb.z];
+/// A robot body prepared once for first-stage AABB–OBB tests against
+/// many boxes.
+///
+/// Because the AABB's frame is the world frame, the relative rotation
+/// *is* the body's rotation — no change-of-basis product is paid — and
+/// each of the nine cross-product axes reduces to a two-component test.
+/// Everything that depends on the body alone is computed here, once, with
+/// the same expressions a single test would use: `|R| + ε`, the three
+/// world-axis body radii and the nine cross-axis body radii. Each test
+/// then computes only the box-dependent terms, so verdicts are
+/// bit-identical to testing each box from scratch.
+///
+/// The modelled op charge is the test-from-scratch charge, which depends
+/// only on the test's exit axis: each test adds its exit's row of a
+/// per-exit table to a running total, and [`AabbObbBody::charge`] moves
+/// the total into [`OpCount`] in one step.
+#[derive(Clone, Copy, Debug)]
+pub struct AabbObbBody {
+    planar: bool,
+    center: [f64; 3],
+    half: [f64; 3],
+    /// `rot[i][j]`: component `i` of body axis `j`.
+    rot: [[f64; 3]; 3],
+    /// `|rot[i][j]| + ε`.
+    abs_r: [[f64; 3]; 3],
+    /// Body radius along world axis `i`.
+    world_rb: [f64; 3],
+    /// Body radius along cross axis `e_i × b_j`.
+    cross_rb: [[f64; 3]; 3],
+    /// Per-exit charges of this body's test (3D or planar).
+    costs: &'static [[u64; 4]; EXITS],
+    /// `[sat_queries, mul, add, cmp]` recorded since the last charge.
+    owed: [u64; 4],
+}
 
-    // Axes L = world axis i (3 tests): rb needs a 3-term dot, ra is free.
-    for i in 0..3 {
-        let ra = haa[i];
-        let rb = hba[0] * abs_r[i][0] + hba[1] * abs_r[i][1] + hba[2] * abs_r[i][2];
-        ops.mul += 3;
-        ops.add += 3;
-        ops.cmp += 1;
-        if ta[i].abs() > ra + rb {
-            return false;
-        }
-    }
-
-    // Axes L = OBB axis j (3 tests): ra needs a 3-term dot over |R| column,
-    // t must be projected onto the OBB axis (3-term dot).
-    for j in 0..3 {
-        let ra = haa[0] * abs_r[0][j] + haa[1] * abs_r[1][j] + haa[2] * abs_r[2][j];
-        let rb = hba[j];
-        let tp = ta[0] * r.m[0][j] + ta[1] * r.m[1][j] + ta[2] * r.m[2][j];
-        ops.mul += 6;
-        ops.add += 5;
-        ops.cmp += 1;
-        if tp.abs() > ra + rb {
-            return false;
-        }
-    }
-
-    // Cross axes L = e_i × b_j (9 tests). With e_i a world axis the cross
-    // product has exactly two non-zero components, so every term is a
-    // 2-element dot.
-    for i in 0..3 {
-        let (u, v) = ((i + 1) % 3, (i + 2) % 3);
-        for j in 0..3 {
-            let (p, q) = ((j + 1) % 3, (j + 2) % 3);
-            let ra = haa[u] * abs_r[v][j] + haa[v] * abs_r[u][j];
-            let rb = hba[p] * abs_r[i][q] + hba[q] * abs_r[i][p];
-            let tp = ta[v] * r.m[u][j] - ta[u] * r.m[v][j];
-            ops.mul += 6;
-            ops.add += 4;
-            ops.cmp += 1;
-            if tp.abs() > ra + rb {
-                return false;
+impl AabbObbBody {
+    /// Prepares `body` (planar bodies get the 4-axis 2D test).
+    // Indexed loops keep the i/j axis pairing of the per-axis SAT tables.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    pub fn new(body: &Obb) -> Self {
+        let planar = body.is_planar();
+        let c = body.center();
+        let h = body.half_extents();
+        let hb = [h.x, h.y, h.z];
+        let rot = body.rotation().m;
+        let mut abs_r = [[0.0; 3]; 3];
+        for i in 0..3 {
+            for j in 0..3 {
+                abs_r[i][j] = rot[i][j].abs() + SAT_EPS;
             }
         }
+        let mut world_rb = [0.0; 3];
+        let mut cross_rb = [[0.0; 3]; 3];
+        if planar {
+            for i in 0..2 {
+                world_rb[i] = hb[0] * abs_r[i][0] + hb[1] * abs_r[i][1];
+            }
+        } else {
+            for i in 0..3 {
+                world_rb[i] = hb[0] * abs_r[i][0] + hb[1] * abs_r[i][1] + hb[2] * abs_r[i][2];
+                for j in 0..3 {
+                    let (p, q) = ((j + 1) % 3, (j + 2) % 3);
+                    cross_rb[i][j] = hb[p] * abs_r[i][q] + hb[q] * abs_r[i][p];
+                }
+            }
+        }
+        AabbObbBody {
+            planar,
+            center: [c.x, c.y, c.z],
+            half: hb,
+            rot,
+            abs_r,
+            world_rb,
+            cross_rb,
+            costs: if planar { &COST_2D } else { &COST_3D },
+            owed: [0; 4],
+        }
     }
 
-    true
+    /// Tests the body against the AABB with the given center and
+    /// half-extents (inclusive: touching boxes overlap) and records the
+    /// test for [`AabbObbBody::charge`].
+    #[inline(always)]
+    pub fn overlaps(&mut self, center: Vec3, half: Vec3) -> bool {
+        let (center, half) = ([center.x, center.y, center.z], [half.x, half.y, half.z]);
+        let exit = if self.planar {
+            self.exit_2d(&center, &half)
+        } else {
+            self.exit_3d(&center, &half)
+        };
+        let cost = &self.costs[exit];
+        for (owed, c) in self.owed.iter_mut().zip(cost) {
+            *owed += c;
+        }
+        exit == 0
+    }
+
+    /// Charges every test recorded since the last charge to `ops` and
+    /// clears the record.
+    #[inline(always)]
+    pub fn charge(&mut self, ops: &mut OpCount) {
+        let [sat_queries, mul, add, cmp] = std::mem::take(&mut self.owed);
+        ops.sat_queries += sat_queries;
+        ops.mul += mul;
+        ops.add += add;
+        ops.cmp += cmp;
+    }
+
+    /// 15-axis test: 0 if no axis separates, else the 1-based separating
+    /// axis (1–3 world, 4–6 body, 7–15 cross).
+    ///
+    /// **Fast accept.** Once the world axes pass, a body center inside
+    /// the box (`|t_i| ≤ ha_i`) is an overlap without testing axes 4–15.
+    /// This is exact, not approximate: on every remaining axis `|tp|` and
+    /// `ra` are sums of the same number of products in the same order, and
+    /// each product in `|tp|` is bounded termwise by one in `ra`
+    /// (`|t_i| ≤ ha_i`, `|R| ≤ |R| + ε`). IEEE rounding is monotone and
+    /// sign-symmetric, so the computed `|tp|` never exceeds the computed
+    /// `ra`, and `ra + rb ≥ ra` since `rb ≥ 0`. None of axes 4–15 can
+    /// separate, whatever the magnitudes (zero extents included). A NaN
+    /// fails the containment comparison and takes the full path.
+    // Indexed loops keep the i/j axis pairing of the per-axis SAT tables.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn exit_3d(&self, center: &[f64; 3], ha: &[f64; 3]) -> usize {
+        let ta = [
+            self.center[0] - center[0],
+            self.center[1] - center[1],
+            self.center[2] - center[2],
+        ];
+
+        // Axes L = world axis i: ra is the box half-extent, rb prepared.
+        // All three are compared and the first separating one is read off
+        // a bit mask, so the common early exit costs one branch.
+        let sep = (ta[0].abs() > ha[0] + self.world_rb[0]) as u32
+            | ((ta[1].abs() > ha[1] + self.world_rb[1]) as u32) << 1
+            | ((ta[2].abs() > ha[2] + self.world_rb[2]) as u32) << 2;
+        if sep != 0 {
+            return sep.trailing_zeros() as usize + 1;
+        }
+        let inside = (ta[0].abs() <= ha[0]) & (ta[1].abs() <= ha[1]) & (ta[2].abs() <= ha[2]);
+        if inside {
+            return 0;
+        }
+
+        // Axes L = body axis j: ra needs a 3-term dot over an |R| column,
+        // t must be projected onto the body axis (3-term dot).
+        let (r, abs_r) = (&self.rot, &self.abs_r);
+        for j in 0..3 {
+            let ra = ha[0] * abs_r[0][j] + ha[1] * abs_r[1][j] + ha[2] * abs_r[2][j];
+            let tp = ta[0] * r[0][j] + ta[1] * r[1][j] + ta[2] * r[2][j];
+            if tp.abs() > ra + self.half[j] {
+                return 4 + j;
+            }
+        }
+
+        // Cross axes L = e_i × b_j. With e_i a world axis the cross
+        // product has exactly two non-zero components, so every term is a
+        // 2-element dot.
+        for i in 0..3 {
+            let (u, v) = ((i + 1) % 3, (i + 2) % 3);
+            for j in 0..3 {
+                let ra = ha[u] * abs_r[v][j] + ha[v] * abs_r[u][j];
+                let tp = ta[v] * r[u][j] - ta[u] * r[v][j];
+                if tp.abs() > ra + self.cross_rb[i][j] {
+                    return 7 + 3 * i + j;
+                }
+            }
+        }
+        0
+    }
+
+    /// 4-axis planar test: the box's axes are the world axes, so the
+    /// relative rotation is the body's own 2×2 block. Returns 0 or the
+    /// 1-based separating axis (1–2 world, 3–4 body).
+    // Indexed loops keep the i/j axis pairing of the per-axis SAT tables.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn exit_2d(&self, center: &[f64; 3], ha: &[f64; 3]) -> usize {
+        let t = [self.center[0] - center[0], self.center[1] - center[1]];
+        for i in 0..2 {
+            if t[i].abs() > ha[i] + self.world_rb[i] {
+                return i + 1;
+            }
+        }
+        let (r, abs_r) = (&self.rot, &self.abs_r);
+        for j in 0..2 {
+            let ra = ha[0] * abs_r[0][j] + ha[1] * abs_r[1][j];
+            let tp = t[0] * r[0][j] + t[1] * r[1][j];
+            if tp.abs() > ra + self.half[j] {
+                return 3 + j;
+            }
+        }
+        0
+    }
 }
 
 /// Full 15-axis 3D OBB–OBB SAT (Ericson §4.4.1).
@@ -264,50 +437,6 @@ fn obb_obb_2d(a: &Obb, b: &Obb, ops: &mut OpCount) -> bool {
         }
     }
 
-    true
-}
-
-/// 2D AABB–OBB: the AABB's axes are the world axes, so the relative
-/// rotation is the OBB's own 2×2 block.
-fn aabb_obb_2d(a: &Aabb, b: &Obb, ops: &mut OpCount) -> bool {
-    let ha = [a.half_extents().x, a.half_extents().y];
-    let hb = [b.half_extents().x, b.half_extents().y];
-    let bx = b.axis(0);
-    let by = b.axis(1);
-    let r = [[bx.x, by.x], [bx.y, by.y]];
-    let tw = b.center() - a.center();
-    let t = [tw.x, tw.y];
-    ops.add += 2;
-
-    let mut abs_r = [[0.0; 2]; 2];
-    for i in 0..2 {
-        for j in 0..2 {
-            abs_r[i][j] = r[i][j].abs() + SAT_EPS;
-        }
-    }
-    ops.add += 4;
-
-    for i in 0..2 {
-        let ra = ha[i];
-        let rb = hb[0] * abs_r[i][0] + hb[1] * abs_r[i][1];
-        ops.mul += 2;
-        ops.add += 2;
-        ops.cmp += 1;
-        if t[i].abs() > ra + rb {
-            return false;
-        }
-    }
-    for j in 0..2 {
-        let ra = ha[0] * abs_r[0][j] + ha[1] * abs_r[1][j];
-        let rb = hb[j];
-        let tp = t[0] * r[0][j] + t[1] * r[1][j];
-        ops.mul += 4;
-        ops.add += 3;
-        ops.cmp += 1;
-        if tp.abs() > ra + rb {
-            return false;
-        }
-    }
     true
 }
 

@@ -71,7 +71,8 @@ impl fmt::Display for RobotModel {
 /// model have fewer bodies than joints, as the ViperX does).
 #[derive(Clone, Copy, Debug)]
 struct JointSpec {
-    /// 0 = X, 1 = Y, 2 = Z rotation axis in the parent frame.
+    /// 0 = X, 1 = Y, 2 = Z rotation axis in the parent frame (see
+    /// [`Mat3::post_rotate`]).
     axis: usize,
     /// Link length along the local +X after the joint.
     link_len: f64,
@@ -393,12 +394,7 @@ impl Robot {
         let mut pos = self.base;
         let mut rot = Mat3::IDENTITY;
         for (i, joint) in self.joints.iter().enumerate() {
-            let r = match joint.axis {
-                0 => Mat3::rotation_x(q[i]),
-                1 => Mat3::rotation_y(q[i]),
-                _ => Mat3::rotation_z(q[i]),
-            };
-            rot = rot * r;
+            rot.post_rotate(joint.axis, q[i]);
             if joint.link_len > 0.0 {
                 let dir = rot.col(0);
                 let center = pos + dir * (joint.link_len / 2.0);
@@ -422,12 +418,7 @@ impl Robot {
                 let mut pos = self.base;
                 let mut rot = Mat3::IDENTITY;
                 for (i, joint) in self.joints.iter().enumerate() {
-                    let r = match joint.axis {
-                        0 => Mat3::rotation_x(q[i]),
-                        1 => Mat3::rotation_y(q[i]),
-                        _ => Mat3::rotation_z(q[i]),
-                    };
-                    rot = rot * r;
+                    rot.post_rotate(joint.axis, q[i]);
                     pos += rot.col(0) * joint.link_len;
                 }
                 pos
@@ -577,6 +568,112 @@ mod tests {
             for (a, b) in b0.iter().zip(&b1) {
                 assert!((a.center() - b.center()).norm() < 0.1);
             }
+        }
+    }
+
+    /// Forward kinematics as written before the axis-specialised
+    /// rotation update: a full `Mat3` product per joint.
+    fn reference_body_obbs(r: &Robot, q: &Config) -> Vec<Obb> {
+        let rotation = |axis: usize, theta: f64| match axis {
+            0 => Mat3::rotation_x(theta),
+            1 => Mat3::rotation_y(theta),
+            _ => Mat3::rotation_z(theta),
+        };
+        match r.model {
+            RobotModel::Mobile2d => vec![Obb::planar(Vec3::new(q[0], q[1], 0.0), 8.0, 5.0, q[2])],
+            RobotModel::Drone3d => vec![Obb::new(
+                Vec3::new(q[0], q[1], q[2]),
+                Vec3::new(6.0, 6.0, 2.0),
+                rotation(2, q[3]) * rotation(1, q[4]) * rotation(0, q[5]),
+            )],
+            _ => {
+                let mut bodies = Vec::new();
+                let mut pos = r.base;
+                let mut rot = Mat3::IDENTITY;
+                for (i, joint) in r.joints.iter().enumerate() {
+                    rot = rot * rotation(joint.axis, q[i]);
+                    if joint.link_len > 0.0 {
+                        let dir = rot.col(0);
+                        let center = pos + dir * (joint.link_len / 2.0);
+                        let half =
+                            Vec3::new(joint.link_len / 2.0, joint.half_width, joint.half_width);
+                        bodies.push(Obb::new(center, half, rot));
+                        pos += dir * joint.link_len;
+                    }
+                }
+                bodies
+            }
+        }
+    }
+
+    fn obb_bits(o: &Obb) -> Vec<u64> {
+        let (c, h) = (o.center(), o.half_extents());
+        let mut bits: Vec<u64> = [c.x, c.y, c.z, h.x, h.y, h.z].map(f64::to_bits).to_vec();
+        bits.extend(o.rotation().m.iter().flatten().map(|v| v.to_bits()));
+        bits.push(u64::from(o.is_planar()));
+        bits
+    }
+
+    #[test]
+    fn fk_is_bit_identical_to_full_matrix_products() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let mut state = 0x0f0e_1d2c_3b4a_5968u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Signed zeros and quarter turns make exact zeros in the chain,
+        // where only the sign-carrying zero terms decide the result bits.
+        let special = [0.0, -0.0, PI, -PI, FRAC_PI_2, -FRAC_PI_2, 1e-300];
+        for r in Robot::all_models() {
+            let dof = r.dof();
+            let mut configs: Vec<Vec<f64>> = (0..4000)
+                .map(|_| (0..dof).map(|_| unit() * 8.0 - 4.0).collect())
+                .collect();
+            for &s in &special {
+                configs.push(vec![s; dof]);
+                for k in 0..dof {
+                    let mut q = vec![0.3; dof];
+                    q[k] = s;
+                    configs.push(q);
+                    let mut q = vec![s; dof];
+                    q[k] = -0.7;
+                    configs.push(q);
+                }
+            }
+            for q in configs {
+                let q = Config::new(&q);
+                let got: Vec<Vec<u64>> = r.body_obbs(&q).iter().map(obb_bits).collect();
+                let want: Vec<Vec<u64>> =
+                    reference_body_obbs(&r, &q).iter().map(obb_bits).collect();
+                assert_eq!(got, want, "{} FK differs at {q:?}", r.name());
+            }
+        }
+    }
+
+    #[test]
+    fn post_rotate_is_bit_identical_to_the_product() {
+        let mut m = Mat3::from_euler(0.3, -1.2, 2.0);
+        for (k, theta) in [0.0, -0.0, 0.7, -2.9, std::f64::consts::PI]
+            .into_iter()
+            .enumerate()
+        {
+            for axis in 0..3 {
+                let r = [Mat3::rotation_x, Mat3::rotation_y, Mat3::rotation_z][axis](theta);
+                for start in [Mat3::IDENTITY, m] {
+                    let mut fast = start;
+                    fast.post_rotate(axis, theta);
+                    let bits = |x: &Mat3| x.m.map(|row| row.map(f64::to_bits));
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&(start * r)),
+                        "axis {axis}, theta {theta}"
+                    );
+                }
+            }
+            m.post_rotate(k % 3, 0.37);
         }
     }
 

@@ -54,30 +54,34 @@ impl FilterStats {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Children {
-    /// Indices into `nodes`.
-    Inner(Vec<usize>),
-    /// Obstacle ids.
-    Leaves(Vec<usize>),
-}
-
-#[derive(Clone, Debug)]
-struct Node {
-    aabb: Aabb,
-    children: Children,
+/// A node's children: the range `start..start + len` of
+/// [`RTree::child_ids`], holding obstacle ids for a leaf group and node
+/// ids otherwise.
+#[derive(Clone, Copy, Debug)]
+struct Kids {
+    start: u32,
+    len: u32,
+    leaf: bool,
 }
 
 /// A static R-tree over OBB obstacles, bulk-loaded with STR.
 ///
 /// Node bounding volumes are AABBs, as the R-tree structure requires; the
 /// per-obstacle AABBs at the leaf fringe are the relaxations of the stored
-/// OBBs. See the crate docs for the query contract.
+/// OBBs. Both are held as flat center / half-extent arrays (the paper's
+/// 6-value encoding), computed once at build with [`Aabb::center`] and
+/// [`Aabb::half_extents`], so a query streams plain `f64` triples and
+/// never re-derives them. See the crate docs for the query contract.
 #[derive(Clone, Debug)]
 pub struct RTree {
-    nodes: Vec<Node>,
+    node_center: Vec<Vec3>,
+    node_half: Vec<Vec3>,
+    node_kids: Vec<Kids>,
+    /// Every node's children, concatenated in node order.
+    child_ids: Vec<usize>,
     /// Per-obstacle AABB relaxations, indexed by obstacle id.
-    obstacle_aabbs: Vec<Aabb>,
+    obstacle_center: Vec<Vec3>,
+    obstacle_half: Vec<Vec3>,
     root: Option<usize>,
     fanout: usize,
     height: usize,
@@ -96,14 +100,23 @@ impl RTree {
     pub fn build(obstacles: &[Obb], fanout: usize) -> RTree {
         assert!(fanout >= 2, "R-tree fanout must be at least 2");
         let obstacle_aabbs: Vec<Aabb> = obstacles.iter().map(Aabb::from_obb).collect();
+        let (obstacle_center, obstacle_half) = obstacle_aabbs
+            .iter()
+            .map(|a| (a.center(), a.half_extents()))
+            .unzip();
+        let mut tree = RTree {
+            node_center: Vec::new(),
+            node_half: Vec::new(),
+            node_kids: Vec::new(),
+            child_ids: Vec::new(),
+            obstacle_center,
+            obstacle_half,
+            root: None,
+            fanout,
+            height: 0,
+        };
         if obstacles.is_empty() {
-            return RTree {
-                nodes: Vec::new(),
-                obstacle_aabbs,
-                root: None,
-                fanout,
-                height: 0,
-            };
+            return tree;
         }
 
         // STR leaf packing: recursively tile the id list along x, y, z of
@@ -116,61 +129,76 @@ impl RTree {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         str_tile(&ids, &centers, axes, fanout, &mut groups);
 
-        let mut nodes: Vec<Node> = Vec::new();
+        // Node AABBs, kept only while packing.
+        let mut boxes: Vec<Aabb> = Vec::new();
         let mut level: Vec<usize> = groups
-            .into_iter()
+            .iter()
             .map(|g| {
                 let aabb = g
                     .iter()
                     .map(|&i| obstacle_aabbs[i])
                     .reduce(|a, b| a.union(&b))
                     .expect("STR groups are non-empty");
-                nodes.push(Node {
-                    aabb,
-                    children: Children::Leaves(g),
-                });
-                nodes.len() - 1
+                tree.push_node(&mut boxes, aabb, g, true)
             })
             .collect();
 
         // Pack upper levels: STR ordering keeps consecutive leaves spatially
         // close, so chunked packing preserves locality.
-        let mut height = 1;
+        tree.height = 1;
         while level.len() > 1 {
             let mut next = Vec::new();
             for chunk in level.chunks(fanout) {
                 let aabb = chunk
                     .iter()
-                    .map(|&i| nodes[i].aabb)
+                    .map(|&i| boxes[i])
                     .reduce(|a, b| a.union(&b))
                     .expect("chunks are non-empty");
-                nodes.push(Node {
-                    aabb,
-                    children: Children::Inner(chunk.to_vec()),
-                });
-                next.push(nodes.len() - 1);
+                next.push(tree.push_node(&mut boxes, aabb, chunk, false));
             }
             level = next;
-            height += 1;
+            tree.height += 1;
         }
+        tree.root = Some(level[0]);
+        tree
+    }
 
-        RTree {
-            root: Some(level[0]),
-            nodes,
-            obstacle_aabbs,
-            fanout,
-            height,
-        }
+    /// Appends a node bounded by `aabb` over `kids` and returns its id.
+    fn push_node(
+        &mut self,
+        boxes: &mut Vec<Aabb>,
+        aabb: Aabb,
+        kids: &[usize],
+        leaf: bool,
+    ) -> usize {
+        self.node_center.push(aabb.center());
+        self.node_half.push(aabb.half_extents());
+        self.node_kids.push(Kids {
+            start: u32::try_from(self.child_ids.len()).expect("R-tree child count fits u32"),
+            len: u32::try_from(kids.len()).expect("fanout fits u32"),
+            leaf,
+        });
+        self.child_ids.extend_from_slice(kids);
+        boxes.push(aabb);
+        boxes.len() - 1
+    }
+
+    /// Node `ni`'s children and whether they are obstacle ids.
+    #[inline]
+    fn kids(&self, ni: usize) -> (&[usize], bool) {
+        let k = self.node_kids[ni];
+        let start = k.start as usize;
+        (&self.child_ids[start..start + k.len as usize], k.leaf)
     }
 
     /// Number of obstacles indexed.
     pub fn len(&self) -> usize {
-        self.obstacle_aabbs.len()
+        self.obstacle_center.len()
     }
 
     /// Returns `true` if the tree indexes no obstacles.
     pub fn is_empty(&self) -> bool {
-        self.obstacle_aabbs.is_empty()
+        self.obstacle_center.is_empty()
     }
 
     /// Tree height in levels (0 for an empty tree; 1 = root is a leaf).
@@ -180,21 +208,12 @@ impl RTree {
 
     /// Total node count (internal + leaf-group nodes).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.node_kids.len()
     }
 
     /// Configured maximum fanout.
     pub fn fanout(&self) -> usize {
         self.fanout
-    }
-
-    /// The AABB relaxation stored for obstacle `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn obstacle_aabb(&self, id: usize) -> &Aabb {
-        &self.obstacle_aabbs[id]
     }
 
     /// First-stage filter: returns the ids of obstacles whose AABB
@@ -228,6 +247,10 @@ impl RTree {
     /// Allocation-free variant of [`RTree::filter_with_stats`]: the caller
     /// supplies the traversal stack and the output buffer (both are
     /// cleared first), so planner hot loops can reuse scratch storage.
+    ///
+    /// The body is prepared once per call ([`sat::AabbObbBody`]); each
+    /// node and leaf test is charged the modelled cost of a from-scratch
+    /// AABB–OBB SAT plus the box read (6 words 3D / 4 words 2D).
     pub fn filter_into(
         &self,
         robot: &Obb,
@@ -240,57 +263,72 @@ impl RTree {
         out.clear();
         stack.clear();
         let Some(root) = self.root else { return };
-        stack.push(root);
+        let mut body = sat::AabbObbBody::new(robot);
+        // The stack holds nodes whose own test passed: a node's children
+        // are tested when it is expanded, and only the passing ones are
+        // pushed, in child order. Every node is still tested once, and
+        // passing nodes are expanded in the same depth-first order as
+        // testing each node when it is popped.
+        let (mut nodes, mut leaves, mut pruned) = (1u64, 0u64, 0u64);
+        if body.overlaps(self.node_center[root], self.node_half[root]) {
+            stack.push(root);
+        } else {
+            pruned += 1;
+        }
         while let Some(ni) = stack.pop() {
-            let node = &self.nodes[ni];
-            stats.node_checks += 1;
-            // Charge the node's AABB read (6 words 3D / 4 words 2D).
-            ops.mem_words += if robot.is_planar() { 4 } else { 6 };
-            if !sat::aabb_obb(&node.aabb, robot, ops) {
-                stats.pruned_subtrees += 1;
+            let (kids, leaf) = self.kids(ni);
+            if leaf {
+                leaves += kids.len() as u64;
+                for &oid in kids {
+                    if body.overlaps(self.obstacle_center[oid], self.obstacle_half[oid]) {
+                        out.push(oid);
+                    }
+                }
                 continue;
             }
-            match &node.children {
-                Children::Inner(kids) => stack.extend_from_slice(kids),
-                Children::Leaves(obstacles) => {
-                    for &oid in obstacles {
-                        stats.leaf_checks += 1;
-                        ops.mem_words += if robot.is_planar() { 4 } else { 6 };
-                        if sat::aabb_obb(&self.obstacle_aabbs[oid], robot, ops) {
-                            stats.survivors += 1;
-                            out.push(oid);
-                        }
-                    }
+            nodes += kids.len() as u64;
+            for &k in kids {
+                if body.overlaps(self.node_center[k], self.node_half[k]) {
+                    stack.push(k);
+                } else {
+                    pruned += 1;
                 }
             }
         }
+        stats.node_checks += nodes;
+        stats.leaf_checks += leaves;
+        stats.pruned_subtrees += pruned;
+        stats.survivors += out.len() as u64;
+        ops.mem_words += box_words(robot) * (nodes + leaves);
+        body.charge(ops);
     }
 
     /// On-chip storage footprint of the tree in 16-bit words (every node
     /// AABB is 6 words plus one child pointer word per child), used by the
     /// hardware model for SRAM sizing.
     pub fn memory_words(&self) -> u64 {
-        let mut words = 0u64;
-        for node in &self.nodes {
-            words += 6; // AABB
-            words += match &node.children {
-                Children::Inner(k) => k.len() as u64,
-                Children::Leaves(l) => l.len() as u64,
-            };
-        }
-        words + self.obstacle_aabbs.len() as u64 * 6
+        (self.node_count() * 6 + self.child_ids.len() + self.len() * 6) as u64
     }
 
     /// Exhaustive reference filter (no hierarchy): checks the robot
     /// against every per-obstacle AABB. Used by tests to validate the
     /// superset property and by the figures to quantify pruning.
     pub fn filter_linear(&self, robot: &Obb, ops: &mut OpCount) -> Vec<usize> {
-        self.obstacle_aabbs
-            .iter()
-            .enumerate()
-            .filter(|(_, aabb)| sat::aabb_obb(aabb, robot, ops))
-            .map(|(i, _)| i)
-            .collect()
+        let mut body = sat::AabbObbBody::new(robot);
+        let hits = (0..self.len())
+            .filter(|&i| body.overlaps(self.obstacle_center[i], self.obstacle_half[i]))
+            .collect();
+        body.charge(ops);
+        hits
+    }
+}
+
+/// Words read per AABB test: the paper's 6-value 3D / 4-value 2D box.
+fn box_words(robot: &Obb) -> u64 {
+    if robot.is_planar() {
+        4
+    } else {
+        6
     }
 }
 
@@ -426,18 +464,24 @@ mod tests {
     fn node_aabbs_contain_children() {
         let obstacles = grid_obstacles(3, 6.0);
         let tree = RTree::build(&obstacles, 4);
-        for node in &tree.nodes {
-            match &node.children {
-                Children::Inner(kids) => {
-                    for &k in kids {
-                        assert!(node.aabb.contains_aabb(&tree.nodes[k].aabb));
-                    }
-                }
-                Children::Leaves(obs) => {
-                    for &o in obs {
-                        assert!(node.aabb.contains_aabb(&tree.obstacle_aabbs[o]));
-                    }
-                }
+        let contains = |c: Vec3, h: Vec3, kc: Vec3, kh: Vec3| {
+            (0..3).all(|i| {
+                (kc.component(i) - c.component(i)).abs() + kh.component(i) <= h.component(i) + 1e-9
+            })
+        };
+        for ni in 0..tree.node_count() {
+            let (c, h) = (tree.node_center[ni], tree.node_half[ni]);
+            let (kids, leaf) = tree.kids(ni);
+            for &k in kids {
+                let (kc, kh) = if leaf {
+                    (tree.obstacle_center[k], tree.obstacle_half[k])
+                } else {
+                    (tree.node_center[k], tree.node_half[k])
+                };
+                assert!(
+                    contains(c, h, kc, kh),
+                    "node {ni} does not contain child {k}"
+                );
             }
         }
     }
@@ -447,8 +491,8 @@ mod tests {
         let obstacles = grid_obstacles(3, 4.0);
         let tree = RTree::build(&obstacles, 5);
         let mut seen = vec![0usize; obstacles.len()];
-        for node in &tree.nodes {
-            if let Children::Leaves(obs) = &node.children {
+        for ni in 0..tree.node_count() {
+            if let (obs, true) = tree.kids(ni) {
                 for &o in obs {
                     seen[o] += 1;
                 }

@@ -1054,6 +1054,69 @@ mod tests {
     }
 
     #[test]
+    fn worker_checks_the_snapshot_it_was_handed_after_a_swap() {
+        use moped_collision::{CollisionChecker, CollisionLedger, NaiveChecker};
+        use moped_env::ScenarioParams;
+        use moped_geometry::{InterpolationSteps, Obb, Vec3};
+
+        // One worker serves both requests, so the second reuses the
+        // worker's cached checker for this slot across the swap.
+        let robot = Robot::mobile_2d();
+        let open = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(0), 4);
+        let mut cat = EnvironmentCatalog::new();
+        let env = cat.register("open-then-blocked", open.clone());
+        let service = PlanService::start(
+            cat,
+            ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let plan = |service: &PlanService| {
+            let response = service
+                .submit(PlanRequest::new(env, small_params(600, 5)))
+                .unwrap()
+                .wait()
+                .into_result()
+                .expect("served");
+            (response.epoch, response.result.path)
+        };
+        let (epoch, path) = plan(&service);
+        assert_eq!(epoch, 0);
+        let old_path = path.expect("the open scene solves");
+
+        // Block the old path with one box on its middle edge, far from
+        // the start and goal poses.
+        let steps = InterpolationSteps::with_resolution(robot.steering_step() / 4.0);
+        let free = |checker: &NaiveChecker, path: &[moped_geometry::Config]| {
+            let mut ledger = CollisionLedger::default();
+            path.windows(2)
+                .all(|w| checker.motion_free(&robot, &w[0], &w[1], &steps, &mut ledger))
+        };
+        let mid = old_path.len() / 2;
+        let at = old_path[mid - 1].lerp(&old_path[mid], 0.5);
+        let mut blocked = open.clone();
+        blocked
+            .obstacles
+            .push(Obb::planar(Vec3::new(at[0], at[1], 0.0), 2.0, 2.0, 0.0));
+        let oracle = NaiveChecker::new(blocked.obstacles.clone());
+        assert!(
+            !free(&oracle, &old_path),
+            "the new snapshot blocks the old path"
+        );
+
+        assert_eq!(service.swap_env(env, blocked), Ok(1));
+        let (epoch, path) = plan(&service);
+        assert_eq!(epoch, 1);
+        let new_path = path.expect("the blocked scene still solves");
+        assert!(
+            free(&oracle, &new_path),
+            "the path planned after the swap collides with the new snapshot"
+        );
+        service.shutdown();
+    }
+
+    #[test]
     fn in_flight_requests_keep_their_admitted_snapshot() {
         let mut cat = EnvironmentCatalog::new();
         let epochs = moped_scenarios::dynamic_epochs(moped_robot::RobotModel::Mobile2d, 5, 2, 2.5);

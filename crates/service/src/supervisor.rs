@@ -24,7 +24,8 @@ use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::metrics::Metrics;
 use crate::queue::{lock_ignore_poison, ShardedQueue};
 use crate::{
-    EnvId, FailureReason, Job, Outcome, PlanFailure, PlanOutcome, PlanResponse, RetryPolicy,
+    EnvId, EnvSnapshot, FailureReason, Job, Outcome, PlanFailure, PlanOutcome, PlanResponse,
+    RetryPolicy,
 };
 
 /// How often the monitor thread scans the pool for dead workers.
@@ -233,8 +234,9 @@ fn worker_loop(worker_idx: usize, shared: &Arc<WorkerShared>) {
     // Per-worker cache of two-stage checkers: the R-tree inside is a
     // structural clone of the snapshot's shared build (no re-sort), and
     // the scratch buffers stay thread-local, keeping the checker hot
-    // across requests to the same environment.
-    let mut checkers: HashMap<EnvId, TwoStageChecker> = HashMap::new();
+    // across requests to the same environment. Entries remember the
+    // epoch they were built from (see `execute`).
+    let mut checkers = CheckerCache::new();
     let mut since_flush = 0usize;
     loop {
         let popped = match shared.queue.try_pop(worker_idx) {
@@ -279,12 +281,7 @@ fn worker_loop(worker_idx: usize, shared: &Arc<WorkerShared>) {
 /// retries per policy, and exactly one resolution on the ticket's slot —
 /// unless a worker-kill fault fires, in which case the dropped responder
 /// itself resolves the ticket as `WorkerDied`.
-fn serve_job(
-    worker_idx: usize,
-    job: Job,
-    shared: &WorkerShared,
-    checkers: &mut HashMap<EnvId, TwoStageChecker>,
-) {
+fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared, checkers: &mut CheckerCache) {
     // Hot per-request counters go to this worker's private shard; the
     // caller already settled the shared queue-depth gauge at pop time.
     let shard = shared.metrics.worker(worker_idx);
@@ -424,13 +421,22 @@ fn splitmix64(state: &mut u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// A worker's two-stage checkers, each with the epoch of the snapshot it
+/// was built from.
+type CheckerCache = HashMap<EnvId, (u64, TwoStageChecker)>;
+
+/// The serving path's checker over `env`'s prebuilt R-tree and SoA field.
+fn two_stage_checker(env: &EnvSnapshot) -> TwoStageChecker {
+    TwoStageChecker::with_prebuilt_soa(env.rtree.clone(), env.soa.clone(), SecondStage::ObbExact)
+}
+
 /// Runs one request's plan, wiring the variant's kernel stack exactly
 /// like `moped_core::plan_variant` (so results are byte-identical to a
 /// serial run) but reusing the shared R-tree snapshot for the two-stage
 /// checker.
 fn execute(
     job: &Job,
-    checkers: &mut HashMap<EnvId, TwoStageChecker>,
+    checkers: &mut CheckerCache,
     poll_every: usize,
     started: Instant,
 ) -> PlanResult {
@@ -463,13 +469,17 @@ fn execute(
     // serving path proper is the cached two-stage checker.
     let naive;
     let checker: &dyn moped_collision::CollisionChecker = if two_stage {
-        checkers.entry(job.env_id).or_insert_with(|| {
-            TwoStageChecker::with_prebuilt_soa(
-                job.env.rtree.clone(),
-                job.env.soa.clone(),
-                SecondStage::ObbExact,
-            )
-        })
+        // A checker built from an earlier (or later) epoch of this slot
+        // holds another snapshot's obstacles: rebuild it from the
+        // snapshot this job was admitted with.
+        let (epoch, cached) = checkers
+            .entry(job.env_id)
+            .or_insert_with(|| (job.env.epoch, two_stage_checker(&job.env)));
+        if *epoch != job.env.epoch {
+            *epoch = job.env.epoch;
+            *cached = two_stage_checker(&job.env);
+        }
+        cached
     } else {
         naive = NaiveChecker::new(scenario.obstacles.clone());
         &naive

@@ -54,6 +54,25 @@ echo "== service_bench --smoke (scaling gate) =="
 cargo run --release -q -p moped-bench --bin service_bench -- \
     --smoke --out target/service_smoke.json
 
+echo "== wallbench: unit tests =="
+cargo test -q --offline --manifest-path wallbench/Cargo.toml
+
+echo "== wallbench: traced arm-clutter smoke (kernel-replay gate) =="
+# The traced run replays every recorded pose check through the kernels
+# and requires the replayed R-tree and SAT counts to equal the live
+# ledgers; it also checks each returned path against the oracle. Its
+# last stdout line is a JSON object whose "correct" and "failed" fields
+# carry those verdicts.
+wb_last=$(cargo run --release -q --offline --manifest-path wallbench/Cargo.toml -- \
+    --workload arm-clutter --seed 1 --seconds 5 --trace 1 | tail -n 1)
+case "$wb_last" in
+    *'"correct":true'*'"failed":0,'*) echo "wallbench smoke: correct, no failures" ;;
+    *)
+        echo "verify: FAIL — wallbench smoke reported: ${wb_last:0:200}" >&2
+        exit 1
+        ;;
+esac
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
