@@ -2,7 +2,7 @@
 //! wall-clock view): the V0 baseline vs the full MOPED V4 stack.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use moped_core::{plan_variant, PlannerParams, Variant};
+use moped_core::{PlannerParams, Variant};
 use moped_env::{Scenario, ScenarioParams};
 use moped_robot::Robot;
 use std::hint::black_box;
@@ -21,7 +21,7 @@ fn bench_variants(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new(format!("{variant}"), robot.name()),
                 &s,
-                |b, s| b.iter(|| black_box(plan_variant(black_box(s), variant, &params))),
+                |b, s| b.iter(|| black_box(variant.profile().plan(black_box(s), &params))),
             );
         }
     }
@@ -40,7 +40,7 @@ fn bench_scaling(c: &mut Criterion) {
             ..PlannerParams::default()
         };
         g.bench_with_input(BenchmarkId::new("v4", samples), &s, |b, s| {
-            b.iter(|| black_box(plan_variant(black_box(s), Variant::V4Lci, &params)))
+            b.iter(|| black_box(Variant::V4Lci.profile().plan(black_box(s), &params)))
         });
     }
     g.finish();

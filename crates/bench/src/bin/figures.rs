@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use moped_collision::{NaiveAabbChecker, SecondStage, TwoStageChecker};
-use moped_core::{plan_variant, KdIndex, PlanResult, PlannerParams, RrtStar, SimbrIndex, Variant};
+use moped_core::{KdIndex, PlanResult, PlannerParams, RrtStar, SimbrIndex, Variant};
 use moped_env::{Scenario, ScenarioParams, OBSTACLE_COUNTS};
 use moped_hw::design::DesignPoint;
 use moped_hw::{perf, pipeline};
@@ -125,7 +125,9 @@ fn fig3(opts: &Opts) {
         let mut other = 0.0;
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
-            let r = plan_variant(&s, Variant::V0Baseline, &params(opts, seed, false));
+            let r = Variant::V0Baseline
+                .profile()
+                .plan(&s, &params(opts, seed, false));
             let (c, n, o) = r.stats.breakdown();
             cc += c;
             ns += n;
@@ -217,8 +219,8 @@ fn fig6(opts: &Opts) {
                 let s =
                     Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
                 let p = params(opts, seed, false);
-                let r_naive = plan_variant(&s, Variant::V0Baseline, &p);
-                let r_two = plan_variant(&s, Variant::V1Tsps, &p);
+                let r_naive = Variant::V0Baseline.profile().plan(&s, &p);
+                let r_two = Variant::V1Tsps.profile().plan(&s, &p);
                 naive_macs += r_naive.stats.collision.total_ops().mac_equiv() as f64;
                 two_macs += r_two.stats.collision.total_ops().mac_equiv() as f64;
             }
@@ -253,8 +255,8 @@ fn fig8(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            let r2 = plan_variant(&s, Variant::V2Stns, &p);
-            let r3 = plan_variant(&s, Variant::V3Sias, &p);
+            let r2 = Variant::V2Stns.profile().plan(&s, &p);
+            let r3 = Variant::V3Sias.profile().plan(&s, &p);
             ns2 += r2.stats.ns_ops.mac_equiv() as f64;
             ns3 += r3.stats.ns_ops.mac_equiv() as f64;
             if r2.solved() && r3.solved() {
@@ -292,11 +294,15 @@ fn fig10(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            i3 += plan_variant(&s, Variant::V3Sias, &p)
+            i3 += Variant::V3Sias
+                .profile()
+                .plan(&s, &p)
                 .stats
                 .insert_ops
                 .mac_equiv() as f64;
-            i4 += plan_variant(&s, Variant::V4Lci, &p)
+            i4 += Variant::V4Lci
+                .profile()
+                .plan(&s, &p)
                 .stats
                 .insert_ops
                 .mac_equiv() as f64;
@@ -332,8 +338,8 @@ fn fig14(opts: &Opts) {
                 let s =
                     Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
                 let p = params(opts, seed, false);
-                let r0 = plan_variant(&s, Variant::V0Baseline, &p);
-                let r4 = plan_variant(&s, Variant::V4Lci, &p);
+                let r0 = Variant::V0Baseline.profile().plan(&s, &p);
+                let r4 = Variant::V4Lci.profile().plan(&s, &p);
                 b += r0.stats.total_ops().mac_equiv() as f64;
                 m += r4.stats.total_ops().mac_equiv() as f64;
                 if r0.solved() && r4.solved() {
@@ -386,8 +392,8 @@ fn fig15(opts: &Opts) {
                 let s =
                     Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
                 let p = params(opts, seed, true);
-                let base = plan_variant(&s, Variant::V0Baseline, &p);
-                let moped = plan_variant(&s, Variant::V4Lci, &p);
+                let base = Variant::V0Baseline.profile().plan(&s, &p);
+                let moped = Variant::V4Lci.profile().plan(&s, &p);
                 let m = perf::moped_report(&moped.stats, &design);
                 let cpu = perf::cpu_report(&base.stats);
                 let asic = perf::rrt_asic_report(&base.stats, &design);
@@ -447,7 +453,7 @@ fn fig16(opts: &Opts) {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
             for (i, v) in Variant::ALL.iter().enumerate() {
-                totals[i] += plan_variant(&s, *v, &p).stats.total_ops().mac_equiv() as f64;
+                totals[i] += v.profile().plan(&s, &p).stats.total_ops().mac_equiv() as f64;
             }
         }
         println!(
@@ -469,10 +475,10 @@ fn fig16(opts: &Opts) {
         let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), 71);
         let p = params(opts, 5, false);
         let t0 = Instant::now();
-        let _ = plan_variant(&s, Variant::V0Baseline, &p);
+        let _ = Variant::V0Baseline.profile().plan(&s, &p);
         let base_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let _ = plan_variant(&s, Variant::V4Lci, &p);
+        let _ = Variant::V4Lci.profile().plan(&s, &p);
         let moped_ms = t1.elapsed().as_secs_f64() * 1e3;
         println!(
             "{:<12} {:>12.1} {:>12.1} {:>7.2}x",
@@ -500,7 +506,7 @@ fn fig17(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
             let p = params(opts, seed, true);
-            let moped = plan_variant(&s, Variant::V4Lci, &p);
+            let moped = Variant::V4Lci.profile().plan(&s, &p);
             let rounds = pipeline::rounds_from_trace(&moped.stats.rounds);
             let rep = pipeline::simulate(&rounds);
             serial += rep.serial_cycles as f64;
@@ -635,8 +641,8 @@ fn fig19(opts: &Opts) {
         samples: opts.samples.max(2000),
     };
     let p = params(&full, 1, true);
-    let base = plan_variant(&s, Variant::V0Baseline, &p);
-    let moped = plan_variant(&s, Variant::V4Lci, &p);
+    let base = Variant::V0Baseline.profile().plan(&s, &p);
+    let moped = Variant::V4Lci.profile().plan(&s, &p);
     let cum = |r: &PlanResult, upto: usize| -> f64 {
         r.stats.rounds[..upto.min(r.stats.rounds.len())]
             .iter()
@@ -699,7 +705,7 @@ fn pipeline_stats(opts: &Opts) {
         for &count in [8usize, 48].iter() {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), 83);
             let p = params(opts, 2, true);
-            let moped = plan_variant(&s, Variant::V4Lci, &p);
+            let moped = Variant::V4Lci.profile().plan(&s, &p);
             let rounds = pipeline::rounds_from_trace(&moped.stats.rounds);
             let rep = pipeline::simulate(&rounds);
             println!(
@@ -746,8 +752,8 @@ fn clearance(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            let r2 = plan_variant(&s, Variant::V2Stns, &p);
-            let r3 = plan_variant(&s, Variant::V3Sias, &p);
+            let r2 = Variant::V2Stns.profile().plan(&s, &p);
+            let r3 = Variant::V3Sias.profile().plan(&s, &p);
             if let (Some(p2), Some(p3)) = (&r2.path, &r3.path) {
                 let steps = InterpolationSteps::with_resolution(2.0);
                 if let (Some(c2), Some(c3)) = (measure(&s, p2, &steps), measure(&s, p3, &steps)) {
@@ -784,8 +790,8 @@ fn anytime(opts: &Opts) {
         seed: 5,
         ..PlannerParams::default()
     };
-    let base = plan_variant(&s, Variant::V0Baseline, &p);
-    let moped = plan_variant(&s, Variant::V4Lci, &p);
+    let base = Variant::V0Baseline.profile().plan(&s, &p);
+    let moped = Variant::V4Lci.profile().plan(&s, &p);
     let cost_at = |hist: &[(usize, f64)], sample: usize| -> f64 {
         hist.iter()
             .take_while(|(i, _)| *i <= sample)

@@ -9,10 +9,13 @@
 //! * a **collision checker** (`moped_collision::CollisionChecker`): naive
 //!   all-pairs OBB–OBB or the two-stage R-tree scheme.
 //!
-//! The [`Variant`] ladder wires these exactly as the paper's ablation
-//! (Fig 16): V0 baseline → V1 two-stage collision (TSPS) → V2 SI-MBR
-//! neighbor search (STNS) → V3 approximated search (SIAS) → V4 low-cost
-//! insertion (LCI) = full MOPED.
+//! A [`PlannerProfile`] names one complete stack — engine, collision
+//! stage, NN backend, SIAS, LCI, radius and budget policies — and
+//! [`PlannerProfile::planner`] is the one place a stack is assembled.
+//! The [`Variant`] ladder names the paper's ablation rungs (Fig 16) as
+//! profile presets: V0 baseline → V1 two-stage collision (TSPS) → V2
+//! SI-MBR neighbor search (STNS) → V3 approximated search (SIAS) → V4
+//! low-cost insertion (LCI) = full MOPED.
 //!
 //! Every phase of every sampling round is charged to separate ledgers and
 //! optionally traced per round, which is what the hardware model replays
@@ -21,26 +24,27 @@
 //! # Example
 //!
 //! ```
-//! use moped_core::{plan_variant, PlannerParams, Variant};
+//! use moped_core::{PlannerParams, Variant};
 //! use moped_env::{Scenario, ScenarioParams};
 //! use moped_robot::Robot;
 //!
 //! let scenario = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(8), 1);
 //! let params = PlannerParams { max_samples: 300, ..PlannerParams::default() };
-//! let result = plan_variant(&scenario, Variant::V4Lci, &params);
+//! let result = Variant::V4Lci.profile().plan(&scenario, &params);
 //! assert!(result.stats.samples <= 300);
 //! ```
 
 #![deny(missing_docs)]
 
 mod connect;
-pub mod extensions;
 mod index;
 mod planner;
+mod profile;
 pub mod replan;
 pub mod smooth;
 mod variant;
 
 pub use index::{AnyIndex, KdIndex, LinearIndex, NeighborIndex, NnBackend, SimbrIndex};
 pub use planner::{Engine, PlanResult, PlanStats, PlannerParams, RoundTrace, RrtStar};
-pub use variant::{plan_variant, plan_variant_with_stop, variant_components, Variant};
+pub use profile::{BudgetPolicy, CollisionStage, PlannerProfile, RadiusPolicy};
+pub use variant::Variant;

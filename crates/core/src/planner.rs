@@ -88,6 +88,37 @@ impl Default for PlannerParams {
     }
 }
 
+impl PlannerParams {
+    /// Checks the knobs every engine relies on: a set `steering_step`
+    /// must be finite and positive, `rewire_gamma` and `goal_tolerance`
+    /// finite and non-negative, and `goal_bias` a probability. A step of
+    /// zero, below zero or NaN stalls or panics the engines, and an
+    /// infinite one turns every edge into one long, coarsely checked
+    /// motion.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(step) = self.steering_step {
+            if !(step.is_finite() && step > 0.0) {
+                return Err(format!("steering_step must be finite and > 0, got {step}"));
+            }
+        }
+        for (name, value) in [
+            ("rewire_gamma", self.rewire_gamma),
+            ("goal_tolerance", self.goal_tolerance),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!("{name} must be finite and >= 0, got {value}"));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.goal_bias) {
+            return Err(format!(
+                "goal_bias must be in [0, 1], got {}",
+                self.goal_bias
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Cost trace of one sampling round, in MAC-equivalent operations per
 /// phase. The hardware model replays these through the S&R pipeline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -250,11 +281,6 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The engine this planner will run.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Installs a cooperative stop hook polled every `every` sampling
@@ -701,6 +727,55 @@ mod tests {
             max_samples: samples,
             seed,
             ..PlannerParams::default()
+        }
+    }
+
+    #[test]
+    fn validate_accepts_defaults_and_rejects_bad_knobs() {
+        assert_eq!(PlannerParams::default().validate(), Ok(()));
+        let ok_step = PlannerParams {
+            steering_step: Some(2.5),
+            goal_bias: 1.0,
+            rewire_gamma: 0.0,
+            ..PlannerParams::default()
+        };
+        assert_eq!(ok_step.validate(), Ok(()));
+        let bad = [
+            PlannerParams {
+                steering_step: Some(-5.0),
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                steering_step: Some(0.0),
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                steering_step: Some(f64::NAN),
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                steering_step: Some(f64::INFINITY),
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                rewire_gamma: -1.0,
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                goal_tolerance: f64::INFINITY,
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                goal_bias: 1.5,
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                goal_bias: f64::NAN,
+                ..PlannerParams::default()
+            },
+        ];
+        for p in bad {
+            assert!(p.validate().is_err(), "{p:?}");
         }
     }
 

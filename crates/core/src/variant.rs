@@ -2,10 +2,7 @@
 
 use std::fmt;
 
-use moped_collision::{CollisionChecker, NaiveChecker, TwoStageChecker};
-use moped_env::Scenario;
-
-use crate::{LinearIndex, PlanResult, PlannerParams, RrtStar, SimbrIndex};
+use crate::{CollisionStage, NnBackend, PlannerProfile};
 
 /// The five designs the paper's breakdown evaluates:
 ///
@@ -39,6 +36,28 @@ impl Variant {
         Variant::V3Sias,
         Variant::V4Lci,
     ];
+
+    /// The rung's planner stack: RRT\* with the rung's collision stage,
+    /// neighbor backend and search/insertion switches, and the caller's
+    /// parameters unchanged. Every evaluation figure drives these: same
+    /// scenario, same seed, same sampling budget — only the co-designed
+    /// kernels vary.
+    pub fn profile(self) -> PlannerProfile {
+        let (collision, nn_backend, sias, lci) = match self {
+            Variant::V0Baseline => (CollisionStage::Naive, NnBackend::Linear, false, false),
+            Variant::V1Tsps => (CollisionStage::TwoStage, NnBackend::Linear, false, false),
+            Variant::V2Stns => (CollisionStage::TwoStage, NnBackend::SiMbr, false, false),
+            Variant::V3Sias => (CollisionStage::TwoStage, NnBackend::SiMbr, true, false),
+            Variant::V4Lci => (CollisionStage::TwoStage, NnBackend::SiMbr, true, true),
+        };
+        PlannerProfile {
+            collision,
+            nn_backend,
+            sias,
+            lci,
+            ..PlannerProfile::static_default()
+        }
+    }
 }
 
 impl fmt::Display for Variant {
@@ -53,78 +72,11 @@ impl fmt::Display for Variant {
     }
 }
 
-/// Builds the collision checker + index flags for a variant:
-/// `(two_stage_collision, simbr_index, approx_search, low_cost_insert)`.
-pub fn variant_components(variant: Variant) -> (bool, bool, bool, bool) {
-    match variant {
-        Variant::V0Baseline => (false, false, false, false),
-        Variant::V1Tsps => (true, false, false, false),
-        Variant::V2Stns => (true, true, false, false),
-        Variant::V3Sias => (true, true, true, false),
-        Variant::V4Lci => (true, true, true, true),
-    }
-}
-
-/// Plans `scenario` with the given variant's component stack.
-///
-/// This is the entry point every evaluation figure drives: same scenario,
-/// same seed, same sampling budget — only the co-designed kernels vary.
-pub fn plan_variant(scenario: &Scenario, variant: Variant, params: &PlannerParams) -> PlanResult {
-    plan_variant_impl(scenario, variant, params, None)
-}
-
-/// [`plan_variant`] with a cooperative stop hook polled every `every`
-/// sampling rounds — the serving layer's deadline/cancellation path.
-/// When the hook fires the best-so-far anytime result is returned with
-/// [`crate::PlanStats::stopped_early`] set.
-pub fn plan_variant_with_stop(
-    scenario: &Scenario,
-    variant: Variant,
-    params: &PlannerParams,
-    every: usize,
-    stop: &dyn Fn() -> bool,
-) -> PlanResult {
-    plan_variant_impl(scenario, variant, params, Some((every, stop)))
-}
-
-fn plan_variant_impl(
-    scenario: &Scenario,
-    variant: Variant,
-    params: &PlannerParams,
-    stop: Option<(usize, &dyn Fn() -> bool)>,
-) -> PlanResult {
-    let (two_stage, simbr, sias, lci) = variant_components(variant);
-    let dim = scenario.robot.dof();
-    let checker: Box<dyn CollisionChecker> = if two_stage {
-        Box::new(TwoStageChecker::moped(scenario.obstacles.clone()))
-    } else {
-        Box::new(NaiveChecker::new(scenario.obstacles.clone()))
-    };
-    if simbr {
-        let index = SimbrIndex::new(dim, 6, sias, lci);
-        let mut planner = RrtStar::new(scenario, checker.as_ref(), index, params.clone());
-        match stop {
-            Some((every, hook)) => planner.with_stop_hook(every, hook).plan(),
-            None => planner.plan(),
-        }
-    } else {
-        let mut planner = RrtStar::new(
-            scenario,
-            checker.as_ref(),
-            LinearIndex::new(),
-            params.clone(),
-        );
-        match stop {
-            Some((every, hook)) => planner.with_stop_hook(every, hook).plan(),
-            None => planner.plan(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moped_env::ScenarioParams;
+    use crate::{Engine, PlannerParams};
+    use moped_env::{Scenario, ScenarioParams};
     use moped_robot::Robot;
 
     fn scene(seed: u64) -> Scenario {
@@ -145,7 +97,7 @@ mod tests {
         };
         let results: Vec<_> = Variant::ALL
             .iter()
-            .map(|v| plan_variant(&s, *v, &params))
+            .map(|v| v.profile().plan(&s, &params))
             .collect();
         let total = |i: usize| results[i].stats.total_ops().mac_equiv();
         let cc = |i: usize| results[i].stats.collision.total_ops().mac_equiv();
@@ -204,8 +156,8 @@ mod tests {
                 &ScenarioParams::with_obstacles(16),
                 100 + seed,
             );
-            let exact = plan_variant(&s, Variant::V2Stns, &params);
-            let approx = plan_variant(&s, Variant::V3Sias, &params);
+            let exact = Variant::V2Stns.profile().plan(&s, &params);
+            let approx = Variant::V3Sias.profile().plan(&s, &params);
             if exact.solved() && approx.solved() {
                 exact_sum += exact.path_cost;
                 approx_sum += approx.path_cost;
@@ -228,7 +180,7 @@ mod tests {
             ..PlannerParams::default()
         };
         for v in Variant::ALL {
-            let r = plan_variant(&s, v, &params);
+            let r = v.profile().plan(&s, &params);
             assert_eq!(r.stats.samples, 200, "{v}");
             if let Some(path) = &r.path {
                 assert_eq!(path[0], s.start, "{v}");
@@ -246,22 +198,27 @@ mod tests {
 
     #[test]
     fn component_table_matches_ladder() {
-        assert_eq!(
-            variant_components(Variant::V0Baseline),
-            (false, false, false, false)
-        );
-        assert_eq!(
-            variant_components(Variant::V1Tsps),
-            (true, false, false, false)
-        );
-        assert_eq!(
-            variant_components(Variant::V2Stns),
-            (true, true, false, false)
-        );
-        assert_eq!(
-            variant_components(Variant::V3Sias),
-            (true, true, true, false)
-        );
-        assert_eq!(variant_components(Variant::V4Lci), (true, true, true, true));
+        use CollisionStage::{Naive, TwoStage};
+        use NnBackend::{Linear, SiMbr};
+        let rungs = [
+            (Variant::V0Baseline, (Naive, Linear, false, false)),
+            (Variant::V1Tsps, (TwoStage, Linear, false, false)),
+            (Variant::V2Stns, (TwoStage, SiMbr, false, false)),
+            (Variant::V3Sias, (TwoStage, SiMbr, true, false)),
+            (Variant::V4Lci, (TwoStage, SiMbr, true, true)),
+        ];
+        for (v, (collision, nn_backend, sias, lci)) in rungs {
+            let p = v.profile();
+            assert_eq!(
+                (p.collision, p.nn_backend, p.sias, p.lci, p.engine),
+                (collision, nn_backend, sias, lci, Engine::RrtStar),
+                "{v}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_top_rung_is_the_static_default() {
+        assert_eq!(Variant::V4Lci.profile(), PlannerProfile::static_default());
     }
 }

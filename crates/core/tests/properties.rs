@@ -3,7 +3,7 @@
 //! variant choices.
 
 use moped_collision::TwoStageChecker;
-use moped_core::{plan_variant, PlannerParams, RrtStar, SimbrIndex, Variant};
+use moped_core::{PlannerParams, RrtStar, SimbrIndex, Variant};
 use moped_env::{Scenario, ScenarioParams};
 use moped_geometry::interpolate;
 use moped_geometry::InterpolationSteps;
@@ -38,7 +38,7 @@ proptest! {
             seed: plan_seed,
             ..PlannerParams::default()
         };
-        let r = plan_variant(&s, variant, &params);
+        let r = variant.profile().plan(&s, &params);
         prop_assert_eq!(r.stats.samples, budget);
         if let Some(path) = &r.path {
             prop_assert_eq!(&path[0], &s.start);
@@ -91,8 +91,8 @@ proptest! {
         );
         let variant = variant_from(vidx);
         let params = PlannerParams { max_samples: 150, seed: 9, ..PlannerParams::default() };
-        let a = plan_variant(&s, variant, &params);
-        let b = plan_variant(&s, variant, &params);
+        let a = variant.profile().plan(&s, &params);
+        let b = variant.profile().plan(&s, &params);
         prop_assert_eq!(a.path_cost.to_bits(), b.path_cost.to_bits());
         prop_assert_eq!(a.stats.total_ops(), b.stats.total_ops());
         prop_assert_eq!(a.stats.nodes, b.stats.nodes);
@@ -114,7 +114,7 @@ proptest! {
             trace_rounds: true,
             ..PlannerParams::default()
         };
-        let r = plan_variant(&s, Variant::V4Lci, &params);
+        let r = Variant::V4Lci.profile().plan(&s, &params);
         prop_assert_eq!(r.stats.rounds.len(), r.stats.samples);
         let traced_ns: u64 = r.stats.rounds.iter().map(|t| t.ns_macs).sum();
         let total_ns = r.stats.ns_ops.mac_equiv();

@@ -68,7 +68,7 @@ pub fn measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moped_core::{plan_variant, PlannerParams, Variant};
+    use moped_core::{PlannerParams, Variant};
     use moped_env::ScenarioParams;
     use moped_robot::Robot;
 
@@ -80,7 +80,7 @@ mod tests {
             seed: 2,
             ..PlannerParams::default()
         };
-        let r = plan_variant(&s, Variant::V4Lci, &params);
+        let r = Variant::V4Lci.profile().plan(&s, &params);
         if let Some(path) = &r.path {
             let steps = InterpolationSteps::with_resolution(2.0);
             let profile = measure(&s, path, &steps).expect("non-trivial path");
@@ -119,8 +119,8 @@ mod tests {
             seed: 6,
             ..PlannerParams::default()
         };
-        let ro = plan_variant(&open, Variant::V4Lci, &params);
-        let rn = plan_variant(&narrow, Variant::V4Lci, &params);
+        let ro = Variant::V4Lci.profile().plan(&open, &params);
+        let rn = Variant::V4Lci.profile().plan(&narrow, &params);
         if let (Some(po), Some(pn)) = (&ro.path, &rn.path) {
             let steps = InterpolationSteps::with_resolution(2.0);
             let co = measure(&open, po, &steps).unwrap();

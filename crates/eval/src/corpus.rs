@@ -8,14 +8,10 @@
 
 use std::time::Instant;
 
-use moped_collision::{CollisionChecker, TwoStageChecker};
-use moped_core::{plan_variant, Engine, PlanResult, PlannerParams, RrtStar, SimbrIndex, Variant};
+use moped_core::{Engine, PlanResult, PlannerParams, PlannerProfile, Variant};
 use moped_env::Scenario;
 use moped_scenarios::CorpusEntry;
-use moped_tune::{
-    plan_with_profile, CalibrationConfig, Calibrator, PlannerProfile, ProbeOutcome, ProfileTable,
-    RequestClass,
-};
+use moped_tune::{CalibrationConfig, Calibrator, ProbeOutcome, ProfileTable, RequestClass};
 
 /// A planning engine column in the regression matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -94,32 +90,23 @@ pub struct MatrixCell {
 
 /// Plans one scenario with one engine column.
 ///
-/// The reference column goes through [`plan_variant`] with
-/// [`Variant::V0Baseline`]; the MOPED columns run the V4 component stack
-/// with the requested [`Engine`].
+/// The reference column is the [`Variant::V0Baseline`] profile; the MOPED
+/// columns are the [`Variant::V4Lci`] profile with the column's
+/// [`Engine`]. Without a table, [`EngineKind::Auto`] is the static
+/// default profile, which is the V4 stack; callers with a calibrated
+/// table use [`run_auto_column`], which resolves per class.
 pub fn plan_engine(scenario: &Scenario, engine: EngineKind, params: &PlannerParams) -> PlanResult {
-    match engine {
-        EngineKind::ReferenceRrtStar => plan_variant(scenario, Variant::V0Baseline, params),
-        EngineKind::MopedRrtStar => plan_variant(scenario, Variant::V4Lci, params),
-        // Tableless fallback: the static default profile (documented on
-        // the variant). Callers with a calibrated table use
-        // `run_auto_column`, which resolves per class.
-        EngineKind::Auto => plan_with_profile(scenario, &PlannerProfile::static_default(), params),
-        EngineKind::RrtConnect | EngineKind::MultiTree => {
-            let checker: Box<dyn CollisionChecker> =
-                Box::new(TwoStageChecker::moped(scenario.obstacles.clone()));
-            let index = SimbrIndex::new(scenario.robot.dof(), 6, true, true);
-            let core_engine = if engine == EngineKind::RrtConnect {
-                Engine::RrtConnect
-            } else {
-                Engine::MultiTree
-            };
-            let result = RrtStar::new(scenario, checker.as_ref(), index, params.clone())
-                .with_engine(core_engine)
-                .plan();
-            result
-        }
-    }
+    let with_engine = |engine| PlannerProfile {
+        engine,
+        ..Variant::V4Lci.profile()
+    };
+    let profile = match engine {
+        EngineKind::ReferenceRrtStar => Variant::V0Baseline.profile(),
+        EngineKind::MopedRrtStar | EngineKind::Auto => Variant::V4Lci.profile(),
+        EngineKind::RrtConnect => with_engine(Engine::RrtConnect),
+        EngineKind::MultiTree => with_engine(Engine::MultiTree),
+    };
+    profile.plan(scenario, params)
 }
 
 /// Runs every engine over every corpus entry; one cell per pair.
@@ -192,7 +179,7 @@ pub fn run_auto_column(
         let scenario = entry.build();
         let res = table.resolve(&RequestClass::of_scenario(&scenario).id());
         let t0 = Instant::now();
-        let r = plan_with_profile(&scenario, &res.profile, params);
+        let r = res.profile.plan(&scenario, params);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         cells.push(MatrixCell {
             scenario_id: entry.id(),

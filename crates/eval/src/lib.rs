@@ -27,7 +27,7 @@
 pub mod clearance;
 pub mod corpus;
 
-use moped_core::{plan_variant, PlanResult, PlannerParams, Variant};
+use moped_core::{PlanResult, PlannerParams, Variant};
 use moped_env::{Scenario, ScenarioParams};
 use moped_robot::Robot;
 
@@ -165,7 +165,7 @@ impl Suite {
                 seed: params.seed + i as u64,
                 ..params.clone()
             };
-            let r = plan_variant(s, variant, &p);
+            let r = variant.profile().plan(s, &p);
             summary.absorb(&r);
         }
         summary
@@ -197,8 +197,8 @@ impl Suite {
                 seed: params.seed + i as u64,
                 ..params.clone()
             };
-            let rb = plan_variant(s, baseline, &p);
-            let rc = plan_variant(s, candidate, &p);
+            let rb = baseline.profile().plan(s, &p);
+            let rc = candidate.profile().plan(s, &p);
             let ops_b = rb.stats.total_ops().mac_equiv().max(1) as f64;
             let ops_c = rc.stats.total_ops().mac_equiv().max(1) as f64;
             pc.ops_ratio.push(ops_b / ops_c);

@@ -93,7 +93,7 @@ pub fn breakdown(stats: &PlanStats, design: &DesignPoint, cache_fraction: f64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moped_core::{plan_variant, PlannerParams, Variant};
+    use moped_core::{PlannerParams, Variant};
     use moped_env::{Scenario, ScenarioParams};
     use moped_robot::Robot;
 
@@ -105,7 +105,7 @@ mod tests {
             trace_rounds: true,
             ..PlannerParams::default()
         };
-        plan_variant(&s, variant, &p).stats
+        variant.profile().plan(&s, &p).stats
     }
 
     #[test]

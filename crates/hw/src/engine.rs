@@ -6,7 +6,7 @@
 //! against all three §V-B baselines — returning a single report a
 //! downstream user (or the figures harness) can print.
 
-use moped_core::{plan_variant, PlannerParams, Variant};
+use moped_core::{PlannerParams, Variant};
 use moped_env::Scenario;
 
 use crate::cache::{self, CacheConfig};
@@ -47,8 +47,8 @@ pub fn evaluate(scenario: &Scenario, params: &PlannerParams, design: &DesignPoin
         trace_rounds: true,
         ..params.clone()
     };
-    let base = plan_variant(scenario, Variant::V0Baseline, &traced);
-    let moped = plan_variant(scenario, Variant::V4Lci, &traced);
+    let base = Variant::V0Baseline.profile().plan(scenario, &traced);
+    let moped = Variant::V4Lci.profile().plan(scenario, &traced);
 
     let m = perf::moped_report(&moped.stats, design);
     let cpu = perf::cpu_report(&base.stats);

@@ -253,7 +253,7 @@ pub fn cycles_of(trace: &[RoundTrace]) -> Vec<RoundCycles> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moped_core::{plan_variant, PlannerParams, Variant};
+    use moped_core::{PlannerParams, Variant};
     use moped_env::{Scenario, ScenarioParams};
 
     fn traced_params(samples: usize, seed: u64) -> PlannerParams {
@@ -267,8 +267,14 @@ mod tests {
 
     fn workload() -> (Scenario, PlanStats, PlanStats) {
         let s = Scenario::generate(Robot::drone_3d(), &ScenarioParams::with_obstacles(16), 31);
-        let base = plan_variant(&s, Variant::V0Baseline, &traced_params(250, 9)).stats;
-        let moped = plan_variant(&s, Variant::V4Lci, &traced_params(250, 9)).stats;
+        let base = Variant::V0Baseline
+            .profile()
+            .plan(&s, &traced_params(250, 9))
+            .stats;
+        let moped = Variant::V4Lci
+            .profile()
+            .plan(&s, &traced_params(250, 9))
+            .stats;
         (s, base, moped)
     }
 

@@ -1,12 +1,13 @@
 //! Per-thread span recording and the global merge registry.
 //!
-//! The hot path — [`enter`]/[`exit`] on an enabled span — touches only
+//! The hot path — `enter`/`exit` on an enabled span — touches only
 //! thread-local state: a span stack for exclusive-time accounting, a
 //! fixed table of per-stage aggregates, and a bounded ring of raw events
 //! (oldest overwritten, drops counted). Nothing on that path takes a
-//! lock or allocates after the thread's first recorded span. [`flush`]
-//! folds a thread's state into the mutex-guarded global registry, which
-//! is how worker pools converge: once per job, off the hot path.
+//! lock or allocates after the thread's first recorded span.
+//! [`flush`](crate::flush) folds a thread's state into the mutex-guarded
+//! global registry, which is how worker pools converge: once per job,
+//! off the hot path.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -18,10 +18,11 @@
 //!   every [`PlanResponse`] records the epoch it planned against.
 //! * **Determinism under concurrency** — planning state is confined to
 //!   the worker; a request's result is a pure function of its
-//!   `(environment, params, variant)` triple, byte-identical to a serial
-//!   [`moped_core::plan_variant`] run with the same inputs. On tuned
-//!   services the triple's variant slot is the resolved profile instead,
-//!   with the same guarantee against `moped_tune::plan_with_profile`.
+//!   `(environment, params, profile)` triple, byte-identical to a serial
+//!   [`moped_core::PlannerProfile::plan`] run with the same inputs. The
+//!   profile is the one the tuner resolved at admission, or
+//!   [`moped_core::PlannerProfile::static_default`] (the full MOPED
+//!   stack) on untuned services.
 //! * **Autotuning** — an optional [`Tuner`] ([`ServiceConfig::tuner`])
 //!   resolves each environment's precomputed request class against a
 //!   calibrated `moped_tune::ProfileTable` at admission; the decision
@@ -36,7 +37,9 @@
 //!   running away or killing a thread.
 //! * **Admission control** — the queue is bounded (one global capacity
 //!   across all shards); a full queue rejects with
-//!   [`RejectReason::QueueFull`] rather than buffering unboundedly.
+//!   [`RejectReason::QueueFull`] rather than buffering unboundedly, and
+//!   malformed planner parameters reject with
+//!   [`RejectReason::InvalidRequest`] before they reach a worker.
 //! * **Contention-free dispatch** — admission round-robins jobs onto
 //!   per-worker deques; a worker dequeues from its own shard and steals
 //!   the oldest job from a sibling when its shard runs dry, so the pool
@@ -94,7 +97,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use moped_core::{PlanResult, PlannerParams, Variant};
+use moped_core::{PlanResult, PlannerParams};
 use moped_env::catalog::{build as build_scene, NamedScene};
 use moped_env::Scenario;
 use moped_obs::Bottleneck;
@@ -268,8 +271,6 @@ impl EnvironmentCatalog {
 pub struct PlanRequest {
     /// Which environment to plan in.
     pub env: EnvId,
-    /// Which kernel stack to run (defaults to full MOPED, V4).
-    pub variant: Variant,
     /// Planner knobs — `params.seed` makes the request deterministic.
     pub params: PlannerParams,
     /// Wall-clock budget measured from admission; `None` means the
@@ -278,11 +279,10 @@ pub struct PlanRequest {
 }
 
 impl PlanRequest {
-    /// A full-MOPED request with no deadline.
+    /// A request with no deadline.
     pub fn new(env: EnvId, params: PlannerParams) -> Self {
         PlanRequest {
             env,
-            variant: Variant::V4Lci,
             params,
             deadline: None,
         }
@@ -292,13 +292,6 @@ impl PlanRequest {
     #[must_use = "builder method returns the updated request; it does not mutate in place"]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Selects a specific ablation variant.
-    #[must_use = "builder method returns the updated request; it does not mutate in place"]
-    pub fn with_variant(mut self, variant: Variant) -> Self {
-        self.variant = variant;
         self
     }
 }
@@ -342,8 +335,8 @@ pub struct PlanResponse {
     pub attempts: u32,
     /// The profile decision this request planned under: the resolved
     /// class, profile, and reason. `None` on untuned services
-    /// ([`ServiceConfig::tuner`] unset), where the request's [`Variant`]
-    /// drives the stack exactly as before.
+    /// ([`ServiceConfig::tuner`] unset), which plan with
+    /// [`moped_core::PlannerProfile::static_default`].
     pub profile: Option<Resolution>,
 }
 
@@ -457,7 +450,7 @@ impl PlanOutcome {
 }
 
 /// Why a request was refused at admission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RejectReason {
     /// The bounded queue is at capacity; retry later or shed load.
     QueueFull {
@@ -468,6 +461,9 @@ pub enum RejectReason {
     UnknownEnvironment,
     /// The service is shutting down and no longer admits work.
     ShuttingDown,
+    /// The request's planner parameters are malformed; the message is
+    /// [`PlannerParams::validate`]'s.
+    InvalidRequest(String),
 }
 
 impl fmt::Display for RejectReason {
@@ -478,6 +474,7 @@ impl fmt::Display for RejectReason {
             }
             RejectReason::UnknownEnvironment => write!(f, "unknown environment id"),
             RejectReason::ShuttingDown => write!(f, "service is shutting down"),
+            RejectReason::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
 }
@@ -488,7 +485,7 @@ impl std::error::Error for RejectReason {}
 /// (`max_attempts == 1`).
 ///
 /// Retries are never blind: planning is deterministic in
-/// `(environment, variant, params)`, so when two consecutive attempts
+/// `(environment, profile, params)`, so when two consecutive attempts
 /// panic with an identical message the failure has proven itself
 /// deterministic and the worker gives up immediately, whatever
 /// `max_attempts` allows. Backoff between attempts is
@@ -637,12 +634,11 @@ pub struct ServiceConfig {
     /// Optional fault-injection plan (chaos testing); `None` — the
     /// default — makes the harness completely inert.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Optional autotuner; `None` — the default — keeps the classic
-    /// variant-driven planning path byte-identical to earlier releases.
-    /// When set, every admission resolves its environment's request
-    /// class to a [`PlannerProfile`](moped_tune::PlannerProfile) and the
-    /// worker plans with that profile's engine/index stack instead of
-    /// the request's [`Variant`].
+    /// Optional autotuner; `None` — the default — plans every request
+    /// with [`moped_core::PlannerProfile::static_default`]. When set,
+    /// every admission resolves its environment's request class to a
+    /// [`PlannerProfile`](moped_tune::PlannerProfile) and the worker
+    /// plans with that profile's stack.
     pub tuner: Option<Arc<Tuner>>,
 }
 
@@ -737,7 +733,6 @@ pub(crate) struct Job {
     pub(crate) id: u64,
     pub(crate) env_id: EnvId,
     pub(crate) env: Arc<EnvSnapshot>,
-    pub(crate) variant: Variant,
     pub(crate) params: PlannerParams,
     pub(crate) deadline_at: Option<Instant>,
     pub(crate) cancel: Arc<AtomicBool>,
@@ -842,7 +837,8 @@ impl PlanService {
     /// Admits one request. O(1): resolves the environment snapshot and
     /// enqueues onto one shard; planning happens on a worker. Rejection
     /// (with reason) is immediate when the queue is full, the
-    /// environment is unknown, or the service is shutting down.
+    /// environment is unknown, the parameters fail
+    /// [`PlannerParams::validate`], or the service is shutting down.
     pub fn submit(&self, request: PlanRequest) -> Result<PlanTicket, RejectReason> {
         let _span = moped_obs::span(moped_obs::Stage::Admission);
         if self.queue.is_closed() {
@@ -853,6 +849,10 @@ impl PlanService {
             self.metrics.inc_rejected();
             return Err(RejectReason::UnknownEnvironment);
         };
+        if let Err(why) = request.params.validate() {
+            self.metrics.inc_rejected();
+            return Err(RejectReason::InvalidRequest(why));
+        }
         // Admission-site fault injection (inert unless configured). A
         // `Panic` rule here unwinds the *calling* thread, by design.
         if let Some(plan) = self.config.faults.as_deref() {
@@ -897,7 +897,6 @@ impl PlanService {
             id,
             env_id: request.env,
             env,
-            variant: request.variant,
             params: request.params,
             deadline_at: request.deadline.map(|d| now + d),
             cancel: Arc::clone(&cancel),
@@ -1305,20 +1304,39 @@ mod tests {
     }
 
     #[test]
-    fn baseline_variant_requests_run() {
+    fn tuned_baseline_profile_plans_on_the_naive_checker() {
+        // A profile whose collision stage is naive bypasses the worker's
+        // cached two-stage checker and still matches the serial plan.
         let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
         let env = cat.find("open-meadow").unwrap();
+        let class = cat.get(env).unwrap().class.clone();
+        let baseline = moped_core::Variant::V0Baseline.profile();
+        let mut table = ProfileTable::static_default();
+        table.insert(&class, baseline.clone(), "pinned for test");
         let service = PlanService::start(
             cat,
             ServiceConfig {
                 workers: 1,
+                tuner: Some(Arc::new(Tuner::new(table))),
                 ..Default::default()
             },
         );
-        let req = PlanRequest::new(env, small_params(150, 5)).with_variant(Variant::V0Baseline);
-        let response = service.submit(req).unwrap().wait().into_result().unwrap();
+        let params = small_params(150, 5);
+        let response = service
+            .submit(PlanRequest::new(env, params.clone()))
+            .unwrap()
+            .wait()
+            .into_result()
+            .unwrap();
         assert_eq!(response.outcome, Outcome::Completed);
         assert_eq!(response.result.stats.samples, 150);
+        let scenario = service.catalog().get(env).unwrap().scenario.clone();
+        let serial = baseline.plan(&scenario, &params);
+        assert_eq!(response.result.stats.collision, serial.stats.collision);
+        assert_eq!(
+            response.result.path_cost.to_bits(),
+            serial.path_cost.to_bits()
+        );
         service.shutdown();
     }
 
@@ -1359,7 +1377,7 @@ mod tests {
 
         // Byte-identical to the serial profile path on the same inputs.
         let scenario = service.catalog().get(env).unwrap().scenario.clone();
-        let serial = moped_tune::plan_with_profile(&scenario, &res.profile, &params);
+        let serial = res.profile.plan(&scenario, &params);
         assert_eq!(response.result.solved(), serial.solved());
         assert_eq!(
             response.result.path_cost.to_bits(),

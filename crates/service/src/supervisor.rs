@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex, Once};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use moped_collision::{NaiveChecker, SecondStage, TwoStageChecker};
-use moped_core::{variant_components, LinearIndex, PlanResult, PlanStats, RrtStar, SimbrIndex};
+use moped_collision::{CollisionChecker, NaiveChecker, SecondStage, TwoStageChecker};
+use moped_core::{CollisionStage, PlanResult, PlanStats, PlannerProfile};
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::metrics::Metrics;
@@ -332,7 +332,7 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared, checkers: &mut 
                 // snapshot rather than trust its scratch state.
                 checkers.remove(&job.env_id);
 
-                // Planning is deterministic in (env, variant, params),
+                // Planning is deterministic in (env, profile, params),
                 // so a repeat of the *same* panic will not heal on its
                 // own: retry once to rule out a transient cause, then
                 // give up as soon as the failure proves itself stable.
@@ -430,10 +430,11 @@ fn two_stage_checker(env: &EnvSnapshot) -> TwoStageChecker {
     TwoStageChecker::with_prebuilt_soa(env.rtree.clone(), env.soa.clone(), SecondStage::ObbExact)
 }
 
-/// Runs one request's plan, wiring the variant's kernel stack exactly
-/// like `moped_core::plan_variant` (so results are byte-identical to a
-/// serial run) but reusing the shared R-tree snapshot for the two-stage
-/// checker.
+/// Runs one request's plan on its profile's stack: the admission-time
+/// resolution's profile, or the static default on untuned services. The
+/// two-stage checker comes from the worker's cache over the shared
+/// R-tree snapshot, so the result is byte-identical to a serial
+/// `PlannerProfile::plan` run on the same inputs.
 fn execute(
     job: &Job,
     checkers: &mut CheckerCache,
@@ -454,62 +455,41 @@ fn execute(
     }
 
     let scenario = &job.env.scenario;
-    let dim = scenario.robot.dof();
-    let (two_stage, simbr, sias, lci) = variant_components(job.variant);
-    // A resolved profile overrides the variant's stack and always runs
-    // the full two-stage collision path (profiles only vary the engine
-    // and neighbor index — the tuner's levers).
-    let two_stage = two_stage || job.profile.is_some();
+    let profile = job
+        .profile
+        .as_ref()
+        .map_or_else(PlannerProfile::static_default, |r| r.profile.clone());
     let cancel = Arc::clone(&job.cancel);
     let deadline_at = job.deadline_at;
     let stop =
         move || cancel.load(Ordering::Relaxed) || deadline_at.is_some_and(|d| Instant::now() >= d);
 
-    // The naive checker only exists for baseline-variant comparisons; the
-    // serving path proper is the cached two-stage checker.
     let naive;
-    let checker: &dyn moped_collision::CollisionChecker = if two_stage {
-        // A checker built from an earlier (or later) epoch of this slot
-        // holds another snapshot's obstacles: rebuild it from the
-        // snapshot this job was admitted with.
-        let (epoch, cached) = checkers
-            .entry(job.env_id)
-            .or_insert_with(|| (job.env.epoch, two_stage_checker(&job.env)));
-        if *epoch != job.env.epoch {
-            *epoch = job.env.epoch;
-            *cached = two_stage_checker(&job.env);
+    let checker: &dyn CollisionChecker = match profile.collision {
+        CollisionStage::TwoStage => {
+            // A checker built from an earlier (or later) epoch of this
+            // slot holds another snapshot's obstacles: rebuild it from
+            // the snapshot this job was admitted with.
+            let (epoch, cached) = checkers
+                .entry(job.env_id)
+                .or_insert_with(|| (job.env.epoch, two_stage_checker(&job.env)));
+            if *epoch != job.env.epoch {
+                *epoch = job.env.epoch;
+                *cached = two_stage_checker(&job.env);
+            }
+            cached
         }
-        cached
-    } else {
-        naive = NaiveChecker::new(scenario.obstacles.clone());
-        &naive
+        CollisionStage::Naive => {
+            naive = NaiveChecker::new(scenario.obstacles.clone());
+            &naive
+        }
     };
 
-    if let Some(resolution) = &job.profile {
-        // The tuned path: the admission-time resolution picks the
-        // engine, neighbor backend, and parameter policies. Identical to
-        // a serial `moped_tune::plan_with_profile` run modulo the shared
-        // checker snapshot.
-        let profile = &resolution.profile;
-        RrtStar::new(
-            scenario,
-            checker,
-            profile.build_index(dim),
-            profile.apply(&job.params),
-        )
-        .with_engine(profile.engine)
+    let result = profile
+        .planner(scenario, checker, &job.params)
         .with_stop_hook(poll_every, stop)
-        .plan()
-    } else if simbr {
-        let index = SimbrIndex::new(dim, 6, sias, lci);
-        RrtStar::new(scenario, checker, index, job.params.clone())
-            .with_stop_hook(poll_every, stop)
-            .plan()
-    } else {
-        RrtStar::new(scenario, checker, LinearIndex::new(), job.params.clone())
-            .with_stop_hook(poll_every, stop)
-            .plan()
-    }
+        .plan();
+    result
 }
 
 #[cfg(test)]

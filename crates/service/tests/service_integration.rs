@@ -3,7 +3,8 @@
 
 use std::time::Duration;
 
-use moped_core::{plan_variant, PlannerParams, Variant};
+use moped_core::{PlannerParams, PlannerProfile};
+use moped_geometry::InterpolationSteps;
 use moped_robot::Robot;
 use moped_service::{
     EnvironmentCatalog, Outcome, PlanRequest, PlanService, RejectReason, ServiceConfig,
@@ -27,7 +28,8 @@ fn batch_requests(catalog: &EnvironmentCatalog) -> Vec<PlanRequest> {
 
 /// The acceptance-criteria batch: 32 requests over 4 workers, every
 /// response byte-identical (cost and op counts) to a serial
-/// `plan_variant` run with the same `(environment, params)` pair.
+/// `PlannerProfile::plan` run of the static default profile with the
+/// same `(environment, params)` pair.
 #[test]
 fn concurrent_batch_matches_serial_bit_for_bit() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
@@ -38,7 +40,7 @@ fn concurrent_batch_matches_serial_bit_for_bit() {
         .iter()
         .map(|r| {
             let scenario = &catalog.get(r.env).unwrap().scenario;
-            plan_variant(scenario, r.variant, &r.params)
+            PlannerProfile::static_default().plan(scenario, &r.params)
         })
         .collect();
 
@@ -332,55 +334,68 @@ fn reject_reasons_render() {
         RejectReason::ShuttingDown.to_string(),
         "service is shutting down"
     );
+    assert_eq!(
+        RejectReason::InvalidRequest("goal_bias must be in [0, 1], got 2".into()).to_string(),
+        "invalid request: goal_bias must be in [0, 1], got 2"
+    );
 }
 
-/// Variants other than full MOPED plan correctly through the service and
-/// still match their serial counterparts.
+/// Malformed planner parameters are refused at admission with a typed
+/// reason and counted as rejections; they never reach (and so never
+/// panic or wedge) a worker, which keeps serving valid requests.
 #[test]
-fn variant_ladder_matches_serial_through_service() {
+fn malformed_params_are_rejected_at_admission() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("slalom-corridor").unwrap();
-    let scenario = catalog.get(env).unwrap().scenario.clone();
-
-    let variants = [Variant::V0Baseline, Variant::V2Stns, Variant::V4Lci];
-    let params = PlannerParams {
-        max_samples: 250,
-        seed: 21,
-        ..Default::default()
-    };
-    let serial: Vec<_> = variants
-        .iter()
-        .map(|&v| plan_variant(&scenario, v, &params))
-        .collect();
-
+    let env = catalog.find("open-meadow").unwrap();
+    let robot = catalog.get(env).unwrap().scenario.robot.clone();
     let service = PlanService::start(
         catalog,
         ServiceConfig {
-            workers: 2,
-            queue_capacity: 8,
-            stop_poll_every: 64,
+            workers: 1,
             ..Default::default()
         },
     );
-    let responses = service.run_batch(
-        variants
-            .iter()
-            .map(|&v| PlanRequest::new(env, params.clone()).with_variant(v)),
-    );
-    service.shutdown();
-
-    for ((resp, reference), variant) in responses.iter().zip(&serial).zip(&variants) {
-        let resp = resp.as_ref().unwrap().response().expect("served");
-        assert_eq!(
-            resp.result.path_cost.to_bits(),
-            reference.path_cost.to_bits(),
-            "{variant:?}"
-        );
-        assert_eq!(
-            resp.result.stats.samples, reference.stats.samples,
-            "{variant:?}"
-        );
+    let base = PlannerParams {
+        max_samples: 150,
+        seed: 4,
+        ..PlannerParams::default()
+    };
+    let bad_steps = [-5.0, f64::NAN, f64::INFINITY];
+    for step in bad_steps {
+        let params = PlannerParams {
+            steering_step: Some(step),
+            ..base.clone()
+        };
+        match service.submit(PlanRequest::new(env, params)) {
+            Err(RejectReason::InvalidRequest(why)) => {
+                assert!(why.contains("steering_step"), "{why}")
+            }
+            other => panic!("step {step} admitted: {other:?}"),
+        }
     }
+
+    // Defaults, and the uncapped-interpolation params a benchmark
+    // harness sends, are admitted and served by the same pool.
+    let uncapped = PlannerParams {
+        interpolation: Some(InterpolationSteps {
+            max_steps: usize::MAX,
+            ..InterpolationSteps::with_resolution((robot.steering_step() / 4.0).max(1e-3))
+        }),
+        ..base.clone()
+    };
+    for params in [PlannerParams::default(), base, uncapped] {
+        let response = service
+            .submit(PlanRequest::new(env, params))
+            .expect("valid params are admitted")
+            .wait()
+            .into_result()
+            .expect("served");
+        assert_eq!(response.outcome, Outcome::Completed);
+    }
+    let metrics = service.shutdown();
+    assert_eq!(metrics.rejected(), bad_steps.len() as u64);
+    assert_eq!(metrics.accepted(), 3);
+    assert_eq!(metrics.completed(), 3);
 }
 
 /// Queue-wait accounting is admission → dequeue only: a pool with idle

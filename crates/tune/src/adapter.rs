@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 use moped_core::{Engine, NnBackend};
 use moped_obs::Bottleneck;
 
-use crate::profile::PlannerProfile;
 use crate::table::ProfileTable;
+use crate::PlannerProfile;
 
 /// Which side of the collision-vs-NN split dominates a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

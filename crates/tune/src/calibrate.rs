@@ -14,9 +14,8 @@ use moped_core::PlannerParams;
 use moped_env::Scenario;
 
 use crate::class::RequestClass;
-use crate::plan_with_profile;
-use crate::profile::{BudgetPolicy, PlannerProfile, RadiusPolicy};
 use crate::table::ProfileTable;
+use crate::PlannerProfile;
 
 /// Probe parameters.
 #[derive(Clone, Debug)]
@@ -137,7 +136,7 @@ impl Calibrator {
                 let mut total_macs = 0u64;
                 let mut total_cost = 0.0f64;
                 for scene in scenes {
-                    let r = plan_with_profile(scene, candidate, &probe_params);
+                    let r = candidate.plan(scene, &probe_params);
                     if r.solved() {
                         solved += 1;
                         total_cost += r.path_cost;
@@ -179,17 +178,6 @@ impl Calibrator {
             }
         }
         (table, outcomes)
-    }
-}
-
-/// A shelf-style micro-budget candidate: RRT-Connect with a tight budget
-/// cap, used by tests and docs as the worked example.
-pub fn connect_capped(cap: u32) -> PlannerProfile {
-    PlannerProfile {
-        engine: moped_core::Engine::RrtConnect,
-        budget: BudgetPolicy::Cap(cap),
-        radius: RadiusPolicy::Default,
-        ..PlannerProfile::static_default()
     }
 }
 

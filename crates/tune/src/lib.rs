@@ -5,8 +5,9 @@
 //! engine/backend choice is the biggest lever the serving layer can pull
 //! per request. This crate owns that choice:
 //!
-//! * [`PlannerProfile`] — one serializable planner configuration
-//!   (engine, NN backend, SIAS, radius policy, sample budget);
+//! * [`PlannerProfile`] — one serializable planner stack (engine,
+//!   collision stage, NN backend, SIAS, LCI, radius policy, sample
+//!   budget), defined in `moped-core` and re-exported here;
 //! * [`RequestClass`] — the bucketed robot × environment key profiles
 //!   are resolved under;
 //! * [`Calibrator`] — short seeded micro-plans scoring candidate
@@ -28,14 +29,14 @@
 //! use moped_core::PlannerParams;
 //! use moped_robot::RobotModel;
 //! use moped_scenarios::{CorpusEntry, Family};
-//! use moped_tune::{plan_with_profile, CalibrationConfig, Calibrator, RequestClass};
+//! use moped_tune::{CalibrationConfig, Calibrator, RequestClass};
 //!
 //! let scene = CorpusEntry::new(Family::Shelf, RobotModel::Mobile2d, 1).build();
 //! let mut cal = Calibrator::new(CalibrationConfig { probe_samples: 150, ..Default::default() });
 //! cal.add_scenario(&scene);
 //! let (table, _probes) = cal.calibrate();
 //! let res = table.resolve(&RequestClass::of_scenario(&scene).id());
-//! let result = plan_with_profile(&scene, &res.profile, &PlannerParams::default());
+//! let result = res.profile.plan(&scene, &PlannerParams::default());
 //! assert!(result.stats.samples > 0);
 //! ```
 
@@ -44,37 +45,10 @@
 mod adapter;
 mod calibrate;
 mod class;
-mod profile;
 mod table;
 
 pub use adapter::{regime, Adapter, AdapterConfig, ProfileSwitch, Regime};
-pub use calibrate::{
-    connect_capped, default_candidates, CalibrationConfig, Calibrator, ProbeOutcome,
-};
+pub use calibrate::{default_candidates, CalibrationConfig, Calibrator, ProbeOutcome};
 pub use class::{DensityBucket, ObstacleBucket, RequestClass};
-pub use profile::{BudgetPolicy, PlannerProfile, RadiusPolicy};
+pub use moped_core::{BudgetPolicy, PlannerProfile, RadiusPolicy};
 pub use table::{ProfileTable, Resolution};
-
-use moped_collision::TwoStageChecker;
-use moped_core::{PlanResult, PlannerParams, RrtStar};
-use moped_env::Scenario;
-
-/// Plans `scenario` under `profile`: the full two-stage collision stack,
-/// the profile's neighbor index and engine, and the profile's parameter
-/// policies applied over `base`.
-///
-/// Deterministic in (scenario, profile, base) — this is the single entry
-/// point the calibration probe, the bench auto column, and tests share,
-/// so what the tuner scored is exactly what production runs.
-pub fn plan_with_profile(
-    scenario: &Scenario,
-    profile: &PlannerProfile,
-    base: &PlannerParams,
-) -> PlanResult {
-    let checker = TwoStageChecker::moped(scenario.obstacles.clone());
-    let index = profile.build_index(scenario.robot.dof());
-    let result = RrtStar::new(scenario, &checker, index, profile.apply(base))
-        .with_engine(profile.engine)
-        .plan();
-    result
-}

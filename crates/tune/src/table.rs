@@ -4,11 +4,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::profile::PlannerProfile;
+use crate::PlannerProfile;
 
 /// Wire-format header line (versioned so future fields can be added
 /// without breaking pinned tables).
-const HEADER: &str = "moped-profile-table v1";
+const HEADER: &str = "moped-profile-table v2";
 
 /// The outcome of resolving one request class against a table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,9 +96,9 @@ impl ProfileTable {
     /// Stable line-based wire form:
     ///
     /// ```text
-    /// moped-profile-table v1
-    /// default|rrt-star,si-mbr,1,default,inherit
-    /// class|mobile_2d/d3/o-few,v-thin|rrt-connect,si-mbr,1,default,inherit|probe: ...
+    /// moped-profile-table v2
+    /// default|rrt-star,two-stage,si-mbr,1,1,default,inherit
+    /// class|mobile_2d/d3/o-few,v-thin|rrt-connect,two-stage,si-mbr,1,1,default,inherit|probe: ...
     /// ```
     pub fn serialize(&self) -> String {
         let mut out = String::new();
@@ -158,16 +158,12 @@ impl ProfileTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{BudgetPolicy, RadiusPolicy};
-    use moped_core::{Engine, NnBackend};
+    use moped_core::Engine;
 
     fn connect_profile() -> PlannerProfile {
         PlannerProfile {
             engine: Engine::RrtConnect,
-            nn_backend: NnBackend::SiMbr,
-            sias: true,
-            radius: RadiusPolicy::Default,
-            budget: BudgetPolicy::Inherit,
+            ..PlannerProfile::static_default()
         }
     }
 
@@ -206,12 +202,17 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(ProfileTable::parse("").is_err());
-        assert!(ProfileTable::parse("moped-profile-table v1\n").is_err());
-        assert!(ProfileTable::parse("moped-profile-table v1\ndefault|nope").is_err());
+        assert!(ProfileTable::parse("moped-profile-table v2\n").is_err());
+        assert!(ProfileTable::parse("moped-profile-table v2\ndefault|nope").is_err());
+        // A v1 table (5-field profiles, no collision or LCI axis).
+        assert!(ProfileTable::parse(
+            "moped-profile-table v1\ndefault|rrt-star,si-mbr,1,default,inherit\n"
+        )
+        .is_err());
         let good = ProfileTable::static_default().serialize();
         assert!(ProfileTable::parse(&format!("{good}mystery|x\n")).is_err());
         assert!(ProfileTable::parse(&format!(
-            "{good}class||rrt-star,si-mbr,1,default,inherit|r\n"
+            "{good}class||rrt-star,two-stage,si-mbr,1,1,default,inherit|r\n"
         ))
         .is_err());
     }

@@ -4,11 +4,11 @@
 //! envelope the core planner guarantees.
 
 use moped_collision::TwoStageChecker;
-use moped_core::{PlannerParams, RrtStar};
+use moped_core::PlannerParams;
 use moped_obs::Journal;
 use moped_robot::RobotModel;
 use moped_scenarios::{CorpusEntry, Family};
-use moped_tune::{plan_with_profile, CalibrationConfig, Calibrator, ProfileTable, RequestClass};
+use moped_tune::{CalibrationConfig, Calibrator, ProfileTable, RequestClass};
 
 fn pinned_table() -> ProfileTable {
     let mut cal = Calibrator::new(CalibrationConfig {
@@ -48,8 +48,8 @@ fn auto_tuned_plan_is_bit_identical_across_runs() {
         seed: 23,
         ..PlannerParams::default()
     };
-    let a = plan_with_profile(&scene, &res.profile, &params);
-    let b = plan_with_profile(&scene, &res.profile, &params);
+    let a = res.profile.plan(&scene, &params);
+    let b = res.profile.plan(&scene, &params);
     assert_eq!(a.solved(), b.solved());
     assert_eq!(a.path_cost.to_bits(), b.path_cost.to_bits());
     assert_eq!(a.stats.samples, b.stats.samples);
@@ -70,9 +70,7 @@ fn auto_tuned_plan_replays_bit_identically_from_its_journal() {
 
     let checker = TwoStageChecker::moped(scene.obstacles.clone());
     let stack = |journal: Option<&Journal>| {
-        let index = res.profile.build_index(scene.robot.dof());
-        let planner = RrtStar::new(&scene, &checker, index, res.profile.apply(&params))
-            .with_engine(res.profile.engine);
+        let planner = res.profile.planner(&scene, &checker, &params);
         match journal {
             Some(j) => planner.with_replay(j),
             None => planner.with_journal_recording(),

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example arm_manipulation`
 
-use moped::core::{plan_variant, PlannerParams, Variant};
+use moped::core::{PlannerParams, Variant};
 use moped::env::{Scenario, ScenarioParams};
 use moped::robot::Robot;
 
@@ -22,8 +22,8 @@ fn main() {
             goal_tolerance: 0.8,
             ..PlannerParams::default()
         };
-        let base = plan_variant(&scenario, Variant::V0Baseline, &params);
-        let moped = plan_variant(&scenario, Variant::V4Lci, &params);
+        let base = Variant::V0Baseline.profile().plan(&scenario, &params);
+        let moped = Variant::V4Lci.profile().plan(&scenario, &params);
 
         println!("== {name} ({dof} DoF, {bodies} body boxes) ==");
         println!(

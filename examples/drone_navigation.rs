@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example drone_navigation`
 
-use moped::core::{plan_variant, PlannerParams, Variant};
+use moped::core::{PlannerParams, Variant};
 use moped::env::{Scenario, ScenarioParams, OBSTACLE_COUNTS};
 use moped::robot::Robot;
 
@@ -27,8 +27,8 @@ fn main() {
             &ScenarioParams::with_obstacles(count),
             500 + count as u64,
         );
-        let base = plan_variant(&scenario, Variant::V0Baseline, &params);
-        let moped = plan_variant(&scenario, Variant::V4Lci, &params);
+        let base = Variant::V0Baseline.profile().plan(&scenario, &params);
+        let moped = Variant::V4Lci.profile().plan(&scenario, &params);
         let b = base.stats.total_ops().mac_equiv();
         let m = moped.stats.total_ops().mac_equiv();
         println!(

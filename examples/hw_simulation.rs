@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example hw_simulation`
 
-use moped::core::{plan_variant, PlannerParams, Variant};
+use moped::core::{PlannerParams, Variant};
 use moped::env::{Scenario, ScenarioParams};
 use moped::hw::design::DesignPoint;
 use moped::hw::{perf, pipeline};
@@ -29,8 +29,8 @@ fn main() {
         "Planning: {} in a 16-obstacle field...",
         scenario.robot.name()
     );
-    let base = plan_variant(&scenario, Variant::V0Baseline, &params);
-    let moped = plan_variant(&scenario, Variant::V4Lci, &params);
+    let base = Variant::V0Baseline.profile().plan(&scenario, &params);
+    let moped = Variant::V4Lci.profile().plan(&scenario, &params);
 
     let design = DesignPoint::default();
     println!("\n== Design point (28nm, 1 GHz) ==");

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use moped::core::{plan_variant, PlannerParams, Variant};
+use moped::core::{PlannerParams, Variant};
 use moped::env::{Scenario, ScenarioParams};
 use moped::robot::Robot;
 
@@ -23,7 +23,7 @@ fn main() {
     };
 
     for variant in [Variant::V0Baseline, Variant::V4Lci] {
-        let result = plan_variant(&scenario, variant, &params);
+        let result = variant.profile().plan(&scenario, &params);
         let ops = result.stats.total_ops();
         println!("\n== {variant} ==");
         println!("  solved          : {}", result.solved());

@@ -20,7 +20,8 @@
 //! * [`eval`] — evaluation-suite runner and summary statistics
 //! * [`viz`] — SVG rendering of planar scenes and paths
 //! * [`collision`] — naive and two-stage motion collision checkers
-//! * [`core`] — the RRT\* planner and the V0–V4 variant ladder
+//! * [`core`] — the RRT\* planner, the `PlannerProfile` stack value, and
+//!   the V0–V4 variant ladder as profile presets
 //! * [`hw`] — the 28nm hardware performance model and baselines
 //! * [`service`] — the concurrent batch planning engine (worker pool,
 //!   bounded admission queue, deadlines, cancellation, metrics)
@@ -30,7 +31,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use moped::core::{plan_variant, PlannerParams, Variant};
+//! use moped::core::{PlannerParams, Variant};
 //! use moped::env::{Scenario, ScenarioParams};
 //! use moped::robot::Robot;
 //!
@@ -40,7 +41,7 @@
 //!     42,
 //! );
 //! let params = PlannerParams { max_samples: 500, ..PlannerParams::default() };
-//! let result = plan_variant(&scenario, Variant::V4Lci, &params);
+//! let result = Variant::V4Lci.profile().plan(&scenario, &params);
 //! println!("solved: {}, cost: {:.1}", result.solved(), result.path_cost);
 //! ```
 

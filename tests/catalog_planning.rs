@@ -2,7 +2,7 @@
 //! the full MOPED stack for the free-flying robots, and the scenes
 //! actually exercise the behaviours they are named for.
 
-use moped::core::{plan_variant, PlannerParams, Variant};
+use moped::core::{PlannerParams, Variant};
 use moped::env::catalog::{build, NamedScene};
 use moped::robot::Robot;
 
@@ -18,7 +18,7 @@ fn params(samples: usize) -> PlannerParams {
 fn mobile_robot_solves_every_catalog_scene() {
     for scene in NamedScene::ALL {
         let s = build(scene, Robot::mobile_2d());
-        let r = plan_variant(&s, Variant::V4Lci, &params(4000));
+        let r = Variant::V4Lci.profile().plan(&s, &params(4000));
         assert!(
             r.solved(),
             "{} should be solvable for the mobile robot",
@@ -32,8 +32,8 @@ fn mobile_robot_solves_every_catalog_scene() {
 fn open_meadow_is_cheap_and_slalom_is_expensive() {
     let meadow = build(NamedScene::OpenMeadow, Robot::mobile_2d());
     let slalom = build(NamedScene::SlalomCorridor, Robot::mobile_2d());
-    let rm = plan_variant(&meadow, Variant::V4Lci, &params(4000));
-    let rs = plan_variant(&slalom, Variant::V4Lci, &params(4000));
+    let rm = Variant::V4Lci.profile().plan(&meadow, &params(4000));
+    let rs = Variant::V4Lci.profile().plan(&slalom, &params(4000));
     if rm.solved() && rs.solved() {
         // The slalom forces a detour: its path must be meaningfully
         // longer than the meadow's near-straight line.
@@ -49,7 +49,7 @@ fn open_meadow_is_cheap_and_slalom_is_expensive() {
 #[test]
 fn drone_threads_the_pillar_forest() {
     let s = build(NamedScene::PillarForest, Robot::drone_3d());
-    let r = plan_variant(&s, Variant::V4Lci, &params(4000));
+    let r = Variant::V4Lci.profile().plan(&s, &params(4000));
     assert!(r.solved(), "drone should thread the pillar forest");
 }
 

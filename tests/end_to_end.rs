@@ -3,7 +3,7 @@
 //! paper's headline behaviours.
 
 use moped::collision::{CollisionChecker, CollisionLedger, NaiveChecker, TwoStageChecker};
-use moped::core::{plan_variant, PlannerParams, RrtStar, SimbrIndex, Variant};
+use moped::core::{PlannerParams, RrtStar, SimbrIndex, Variant};
 use moped::env::{Scenario, ScenarioParams};
 use moped::geometry::InterpolationSteps;
 use moped::hw::design::DesignPoint;
@@ -26,7 +26,7 @@ fn all_variants_all_robots_produce_sound_paths() {
     for robot in Robot::all_models() {
         let s = Scenario::generate(robot, &ScenarioParams::with_obstacles(8), 99);
         for variant in [Variant::V0Baseline, Variant::V4Lci] {
-            let r = plan_variant(&s, variant, &quick(400, 1));
+            let r = variant.profile().plan(&s, &quick(400, 1));
             assert_eq!(r.stats.samples, 400, "{variant} on {}", s.robot.name());
             if let Some(path) = &r.path {
                 assert_eq!(path[0], s.start);
@@ -76,8 +76,8 @@ fn moped_saves_work_without_hurting_quality() {
             &ScenarioParams::with_obstacles(16),
             200 + seed,
         );
-        let b = plan_variant(&s, Variant::V0Baseline, &quick(1200, seed));
-        let m = plan_variant(&s, Variant::V4Lci, &quick(1200, seed));
+        let b = Variant::V0Baseline.profile().plan(&s, &quick(1200, seed));
+        let m = Variant::V4Lci.profile().plan(&s, &quick(1200, seed));
         total_base += b.stats.total_ops().mac_equiv();
         total_moped += m.stats.total_ops().mac_equiv();
         if b.solved() && m.solved() {
@@ -109,8 +109,8 @@ fn hardware_model_end_to_end() {
         goal_tolerance: 0.8,
         ..PlannerParams::default()
     };
-    let base = plan_variant(&s, Variant::V0Baseline, &p);
-    let moped = plan_variant(&s, Variant::V4Lci, &p);
+    let base = Variant::V0Baseline.profile().plan(&s, &p);
+    let moped = Variant::V4Lci.profile().plan(&s, &p);
 
     let design = DesignPoint::default();
     let m = perf::moped_report(&moped.stats, &design);

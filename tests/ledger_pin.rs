@@ -1,14 +1,17 @@
-//! Pins the complete collision ledger and path cost of one seeded plan.
+//! Pins seeded plans bit for bit: the complete collision ledger of one
+//! xarm7 plan, and the path cost, sample count and op total of every
+//! ablation rung and engine column on one small scene.
 //!
 //! The pose-check kernels (R-tree filter, prepared AABB–OBB SAT, forward
-//! kinematics) may be rewritten for speed, but every verdict, count and
-//! modelled op charge must stay the same. The constants below were taken
-//! from the kernels before the flat R-tree / prepared-body rewrite; any
-//! drift in a single counter or in the last bit of the path cost fails
-//! here.
+//! kinematics) may be rewritten for speed, and the way a planner stack is
+//! assembled may change, but every verdict, count and modelled op charge
+//! must stay the same. The xarm7 constants were taken from the kernels
+//! before the flat R-tree / prepared-body rewrite; any drift in a single
+//! counter or in the last bit of the path cost fails here.
 
 use moped::collision::CollisionLedger;
-use moped::core::{plan_variant, PlannerParams, Variant};
+use moped::core::{PlanResult, PlannerParams, Variant};
+use moped::eval::corpus::{plan_engine, EngineKind};
 use moped::geometry::OpCount;
 use moped::robot::RobotModel;
 use moped::rtree::FilterStats;
@@ -22,7 +25,7 @@ fn xarm7_clutter_plan_ledger_is_pinned() {
         seed: 7,
         ..PlannerParams::default()
     };
-    let result = plan_variant(&scenario, Variant::V4Lci, &params);
+    let result = Variant::V4Lci.profile().plan(&scenario, &params);
     let expected = CollisionLedger {
         first_stage: OpCount {
             mul: 36_876_138,
@@ -54,4 +57,46 @@ fn xarm7_clutter_plan_ledger_is_pinned() {
     assert_eq!(result.stats.collision, expected);
     assert!(result.path.is_some(), "the pinned plan solves");
     assert_eq!(result.path_cost.to_bits(), 0x4017_7742_47c7_88ab);
+}
+
+/// Every rung of the V0–V4 ladder and both connect engines, on one small
+/// corpus scene: `(row, path_cost bits, samples, total MAC-equivalents)`.
+/// Taken before the ladder and the engine columns were folded into one
+/// `PlannerProfile` assembly path; any stack that plans differently from
+/// the one it replaced fails here.
+const LADDER_ROWS: [(&str, u64, usize, u64); 7] = [
+    ("V0-baseline", 0x4073_1892_0db1_4260, 400, 3_457_556),
+    ("V1-TSPS", 0x4073_1892_0db1_4260, 400, 1_436_671),
+    ("V2-STNS", 0x4073_1892_0db1_4260, 400, 846_993),
+    ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 1_281_977),
+    ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 1_111_497),
+    ("moped-rrt-connect", 0x4075_183b_916f_f669, 99, 200_168),
+    ("moped-multi-tree", 0x4075_81fb_ff39_db98, 80, 224_704),
+];
+
+#[test]
+fn ladder_and_engine_rows_are_pinned() {
+    let scenario = CorpusEntry::new(Family::Clutter, RobotModel::Mobile2d, 1).build();
+    let params = PlannerParams {
+        max_samples: 400,
+        seed: 7,
+        ..PlannerParams::default()
+    };
+    let mut rows: Vec<(String, PlanResult)> = Variant::ALL
+        .iter()
+        .map(|v| (v.to_string(), v.profile().plan(&scenario, &params)))
+        .collect();
+    for engine in [EngineKind::RrtConnect, EngineKind::MultiTree] {
+        rows.push((
+            engine.name().to_string(),
+            plan_engine(&scenario, engine, &params),
+        ));
+    }
+    assert_eq!(rows.len(), LADDER_ROWS.len());
+    for ((name, r), (want_name, cost_bits, samples, macs)) in rows.iter().zip(LADDER_ROWS) {
+        assert_eq!(name, want_name);
+        assert_eq!(r.path_cost.to_bits(), cost_bits, "{name}: path cost");
+        assert_eq!(r.stats.samples, samples, "{name}: samples");
+        assert_eq!(r.stats.total_ops().mac_equiv(), macs, "{name}: MACs");
+    }
 }

@@ -5,7 +5,7 @@
 //! generous — their job is to catch silent behavioural drift (a broken
 //! pruning rule, a mis-charged ledger), not to freeze exact numbers.
 
-use moped::core::{plan_variant, PlannerParams, Variant};
+use moped::core::{PlannerParams, Variant};
 use moped::env::{Scenario, ScenarioParams};
 use moped::hw::design::DesignPoint;
 use moped::hw::engine;
@@ -26,8 +26,8 @@ fn traced(samples: usize, seed: u64) -> PlannerParams {
 fn algorithmic_saving_band() {
     let s = Scenario::generate(Robot::drone_3d(), &ScenarioParams::with_obstacles(16), 61);
     let p = traced(1000, 1);
-    let base = plan_variant(&s, Variant::V0Baseline, &p);
-    let moped = plan_variant(&s, Variant::V4Lci, &p);
+    let base = Variant::V0Baseline.profile().plan(&s, &p);
+    let moped = Variant::V4Lci.profile().plan(&s, &p);
     let saving =
         base.stats.total_ops().mac_equiv() as f64 / moped.stats.total_ops().mac_equiv() as f64;
     assert!(
@@ -106,14 +106,12 @@ fn fig3_structure_band() {
         seed: 4,
         ..PlannerParams::default()
     };
-    let mobile = plan_variant(
+    let mobile = Variant::V0Baseline.profile().plan(
         &Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(16), 8),
-        Variant::V0Baseline,
         &p,
     );
-    let arm = plan_variant(
+    let arm = Variant::V0Baseline.profile().plan(
         &Scenario::generate(Robot::xarm7(), &ScenarioParams::with_obstacles(16), 8),
-        Variant::V0Baseline,
         &p,
     );
     let (m_cc, m_ns, _) = mobile.stats.breakdown();

@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use moped::core::{plan_variant, PlannerParams};
+use moped::core::{PlannerParams, PlannerProfile};
 use moped::robot::Robot;
 use moped::service::{
     EnvironmentCatalog, FailureReason, FaultPlan, FaultSite, Outcome, PlanRequest, PlanService,
@@ -34,7 +34,8 @@ fn serial_reference(catalog: &EnvironmentCatalog, requests: &[PlanRequest]) -> V
         .iter()
         .map(|r| {
             let scenario = &catalog.get(r.env).unwrap().scenario;
-            plan_variant(scenario, r.variant, &r.params)
+            PlannerProfile::static_default()
+                .plan(scenario, &r.params)
                 .path_cost
                 .to_bits()
         })
@@ -57,7 +58,7 @@ fn await_full_capacity(service: &PlanService) {
 /// 32-request batch panics. Every ticket must resolve (no hang, no
 /// client panic), each faulted request must yield a typed failure, every
 /// non-faulted request must stay bit-identical to a serial
-/// `plan_variant` run, and the pool must end at full capacity.
+/// `PlannerProfile::plan` run, and the pool must end at full capacity.
 #[test]
 fn chaos_batch_with_injected_panics_keeps_contract() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
@@ -189,12 +190,8 @@ fn retry_recovers_transient_panic_bit_identically() {
         seed: 42,
         ..PlannerParams::default()
     };
-    let request = PlanRequest::new(env, params.clone());
-    let reference = plan_variant(
-        &catalog.get(env).unwrap().scenario,
-        request.variant,
-        &params,
-    );
+    let reference =
+        PlannerProfile::static_default().plan(&catalog.get(env).unwrap().scenario, &params);
 
     let faults = Arc::new(FaultPlan::new().panic_once(FaultSite::Planning));
     let service = PlanService::start(

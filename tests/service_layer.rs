@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use moped::core::{plan_variant, PlannerParams};
+use moped::core::{PlannerParams, PlannerProfile};
 use moped::robot::Robot;
 use moped::service::{EnvironmentCatalog, Outcome, PlanRequest, PlanService, ServiceConfig};
 
@@ -26,7 +26,9 @@ fn batch_is_deterministic_and_deadlines_bite() {
         .iter()
         .map(|r| {
             let scenario = &catalog.get(r.env).unwrap().scenario;
-            plan_variant(scenario, r.variant, &r.params).path_cost
+            PlannerProfile::static_default()
+                .plan(scenario, &r.params)
+                .path_cost
         })
         .collect();
 
