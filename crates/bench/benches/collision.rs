@@ -3,9 +3,7 @@
 //! scheme, across obstacle densities and robot models.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use moped_collision::{
-    CollisionChecker, CollisionLedger, NaiveChecker, NarrowMode, TwoStageChecker,
-};
+use moped_collision::{CollisionChecker, CollisionLedger, NaiveChecker, TwoStageChecker};
 use moped_env::{Scenario, ScenarioParams};
 use moped_geometry::InterpolationSteps;
 use moped_robot::Robot;
@@ -61,11 +59,9 @@ fn bench_motion_checks(c: &mut Criterion) {
     g.finish();
 }
 
-/// Old-vs-new narrow phase on identical survivor sets: the pre-rewrite
-/// per-survivor early-exit SAT (`NarrowMode::Reference`) vs the batched
-/// SoA kernel with the last-hit cache (`NarrowMode::Batched`, default).
-/// Both produce identical verdicts.
-fn bench_narrow_old_vs_new(c: &mut Criterion) {
+/// The batched SoA narrow phase on a full start-to-goal motion, at two
+/// obstacle densities.
+fn bench_narrow_phase(c: &mut Criterion) {
     let mut g = c.benchmark_group("narrow_phase_drone");
     for &count in &[16usize, 48] {
         let s = Scenario::generate(
@@ -73,22 +69,8 @@ fn bench_narrow_old_vs_new(c: &mut Criterion) {
             &ScenarioParams::with_obstacles(count),
             21,
         );
-        let reference =
-            TwoStageChecker::moped(s.obstacles.clone()).with_narrow_mode(NarrowMode::Reference);
         let batched = TwoStageChecker::moped(s.obstacles.clone());
         let steps = InterpolationSteps::default();
-        g.bench_with_input(BenchmarkId::new("reference", count), &s.goal, |b, goal| {
-            b.iter(|| {
-                let mut ledger = CollisionLedger::default();
-                black_box(reference.motion_free(
-                    &s.robot,
-                    &s.start,
-                    black_box(goal),
-                    &steps,
-                    &mut ledger,
-                ))
-            })
-        });
         g.bench_with_input(BenchmarkId::new("batched", count), &s.goal, |b, goal| {
             b.iter(|| {
                 let mut ledger = CollisionLedger::default();
@@ -142,7 +124,7 @@ criterion_group!(
     benches,
     bench_config_checks,
     bench_motion_checks,
-    bench_narrow_old_vs_new,
+    bench_narrow_phase,
     bench_rtree_build,
     bench_octree
 );

@@ -115,11 +115,9 @@ fn bench_nearest(c: &mut Criterion) {
     g.finish();
 }
 
-/// Old-vs-new engine comparison on the same tree: the pre-rewrite
-/// traversal (depth-first MINDIST descent, `nearest_reference_dfs`) vs
-/// the best-first engine, cold and with a warm search-trace seed. All
-/// three return the exact nearest neighbor.
-fn bench_engine_old_vs_new(c: &mut Criterion) {
+/// The best-first nearest engine on one tree, cold and with a warm
+/// search-trace seed. Both return the exact nearest neighbor.
+fn bench_nearest_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("nearest_engine");
     for &(n, dim) in &[(5000usize, 3usize), (5000, 6)] {
         let pts = tree_points(n, dim);
@@ -131,16 +129,6 @@ fn bench_engine_old_vs_new(c: &mut Criterion) {
         let q = Config::new(&vec![13.7; dim]);
         let mut stats = SearchStats::default();
         let (winner, _) = tree.nearest(&q, &mut ops).unwrap();
-        g.bench_with_input(
-            BenchmarkId::new("reference_dfs", format!("{n}x{dim}d")),
-            &q,
-            |b, q| {
-                b.iter(|| {
-                    let mut ops = OpCount::default();
-                    black_box(tree.nearest_reference_dfs(black_box(q), &mut ops, &mut stats))
-                })
-            },
-        );
         g.bench_with_input(
             BenchmarkId::new("best_first", format!("{n}x{dim}d")),
             &q,
@@ -198,7 +186,7 @@ criterion_group!(
     benches,
     bench_insert,
     bench_nearest,
-    bench_engine_old_vs_new,
+    bench_nearest_engine,
     bench_sias
 );
 criterion_main!(benches);

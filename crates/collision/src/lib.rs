@@ -11,7 +11,8 @@
 //!   breakdown (Fig 3) spends most of its time in.
 //! * [`TwoStageChecker`] — MOPED's §III-A scheme: an offline-built STR
 //!   R-tree over obstacle AABBs filters with cheap AABB–OBB checks
-//!   (stage 1); only survivors get the exact OBB–OBB check (stage 2).
+//!   (stage 1); only survivors get the exact OBB–OBB check (stage 2),
+//!   run as one batched SAT over the pre-encoded obstacle field.
 //! * [`TwoStageChecker`] in [`SecondStage::AabbOnly`] mode — the Fig 18
 //!   ablation: survivors of the first stage are *declared* collisions
 //!   (loose, conservative), trading path quality for check cost.
@@ -108,10 +109,10 @@ pub trait CollisionChecker {
         true
     }
 
-    /// Clears transient acceleration state (e.g. last-hit caches) so a
-    /// fresh plan's *operation counts* do not depend on earlier queries
-    /// against the same shared checker. Verdicts never depend on this
-    /// state; planners call it once at the start of each plan.
+    /// Called by the planners once at the start of each plan, so a checker
+    /// could reset cross-plan state there. No checker in this workspace
+    /// keeps any, so every one uses this no-op; the hook stays because the
+    /// wall-clock benchmark's timing wrapper forwards it.
     fn begin_plan(&self) {}
 
     /// Short descriptive name for reports.
@@ -236,44 +237,20 @@ pub enum SecondStage {
     AabbOnly,
 }
 
-/// Narrow-phase kernel selection for [`TwoStageChecker`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NarrowMode {
-    /// The pre-rewrite path: one early-exit 15-axis SAT per survivor,
-    /// obstacle data gathered from the AoS obstacle list. Kept as the
-    /// old-vs-new baseline for the benches.
-    Reference,
-    /// Batched SAT over the precomputed SoA obstacle field: survivors are
-    /// processed in [`sat::SAT_BATCH`]-wide chunks of branch-free
-    /// full-axis lanes, with the body's axes prepared once per pose.
-    /// Returns the same verdicts (any-hit semantics) as `Reference`.
-    Batched,
-}
-
 /// MOPED's two-stage checker (§III-A): R-tree AABB filter, then exact
 /// OBB–OBB on survivors.
 ///
 /// The obstacle field is held as a precomputed structure-of-arrays
 /// ([`sat::ObbSoa`]): centers, half-extents, and rotation axes are
 /// extracted once at construction, so the narrow phase streams plain
-/// `f64` lanes instead of re-deriving axes per test. In
-/// [`NarrowMode::Batched`] + [`SecondStage::ObbExact`] a *last-hit cache*
-/// remembers the obstacle that most recently caused a collision and, when
-/// that obstacle survives the broad phase again, moves it to the front of
-/// the survivor list — colliding poses cluster on the same obstacle, so
-/// the batched SAT terminates on its first chunk. The reorder is free (a
-/// swap) and verdict-preserving: any-hit semantics do not depend on
-/// survivor order. See DESIGN §10 for why the earlier probe-before-
-/// broad-phase design was a net loss on planner workloads.
+/// `f64` lanes instead of re-deriving axes per test. Survivors are
+/// checked in [`sat::SAT_BATCH`]-wide chunks of branch-free full-axis
+/// lanes, with the body's axes prepared once per pose.
 #[derive(Clone, Debug)]
 pub struct TwoStageChecker {
     rtree: RTree,
     soa: sat::ObbSoa,
     second: SecondStage,
-    narrow: NarrowMode,
-    last_hit: std::cell::Cell<Option<usize>>,
-    cache_hits: std::cell::Cell<u64>,
-    cache_misses: std::cell::Cell<u64>,
     scratch: std::cell::RefCell<TwoStageScratch>,
 }
 
@@ -316,19 +293,8 @@ impl TwoStageChecker {
             rtree,
             soa,
             second,
-            narrow: NarrowMode::Batched,
-            last_hit: std::cell::Cell::new(None),
-            cache_hits: std::cell::Cell::new(0),
-            cache_misses: std::cell::Cell::new(0),
             scratch: std::cell::RefCell::new(TwoStageScratch::default()),
         }
-    }
-
-    /// Selects the narrow-phase kernel (builder style); the default is
-    /// [`NarrowMode::Batched`].
-    pub fn with_narrow_mode(mut self, narrow: NarrowMode) -> Self {
-        self.narrow = narrow;
-        self
     }
 
     /// The underlying obstacle R-tree (exposed for the hardware model's
@@ -345,25 +311,6 @@ impl TwoStageChecker {
     /// The configured second-stage policy.
     pub fn second_stage(&self) -> SecondStage {
         self.second
-    }
-
-    /// The configured narrow-phase kernel.
-    pub fn narrow_mode(&self) -> NarrowMode {
-        self.narrow
-    }
-
-    /// Last-hit cache `(hits, misses)` since construction. A hit is a
-    /// colliding pose resolved by the front-loaded cached obstacle; a
-    /// miss is a cached entry that failed to recur (the pose was free or
-    /// a different obstacle collided). Misses cost nothing — the cache
-    /// only reorders work the pipeline was doing anyway.
-    pub fn narrow_cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits.get(), self.cache_misses.get())
-    }
-
-    /// Whether the last-hit cache is live under the current configuration.
-    fn cache_enabled(&self) -> bool {
-        self.narrow == NarrowMode::Batched && self.second == SecondStage::ObbExact
     }
 }
 
@@ -391,76 +338,24 @@ impl CollisionChecker for TwoStageChecker {
                 SecondStage::ObbExact => {
                     // Stage 2: exact check on the few survivors only.
                     let _narrow = moped_obs::span(moped_obs::Stage::NarrowPhase);
-                    match self.narrow {
-                        NarrowMode::Batched => {
-                            // Cost-free last-hit reuse: front-load the
-                            // cached obstacle so a recurring collision
-                            // resolves in the first SAT chunk. A swap
-                            // never changes the any-hit verdict.
-                            if self.cache_enabled() {
-                                if let Some(prev) = self.last_hit.get() {
-                                    if let Some(pos) =
-                                        scratch.survivors.iter().position(|&s| s == prev)
-                                    {
-                                        scratch.survivors.swap(0, pos);
-                                    }
-                                }
-                            }
-                            let pre = sat::prepare(body);
-                            for &oid in &scratch.survivors {
-                                ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
-                            }
-                            if let Some(oid) = sat::obb_obb_batch(
-                                &self.soa,
-                                &scratch.survivors,
-                                &pre,
-                                &mut ledger.second_stage,
-                            ) {
-                                if self.cache_enabled() {
-                                    match self.last_hit.get() {
-                                        Some(prev) if prev == oid => {
-                                            self.cache_hits.set(self.cache_hits.get() + 1);
-                                            moped_obs::counters::bump(
-                                                moped_obs::Counter::LeafCacheHit,
-                                            );
-                                        }
-                                        Some(_) => {
-                                            self.cache_misses.set(self.cache_misses.get() + 1);
-                                            moped_obs::counters::bump(
-                                                moped_obs::Counter::LeafCacheMiss,
-                                            );
-                                        }
-                                        None => {}
-                                    }
-                                    self.last_hit.set(Some(oid));
-                                }
-                                return false;
-                            }
-                        }
-                        NarrowMode::Reference => {
-                            for &oid in &scratch.survivors {
-                                let obs = self.soa.get(oid);
-                                ledger.second_stage.mem_words += obs.encoded_words();
-                                if sat::obb_obb(obs, body, &mut ledger.second_stage) {
-                                    return false;
-                                }
-                            }
-                        }
+                    let pre = sat::prepare(body);
+                    for &oid in &scratch.survivors {
+                        ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
+                    }
+                    if sat::obb_obb_batch(
+                        &self.soa,
+                        &scratch.survivors,
+                        &pre,
+                        &mut ledger.second_stage,
+                    )
+                    .is_some()
+                    {
+                        return false;
                     }
                 }
             }
         }
-        // Free pose: a lingering cache entry failed to recur. Retire it
-        // (and count the miss) so the stats reflect real reuse.
-        if self.cache_enabled() && self.last_hit.take().is_some() {
-            self.cache_misses.set(self.cache_misses.get() + 1);
-            moped_obs::counters::bump(moped_obs::Counter::LeafCacheMiss);
-        }
         true
-    }
-
-    fn begin_plan(&self) {
-        self.last_hit.set(None);
     }
 
     fn name(&self) -> &'static str {
@@ -495,27 +390,79 @@ mod tests {
         assert!(two.config_free(&robot, &q, &mut ledger));
     }
 
+    /// `n` drone poses from a seeded LCG: each step advances `state` and
+    /// reads the six unit coordinates as consecutive `bits`-wide fields.
+    fn lcg_poses(
+        s: &Scenario,
+        n: usize,
+        mut state: u64,
+        mul: u64,
+        add: u64,
+        bits: u32,
+    ) -> Vec<Config> {
+        let mask = (1u64 << bits) - 1;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(mul).wrapping_add(add);
+                let unit: Vec<f64> = (0..6)
+                    .map(|i| ((state >> (i * bits)) & mask) as f64 / mask as f64)
+                    .collect();
+                s.robot.config_from_unit(&unit)
+            })
+            .collect()
+    }
+
     #[test]
     fn checkers_agree_on_config_queries() {
+        const MUL: u64 = 6364136223846793005;
+        let mut cases = Vec::new();
         for seed in 0..5 {
             let s = drone_scene(seed, 24);
+            let poses = lcg_poses(&s, 40, 0, MUL, seed + 1, 8);
+            cases.push((s, poses, format!("24 obstacles, seed {seed}")));
+        }
+        // Denser scenes.
+        for seed in [0u64, 9, 17] {
+            let s = drone_scene(seed, 40);
+            let state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+            let poses = lcg_poses(&s, 50, state, MUL, 1442695040888963407, 10);
+            cases.push((s, poses, format!("40 obstacles, seed {seed}")));
+        }
+        // One long run of mixed free and colliding poses through one
+        // checker.
+        let s = drone_scene(13, 36);
+        let poses = lcg_poses(&s, 120, 99, 2862933555777941757, 3037000493, 7);
+        cases.push((s, poses, "36 obstacles, seed 13".to_string()));
+        // A cluster of overlapping rotated boxes, swept by poses along
+        // and beside its axis: bodies here leave several broad-phase
+        // survivors, some colliding and some only AABB-overlapping, so the
+        // batched narrow phase decides between multiple candidates.
+        let mut s = drone_scene(5, 8);
+        s.obstacles = (0..6)
+            .map(|k| {
+                let c = Vec3::new(120.0 + 12.0 * k as f64, 150.0, 150.0);
+                Obb::from_euler(c, Vec3::new(10.0, 25.0, 4.0), 0.3 * k as f64, 0.5, 0.2)
+            })
+            .collect();
+        let poses = (0..120)
+            .map(|i| {
+                let x = 90.0 + 1.5 * (i / 3) as f64;
+                let off = 12.0 * (i % 3) as f64;
+                Config::new(&[x, 140.0 + off, 150.0 - off, 0.2 * i as f64, 0.0, 0.0])
+            })
+            .collect();
+        cases.push((s, poses, "overlapping cluster".to_string()));
+
+        for (s, poses, label) in &cases {
             let naive = NaiveChecker::new(s.obstacles.clone());
             let two = TwoStageChecker::moped(s.obstacles.clone());
             let mut ln = CollisionLedger::default();
             let mut lt = CollisionLedger::default();
-            let mut rng_like = 0u64;
-            for _ in 0..40 {
-                rng_like = rng_like
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(seed + 1);
-                let unit: Vec<f64> = (0..6)
-                    .map(|i| ((rng_like >> (i * 8)) & 0xFF) as f64 / 255.0)
-                    .collect();
-                let q = s.robot.config_from_unit(&unit);
+            for q in poses {
                 assert_eq!(
-                    naive.config_free(&s.robot, &q, &mut ln),
-                    two.config_free(&s.robot, &q, &mut lt),
-                    "disagreement at {q:?} (seed {seed})"
+                    naive.config_free(&s.robot, q, &mut ln),
+                    two.config_free(&s.robot, q, &mut lt),
+                    "disagreement at {q:?} ({label})"
                 );
             }
         }
@@ -629,87 +576,6 @@ mod tests {
             let a = naive.motion_free(&s.robot, &s.start, &s.goal, &steps, &mut l1);
             let b = two.motion_free(&s.robot, &s.start, &s.goal, &steps, &mut l2);
             assert_eq!(a, b, "{} checkers disagree", s.robot.name());
-        }
-    }
-
-    #[test]
-    fn batched_narrow_phase_matches_reference_verdicts() {
-        for seed in [0u64, 9, 17] {
-            let s = drone_scene(seed, 40);
-            let batched = TwoStageChecker::moped(s.obstacles.clone());
-            let reference =
-                TwoStageChecker::moped(s.obstacles.clone()).with_narrow_mode(NarrowMode::Reference);
-            assert_eq!(batched.narrow_mode(), NarrowMode::Batched);
-            let mut lb = CollisionLedger::default();
-            let mut lr = CollisionLedger::default();
-            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-            for _ in 0..50 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let unit: Vec<f64> = (0..6)
-                    .map(|i| ((state >> (i * 10)) & 0x3FF) as f64 / 1023.0)
-                    .collect();
-                let q = s.robot.config_from_unit(&unit);
-                assert_eq!(
-                    batched.config_free(&s.robot, &q, &mut lb),
-                    reference.config_free(&s.robot, &q, &mut lr),
-                    "narrow kernels disagree at {q:?} (seed {seed})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn last_hit_cache_short_circuits_repeat_collisions() {
-        let wall = Obb::axis_aligned(Vec3::new(150.0, 150.0, 150.0), Vec3::new(5.0, 120.0, 120.0));
-        let two = TwoStageChecker::moped(vec![wall]);
-        let robot = Robot::drone_3d();
-        let mut ledger = CollisionLedger::default();
-        // Poses inside the wall: the first collision populates the cache,
-        // each further one is answered by the cached obstacle alone.
-        for y in 0..10 {
-            let q = Config::new(&[150.0, 100.0 + 10.0 * y as f64, 150.0, 0.0, 0.0, 0.0]);
-            assert!(!two.config_free(&robot, &q, &mut ledger));
-        }
-        let (hits, misses) = two.narrow_cache_stats();
-        assert_eq!(hits, 9, "every pose after the first should hit the cache");
-        assert_eq!(misses, 0);
-        // A free pose far away invalidates the entry exactly once.
-        let free = Config::new(&[20.0, 20.0, 20.0, 0.0, 0.0, 0.0]);
-        assert!(two.config_free(&robot, &free, &mut ledger));
-        assert_eq!(two.narrow_cache_stats(), (9, 1));
-        assert!(two.config_free(&robot, &free, &mut ledger));
-        assert_eq!(
-            two.narrow_cache_stats(),
-            (9, 1),
-            "an empty cache must not be consulted again"
-        );
-    }
-
-    #[test]
-    fn cached_verdicts_agree_with_naive_on_mixed_sequences() {
-        // Alternating free/colliding poses exercise every cache
-        // transition; verdicts must still match the all-pairs baseline.
-        let s = drone_scene(13, 36);
-        let naive = NaiveChecker::new(s.obstacles.clone());
-        let two = TwoStageChecker::moped(s.obstacles.clone());
-        let mut ln = CollisionLedger::default();
-        let mut lt = CollisionLedger::default();
-        let mut state = 99u64;
-        for _ in 0..120 {
-            state = state
-                .wrapping_mul(2862933555777941757)
-                .wrapping_add(3037000493);
-            let unit: Vec<f64> = (0..6)
-                .map(|i| ((state >> (i * 7)) & 0x7F) as f64 / 127.0)
-                .collect();
-            let q = s.robot.config_from_unit(&unit);
-            assert_eq!(
-                naive.config_free(&s.robot, &q, &mut ln),
-                two.config_free(&s.robot, &q, &mut lt),
-                "cached two-stage diverged at {q:?}"
-            );
         }
     }
 

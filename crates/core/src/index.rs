@@ -125,9 +125,6 @@ pub struct SimbrIndex {
     tree: SiMbrTree,
     approx_search: bool,
     low_cost_insert: bool,
-    /// Reference depth-first traversal instead of best-first (old-vs-new
-    /// baseline for the benches; same exact answers, more node visits).
-    reference_search: bool,
     /// Search-trace cache: the previous `nearest` winner seeds the next
     /// query's pruning bound (consecutive RRT\* samples are spatially
     /// correlated, so the stale winner is usually a tight bound).
@@ -150,19 +147,8 @@ impl SimbrIndex {
             tree: SiMbrTree::new(dim, node_capacity),
             approx_search,
             low_cost_insert,
-            reference_search: false,
             warm: std::cell::Cell::new(None),
             search_stats: std::cell::RefCell::new(SearchStats::default()),
-        }
-    }
-
-    /// Pre-rewrite reference engine: depth-first MINDIST descent, no
-    /// warm-start seeding. Exact like [`SimbrIndex::moped`]; kept as the
-    /// old-vs-new baseline for `planner_bench` and the Criterion benches.
-    pub fn reference(dim: usize) -> Self {
-        SimbrIndex {
-            reference_search: true,
-            ..SimbrIndex::new(dim, 6, true, true)
         }
     }
 
@@ -206,12 +192,9 @@ impl NeighborIndex for SimbrIndex {
         // SearchStats fields are additive), so a warm query performs no
         // heap allocation at all.
         let mut stats = self.search_stats.borrow_mut();
-        let out = if self.reference_search {
-            self.tree.nearest_reference_dfs(q, ops, &mut stats)
-        } else {
-            self.tree
-                .nearest_with_hint(q, self.warm.get(), ops, &mut stats)
-        };
+        let out = self
+            .tree
+            .nearest_with_hint(q, self.warm.get(), ops, &mut stats);
         self.warm.set(out.map(|(id, _)| id));
         out
     }
@@ -252,15 +235,12 @@ impl NeighborIndex for SimbrIndex {
     }
 
     fn fresh(&self) -> Self {
-        SimbrIndex {
-            reference_search: self.reference_search,
-            ..SimbrIndex::new(
-                self.tree.dim(),
-                self.tree.max_entries(),
-                self.approx_search,
-                self.low_cost_insert,
-            )
-        }
+        SimbrIndex::new(
+            self.tree.dim(),
+            self.tree.max_entries(),
+            self.approx_search,
+            self.low_cost_insert,
+        )
     }
 }
 
@@ -570,29 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_engine_agrees_with_best_first() {
-        let pts = seeded_points(180, 6);
-        let mut fast = SimbrIndex::moped(6);
-        let mut reference = SimbrIndex::reference(6);
-        fill(&mut fast, &pts);
-        fill(&mut reference, &pts);
-        let mut ops = OpCount::default();
-        for q in seeded_points(25, 6).iter().map(|p| {
-            let mut q = *p;
-            q.as_mut_slice()[1] += 0.23;
-            q
-        }) {
-            let a = fast.nearest(&q, &mut ops).unwrap().1;
-            let b = reference.nearest(&q, &mut ops).unwrap().1;
-            assert!((a - b).abs() < 1e-12, "engines disagree at {q:?}");
-        }
-        assert!(
-            fast.search_stats().nodes_visited <= reference.search_stats().nodes_visited,
-            "best-first + warm start must not visit more nodes than the DFS"
-        );
-    }
-
-    #[test]
     fn backend_names() {
         assert_eq!(LinearIndex::new().name(), "linear");
         assert_eq!(SimbrIndex::moped(3).name(), "si-mbr+sias+lci");
@@ -604,17 +561,14 @@ mod tests {
     fn fresh_preserves_configuration_and_starts_empty() {
         let pts = seeded_points(40, 4);
         let mut simbr = SimbrIndex::new(4, 8, true, false);
-        let mut reference = SimbrIndex::reference(4);
         let mut kd = KdIndex::new(4);
         fill(&mut simbr, &pts);
-        fill(&mut reference, &pts);
         fill(&mut kd, &pts);
         let f = simbr.fresh();
         assert!(f.is_empty());
         assert_eq!(f.name(), simbr.name());
         assert_eq!(f.tree().dim(), 4);
         assert_eq!(f.tree().max_entries(), 8);
-        assert!(reference.fresh().reference_search);
         assert!(kd.fresh().is_empty());
         assert_eq!(kd.fresh().tree().dim(), 4);
         assert!(LinearIndex::new().fresh().is_empty());

@@ -358,8 +358,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     fn plan_rrt_star(&mut self) -> PlanResult {
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let mut stats = PlanStats::default();
-        // Shared checkers may carry warm caches from a previous plan;
-        // start from a neutral state so runs are op-for-op reproducible.
+        // Lets a checker that keeps cross-plan state reset it, so runs
+        // stay op-for-op reproducible.
         self.checker.begin_plan();
         let dim = self.scenario.robot.dof();
         self.journal = self

@@ -125,12 +125,6 @@ impl DynamicScenario {
     }
 }
 
-/// Convenience wrapper: `true` if configuration `q` collides at time `t`.
-pub fn collides_at(dynamic: &DynamicScenario, q: &moped_geometry::Config, t: f64) -> bool {
-    let snapshot = dynamic.snapshot(t, *q);
-    snapshot.config_collides(q)
-}
-
 /// Returns a modest default spin bound (quarter turn per second).
 pub fn default_spin() -> f64 {
     PI / 2.0

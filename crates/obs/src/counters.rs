@@ -1,10 +1,10 @@
 //! Monotonic hit/miss counters for the software cache hierarchy.
 //!
-//! The paper's multi-level caches (§IV-C) have software analogs on the
-//! hot paths: the pinned top-of-tree block and the search-trace seed in
-//! `simbr`, and the last-hit narrow-phase cache in `collision`. Each
-//! bumps one of these process-global counters so cache effectiveness is
-//! observable through the same facade as stage timing. Counters follow
+//! The paper's neighbor-search caches (§IV-C) have software analogs on
+//! the SI-MBR hot path: the pinned top-of-tree block and the search-trace
+//! seed in `simbr`. Each bumps one of these process-global counters so
+//! cache effectiveness is observable through the same facade as stage
+//! timing. Counters follow
 //! the tracing gate: when [`crate::enabled`] is false a bump is a single
 //! relaxed load and nothing else — no atomics written, no allocation.
 
@@ -24,14 +24,10 @@ pub enum Counter {
     TraceSeedHit = 2,
     /// No usable seed from the previous round.
     TraceSeedMiss = 3,
-    /// Last-hit collision cache short-circuited the broad phase.
-    LeafCacheHit = 4,
-    /// Last-hit collision cache was consulted and missed.
-    LeafCacheMiss = 5,
 }
 
 /// Number of counters (dense `repr(u8)` indices `0..COUNTER_COUNT`).
-pub const COUNTER_COUNT: usize = 6;
+pub const COUNTER_COUNT: usize = 4;
 
 impl Counter {
     /// Every counter, in index order.
@@ -40,8 +36,6 @@ impl Counter {
         Counter::TopBlockMiss,
         Counter::TraceSeedHit,
         Counter::TraceSeedMiss,
-        Counter::LeafCacheHit,
-        Counter::LeafCacheMiss,
     ];
 
     /// Dense array index.
@@ -57,8 +51,6 @@ impl Counter {
             Counter::TopBlockMiss => "top-block-miss",
             Counter::TraceSeedHit => "trace-seed-hit",
             Counter::TraceSeedMiss => "trace-seed-miss",
-            Counter::LeafCacheHit => "leaf-cache-hit",
-            Counter::LeafCacheMiss => "leaf-cache-miss",
         }
     }
 }
@@ -73,8 +65,6 @@ pub struct CounterValue {
 }
 
 static COUNTS: [AtomicU64; COUNTER_COUNT] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -143,6 +133,6 @@ mod tests {
         let snap = snapshot_counters();
         assert_eq!(snap.len(), COUNTER_COUNT);
         assert_eq!(snap[0].name, "top-block-hit");
-        assert_eq!(snap[4].name, "leaf-cache-hit");
+        assert_eq!(snap[3].name, "trace-seed-miss");
     }
 }

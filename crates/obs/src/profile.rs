@@ -41,7 +41,7 @@ pub struct Profile {
     /// Tick unit label at snapshot time ("ticks" or "ns").
     pub unit: &'static str,
     /// Software cache counters at snapshot time, in
-    /// [`crate::Counter::ALL`] order (always all six, zeros included).
+    /// [`crate::Counter::ALL`] order (always all four, zeros included).
     pub counters: Vec<CounterValue>,
 }
 

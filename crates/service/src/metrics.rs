@@ -318,7 +318,6 @@ pub struct Metrics {
     faults_injected: AtomicU64,
     queue_depth: AtomicU64,
     profile_switches: AtomicU64,
-    probe_time_us: AtomicU64,
     /// Profile decisions by request class (admission path only — the
     /// client thread takes this lock, never a worker; the map is the one
     /// string-keyed instrument in the registry, so it lives behind a
@@ -362,7 +361,6 @@ impl Metrics {
             faults_injected: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             profile_switches: AtomicU64::new(0),
-            probe_time_us: AtomicU64::new(0),
             profile_decisions: Mutex::new(BTreeMap::new()),
             shards,
         }
@@ -407,19 +405,6 @@ impl Metrics {
             Err(poisoned) => poisoned.into_inner(),
         };
         map.iter().map(|(k, &(n, h))| (k.clone(), n, h)).collect()
-    }
-
-    /// Adds calibration-probe wall time (callers time their
-    /// `Calibrator::calibrate` run and deposit it here — probe latency
-    /// is an observation about calibration, never an input to it).
-    pub fn record_probe_time(&self, d: Duration) {
-        let us = d.as_micros().min(u64::MAX as u128) as u64;
-        self.probe_time_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Total calibration-probe wall time recorded.
-    pub fn probe_time(&self) -> Duration {
-        Duration::from_micros(self.probe_time_us.load(Ordering::Relaxed))
     }
 
     /// Worker `idx`'s private shard (clamped, so a respawned worker with
@@ -579,7 +564,6 @@ impl Metrics {
         // Autotuner decisions (aggregate-on-read: the per-class map is
         // folded here, never on the per-request path).
         kv("profile_switches", self.profile_switches().to_string());
-        kv("probe_time_us", self.probe_time().as_micros().to_string());
         for (class, decisions, hits) in self.profile_decisions() {
             kv(
                 &format!("profile_decisions{{class=\"{class}\"}}"),
@@ -647,10 +631,6 @@ impl Metrics {
         fields.push((
             "profile_switches".into(),
             self.profile_switches().to_string(),
-        ));
-        fields.push((
-            "probe_time_us".into(),
-            self.probe_time().as_micros().to_string(),
         ));
         let decisions = self
             .profile_decisions()

@@ -141,8 +141,7 @@ pub struct Entry {
     pub point: Config,
 }
 
-/// One frontier element of the best-first search (also reused as the
-/// explicit stack of the reference DFS).
+/// One frontier element of the best-first search.
 #[derive(Clone, Copy, Debug)]
 struct Frontier {
     md: f64,
@@ -240,8 +239,8 @@ pub struct SiMbrTree {
     /// Arena prefix length of the pinned top block (nodes in the top
     /// [`TOP_LEVELS`] levels as of the last repack).
     top_len: usize,
-    /// Reusable best-first frontier / DFS stack: amortizes to zero heap
-    /// allocation per query.
+    /// Reusable best-first frontier: amortizes to zero heap allocation
+    /// per query.
     frontier: RefCell<Vec<Frontier>>,
     cache_stats: Cell<CacheStats>,
 }
@@ -872,79 +871,6 @@ impl SiMbrTree {
         best.map(|id| (id, best_d2.sqrt()))
     }
 
-    /// Pre-rewrite reference search: depth-first MINDIST descent with
-    /// children sorted ascending per node — the traversal the recursive
-    /// implementation performed, kept (iteratively, over an explicit
-    /// stack) as the old-vs-new baseline for benches and `planner_bench`.
-    /// Visits the same nodes and computes the same distances as the old
-    /// recursion; exact like the best-first path.
-    pub fn nearest_reference_dfs(
-        &self,
-        query: &Config,
-        ops: &mut OpCount,
-        stats: &mut SearchStats,
-    ) -> Option<(u64, f64)> {
-        assert_eq!(query.dim(), self.dim, "dimension mismatch");
-        let root = self.root?;
-        let _span = moped_obs::span(moped_obs::Stage::MbrDescent);
-        let mut best: Option<u64> = None;
-        let mut best_d2 = f64::INFINITY;
-        let mut stack = self.frontier.borrow_mut();
-        stack.clear();
-        stack.push(Frontier {
-            md: 0.0,
-            node: root as u32,
-            depth: 0,
-        });
-        while let Some(f) = stack.pop() {
-            ops.cmp += 1;
-            if f.md >= best_d2 {
-                stats.subtrees_skipped += 1;
-                continue;
-            }
-            let node = f.node as usize;
-            stats.bump_depth(f.depth as usize);
-            if self.is_leaf[node] {
-                for k in 0..self.count[node] as usize {
-                    ops.mem_words += self.dim as u64;
-                    let d2 = query.distance_sq_to_slice_counted(self.entry_pt(node, k), ops);
-                    stats.distance_calcs += 1;
-                    ops.cmp += 1;
-                    if d2 < best_d2 {
-                        best_d2 = d2;
-                        best = Some(self.slots[node * self.cap + k]);
-                    }
-                }
-            } else {
-                // MINDIST each child, sort ascending, push in reverse so
-                // the nearest child is explored first (LIFO = the old
-                // recursion order). The order buffer lives on the stack.
-                const MAX_FANOUT: usize = 64;
-                let n = self.count[node] as usize;
-                debug_assert!(n <= MAX_FANOUT, "node fanout exceeds stack buffer");
-                let mut order = [(0.0f64, 0u32); MAX_FANOUT];
-                for (k, slot) in order.iter_mut().enumerate().take(n) {
-                    let child = self.slots[node * self.cap + k] as usize;
-                    ops.mem_words += 2 * self.dim as u64;
-                    *slot = (
-                        Rect::mindist_sq_planes(self.lo_of(child), self.hi_of(child), query, ops),
-                        child as u32,
-                    );
-                }
-                order[..n].sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite MINDIST"));
-                ops.cmp += (n.saturating_sub(1)) as u64;
-                for (md, k) in order[..n].iter().rev() {
-                    stack.push(Frontier {
-                        md: *md,
-                        node: *k,
-                        depth: f.depth + 1,
-                    });
-                }
-            }
-        }
-        best.map(|id| (id, best_d2.sqrt()))
-    }
-
     /// The depth (root = 0) of node `id` in the current structure, used
     /// by the cache model to classify trace entries. Returns `None` for
     /// an unknown node id.
@@ -1388,25 +1314,6 @@ mod tests {
         assert_eq!(a.nodes_visited, 3);
         assert_eq!(a.visits_by_depth, vec![1, 2]);
         assert_eq!(a.distance_calcs, 5);
-    }
-
-    #[test]
-    fn best_first_never_visits_more_nodes_than_reference_dfs() {
-        let (tree, _) = build_grid(300, "conv");
-        let mut ops = OpCount::default();
-        for q in [c2(2.3, 7.7), c2(-3.0, 14.0), c2(9.9, 0.1), c2(5.5, 29.5)] {
-            let mut bf = SearchStats::default();
-            let mut dfs = SearchStats::default();
-            let a = tree.nearest_with_stats(&q, &mut ops, &mut bf);
-            let b = tree.nearest_reference_dfs(&q, &mut ops, &mut dfs);
-            assert_eq!(a.map(|x| x.1.to_bits()), b.map(|x| x.1.to_bits()));
-            assert!(
-                bf.nodes_visited <= dfs.nodes_visited,
-                "best-first is visit-optimal: {} vs {}",
-                bf.nodes_visited,
-                dfs.nodes_visited
-            );
-        }
     }
 
     #[test]

@@ -1,9 +1,6 @@
 #!/usr/bin/env bash
-# Machine-readable benchmarks. Three binaries, three JSON artifacts:
+# Machine-readable benchmarks. Two binaries, two JSON artifacts:
 #
-#   planner_bench — old-vs-new hot-path engines on full 6-DoF RRT* runs
-#                   (node visits per nearest, memory-touching visits,
-#                   SAT tests per pose, wall clock) → BENCH_planner.json
 #   corpus_bench  — engine × scenario-family × robot regression matrix
 #                   over the seeded 30-scenario corpus → BENCH_corpus.json
 #   service_bench — open-loop Poisson-arrival load generator: worker-pool
@@ -11,16 +8,14 @@
 #                   1/4/8/16/32 workers → BENCH_service.json
 #
 # Record headline numbers in EXPERIMENTS.md when they move. Extra flags
-# are passed to service_bench only; planner_bench and corpus_bench run
-# their recorded configurations.
+# are passed to service_bench only; corpus_bench runs its recorded
+# configuration. Wall time per workload and per layer comes from the
+# separate `wallbench/` benchmark.
 #
 # Usage: scripts/bench.sh [--requests N] [--samples N] [--rate R] [--seed N]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-cargo run --release -q -p moped-bench --bin planner_bench -- \
-    --samples 4000 --plans 8 --out BENCH_planner.json
 
 cargo run --release -q -p moped-bench --bin corpus_bench -- \
     --samples 900 --out BENCH_corpus.json
@@ -28,4 +23,4 @@ cargo run --release -q -p moped-bench --bin corpus_bench -- \
 cargo run --release -q -p moped-bench --bin service_bench -- \
     --out BENCH_service.json "$@"
 
-echo "bench: OK (BENCH_planner.json, BENCH_corpus.json, BENCH_service.json)"
+echo "bench: OK (BENCH_corpus.json, BENCH_service.json)"

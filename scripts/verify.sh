@@ -36,10 +36,6 @@ fi
 echo "== cargo test -q -p moped-lint =="
 cargo test -q -p moped-lint
 
-echo "== planner_bench --smoke =="
-cargo run --release -q -p moped-bench --bin planner_bench -- \
-    --smoke --out target/planner_smoke.json
-
 echo "== corpus_bench --smoke (autotuning gate) =="
 # The binary enforces the smoke acceptance gate: the auto-tuned column
 # (per-class calibrated profiles, probe budget 160) must solve at least

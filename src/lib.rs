@@ -17,7 +17,7 @@
 //! * [`simbr`] — the SI-MBR-Tree
 //! * [`kdtree`] — the KD-tree neighbor-search baseline
 //! * [`octree`] — the octree occupancy baseline (§VI comparison)
-//! * [`eval`] — evaluation-suite runner and summary statistics
+//! * [`eval`] — corpus regression matrix and path-clearance metrics
 //! * [`viz`] — SVG rendering of planar scenes and paths
 //! * [`collision`] — naive and two-stage motion collision checkers
 //! * [`core`] — the RRT\* planner, the `PlannerProfile` stack value, and

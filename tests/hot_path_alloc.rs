@@ -153,9 +153,9 @@ fn motion_check_allocates_nothing_after_warmup() {
 }
 
 #[test]
-fn config_check_allocates_nothing_through_cache_transitions() {
-    // Alternating free and colliding poses exercise the last-hit cache's
-    // populate/hit/invalidate transitions; none of them may allocate.
+fn config_check_allocates_nothing_on_mixed_poses() {
+    // A mix of free and colliding poses runs both the broad phase alone
+    // and the broad plus batched narrow phase; neither path may allocate.
     let s = drone_scenario();
     let checker = TwoStageChecker::moped(s.obstacles.clone());
     let mut ledger = CollisionLedger::default();

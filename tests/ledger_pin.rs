@@ -1,6 +1,7 @@
 //! Pins seeded plans bit for bit: the complete collision ledger of one
-//! xarm7 plan, and the path cost, sample count and op total of every
-//! ablation rung and engine column on one small scene.
+//! xarm7 plan and of one neighbor-bound drone plan, and the path cost,
+//! sample count and op total of every ablation rung and engine column on
+//! one small scene.
 //!
 //! The pose-check kernels (R-tree filter, prepared AABB–OBB SAT, forward
 //! kinematics) may be rewritten for speed, and the way a planner stack is
@@ -9,13 +10,15 @@
 //! before the flat R-tree / prepared-body rewrite; any drift in a single
 //! counter or in the last bit of the path cost fails here.
 
-use moped::collision::CollisionLedger;
-use moped::core::{PlanResult, PlannerParams, Variant};
+use moped::collision::{CollisionLedger, TwoStageChecker};
+use moped::core::{AnyIndex, PlanResult, PlannerParams, Variant};
+use moped::env::{Scenario, ScenarioParams};
 use moped::eval::corpus::{plan_engine, EngineKind};
 use moped::geometry::OpCount;
-use moped::robot::RobotModel;
+use moped::robot::{Robot, RobotModel};
 use moped::rtree::FilterStats;
 use moped::scenarios::{CorpusEntry, Family};
+use moped::simbr::CacheStats;
 
 #[test]
 fn xarm7_clutter_plan_ledger_is_pinned() {
@@ -57,6 +60,74 @@ fn xarm7_clutter_plan_ledger_is_pinned() {
     assert_eq!(result.stats.collision, expected);
     assert!(result.path.is_some(), "the pinned plan solves");
     assert_eq!(result.path_cost.to_bits(), 0x4017_7742_47c7_88ab);
+}
+
+/// The neighbor-bound workload: a 6-DoF drone among 8 obstacles at 5 000
+/// samples, where SI-MBR search rather than collision checking dominates.
+/// Besides the collision ledger this pins the search work (node visits,
+/// exact distances) and the top-of-tree and search-trace cache counters,
+/// so a change to the nearest-neighbor engine that alters traversal order
+/// fails here even when the path does not move.
+#[test]
+fn drone_sparse_plan_ledger_and_search_are_pinned() {
+    let scenario = Scenario::generate(Robot::drone_3d(), &ScenarioParams::with_obstacles(8), 1);
+    let params = PlannerParams {
+        max_samples: 5_000,
+        seed: 7,
+        ..PlannerParams::default()
+    };
+    let checker = TwoStageChecker::moped(scenario.obstacles.clone());
+    let mut planner = Variant::V4Lci
+        .profile()
+        .planner(&scenario, &checker, &params);
+    let result = planner.plan();
+    let expected = CollisionLedger {
+        first_stage: OpCount {
+            mul: 7_114_992,
+            add: 8_933_573,
+            cmp: 1_447_989,
+            sqrt: 0,
+            dist_calcs: 0,
+            sat_queries: 286_220,
+            mem_words: 1_717_320,
+        },
+        second_stage: OpCount {
+            mul: 105_885,
+            add: 86_880,
+            cmp: 13_575,
+            sqrt: 0,
+            dist_calcs: 0,
+            sat_queries: 905,
+            mem_words: 13_575,
+        },
+        motion_queries: 8_425,
+        pose_queries: 59_928,
+        filter: FilterStats {
+            node_checks: 137_356,
+            leaf_checks: 148_864,
+            pruned_subtrees: 61_426,
+            survivors: 905,
+        },
+    };
+    assert_eq!(result.stats.collision, expected);
+    assert!(result.path.is_some(), "the pinned plan solves");
+    assert_eq!(result.path_cost.to_bits(), 0x4053_2ea6_c7fb_d3f0);
+
+    let AnyIndex::SiMbr(index) = planner.index() else {
+        panic!("V4 plans over the SI-MBR index");
+    };
+    let search = index.search_stats();
+    assert_eq!(search.nodes_visited, 46_269);
+    assert_eq!(search.distance_calcs, 41_395);
+    assert_eq!(
+        index.tree().cache_stats(),
+        CacheStats {
+            top_hits: 20_512,
+            top_misses: 25_757,
+            seed_hits: 4_999,
+            seed_misses: 0,
+        }
+    );
 }
 
 /// Every rung of the V0–V4 ladder and both connect engines, on one small
