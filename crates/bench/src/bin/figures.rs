@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use moped_collision::{NaiveAabbChecker, SecondStage, TwoStageChecker};
-use moped_core::{KdIndex, PlanResult, PlannerParams, RrtStar, SimbrIndex, Variant};
+use moped_core::{NnBackend, PlanResult, PlannerParams, PlannerProfile, Variant};
 use moped_env::{Scenario, ScenarioParams, OBSTACLE_COUNTS};
 use moped_hw::design::DesignPoint;
 use moped_hw::{perf, pipeline};
@@ -153,6 +153,7 @@ fn fig5(opts: &Opts) {
         "{:<8} {:>12} {:>12} {:>13} {:>13}",
         "tilt", "OBB success", "OBB cost", "AABB success", "AABB cost"
     );
+    let v4 = Variant::V4Lci.profile();
     for tilt in [0.0f64, 0.3, 0.6, 0.9] {
         let scenario = Scenario::narrow_passage(Robot::mobile_2d(), 24.0, tilt);
         let mut ok_obb = 0usize;
@@ -166,10 +167,10 @@ fn fig5(opts: &Opts) {
                 seed,
                 ..PlannerParams::default()
             };
-            let exact = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::ObbExact);
-            let loose = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::AabbOnly);
-            let r1 = RrtStar::new(&scenario, &exact, SimbrIndex::moped(3), p.clone()).plan();
-            let r2 = RrtStar::new(&scenario, &loose, SimbrIndex::moped(3), p).plan();
+            let exact = TwoStageChecker::new(scenario.obstacles.clone(), SecondStage::ObbExact);
+            let loose = TwoStageChecker::new(scenario.obstacles.clone(), SecondStage::AabbOnly);
+            let r1 = v4.planner(&scenario, &exact, &p).plan();
+            let r2 = v4.planner(&scenario, &loose, &p).plan();
             if r1.solved() {
                 ok_obb += 1;
                 cost_obb += r1.path_cost;
@@ -540,6 +541,7 @@ fn fig18(opts: &Opts) {
         "{:<12} {:>10} {:>10} {:>10}",
         "robot", "OBB cost", "AABB cost", "AABB/OBB"
     );
+    let v4 = Variant::V4Lci.profile();
     // Dense, large, strongly-rotated obstacles: the regime where loose
     // AABB relaxations inflate detours (the paper's 20-50% gap). The 2D
     // workspace saturates faster, so its density is scaled down to keep
@@ -568,11 +570,10 @@ fn fig18(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &dense, seed);
             let p = params(opts, seed, false);
-            let exact = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::ObbExact);
-            let loose = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::AabbOnly);
-            let dim = s.robot.dof();
-            let r1 = RrtStar::new(&s, &exact, SimbrIndex::moped(dim), p.clone()).plan();
-            let r2 = RrtStar::new(&s, &loose, SimbrIndex::moped(dim), p).plan();
+            let exact = TwoStageChecker::new(s.obstacles.clone(), SecondStage::ObbExact);
+            let loose = TwoStageChecker::new(s.obstacles.clone(), SecondStage::AabbOnly);
+            let r1 = v4.planner(&s, &exact, &p).plan();
+            let r2 = v4.planner(&s, &loose, &p).plan();
             if r1.solved() && r2.solved() {
                 obb += r1.path_cost;
                 aabb += r2.path_cost;
@@ -594,6 +595,7 @@ fn fig18(opts: &Opts) {
         "{:<12} {:>12} {:>12} {:>8}",
         "robot", "base (ms)", "MOPED (ms)", "speedup"
     );
+    let v0 = Variant::V0Baseline.profile();
     let design = DesignPoint::default();
     for robot in Robot::all_models() {
         let seeds = task_seeds(opts, 41);
@@ -604,12 +606,10 @@ fn fig18(opts: &Opts) {
             let p = params(opts, seed, true);
             // Baseline: linear NS + naive all-pairs AABB checks.
             let base_checker = NaiveAabbChecker::new(s.obstacles.clone());
-            let base =
-                RrtStar::new(&s, &base_checker, moped_core::LinearIndex::new(), p.clone()).plan();
+            let base = v0.planner(&s, &base_checker, &p).plan();
             // MOPED with the same loose AABB second stage.
-            let moped_checker = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::AabbOnly);
-            let dim = s.robot.dof();
-            let moped = RrtStar::new(&s, &moped_checker, SimbrIndex::moped(dim), p.clone()).plan();
+            let moped_checker = TwoStageChecker::new(s.obstacles.clone(), SecondStage::AabbOnly);
+            let moped = v4.planner(&s, &moped_checker, &p).plan();
             let rb = perf::rrt_asic_report(&base.stats, &design);
             let rm = perf::moped_report(&moped.stats, &design);
             b += rb.latency_s * 1e3;
@@ -667,6 +667,10 @@ fn fig19(opts: &Opts) {
         "{:<12} {:>14} {:>14} {:>8}",
         "robot", "KD-tree MACs", "SI-MBR MACs", "saving"
     );
+    let kd_profile = PlannerProfile {
+        nn_backend: NnBackend::Kd,
+        ..PlannerProfile::static_default()
+    };
     for robot in [Robot::mobile_2d(), Robot::drone_3d(), Robot::xarm7()] {
         let seeds = task_seeds(opts, 43);
         let mut kd = 0.0;
@@ -674,10 +678,8 @@ fn fig19(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            let checker = TwoStageChecker::moped(s.obstacles.clone());
-            let dim = s.robot.dof();
-            let r_kd = RrtStar::new(&s, &checker, KdIndex::new(dim), p.clone()).plan();
-            let r_mbr = RrtStar::new(&s, &checker, SimbrIndex::moped(dim), p.clone()).plan();
+            let r_kd = kd_profile.plan(&s, &p);
+            let r_mbr = Variant::V4Lci.profile().plan(&s, &p);
             kd += (r_kd.stats.ns_ops + r_kd.stats.insert_ops).mac_equiv() as f64;
             mbr += (r_mbr.stats.ns_ops + r_mbr.stats.insert_ops).mac_equiv() as f64;
         }

@@ -237,6 +237,10 @@ pub enum SecondStage {
     AabbOnly,
 }
 
+/// Fanout of the obstacle R-tree: the paper's small node, used by every
+/// two-stage checker and environment snapshot.
+pub const RTREE_FANOUT: usize = 4;
+
 /// MOPED's two-stage checker (§III-A): R-tree AABB filter, then exact
 /// OBB–OBB on survivors.
 ///
@@ -263,30 +267,23 @@ struct TwoStageScratch {
 
 impl TwoStageChecker {
     /// Builds the checker, bulk-loading the obstacle R-tree offline with
-    /// the given fanout (paper-style small node, default choice is 4).
-    pub fn new(obstacles: Vec<Obb>, fanout: usize, second: SecondStage) -> Self {
-        let rtree = RTree::build(&obstacles, fanout);
-        TwoStageChecker::with_prebuilt(rtree, obstacles, second)
-    }
-
-    /// Convenience constructor with the default fanout and exact second
-    /// stage.
-    pub fn moped(obstacles: Vec<Obb>) -> Self {
-        TwoStageChecker::new(obstacles, 4, SecondStage::ObbExact)
-    }
-
-    /// Wraps an R-tree that was already bulk-loaded over exactly
-    /// `obstacles` (same order). A serving layer pays the STR build once
-    /// per environment snapshot and hands each worker a cheap structural
-    /// clone instead of re-sorting the obstacle field per request.
-    pub fn with_prebuilt(rtree: RTree, obstacles: Vec<Obb>, second: SecondStage) -> Self {
+    /// [`RTREE_FANOUT`].
+    pub fn new(obstacles: Vec<Obb>, second: SecondStage) -> Self {
+        let rtree = RTree::build(&obstacles, RTREE_FANOUT);
         TwoStageChecker::with_prebuilt_soa(rtree, sat::ObbSoa::build(obstacles), second)
     }
 
-    /// Like [`TwoStageChecker::with_prebuilt`], but also reuses an
-    /// already-extracted SoA obstacle field (see
-    /// `moped_env::Scenario::prepared_obstacles`), so per-worker checker
-    /// construction copies flat arrays instead of re-deriving axes.
+    /// The MOPED checker: exact OBB–OBB second stage.
+    pub fn moped(obstacles: Vec<Obb>) -> Self {
+        TwoStageChecker::new(obstacles, SecondStage::ObbExact)
+    }
+
+    /// Wraps an R-tree that was already bulk-loaded over exactly the
+    /// obstacles of `soa` (same order; see
+    /// `moped_env::Scenario::prepared_obstacles`). A serving layer pays
+    /// the STR build and the axis extraction once per environment
+    /// snapshot, so per-worker checker construction copies flat arrays
+    /// instead of re-sorting the obstacle field per request.
     pub fn with_prebuilt_soa(rtree: RTree, soa: sat::ObbSoa, second: SecondStage) -> Self {
         debug_assert_eq!(rtree.len(), soa.len(), "rtree/obstacle mismatch");
         TwoStageChecker {
@@ -495,7 +492,7 @@ mod tests {
     fn aabb_only_is_conservative_wrt_exact() {
         // If AABB-only says free, exact must also say free.
         let s = drone_scene(3, 32);
-        let loose = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::AabbOnly);
+        let loose = TwoStageChecker::new(s.obstacles.clone(), SecondStage::AabbOnly);
         let exact = TwoStageChecker::moped(s.obstacles.clone());
         let mut ll = CollisionLedger::default();
         let mut le = CollisionLedger::default();
@@ -584,7 +581,7 @@ mod tests {
         assert_eq!(NaiveChecker::new(Vec::new()).name(), "naive-obb");
         assert_eq!(TwoStageChecker::moped(Vec::new()).name(), "two-stage-obb");
         assert_eq!(
-            TwoStageChecker::new(Vec::new(), 4, SecondStage::AabbOnly).name(),
+            TwoStageChecker::new(Vec::new(), SecondStage::AabbOnly).name(),
             "two-stage-aabb-only"
         );
     }

@@ -55,7 +55,7 @@ proptest! {
         let s = scene(seed, 24);
         let exact = NaiveChecker::new(s.obstacles.clone());
         let loose_naive = NaiveAabbChecker::new(s.obstacles.clone());
-        let loose_two = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::AabbOnly);
+        let loose_two = TwoStageChecker::new(s.obstacles.clone(), SecondStage::AabbOnly);
         let q = unit_config(&s.robot, &unit);
         let mut l = CollisionLedger::default();
         if loose_naive.config_free(&s.robot, &q, &mut l) {
@@ -75,7 +75,7 @@ proptest! {
     ) {
         let s = scene(seed, 32);
         let a = NaiveAabbChecker::new(s.obstacles.clone());
-        let b = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::AabbOnly);
+        let b = TwoStageChecker::new(s.obstacles.clone(), SecondStage::AabbOnly);
         let q = unit_config(&s.robot, &unit);
         let mut l = CollisionLedger::default();
         prop_assert_eq!(

@@ -18,11 +18,11 @@
 //! stream, so replay reproduces it from `PlannerParams::seed` alone).
 
 use moped_geometry::{Config, OpCount};
-use moped_obs::{RejectReason, Stage};
+use moped_obs::Stage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::planner::{PlanResult, PlanStats, RoundTrace, RrtStar, TreeNode};
+use crate::planner::{PlanResult, PlanStats, RoundTrace, RrtStar};
 use crate::NeighborIndex;
 
 /// Maximum local trees the multi-tree engine seeds.
@@ -71,36 +71,17 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
     planner: &mut RrtStar<'_, N>,
     multi_tree: bool,
 ) -> PlanResult {
-    let mut rng = StdRng::seed_from_u64(planner.params.seed);
     let mut stats = PlanStats::default();
-    planner.checker.begin_plan();
-    let dim = planner.scenario.robot.dof();
-    planner.journal = planner
-        .journal_enabled
-        .then(|| moped_obs::Journal::new(planner.params.seed, dim));
-    let budget = planner
-        .replay
-        .as_ref()
-        .map_or(planner.params.max_samples, |r| r.samples.len());
+    let (mut rng, budget) = planner.begin_run();
 
     // --- Forest roots -------------------------------------------------
     // Node 0 / tree 0: start. Node 1 / tree 1: goal. Local trees follow.
-    planner.nodes.clear();
     let mut roots = vec![planner.scenario.start, planner.scenario.goal];
     if multi_tree {
         roots.extend(seed_narrow_roots(planner, &mut stats));
     }
-    let mut indices: Vec<N> = Vec::with_capacity(roots.len());
-    for (tree, q) in roots.iter().enumerate() {
-        planner.nodes.push(TreeNode {
-            q: *q,
-            parent: None,
-            children: Vec::new(),
-            cost: 0.0,
-        });
-        let mut index = planner.index.fresh();
-        index.insert(tree as u64, *q, None, &mut stats.insert_ops);
-        indices.push(index);
+    for q in &roots {
+        planner.plant_root(*q, &mut stats);
     }
     let num_trees = roots.len();
     let mut comps = Components::new(num_trees);
@@ -111,11 +92,9 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
     let mut solution: Option<usize> = None; // bridge that closed start↔goal
 
     'rounds: for round in 0..budget {
-        if let Some((every, hook)) = &planner.stop_hook {
-            if round % every == 0 && round > 0 && hook() {
-                stats.stopped_early = true;
-                break;
-            }
+        if planner.stop_requested(round) {
+            stats.stopped_early = true;
+            break;
         }
         stats.samples += 1;
         let mut trace = RoundTrace::default();
@@ -123,69 +102,30 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
         let cc_mark = planner.ledger_macs(&stats);
         let ins_mark = stats.insert_ops;
         let _round_span = moped_obs::span(Stage::Round);
-
-        // --- Sampling (no goal bias: the goal is a tree root) ---------
-        let x_rand = {
-            let _s = moped_obs::span(Stage::Sample);
-            let q = match &mut planner.replay {
-                Some(r) => {
-                    let q = r.samples[r.cursor];
-                    r.cursor += 1;
-                    q
-                }
-                None => planner.scenario.sample_any(&mut rng),
-            };
-            if let Some(j) = &mut planner.journal {
-                j.record_sample(q.as_slice());
-            }
-            q
-        };
+        // No goal bias: the goal is a tree root.
+        let x_rand = planner.draw_sample(&mut rng, false);
 
         // --- EXTEND: deterministic round-robin over the trees ---------
         let t = round % num_trees;
-        let (near_id, _) = {
+        let near = {
             let _s = moped_obs::span(Stage::Nearest);
-            indices[t]
+            planner.trees[t]
                 .nearest(&x_rand, &mut stats.ns_ops)
                 .expect("every tree holds at least its root")
+                .0 as usize
         };
-        let near_idx = near_id as usize;
-        let x_new = {
-            let _s = moped_obs::span(Stage::Steer);
-            planner.nodes[near_idx]
-                .q
-                .steer_toward(&x_rand, planner.step)
-        };
-        stats.other_ops.mul += dim as u64;
-        stats.other_ops.add += dim as u64;
-        if x_new == planner.nodes[near_idx].q {
-            if let Some(j) = &mut planner.journal {
-                j.record_reject(RejectReason::Degenerate);
-            }
+        let Some(x_new) = planner.extend(near, &x_rand, &mut stats) else {
             finish_trace(planner, &mut stats, trace, ns_mark, cc_mark, ins_mark);
             continue;
-        }
-        if !planner.checker.motion_free(
-            &planner.scenario.robot,
-            &planner.nodes[near_idx].q,
-            &x_new,
-            &planner.steps,
-            &mut stats.collision,
-        ) {
-            if let Some(j) = &mut planner.journal {
-                j.record_reject(RejectReason::Collision);
-            }
-            finish_trace(planner, &mut stats, trace, ns_mark, cc_mark, ins_mark);
-            continue;
-        }
-        let new_idx = add_node(planner, &mut stats, &mut indices[t], near_idx, x_new);
+        };
+        let new_idx = grow(planner, &mut stats, t, near, x_new);
         trace.accepted = true;
 
         // --- CONNECT: greedy walk from the closest other component ----
         // Target: the tree (outside x_new's component) whose nearest node
         // is closest to x_new; ties break toward the lowest tree id.
         let mut target: Option<(f64, usize, usize)> = None; // (dist, tree, node)
-        for (u, index) in indices.iter().enumerate() {
+        for (u, index) in planner.trees.iter().enumerate() {
             if comps.find(u) == comps.find(t) {
                 continue;
             }
@@ -198,37 +138,22 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
             }
         }
         if let Some((_, u, entry)) = target {
-            let mut cur_idx = entry;
-            let mut cur_q = planner.nodes[entry].q;
+            let mut cur = entry;
             let reached = loop {
-                if cur_q == x_new {
+                if planner.nodes[cur].q == x_new {
                     break true;
                 }
-                let q_next = {
-                    let _s = moped_obs::span(Stage::Steer);
-                    cur_q.steer_toward(&x_new, planner.step)
-                };
-                stats.other_ops.mul += dim as u64;
-                stats.other_ops.add += dim as u64;
-                if q_next == cur_q
-                    || !planner.checker.motion_free(
-                        &planner.scenario.robot,
-                        &cur_q,
-                        &q_next,
-                        &planner.steps,
-                        &mut stats.collision,
-                    )
-                {
-                    break false; // trapped
+                match planner.step_toward(cur, &x_new, &mut stats) {
+                    Ok(q_next) => cur = grow(planner, &mut stats, u, cur, q_next),
+                    Err(_) => break false, // trapped
                 }
-                cur_idx = add_node(planner, &mut stats, &mut indices[u], cur_idx, q_next);
-                cur_q = q_next;
             };
             if reached {
-                // cur_q == x_new: zero-length bridge between the trees.
-                bridges.push((new_idx, cur_idx));
+                // The walk ended on x_new: zero-length bridge between the
+                // trees.
+                bridges.push((new_idx, cur));
                 if let Some(j) = &mut planner.journal {
-                    j.record_link(new_idx as u64, cur_idx as u64);
+                    j.record_link(new_idx as u64, cur as u64);
                 }
                 comps.union(t, u);
                 if comps.find(0) == comps.find(1) {
@@ -247,16 +172,11 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
         Some(closing) => {
             let path = extract_path(planner, &bridges);
             let total: f64 = path.windows(2).map(|w| w[0].distance(&w[1])).sum();
-            stats.solution_history.push((stats.samples, total));
-            if let Some(j) = &mut planner.journal {
-                j.record_goal(bridges[closing].0 as u64, total);
-            }
+            planner.record_goal(&mut stats, bridges[closing].0, total);
             (Some(path), total)
         }
     };
 
-    // Expose the start tree through `RrtStar::index()` afterwards.
-    std::mem::swap(&mut planner.index, &mut indices[0]);
     stats.nodes = planner.nodes.len();
     PlanResult {
         path,
@@ -265,33 +185,18 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
     }
 }
 
-/// Appends a node under `parent` and registers it with its tree's
-/// `index`; returns the arena id.
-fn add_node<N: NeighborIndex>(
+/// Attaches `q` to `tree` under `parent` at its root-relative cost;
+/// returns the arena id.
+fn grow<N: NeighborIndex>(
     planner: &mut RrtStar<'_, N>,
     stats: &mut PlanStats,
-    index: &mut N,
+    tree: usize,
     parent: usize,
     q: Config,
 ) -> usize {
-    let _s = moped_obs::span(Stage::Insert);
-    let cost = planner.nodes[parent].cost
-        + planner.nodes[parent]
-            .q
-            .distance_counted(&q, &mut stats.other_ops);
-    let idx = planner.nodes.len();
-    planner.nodes.push(TreeNode {
-        q,
-        parent: Some(parent),
-        children: Vec::new(),
-        cost,
-    });
-    planner.nodes[parent].children.push(idx);
-    index.insert(idx as u64, q, Some(parent as u64), &mut stats.insert_ops);
-    if let Some(j) = &mut planner.journal {
-        j.record_accept(idx as u64, parent as u64, cost);
-    }
-    idx
+    let from = &planner.nodes[parent];
+    let cost = from.cost + from.q.distance_counted(&q, &mut stats.other_ops);
+    planner.attach(tree, parent, q, cost, parent, stats)
 }
 
 /// Closes out a round's trace if tracing is on.

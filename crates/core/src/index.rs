@@ -114,6 +114,9 @@ impl NeighborIndex for LinearIndex {
     }
 }
 
+/// Entries per SI-MBR-Tree node: the paper's small node.
+pub const SIMBR_NODE_CAPACITY: usize = 6;
+
 /// SI-MBR-Tree index with the two MOPED switches:
 ///
 /// * `approx_search` (SIAS): the neighborhood query returns the anchor's
@@ -133,18 +136,11 @@ pub struct SimbrIndex {
 }
 
 impl SimbrIndex {
-    /// Creates the index for `dim`-dimensional configurations.
-    ///
-    /// `node_capacity` is the SI-MBR node size (paper-style small nodes;
-    /// 4–8 work well).
-    pub fn new(
-        dim: usize,
-        node_capacity: usize,
-        approx_search: bool,
-        low_cost_insert: bool,
-    ) -> Self {
+    /// Creates the index for `dim`-dimensional configurations, with
+    /// [`SIMBR_NODE_CAPACITY`]-entry nodes.
+    pub fn new(dim: usize, approx_search: bool, low_cost_insert: bool) -> Self {
         SimbrIndex {
-            tree: SiMbrTree::new(dim, node_capacity),
+            tree: SiMbrTree::new(dim, SIMBR_NODE_CAPACITY),
             approx_search,
             low_cost_insert,
             warm: std::cell::Cell::new(None),
@@ -160,7 +156,7 @@ impl SimbrIndex {
 
     /// Full MOPED configuration (SIAS + LCI).
     pub fn moped(dim: usize) -> Self {
-        SimbrIndex::new(dim, 6, true, true)
+        SimbrIndex::new(dim, true, true)
     }
 
     /// Access to the underlying tree (for memory sizing / diagnostics).
@@ -235,12 +231,7 @@ impl NeighborIndex for SimbrIndex {
     }
 
     fn fresh(&self) -> Self {
-        SimbrIndex::new(
-            self.tree.dim(),
-            self.tree.max_entries(),
-            self.approx_search,
-            self.low_cost_insert,
-        )
+        SimbrIndex::new(self.tree.dim(), self.approx_search, self.low_cost_insert)
     }
 }
 
@@ -344,7 +335,7 @@ impl NnBackend {
         match self {
             NnBackend::Linear => AnyIndex::Linear(LinearIndex::new()),
             NnBackend::Kd => AnyIndex::Kd(KdIndex::new(dim)),
-            NnBackend::SiMbr => AnyIndex::SiMbr(SimbrIndex::new(dim, 6, sias, lci)),
+            NnBackend::SiMbr => AnyIndex::SiMbr(SimbrIndex::new(dim, sias, lci)),
         }
     }
 }
@@ -468,7 +459,7 @@ mod tests {
         let pts = seeded_points(150, 4);
         let mut linear = LinearIndex::new();
         let mut simbr = SimbrIndex::moped(4);
-        let mut simbr_conv = SimbrIndex::new(4, 6, false, false);
+        let mut simbr_conv = SimbrIndex::new(4, false, false);
         let mut kd = KdIndex::new(4);
         fill(&mut linear, &pts);
         fill(&mut simbr, &pts);
@@ -496,7 +487,7 @@ mod tests {
     fn exact_neighborhoods_agree() {
         let pts = seeded_points(100, 3);
         let mut linear = LinearIndex::new();
-        let mut simbr = SimbrIndex::new(3, 6, false, false);
+        let mut simbr = SimbrIndex::new(3, false, false);
         let mut kd = KdIndex::new(3);
         fill(&mut linear, &pts);
         fill(&mut simbr, &pts);
@@ -530,7 +521,7 @@ mod tests {
         let group = simbr.neighborhood(42, &q, 5.0, &mut cheap);
         assert!(group.iter().any(|(id, _)| *id == 42));
         let mut exact_ops = OpCount::default();
-        let mut exact_idx = SimbrIndex::new(5, 6, false, false);
+        let mut exact_idx = SimbrIndex::new(5, false, false);
         fill(&mut exact_idx, &pts);
         let _ = exact_idx.neighborhood(42, &q, 5.0, &mut exact_ops);
         assert!(
@@ -553,14 +544,14 @@ mod tests {
     fn backend_names() {
         assert_eq!(LinearIndex::new().name(), "linear");
         assert_eq!(SimbrIndex::moped(3).name(), "si-mbr+sias+lci");
-        assert_eq!(SimbrIndex::new(3, 4, false, false).name(), "si-mbr");
+        assert_eq!(SimbrIndex::new(3, false, false).name(), "si-mbr");
         assert_eq!(KdIndex::new(3).name(), "kd-tree");
     }
 
     #[test]
     fn fresh_preserves_configuration_and_starts_empty() {
         let pts = seeded_points(40, 4);
-        let mut simbr = SimbrIndex::new(4, 8, true, false);
+        let mut simbr = SimbrIndex::new(4, true, false);
         let mut kd = KdIndex::new(4);
         fill(&mut simbr, &pts);
         fill(&mut kd, &pts);
@@ -568,7 +559,7 @@ mod tests {
         assert!(f.is_empty());
         assert_eq!(f.name(), simbr.name());
         assert_eq!(f.tree().dim(), 4);
-        assert_eq!(f.tree().max_entries(), 8);
+        assert_eq!(f.tree().max_entries(), SIMBR_NODE_CAPACITY);
         assert!(kd.fresh().is_empty());
         assert_eq!(kd.fresh().tree().dim(), 4);
         assert!(LinearIndex::new().fresh().is_empty());

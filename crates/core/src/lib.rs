@@ -10,8 +10,10 @@
 //!   all-pairs OBB–OBB or the two-stage R-tree scheme.
 //!
 //! A [`PlannerProfile`] names one complete stack — engine, collision
-//! stage, NN backend, SIAS, LCI, radius and budget policies — and
-//! [`PlannerProfile::planner`] is the one place a stack is assembled.
+//! stage, NN backend, SIAS and LCI — and [`PlannerProfile::planner`] is
+//! the one place a stack is assembled. The three engines ([`Engine`])
+//! run the same round steps — sample draw, extend, attach — and differ
+//! only in how the exploration forest grows.
 //! The [`Variant`] ladder names the paper's ablation rungs (Fig 16) as
 //! profile presets: V0 baseline → V1 two-stage collision (TSPS) → V2
 //! SI-MBR neighbor search (STNS) → V3 approximated search (SIAS) → V4
@@ -44,7 +46,9 @@ pub mod replan;
 pub mod smooth;
 mod variant;
 
-pub use index::{AnyIndex, KdIndex, LinearIndex, NeighborIndex, NnBackend, SimbrIndex};
+pub use index::{
+    AnyIndex, KdIndex, LinearIndex, NeighborIndex, NnBackend, SimbrIndex, SIMBR_NODE_CAPACITY,
+};
 pub use planner::{Engine, PlanResult, PlanStats, PlannerParams, RoundTrace, RrtStar};
-pub use profile::{BudgetPolicy, CollisionStage, PlannerProfile, RadiusPolicy};
+pub use profile::{CollisionStage, PlannerProfile};
 pub use variant::Variant;

@@ -218,30 +218,31 @@ pub(crate) struct TreeNode {
 pub struct RrtStar<'a, N: NeighborIndex> {
     pub(crate) scenario: &'a Scenario,
     pub(crate) checker: &'a dyn CollisionChecker,
-    pub(crate) index: N,
+    /// One neighbor index per tree of the exploration forest; RRT\* grows
+    /// only tree 0, rooted at the start.
+    pub(crate) trees: Vec<N>,
     pub(crate) params: PlannerParams,
     pub(crate) nodes: Vec<TreeNode>,
     pub(crate) steps: InterpolationSteps,
     pub(crate) step: f64,
     engine: Engine,
-    rewire_enabled: bool,
-    pub(crate) stop_hook: Option<StopHook<'a>>,
-    pub(crate) journal_enabled: bool,
+    stop_hook: Option<StopHook<'a>>,
+    journal_enabled: bool,
     pub(crate) journal: Option<Journal>,
-    pub(crate) replay: Option<Replay>,
+    replay: Option<Replay>,
 }
 
 /// Pre-decoded sample stream consumed instead of the RNG when replaying
 /// a journal (goal-bias draws are already baked into the stream).
-pub(crate) struct Replay {
-    pub(crate) samples: Vec<Config>,
-    pub(crate) cursor: usize,
+struct Replay {
+    samples: Vec<Config>,
+    cursor: usize,
 }
 
 /// A cooperative-stop predicate polled every `.0` sampling rounds; when
 /// it returns `true` the planner abandons the remaining budget and
 /// returns its best-so-far anytime result.
-pub(crate) type StopHook<'a> = (usize, Box<dyn Fn() -> bool + 'a>);
+type StopHook<'a> = (usize, Box<dyn Fn() -> bool + 'a>);
 
 impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     /// Creates a planner over `scenario` with the given backends.
@@ -260,13 +261,12 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
         RrtStar {
             scenario,
             checker,
-            index,
+            trees: vec![index],
             params,
             nodes: Vec::new(),
             steps,
             step,
             engine: Engine::RrtStar,
-            rewire_enabled: true,
             stop_hook: None,
             journal_enabled: false,
             journal: None,
@@ -293,14 +293,6 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     /// cancellation without killing threads mid-iteration.
     pub fn with_stop_hook(mut self, every: usize, hook: impl Fn() -> bool + 'a) -> Self {
         self.stop_hook = Some((every.max(1), Box::new(hook)));
-        self
-    }
-
-    /// Disables the refinement stage, turning the planner into plain RRT
-    /// (feasible but not asymptotically optimal) — used by the related-
-    /// work comparisons.
-    pub fn without_rewiring(mut self) -> Self {
-        self.rewire_enabled = false;
         self
     }
 
@@ -339,9 +331,10 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
         self
     }
 
-    /// The neighbor index (consumed state inspection after planning).
+    /// The neighbor index of the start tree (state inspection after
+    /// planning).
     pub fn index(&self) -> &N {
-        &self.index
+        &self.trees[0]
     }
 
     /// Runs the planner to its sampling budget and extracts the best
@@ -354,126 +347,208 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
         }
     }
 
-    /// The single-tree RRT\* engine.
-    fn plan_rrt_star(&mut self) -> PlanResult {
-        let mut rng = StdRng::seed_from_u64(self.params.seed);
-        let mut stats = PlanStats::default();
-        // Lets a checker that keeps cross-plan state reset it, so runs
-        // stay op-for-op reproducible.
+    // --- Round steps shared by every engine -----------------------------
+
+    /// Starts a run: lets a checker that keeps cross-plan state reset it
+    /// (so runs stay op-for-op reproducible), opens the journal, empties
+    /// the node arena and the forest down to a fresh start-tree index.
+    /// Returns the sampler RNG and the round budget; a replaying planner's
+    /// budget is the journal's round count, one recorded sample per round.
+    pub(crate) fn begin_run(&mut self) -> (StdRng, usize) {
         self.checker.begin_plan();
         let dim = self.scenario.robot.dof();
         self.journal = self
             .journal_enabled
             .then(|| Journal::new(self.params.seed, dim));
-        // A replaying planner's budget is the journal's round count: one
-        // recorded sample per round, consumed in order.
+        self.nodes.clear();
+        self.trees.truncate(1);
+        self.trees[0] = self.trees[0].fresh();
         let budget = self
             .replay
             .as_ref()
             .map_or(self.params.max_samples, |r| r.samples.len());
+        (StdRng::seed_from_u64(self.params.seed), budget)
+    }
 
-        // Root the tree at the start configuration.
-        self.nodes.clear();
+    /// Cooperative cancellation/deadline, polled every N rounds so a
+    /// serving layer can reclaim the worker; the forest stays consistent
+    /// and the best-so-far result is still extracted.
+    pub(crate) fn stop_requested(&self, round: usize) -> bool {
+        self.stop_hook
+            .as_ref()
+            .is_some_and(|(every, hook)| round.is_multiple_of(*every) && round > 0 && hook())
+    }
+
+    /// Draws the round's sample — the next replayed one, or from `rng`
+    /// (with RRT\*'s goal-bias coin when `goal_biased`) — and journals it.
+    pub(crate) fn draw_sample(&mut self, rng: &mut StdRng, goal_biased: bool) -> Config {
+        let _s = moped_obs::span(Stage::Sample);
+        let q = match &mut self.replay {
+            Some(r) => {
+                let q = r.samples[r.cursor];
+                r.cursor += 1;
+                q
+            }
+            None if goal_biased && rng.gen::<f64>() < self.params.goal_bias => self.scenario.goal,
+            None => self.scenario.sample_any(rng),
+        };
+        if let Some(j) = &mut self.journal {
+            j.record_sample(q.as_slice());
+        }
+        q
+    }
+
+    /// Steers from node `from` toward `target` by at most one step and
+    /// checks that motion; returns the new configuration or why it was
+    /// refused (a step that does not move is `Degenerate`).
+    pub(crate) fn step_toward(
+        &self,
+        from: usize,
+        target: &Config,
+        stats: &mut PlanStats,
+    ) -> Result<Config, RejectReason> {
+        let q_from = &self.nodes[from].q;
+        let q = {
+            let _s = moped_obs::span(Stage::Steer);
+            q_from.steer_toward(target, self.step)
+        };
+        let dim = self.scenario.robot.dof() as u64;
+        stats.other_ops.mul += dim;
+        stats.other_ops.add += dim;
+        if q == *q_from {
+            return Err(RejectReason::Degenerate);
+        }
+        if !self.checker.motion_free(
+            &self.scenario.robot,
+            q_from,
+            &q,
+            &self.steps,
+            &mut stats.collision,
+        ) {
+            return Err(RejectReason::Collision);
+        }
+        Ok(q)
+    }
+
+    /// The round's extension: [`RrtStar::step_toward`] with a refused
+    /// step journaled as the round's reject.
+    pub(crate) fn extend(
+        &mut self,
+        from: usize,
+        target: &Config,
+        stats: &mut PlanStats,
+    ) -> Option<Config> {
+        match self.step_toward(from, target, stats) {
+            Ok(q) => Some(q),
+            Err(why) => {
+                if let Some(j) = &mut self.journal {
+                    j.record_reject(why);
+                }
+                None
+            }
+        }
+    }
+
+    /// Plants a new tree rooted at `q` (roots are not journaled); roots
+    /// are planted before any growth, so node id and tree id coincide.
+    pub(crate) fn plant_root(&mut self, q: Config, stats: &mut PlanStats) -> usize {
+        let id = self.nodes.len();
         self.nodes.push(TreeNode {
-            q: self.scenario.start,
+            q,
             parent: None,
             children: Vec::new(),
             cost: 0.0,
         });
-        self.index
-            .insert(0, self.scenario.start, None, &mut stats.insert_ops);
+        if id > 0 {
+            let index = self.trees[0].fresh();
+            self.trees.push(index);
+        }
+        self.trees[id].insert(id as u64, q, None, &mut stats.insert_ops);
+        id
+    }
+
+    /// Adds `q` to `tree` as a child of `parent` with root-relative
+    /// `cost`, indexes it (`hint` is the insertion anchor), and journals
+    /// the accept; returns the new node id.
+    pub(crate) fn attach(
+        &mut self,
+        tree: usize,
+        parent: usize,
+        q: Config,
+        cost: f64,
+        hint: usize,
+        stats: &mut PlanStats,
+    ) -> usize {
+        let _s = moped_obs::span(Stage::Insert);
+        let id = self.nodes.len();
+        self.nodes.push(TreeNode {
+            q,
+            parent: Some(parent),
+            children: Vec::new(),
+            cost,
+        });
+        self.nodes[parent].children.push(id);
+        self.trees[tree].insert(id as u64, q, Some(hint as u64), &mut stats.insert_ops);
+        if let Some(j) = &mut self.journal {
+            j.record_accept(id as u64, parent as u64, cost);
+        }
+        id
+    }
+
+    /// Records an improved goal connection: in the solution history, and
+    /// in the journal through `node`.
+    pub(crate) fn record_goal(&mut self, stats: &mut PlanStats, node: usize, total: f64) {
+        stats.solution_history.push((stats.samples, total));
+        if let Some(j) = &mut self.journal {
+            j.record_goal(node as u64, total);
+        }
+    }
+
+    /// The single-tree RRT\* engine.
+    fn plan_rrt_star(&mut self) -> PlanResult {
+        let mut stats = PlanStats::default();
+        let (mut rng, budget) = self.begin_run();
+        self.plant_root(self.scenario.start, &mut stats);
 
         let mut best_goal: Option<(usize, f64)> = None; // (node, node→goal dist)
 
         for round in 0..budget {
-            // Cooperative cancellation/deadline: polled every N rounds so
-            // a serving layer can reclaim the worker; the tree stays
-            // consistent and the best-so-far result is still extracted.
-            if let Some((every, hook)) = &self.stop_hook {
-                if round % every == 0 && round > 0 && hook() {
-                    stats.stopped_early = true;
-                    break;
-                }
+            if self.stop_requested(round) {
+                stats.stopped_early = true;
+                break;
             }
             stats.samples += 1;
             let mut trace = RoundTrace::default();
             let _round_span = moped_obs::span(Stage::Round);
-
-            // --- Sampling ---------------------------------------------
-            let x_rand = {
-                let _s = moped_obs::span(Stage::Sample);
-                let q = match &mut self.replay {
-                    Some(r) => {
-                        let q = r.samples[r.cursor];
-                        r.cursor += 1;
-                        q
-                    }
-                    None if rng.gen::<f64>() < self.params.goal_bias => self.scenario.goal,
-                    None => self.scenario.sample_any(&mut rng),
-                };
-                if let Some(j) = &mut self.journal {
-                    j.record_sample(q.as_slice());
-                }
-                q
-            };
+            let x_rand = self.draw_sample(&mut rng, true);
 
             // --- Neighbor search 1: nearest ---------------------------
             let ns_mark = stats.ns_ops;
             let (nearest_id, _) = {
                 let _s = moped_obs::span(Stage::Nearest);
-                self.index
+                self.trees[0]
                     .nearest(&x_rand, &mut stats.ns_ops)
                     .expect("index holds at least the root")
             };
             let nearest_idx = nearest_id as usize;
 
-            // --- Steering ---------------------------------------------
-            let x_new = {
-                let _s = moped_obs::span(Stage::Steer);
-                self.nodes[nearest_idx].q.steer_toward(&x_rand, self.step)
-            };
-            stats.other_ops.mul += dim as u64;
-            stats.other_ops.add += dim as u64;
-            if x_new == self.nodes[nearest_idx].q {
-                // Degenerate draw (sampled an existing node).
-                if let Some(j) = &mut self.journal {
-                    j.record_reject(RejectReason::Degenerate);
-                }
-                if self.params.trace_rounds {
-                    trace.ns_macs = (stats.ns_ops - ns_mark).mac_equiv();
-                    stats.rounds.push(trace);
-                }
-                continue;
-            }
-
-            // --- Collision check: extension edge ----------------------
+            // --- Steer + collision check: extension edge --------------
             let cc_mark = self.ledger_macs(&stats);
-            let edge_free = self.checker.motion_free(
-                &self.scenario.robot,
-                &self.nodes[nearest_idx].q,
-                &x_new,
-                &self.steps,
-                &mut stats.collision,
-            );
+            let x_new = self.extend(nearest_idx, &x_rand, &mut stats);
             trace.cc_macs = self.ledger_macs(&stats) - cc_mark;
-
-            if !edge_free {
-                if let Some(j) = &mut self.journal {
-                    j.record_reject(RejectReason::Collision);
-                }
+            let Some(x_new) = x_new else {
                 if self.params.trace_rounds {
                     trace.ns_macs = (stats.ns_ops - ns_mark).mac_equiv();
                     stats.rounds.push(trace);
                 }
                 continue;
-            }
+            };
 
             // --- Neighbor search 2: neighborhood of x_new -------------
             let near = {
                 let _s = moped_obs::span(Stage::Neighborhood);
                 let radius = self.rewire_radius();
-                self.index
-                    .neighborhood(nearest_id, &x_new, radius, &mut stats.ns_ops)
+                self.trees[0].neighborhood(nearest_id, &x_new, radius, &mut stats.ns_ops)
             };
             trace.near_count = near.len() as u32;
             trace.ns_macs = (stats.ns_ops - ns_mark).mac_equiv();
@@ -525,32 +600,14 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             drop(refine_span);
 
             // --- Insert the new node -----------------------------------
-            let new_idx = self.nodes.len();
-            let insert_span = moped_obs::span(Stage::Insert);
-            self.nodes.push(TreeNode {
-                q: x_new,
-                parent: Some(parent),
-                children: Vec::new(),
-                cost: best_cost,
-            });
-            self.nodes[parent].children.push(new_idx);
             let ins_mark = stats.insert_ops;
-            self.index.insert(
-                new_idx as u64,
-                x_new,
-                Some(nearest_id),
-                &mut stats.insert_ops,
-            );
-            if let Some(j) = &mut self.journal {
-                j.record_accept(new_idx as u64, parent as u64, best_cost);
-            }
-            drop(insert_span);
+            let new_idx = self.attach(0, parent, x_new, best_cost, nearest_idx, &mut stats);
             trace.insert_macs = (stats.insert_ops - ins_mark).mac_equiv();
             trace.accepted = true;
             stats.nodes = self.nodes.len();
 
             // --- Rewire ------------------------------------------------
-            if self.rewire_enabled {
+            {
                 let _s = moped_obs::span(Stage::Rewire);
                 for (cand_id, cand_q) in &near {
                     let ci = *cand_id as usize;
@@ -594,10 +651,7 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                 let total = self.nodes[new_idx].cost + gd;
                 if best_goal.is_none_or(|(bi, bd)| total < self.nodes[bi].cost + bd) {
                     best_goal = Some((new_idx, gd));
-                    stats.solution_history.push((stats.samples, total));
-                    if let Some(j) = &mut self.journal {
-                        j.record_goal(new_idx as u64, total);
-                    }
+                    self.record_goal(&mut stats, new_idx, total);
                 }
             }
 
@@ -894,21 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn rrt_mode_skips_rewiring() {
-        let s = moped_env::Scenario::generate(
-            Robot::mobile_2d(),
-            &ScenarioParams::with_obstacles(8),
-            4,
-        );
-        let checker = TwoStageChecker::moped(s.obstacles.clone());
-        let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(3), quick_params(500, 6))
-            .without_rewiring();
-        let result = planner.plan();
-        assert_eq!(result.stats.rewires, 0);
-        assert!(planner.check_tree_invariants().is_none());
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let s = moped_env::Scenario::generate(
             Robot::mobile_2d(),
@@ -967,28 +1006,6 @@ mod tests {
         assert_eq!(journal.accepts(), result.stats.nodes - 1);
         // Every round drew exactly one sample.
         assert_eq!(journal.rounds(), result.stats.samples);
-    }
-
-    #[test]
-    fn rewiring_improves_or_preserves_cost() {
-        let s = moped_env::Scenario::generate(
-            Robot::mobile_2d(),
-            &ScenarioParams::with_obstacles(8),
-            6,
-        );
-        let checker = TwoStageChecker::moped(s.obstacles.clone());
-        let star = RrtStar::new(&s, &checker, SimbrIndex::moped(3), quick_params(900, 21)).plan();
-        let plain = RrtStar::new(&s, &checker, SimbrIndex::moped(3), quick_params(900, 21))
-            .without_rewiring()
-            .plan();
-        if star.solved() && plain.solved() {
-            assert!(
-                star.path_cost <= plain.path_cost * 1.05 + 1.0,
-                "RRT* should not be much worse than RRT: {} vs {}",
-                star.path_cost,
-                plain.path_cost
-            );
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The [`PlannerProfile`]: one complete planner stack, and the only place
-//! one is assembled.
+//! The [`PlannerProfile`]: one complete planner stack, and the one path
+//! ([`PlannerProfile::planner`]) that assembles it.
 
 use moped_collision::{CollisionChecker, NaiveChecker, TwoStageChecker};
 use moped_env::Scenario;
@@ -36,86 +36,12 @@ impl CollisionStage {
     }
 }
 
-/// Neighborhood-radius policy: a multiplier on the RRT\* rewiring-radius
-/// scale `gamma` (the radius itself stays clamped by the planner).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RadiusPolicy {
-    /// Leave the caller's `rewire_gamma` untouched.
-    Default,
-    /// Halve `gamma`: smaller neighborhoods, cheaper rewiring, for
-    /// NN-bound workloads.
-    Tight,
-    /// Double `gamma`: wider neighborhoods, better paths, for scenes
-    /// where collision checks are cheap.
-    Wide,
-}
-
-impl RadiusPolicy {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RadiusPolicy::Default => "default",
-            RadiusPolicy::Tight => "tight",
-            RadiusPolicy::Wide => "wide",
-        }
-    }
-
-    /// Parses [`RadiusPolicy::name`] output.
-    pub fn parse(s: &str) -> Option<RadiusPolicy> {
-        match s {
-            "default" => Some(RadiusPolicy::Default),
-            "tight" => Some(RadiusPolicy::Tight),
-            "wide" => Some(RadiusPolicy::Wide),
-            _ => None,
-        }
-    }
-
-    /// The `gamma` multiplier this policy applies.
-    pub fn scale(self) -> f64 {
-        match self {
-            RadiusPolicy::Default => 1.0,
-            RadiusPolicy::Tight => 0.5,
-            RadiusPolicy::Wide => 2.0,
-        }
-    }
-}
-
-/// Sample-budget policy: whether the profile caps the caller's budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BudgetPolicy {
-    /// Use the caller's `max_samples` unchanged.
-    Inherit,
-    /// Cap `max_samples` at this value (never raises it).
-    Cap(u32),
-}
-
-impl BudgetPolicy {
-    /// Stable wire form: `inherit` or `cap:N`.
-    pub fn wire(self) -> String {
-        match self {
-            BudgetPolicy::Inherit => "inherit".to_string(),
-            BudgetPolicy::Cap(n) => format!("cap:{n}"),
-        }
-    }
-
-    /// Parses [`BudgetPolicy::wire`] output.
-    pub fn parse(s: &str) -> Option<BudgetPolicy> {
-        if s == "inherit" {
-            return Some(BudgetPolicy::Inherit);
-        }
-        s.strip_prefix("cap:")
-            .and_then(|n| n.parse().ok())
-            .map(BudgetPolicy::Cap)
-    }
-}
-
-/// One complete planner stack: the engine, the collision stage, the NN
-/// backend with its SIAS and LCI switches, the neighborhood-radius policy,
-/// and the sample budget.
+/// One complete planner stack: the engine, the collision stage, and the
+/// NN backend with its SIAS and LCI switches.
 ///
 /// The paper's ablation rungs are presets ([`crate::Variant::profile`]);
-/// the tuner selects, serializes and applies profiles. Profiles are plain
-/// values with a stable comma-delimited wire form (the workspace has no
+/// the tuner selects and serializes profiles. Profiles are plain values
+/// with a stable comma-delimited wire form (the workspace has no
 /// serialization dependency). [`PlannerProfile::planner`] is the one
 /// place a stack is assembled. Determinism contract: a profile never
 /// carries wall-clock or host-dependent state, so (profile, scenario,
@@ -132,15 +58,11 @@ pub struct PlannerProfile {
     pub sias: bool,
     /// Low-cost O(1) insertion (SI-MBR backend only).
     pub lci: bool,
-    /// Rewiring-radius policy.
-    pub radius: RadiusPolicy,
-    /// Sample-budget policy.
-    pub budget: BudgetPolicy,
 }
 
 impl PlannerProfile {
     /// The full MOPED stack (V4): RRT\* over two-stage collision checks
-    /// and the SI-MBR tree with SIAS and LCI, caller parameters unchanged.
+    /// and the SI-MBR tree with SIAS and LCI.
     pub fn static_default() -> PlannerProfile {
         PlannerProfile {
             engine: Engine::RrtStar,
@@ -148,8 +70,6 @@ impl PlannerProfile {
             nn_backend: NnBackend::SiMbr,
             sias: true,
             lci: true,
-            radius: RadiusPolicy::Default,
-            budget: BudgetPolicy::Inherit,
         }
     }
 
@@ -165,21 +85,23 @@ impl PlannerProfile {
         self.nn_backend.build(dim, self.sias, self.lci)
     }
 
-    /// Applies the radius and budget policies to caller-supplied planner
-    /// parameters; everything else passes through untouched.
+    /// The planner parameters this stack runs `base` with: `base`
+    /// unchanged, since a profile carries no parameter policy. Kept
+    /// because the wall-clock benchmark (`wallbench/src/stack.rs`)
+    /// assembles its timed stacks by hand from [`build_index`],
+    /// [`engine`] and this.
+    ///
+    /// [`build_index`]: PlannerProfile::build_index
+    /// [`engine`]: PlannerProfile::engine
     pub fn apply(&self, base: &PlannerParams) -> PlannerParams {
-        let mut p = base.clone();
-        p.rewire_gamma = base.rewire_gamma * self.radius.scale();
-        if let BudgetPolicy::Cap(n) = self.budget {
-            p.max_samples = p.max_samples.min(n as usize);
-        }
-        p
+        base.clone()
     }
 
-    /// Assembles this stack's planner over `scenario` with a caller-built
-    /// `checker` (which must be the one [`PlannerProfile::collision`]
-    /// names): the profile's index and engine, with its parameter
-    /// policies applied over `params`. Callers add a stop hook, journal
+    /// Assembles this stack's planner over `scenario`: the profile's
+    /// index and engine over a caller-built `checker` and `params`.
+    /// [`PlannerProfile::plan`] passes the checker
+    /// [`PlannerProfile::collision`] names; the Fig 5/18 ablations pass
+    /// their own AABB-relaxed one. Callers add a stop hook, journal
     /// recording or replay before running it.
     pub fn planner<'a>(
         &self,
@@ -191,7 +113,7 @@ impl PlannerProfile {
             scenario,
             checker,
             self.build_index(scenario.robot.dof()),
-            self.apply(params),
+            params.clone(),
         )
         .with_engine(self.engine)
     }
@@ -209,25 +131,23 @@ impl PlannerProfile {
         result
     }
 
-    /// Stable wire form: `engine,collision,nn,sias,lci,radius,budget`.
+    /// Stable wire form: `engine,collision,nn,sias,lci`.
     pub fn serialize(&self) -> String {
         format!(
-            "{},{},{},{},{},{},{}",
+            "{},{},{},{},{}",
             self.engine.name(),
             self.collision.name(),
             self.nn_backend.name(),
             u8::from(self.sias),
             u8::from(self.lci),
-            self.radius.name(),
-            self.budget.wire()
         )
     }
 
     /// Parses [`PlannerProfile::serialize`] output.
     pub fn parse(s: &str) -> Result<PlannerProfile, String> {
         let fields: Vec<&str> = s.split(',').collect();
-        if fields.len() != 7 {
-            return Err(format!("profile `{s}`: expected 7 fields"));
+        if fields.len() != 5 {
+            return Err(format!("profile `{s}`: expected 5 fields"));
         }
         let flag = |name: &str, field: &str| match field {
             "1" => Ok(true),
@@ -244,18 +164,12 @@ impl PlannerProfile {
             .ok_or_else(|| format!("profile `{s}`: unknown backend `{}`", fields[2]))?;
         let sias = flag("sias", fields[3])?;
         let lci = flag("lci", fields[4])?;
-        let radius = RadiusPolicy::parse(fields[5])
-            .ok_or_else(|| format!("profile `{s}`: unknown radius policy `{}`", fields[5]))?;
-        let budget = BudgetPolicy::parse(fields[6])
-            .ok_or_else(|| format!("profile `{s}`: bad budget `{}`", fields[6]))?;
         Ok(PlannerProfile {
             engine,
             collision,
             nn_backend,
             sias,
             lci,
-            radius,
-            budget,
         })
     }
 }
@@ -271,24 +185,14 @@ mod tests {
                 for nn_backend in NnBackend::ALL {
                     for (sias, lci) in [(false, false), (false, true), (true, false), (true, true)]
                     {
-                        for radius in [
-                            RadiusPolicy::Default,
-                            RadiusPolicy::Tight,
-                            RadiusPolicy::Wide,
-                        ] {
-                            for budget in [BudgetPolicy::Inherit, BudgetPolicy::Cap(400)] {
-                                let p = PlannerProfile {
-                                    engine,
-                                    collision,
-                                    nn_backend,
-                                    sias,
-                                    lci,
-                                    radius,
-                                    budget,
-                                };
-                                assert_eq!(PlannerProfile::parse(&p.serialize()), Ok(p));
-                            }
-                        }
+                        let p = PlannerProfile {
+                            engine,
+                            collision,
+                            nn_backend,
+                            sias,
+                            lci,
+                        };
+                        assert_eq!(PlannerProfile::parse(&p.serialize()), Ok(p));
                     }
                 }
             }
@@ -299,15 +203,15 @@ mod tests {
     fn parse_rejects_malformed_wire() {
         for bad in [
             "",
-            "rrt-star,two-stage,si-mbr,1,1,default",
-            "rrt-star,si-mbr,1,default,inherit",
-            "warp-drive,two-stage,si-mbr,1,1,default,inherit",
-            "rrt-star,three-stage,si-mbr,1,1,default,inherit",
-            "rrt-star,two-stage,hash-grid,1,1,default,inherit",
-            "rrt-star,two-stage,si-mbr,2,1,default,inherit",
-            "rrt-star,two-stage,si-mbr,1,yes,default,inherit",
-            "rrt-star,two-stage,si-mbr,1,1,galactic,inherit",
-            "rrt-star,two-stage,si-mbr,1,1,default,cap:x",
+            "rrt-star,two-stage,si-mbr,1",
+            "rrt-star,si-mbr,1,1",
+            // The 7-field v2 wire, with its radius and budget policies.
+            "rrt-star,two-stage,si-mbr,1,1,default,inherit",
+            "warp-drive,two-stage,si-mbr,1,1",
+            "rrt-star,three-stage,si-mbr,1,1",
+            "rrt-star,two-stage,hash-grid,1,1",
+            "rrt-star,two-stage,si-mbr,2,1",
+            "rrt-star,two-stage,si-mbr,1,yes",
         ] {
             assert!(PlannerProfile::parse(bad).is_err(), "accepted `{bad}`");
         }
@@ -329,23 +233,5 @@ mod tests {
             ..PlannerProfile::static_default()
         };
         assert_eq!(p.build_index(4).name(), "si-mbr+sias");
-    }
-
-    #[test]
-    fn apply_scales_gamma_and_caps_budget() {
-        let base = PlannerParams {
-            max_samples: 1000,
-            rewire_gamma: 40.0,
-            ..PlannerParams::default()
-        };
-        let mut p = PlannerProfile::static_default();
-        p.radius = RadiusPolicy::Wide;
-        p.budget = BudgetPolicy::Cap(300);
-        let applied = p.apply(&base);
-        assert_eq!(applied.rewire_gamma, 80.0);
-        assert_eq!(applied.max_samples, 300);
-        // A cap larger than the caller's budget never raises it.
-        p.budget = BudgetPolicy::Cap(5000);
-        assert_eq!(p.apply(&base).max_samples, 1000);
     }
 }

@@ -13,7 +13,7 @@ use moped_collision::{CollisionChecker, CollisionLedger, TwoStageChecker};
 use moped_env::dynamic::DynamicScenario;
 use moped_geometry::{Config, InterpolationSteps, OpCount};
 
-use crate::{PlannerParams, RrtStar, SimbrIndex};
+use crate::{PlannerParams, PlannerProfile};
 
 /// Outcome of a replanning run.
 #[derive(Clone, Debug, Default)]
@@ -73,7 +73,6 @@ pub fn run(
     exec: &ReplanParams,
 ) -> ReplanReport {
     let robot = &dynamic.base.robot;
-    let dim = robot.dof();
     let steps = InterpolationSteps::with_resolution((robot.steering_step() / 4.0).max(1e-3));
     let goal = dynamic.base.goal;
     let goal_tol = planner_params.goal_tolerance;
@@ -123,17 +122,13 @@ pub fn run(
                 path.clear();
                 continue;
             }
-            let checker = TwoStageChecker::moped(snapshot.obstacles.clone());
-            let mut planner = RrtStar::new(
+            let result = PlannerProfile::static_default().plan(
                 &snapshot,
-                &checker,
-                SimbrIndex::moped(dim),
-                PlannerParams {
+                &PlannerParams {
                     seed: planner_params.seed + epoch as u64,
                     ..planner_params.clone()
                 },
             );
-            let result = planner.plan();
             report.plans += 1;
             report.total_ops += result.stats.total_ops();
             match result.path {

@@ -1,9 +1,9 @@
-//! Property-based tests for the RRT\* planner: soundness of the returned
-//! path and the exploration tree under arbitrary seeds, budgets, and
-//! variant choices.
+//! Property-based tests for the planner: soundness of the returned path
+//! and the exploration tree under arbitrary seeds, budgets, variant and
+//! engine choices.
 
 use moped_collision::TwoStageChecker;
-use moped_core::{PlannerParams, RrtStar, SimbrIndex, Variant};
+use moped_core::{Engine, PlannerParams, RrtStar, SimbrIndex, Variant};
 use moped_env::{Scenario, ScenarioParams};
 use moped_geometry::interpolate;
 use moped_geometry::InterpolationSteps;
@@ -60,10 +60,11 @@ proptest! {
         }
     }
 
-    /// Tree invariants hold after any run (costs consistent, no cycles,
-    /// child links intact) — including with rewiring disabled.
+    /// Tree invariants hold after any run of any engine (costs
+    /// consistent, no cycles, child links intact; the connect engines'
+    /// forest roots at cost zero).
     #[test]
-    fn tree_invariants(scene_seed in 0u64..100, plan_seed in 0u64..30, rewire in any::<bool>()) {
+    fn tree_invariants(scene_seed in 0u64..100, plan_seed in 0u64..30, eidx in 0usize..3) {
         let s = Scenario::generate(
             Robot::drone_3d(),
             &ScenarioParams::with_obstacles(16),
@@ -71,10 +72,8 @@ proptest! {
         );
         let checker = TwoStageChecker::moped(s.obstacles.clone());
         let params = PlannerParams { max_samples: 200, seed: plan_seed, ..PlannerParams::default() };
-        let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(6), params);
-        if !rewire {
-            planner = planner.without_rewiring();
-        }
+        let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(6), params)
+            .with_engine(Engine::all()[eidx]);
         let _ = planner.plan();
         prop_assert!(planner.check_tree_invariants().is_none(),
             "{:?}", planner.check_tree_invariants());

@@ -118,22 +118,6 @@ impl Scenario {
         scenario
     }
 
-    /// Generates the full §V task matrix for one robot: for each obstacle
-    /// count in [`OBSTACLE_COUNTS`], `tasks_per_env` seeded scenarios.
-    pub fn evaluation_suite(robot: &Robot, tasks_per_env: usize, base_seed: u64) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for (ei, &count) in OBSTACLE_COUNTS.iter().enumerate() {
-            let params = ScenarioParams::with_obstacles(count);
-            for t in 0..tasks_per_env {
-                let seed = base_seed
-                    .wrapping_mul(1_000_003)
-                    .wrapping_add((ei * 1000 + t) as u64);
-                out.push(Scenario::generate(robot.clone(), &params, seed));
-            }
-        }
-        out
-    }
-
     /// A narrow-passage stress scene (Fig 5): two long collinear walls
     /// tilted by `wall_tilt`, leaving a slot of `gap` units *along their
     /// shared diagonal* at the workspace center; start and goal sit on
@@ -369,16 +353,6 @@ mod tests {
             assert!(h.x >= p.min_half && h.x <= p.max_half_xy);
             assert!(h.y >= p.min_half && h.y <= p.max_half_xy);
             assert!(h.z >= p.min_half && h.z <= p.max_half_z);
-        }
-    }
-
-    #[test]
-    fn evaluation_suite_covers_all_env_sizes() {
-        let suite = Scenario::evaluation_suite(&Robot::mobile_2d(), 3, 5);
-        assert_eq!(suite.len(), 4 * 3);
-        let counts: Vec<usize> = suite.iter().map(|s| s.obstacles.len()).collect();
-        for (i, &c) in OBSTACLE_COUNTS.iter().enumerate() {
-            assert!(counts[i * 3..(i + 1) * 3].iter().all(|&x| x == c));
         }
     }
 

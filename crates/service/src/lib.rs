@@ -97,22 +97,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use moped_collision::RTREE_FANOUT;
 use moped_core::{PlanResult, PlannerParams};
 use moped_env::catalog::{build as build_scene, NamedScene};
 use moped_env::Scenario;
 use moped_obs::Bottleneck;
 use moped_robot::Robot;
 use moped_rtree::RTree;
-use moped_tune::{Adapter, AdapterConfig, ProfileSwitch, ProfileTable, RequestClass, Resolution};
+use moped_tune::{Adapter, ProfileSwitch, ProfileTable, RequestClass, Resolution};
 
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use metrics::Metrics;
 
 use queue::{PushRefused, Responder, ResponseSlot, ShardedQueue, TryTake};
 use supervisor::{Pool, WorkerShared};
-
-/// R-tree fanout used for environment snapshots (the paper's default).
-const SNAPSHOT_RTREE_FANOUT: usize = 4;
 
 /// An immutable, shareable environment: the scenario plus its obstacle
 /// R-tree, bulk-loaded once at registration and shared by every worker.
@@ -150,7 +148,7 @@ impl EnvSnapshot {
     /// Builds a snapshot carrying an explicit epoch (used by
     /// [`EnvironmentCatalog::swap`] to version replacements).
     pub fn at_epoch(name: impl Into<String>, scenario: Scenario, epoch: u64) -> Self {
-        let rtree = RTree::build(&scenario.obstacles, SNAPSHOT_RTREE_FANOUT);
+        let rtree = RTree::build(&scenario.obstacles, RTREE_FANOUT);
         let soa = scenario.prepared_obstacles();
         let class = RequestClass::of_scenario(&scenario).id();
         EnvSnapshot {
@@ -574,16 +572,11 @@ pub struct Tuner {
 }
 
 impl Tuner {
-    /// A tuner over `table` with the default hysteresis thresholds.
+    /// A tuner over `table` with the adapter's hysteresis thresholds.
     pub fn new(table: ProfileTable) -> Self {
-        Tuner::with_adapter(table, AdapterConfig::default())
-    }
-
-    /// A tuner over `table` with explicit adapter thresholds.
-    pub fn with_adapter(table: ProfileTable, cfg: AdapterConfig) -> Self {
         Tuner {
             table: RwLock::new(table),
-            adapter: Mutex::new(Adapter::new(cfg)),
+            adapter: Mutex::new(Adapter::default()),
         }
     }
 

@@ -25,36 +25,22 @@ pub enum Regime {
     Balanced,
 }
 
-/// Adapter thresholds. All quantized/integer so decisions cannot drift
-/// with float formatting.
-#[derive(Clone, Copy, Debug)]
-pub struct AdapterConfig {
-    /// A side must claim at least this many 1/256ths of instrumented
-    /// self time to count as dominating (default 154 ≈ 60%).
-    pub dominance_q256: u16,
-    /// Consecutive epochs a regime must persist before a switch (the
-    /// hysteresis rule; default 2).
-    pub epochs_to_switch: u32,
-    /// Snapshots with fewer instrumented ticks than this are ignored —
-    /// too little evidence to steer on (default 1024).
-    pub min_instrumented_ticks: u64,
-}
-
-impl Default for AdapterConfig {
-    fn default() -> Self {
-        AdapterConfig {
-            dominance_q256: 154,
-            epochs_to_switch: 2,
-            min_instrumented_ticks: 1024,
-        }
-    }
-}
+/// A side must claim at least this many 1/256ths of instrumented self
+/// time to count as dominating (154 ≈ 60%). The thresholds are integers
+/// so decisions cannot drift with float formatting.
+const DOMINANCE_Q256: u16 = 154;
+/// Consecutive epochs a regime must persist before a switch (the
+/// hysteresis rule).
+const EPOCHS_TO_SWITCH: u32 = 2;
+/// Snapshots with fewer instrumented ticks than this are ignored — too
+/// little evidence to steer on.
+const MIN_INSTRUMENTED_TICKS: u64 = 1024;
 
 /// Classifies one quantized snapshot.
-pub fn regime(b: &Bottleneck, cfg: &AdapterConfig) -> Regime {
-    if b.collision_q256 >= cfg.dominance_q256 {
+pub fn regime(b: &Bottleneck) -> Regime {
+    if b.collision_q256 >= DOMINANCE_Q256 {
         Regime::CollisionBound
-    } else if b.nn_q256 >= cfg.dominance_q256 {
+    } else if b.nn_q256 >= DOMINANCE_Q256 {
         Regime::NnBound
     } else {
         Regime::Balanced
@@ -77,22 +63,13 @@ pub struct ProfileSwitch {
 /// Per-class hysteresis state machine over regime observations.
 #[derive(Clone, Debug, Default)]
 pub struct Adapter {
-    cfg: AdapterConfig,
     /// class id → (last regime seen, consecutive epochs seen).
     streaks: BTreeMap<String, (Regime, u32)>,
 }
 
 impl Adapter {
-    /// An adapter with the given thresholds.
-    pub fn new(cfg: AdapterConfig) -> Adapter {
-        Adapter {
-            cfg,
-            streaks: BTreeMap::new(),
-        }
-    }
-
     /// Feeds one epoch-boundary snapshot for `class_id`. When the same
-    /// dominating regime has persisted for `epochs_to_switch` consecutive
+    /// dominating regime has persisted for two consecutive
     /// observations *and* the class's current profile mismatches that
     /// regime, rewrites the table entry and reports the switch. The
     /// streak resets after a switch, so flapping inputs cannot flap the
@@ -103,10 +80,10 @@ impl Adapter {
         class_id: &str,
         b: &Bottleneck,
     ) -> Option<ProfileSwitch> {
-        if b.instrumented_ticks < self.cfg.min_instrumented_ticks {
+        if b.instrumented_ticks < MIN_INSTRUMENTED_TICKS {
             return None;
         }
-        let r = regime(b, &self.cfg);
+        let r = regime(b);
         let streak = match self.streaks.get_mut(class_id) {
             Some(entry) => {
                 if entry.0 == r {
@@ -121,7 +98,7 @@ impl Adapter {
                 1
             }
         };
-        if streak < self.cfg.epochs_to_switch {
+        if streak < EPOCHS_TO_SWITCH {
             return None;
         }
         let current = table.resolve(class_id).profile;
@@ -180,15 +157,14 @@ mod tests {
 
     #[test]
     fn regime_thresholds() {
-        let cfg = AdapterConfig::default();
-        assert_eq!(regime(&snap(200, 30, 9999), &cfg), Regime::CollisionBound);
-        assert_eq!(regime(&snap(30, 200, 9999), &cfg), Regime::NnBound);
-        assert_eq!(regime(&snap(120, 120, 9999), &cfg), Regime::Balanced);
+        assert_eq!(regime(&snap(200, 30, 9999)), Regime::CollisionBound);
+        assert_eq!(regime(&snap(30, 200, 9999)), Regime::NnBound);
+        assert_eq!(regime(&snap(120, 120, 9999)), Regime::Balanced);
     }
 
     #[test]
     fn switch_requires_consecutive_epochs() {
-        let mut adapter = Adapter::new(AdapterConfig::default());
+        let mut adapter = Adapter::default();
         let mut table = ProfileTable::static_default();
         let class = "xarm7/d7/o-many/v-mid";
         // First collision-bound epoch: no switch yet.
@@ -220,7 +196,7 @@ mod tests {
 
     #[test]
     fn thin_evidence_is_ignored() {
-        let mut adapter = Adapter::new(AdapterConfig::default());
+        let mut adapter = Adapter::default();
         let mut table = ProfileTable::static_default();
         for _ in 0..10 {
             assert!(adapter
@@ -232,7 +208,7 @@ mod tests {
 
     #[test]
     fn nn_bound_restores_sias_backend() {
-        let mut adapter = Adapter::new(AdapterConfig::default());
+        let mut adapter = Adapter::default();
         let mut table = ProfileTable::static_default();
         let mut exact = PlannerProfile::static_default();
         exact.nn_backend = NnBackend::Kd;
@@ -255,7 +231,7 @@ mod tests {
             snap(10, 220, 5000),
         ];
         let run = || {
-            let mut adapter = Adapter::new(AdapterConfig::default());
+            let mut adapter = Adapter::default();
             let mut table = ProfileTable::static_default();
             let mut switches = Vec::new();
             for b in &seq {

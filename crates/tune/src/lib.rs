@@ -6,8 +6,8 @@
 //! per request. This crate owns that choice:
 //!
 //! * [`PlannerProfile`] — one serializable planner stack (engine,
-//!   collision stage, NN backend, SIAS, LCI, radius policy, sample
-//!   budget), defined in `moped-core` and re-exported here;
+//!   collision stage, NN backend, SIAS, LCI), defined in `moped-core`
+//!   and re-exported here;
 //! * [`RequestClass`] — the bucketed robot × environment key profiles
 //!   are resolved under;
 //! * [`Calibrator`] — short seeded micro-plans scoring candidate
@@ -47,8 +47,8 @@ mod calibrate;
 mod class;
 mod table;
 
-pub use adapter::{regime, Adapter, AdapterConfig, ProfileSwitch, Regime};
+pub use adapter::{regime, Adapter, ProfileSwitch, Regime};
 pub use calibrate::{default_candidates, CalibrationConfig, Calibrator, ProbeOutcome};
 pub use class::{DensityBucket, ObstacleBucket, RequestClass};
-pub use moped_core::{BudgetPolicy, PlannerProfile, RadiusPolicy};
+pub use moped_core::PlannerProfile;
 pub use table::{ProfileTable, Resolution};

@@ -8,7 +8,7 @@ use crate::PlannerProfile;
 
 /// Wire-format header line (versioned so future fields can be added
 /// without breaking pinned tables).
-const HEADER: &str = "moped-profile-table v2";
+const HEADER: &str = "moped-profile-table v3";
 
 /// The outcome of resolving one request class against a table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,9 +96,9 @@ impl ProfileTable {
     /// Stable line-based wire form:
     ///
     /// ```text
-    /// moped-profile-table v2
-    /// default|rrt-star,two-stage,si-mbr,1,1,default,inherit
-    /// class|mobile_2d/d3/o-few,v-thin|rrt-connect,two-stage,si-mbr,1,1,default,inherit|probe: ...
+    /// moped-profile-table v3
+    /// default|rrt-star,two-stage,si-mbr,1,1
+    /// class|mobile_2d/d3/o-few,v-thin|rrt-connect,two-stage,si-mbr,1,1|probe: ...
     /// ```
     pub fn serialize(&self) -> String {
         let mut out = String::new();
@@ -202,18 +202,19 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(ProfileTable::parse("").is_err());
-        assert!(ProfileTable::parse("moped-profile-table v2\n").is_err());
-        assert!(ProfileTable::parse("moped-profile-table v2\ndefault|nope").is_err());
-        // A v1 table (5-field profiles, no collision or LCI axis).
-        assert!(ProfileTable::parse(
-            "moped-profile-table v1\ndefault|rrt-star,si-mbr,1,default,inherit\n"
-        )
+        assert!(ProfileTable::parse("moped-profile-table v3\n").is_err());
+        assert!(ProfileTable::parse("moped-profile-table v3\ndefault|nope").is_err());
+        // A v2 table (7-field profiles with radius and budget policies).
+        let v2 = HEADER.replace("v3", "v2");
+        assert!(ProfileTable::parse(&format!(
+            "{v2}\ndefault|rrt-star,two-stage,si-mbr,1,1,default,inherit\n"
+        ))
         .is_err());
         let good = ProfileTable::static_default().serialize();
         assert!(ProfileTable::parse(&format!("{good}mystery|x\n")).is_err());
-        assert!(ProfileTable::parse(&format!(
-            "{good}class||rrt-star,two-stage,si-mbr,1,1,default,inherit|r\n"
-        ))
-        .is_err());
+        assert!(
+            ProfileTable::parse(&format!("{good}class||rrt-star,two-stage,si-mbr,1,1|r\n"))
+                .is_err()
+        );
     }
 }

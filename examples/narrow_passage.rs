@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example narrow_passage`
 
 use moped::collision::{CollisionChecker, CollisionLedger, SecondStage, TwoStageChecker};
-use moped::core::{PlannerParams, RrtStar, SimbrIndex};
+use moped::core::{PlannerParams, Variant};
 use moped::env::Scenario;
 use moped::robot::Robot;
 
@@ -25,11 +25,12 @@ fn main() {
             ..PlannerParams::default()
         };
 
-        let exact = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::ObbExact);
-        let loose = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::AabbOnly);
-
-        let r_exact = RrtStar::new(&scenario, &exact, SimbrIndex::moped(3), params.clone()).plan();
-        let r_loose = RrtStar::new(&scenario, &loose, SimbrIndex::moped(3), params.clone()).plan();
+        // The full MOPED stack, once with its exact checker and once with
+        // the AABB-only ablation checker.
+        let moped = Variant::V4Lci.profile();
+        let loose = TwoStageChecker::new(scenario.obstacles.clone(), SecondStage::AabbOnly);
+        let r_exact = moped.plan(&scenario, &params);
+        let r_loose = moped.planner(&scenario, &loose, &params).plan();
 
         println!(
             "{:<10.2} {:>12} {:>12.1} {:>12} {:>12.1}",
@@ -43,8 +44,8 @@ fn main() {
 
     // Show the false-positive mechanism directly.
     let scenario = Scenario::narrow_passage(Robot::mobile_2d(), 34.0, 0.5);
-    let exact = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::ObbExact);
-    let loose = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::AabbOnly);
+    let exact = TwoStageChecker::new(scenario.obstacles.clone(), SecondStage::ObbExact);
+    let loose = TwoStageChecker::new(scenario.obstacles.clone(), SecondStage::AabbOnly);
     let mid = scenario.start.lerp(&scenario.goal, 0.5);
     let mut ledger = CollisionLedger::default();
     println!("\nGap-center pose:");

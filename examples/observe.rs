@@ -7,7 +7,7 @@
 //! <https://ui.perfetto.dev> to see the span timeline.
 
 use moped::collision::TwoStageChecker;
-use moped::core::{PlannerParams, RrtStar, SimbrIndex};
+use moped::core::{PlannerParams, PlannerProfile};
 use moped::env::{Scenario, ScenarioParams};
 use moped::obs;
 use moped::robot::Robot;
@@ -30,8 +30,9 @@ fn main() {
     obs::set_tick_source(obs::TickSource::WallClock);
     obs::set_enabled(true);
 
+    let moped = PlannerProfile::static_default();
     let checker = TwoStageChecker::moped(scenario.obstacles.clone());
-    let result = RrtStar::new(&scenario, &checker, SimbrIndex::moped(3), params.clone()).plan();
+    let result = moped.planner(&scenario, &checker, &params).plan();
     obs::set_enabled(false);
 
     println!(
@@ -68,7 +69,8 @@ fn main() {
     // --- Deterministic journal replay -----------------------------------
     // A separate journaled run (tracing off): the journal captures the
     // full sample stream, so replaying it reproduces the plan exactly.
-    let mut recorder = RrtStar::new(&scenario, &checker, SimbrIndex::moped(3), params.clone())
+    let mut recorder = moped
+        .planner(&scenario, &checker, &params)
         .with_journal_recording();
     let recorded = recorder.plan();
     let journal = recorder
@@ -82,8 +84,9 @@ fn main() {
         wire.len()
     );
     let reparsed = obs::Journal::parse(&wire).expect("journal round-trips");
-    let mut replayer =
-        RrtStar::new(&scenario, &checker, SimbrIndex::moped(3), params).with_replay(&reparsed);
+    let mut replayer = moped
+        .planner(&scenario, &checker, &params)
+        .with_replay(&reparsed);
     let replayed = replayer.plan();
     assert_eq!(recorded.path_cost.to_bits(), replayed.path_cost.to_bits());
     assert_eq!(recorded.stats.nodes, replayed.stats.nodes);

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example plan_gallery`
 
 use moped::collision::{CollisionLedger, TwoStageChecker};
-use moped::core::{smooth, PlannerParams, RrtStar, SimbrIndex};
+use moped::core::{smooth, PlannerParams, PlannerProfile};
 use moped::env::{Scenario, ScenarioParams};
 use moped::geometry::InterpolationSteps;
 use moped::robot::Robot;
@@ -33,7 +33,7 @@ fn main() -> std::io::Result<()> {
             seed: 7,
             ..PlannerParams::default()
         };
-        let mut planner = RrtStar::new(&scenario, &checker, SimbrIndex::moped(3), params);
+        let mut planner = PlannerProfile::static_default().planner(&scenario, &checker, &params);
         let result = planner.plan();
 
         // Exploration-tree edges from the planner snapshot.

@@ -50,6 +50,20 @@ echo "== service_bench --smoke (scaling gate) =="
 cargo run --release -q -p moped-bench --bin service_bench -- \
     --smoke --out target/service_smoke.json
 
+echo "== figures smoke (modelled-figure gate) =="
+# Every modelled figure (op ledgers, the hardware model, success counts,
+# path costs) is a pure function of its seeds, so the small-scale run must
+# reproduce scripts/figures_smoke.txt byte for byte. The Fig 16 (bottom)
+# table is host wall-clock time, so it is stripped before the diff. To
+# re-pin after an intended change, rerun the two commands below and copy
+# target/figures_smoke.txt over scripts/figures_smoke.txt.
+cargo run --release -q -p moped-bench --bin figures -- all --tasks 2 --samples 500 \
+    | sed '/^=== Fig 16 (bottom)/,/^$/d' > target/figures_smoke.txt
+if ! diff -u scripts/figures_smoke.txt target/figures_smoke.txt; then
+    echo "verify: FAIL — modelled figures differ from scripts/figures_smoke.txt" >&2
+    exit 1
+fi
+
 echo "== wallbench: unit tests =="
 cargo test -q --offline --manifest-path wallbench/Cargo.toml
 

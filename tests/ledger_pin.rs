@@ -171,3 +171,188 @@ fn ladder_and_engine_rows_are_pinned() {
         assert_eq!(r.stats.total_ops().mac_equiv(), macs, "{name}: MACs");
     }
 }
+
+/// FNV-1a (64-bit) over a string: a stable fingerprint for pinning long
+/// serialized artifacts without storing them.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One engine on one scene: `(path_cost bits, nodes, samples, total
+/// MACs)` and FNV-1a hashes of the serialized journal, the `{:?}` of the
+/// per-round trace, of the solution history, of the tree snapshot and of
+/// the collision ledger.
+type EngineRow = (u64, usize, usize, u64, [u64; 5]);
+
+/// The three engines × three scenes (mobile clutter, drone narrow
+/// passage, xarm7 clutter), 400 samples, seed 7, round tracing and
+/// journal recording on. Taken before the engines were moved onto one
+/// set of shared round steps (sample draw, extend, attach); any reordered
+/// journal event, shifted trace charge or moved tree node fails here.
+const ENGINE_ROWS: [EngineRow; 9] = [
+    (
+        0x4072_6a41_847d_2bdf,
+        268,
+        400,
+        1_111_497,
+        [
+            0xa737_e2b4_84fd_40c5,
+            0xded9_65dc_90dd_77a1,
+            0x7d44_0a2b_f81b_4568,
+            0xb69a_d862_1b8d_87bc,
+            0xc140_a70c_7448_d321,
+        ],
+    ),
+    (
+        0x4075_183b_916f_f669,
+        104,
+        99,
+        200_168,
+        [
+            0x9bc0_8aee_5c8b_e29e,
+            0x8780_981d_1ffb_ae29,
+            0x416a_11f5_6632_b746,
+            0xe0d2_6b4f_97ad_0d9b,
+            0xa301_8b60_ff00_2c74,
+        ],
+    ),
+    (
+        0x4075_81fb_ff39_db98,
+        108,
+        80,
+        224_704,
+        [
+            0xe0b8_9914_188d_c434,
+            0xb153_5908_8d62_e1a9,
+            0x26c5_4a7d_0a59_1a90,
+            0x3e6d_df88_11ee_ee0c,
+            0xd36a_8db3_a9cc_5c3d,
+        ],
+    ),
+    (
+        0x4067_73aa_e651_b210,
+        353,
+        400,
+        2_036_739,
+        [
+            0xf873_5d52_3391_c885,
+            0xbd7d_f0ad_fe7e_7163,
+            0xc448_2f94_1ac1_7fc8,
+            0x1af1_9ebd_be46_ecfa,
+            0xd07a_506f_2f30_e9a8,
+        ],
+    ),
+    (
+        0x4064_7647_606b_fded,
+        23,
+        1,
+        24_235,
+        [
+            0x8632_cd08_f4fe_1619,
+            0xd7f1_4b46_17ca_74de,
+            0x987c_0c67_15f8_3490,
+            0x5cb2_ed50_3e57_c015,
+            0x9ad6_124f_0d90_3d13,
+        ],
+    ),
+    (
+        0x406a_f3d8_3d6d_5752,
+        44,
+        2,
+        219_966,
+        [
+            0x3543_44ff_e653_9050,
+            0x4b6f_836a_ebfd_1d5c,
+            0xedd3_6e87_268f_0ece,
+            0x7f4c_aaa8_a1d4_ef4f,
+            0xd640_233d_c9d7_63e2,
+        ],
+    ),
+    (
+        0x4017_7742_47c7_88ab,
+        380,
+        400,
+        40_209_033,
+        [
+            0xb1d4_63f8_40aa_cb2e,
+            0x4572_c503_927b_4e47,
+            0x53ea_4c5d_36ca_1c63,
+            0xf385_9bee_0149_ddfc,
+            0x009b_97e0_532b_54f9,
+        ],
+    ),
+    (
+        0x4017_2adc_7669_82b4,
+        19,
+        1,
+        43_497,
+        [
+            0x175e_2f14_483c_7848,
+            0xb6c0_58f7_2708_ce82,
+            0x6228_75ba_4d0a_b2df,
+            0xdd66_2651_a261_bc86,
+            0x16a4_1ace_b814_9525,
+        ],
+    ),
+    (
+        0x4017_2adc_7669_82b4,
+        19,
+        1,
+        4_519_431,
+        [
+            0x175e_2f14_483c_7848,
+            0xb6c0_58f7_2708_ce82,
+            0x6228_75ba_4d0a_b2df,
+            0xdd66_2651_a261_bc86,
+            0x8989_fc8f_082e_6b07,
+        ],
+    ),
+];
+
+#[test]
+fn engine_round_streams_are_pinned() {
+    use moped::core::{Engine, PlannerProfile};
+    let scenes = [
+        (Family::Clutter, RobotModel::Mobile2d),
+        (Family::NarrowPassage, RobotModel::Drone3d),
+        (Family::Clutter, RobotModel::XArm7),
+    ];
+    let params = PlannerParams {
+        max_samples: 400,
+        seed: 7,
+        trace_rounds: true,
+        ..PlannerParams::default()
+    };
+    let mut rows = Vec::new();
+    for (family, robot) in scenes {
+        let scenario = CorpusEntry::new(family, robot, 1).build();
+        let checker = TwoStageChecker::moped(scenario.obstacles.clone());
+        for engine in Engine::all() {
+            let profile = PlannerProfile {
+                engine,
+                ..PlannerProfile::static_default()
+            };
+            let mut planner = profile
+                .planner(&scenario, &checker, &params)
+                .with_journal_recording();
+            let r = planner.plan();
+            let journal = planner.take_journal().expect("journaling was enabled");
+            rows.push((
+                r.path_cost.to_bits(),
+                r.stats.nodes,
+                r.stats.samples,
+                r.stats.total_ops().mac_equiv(),
+                [
+                    fnv1a(&journal.serialize()),
+                    fnv1a(&format!("{:?}", r.stats.rounds)),
+                    fnv1a(&format!("{:?}", r.stats.solution_history)),
+                    fnv1a(&format!("{:?}", planner.tree_snapshot())),
+                    fnv1a(&format!("{:?}", r.stats.collision)),
+                ],
+            ));
+        }
+    }
+    assert_eq!(rows, ENGINE_ROWS);
+}
