@@ -10,7 +10,7 @@
 //!     [--engine all|auto|<static engine name>]
 //! ```
 //!
-//! Besides the four static engine columns, the matrix carries a
+//! Besides the three static engine columns, the matrix carries a
 //! `moped-auto` column: a `ProfileTable` is calibrated over the run's
 //! own entries (probe budget 480 full / 160 smoke), each scenario plans
 //! under the profile resolved for its request class, and the resolved
@@ -106,7 +106,7 @@ fn main() {
         corpus()
     };
 
-    // Column selection: `all` (default) runs the four static engines
+    // Column selection: `all` (default) runs the three static engines
     // plus the auto column; `auto` runs only the auto column; a static
     // engine name runs just that column.
     let static_engines: Vec<EngineKind> = match engine_filter.as_str() {

@@ -1,97 +1,37 @@
-//! The bidirectional and multi-tree connect engines.
+//! The bidirectional RRT-Connect engine.
 //!
-//! Both engines grow a *forest* inside the [`RrtStar`] node arena: tree 0
-//! is rooted at the start (node 0), tree 1 at the goal (node 1), and the
-//! multi-tree variant adds local trees seeded in narrow free-space
-//! regions. Every round extends one tree toward a fresh sample in
-//! deterministic round-robin order, then greedily connects the closest
-//! *other* component toward the new node, step by step, until it either
-//! reaches it or collides (RRT-Connect's CONNECT primitive). A successful
-//! connect bridges the two trees with a zero-length link; the run ends as
-//! soon as the start and goal components are bridged — connect engines
-//! are feasibility-first and return the first path found.
+//! The engine grows two trees inside the [`RrtStar`] node arena: tree 0
+//! is rooted at the start (node 0), tree 1 at the goal (node 1). Rounds
+//! alternate between the trees: each extends one tree toward a fresh
+//! sample, then greedily connects the other tree toward the new node,
+//! step by step, until it either reaches it or collides (RRT-Connect's
+//! CONNECT primitive). A connect that reaches the new node bridges the
+//! two trees with a zero-length link and ends the run — the engine is
+//! feasibility-first and returns the first path found.
 //!
 //! Everything downstream of sampling is a pure function of the scenario
-//! and parameters, so the engines inherit the RRT\* determinism contract:
-//! same seed → same forest, and a recorded journal replays bit-exactly
-//! (local-tree seeding uses its own seed-derived RNG, not the sample
-//! stream, so replay reproduces it from `PlannerParams::seed` alone).
+//! and parameters, so the engine inherits the RRT\* determinism contract:
+//! same seed → same trees, and a recorded journal replays bit-exactly.
 
 use moped_geometry::{Config, OpCount};
 use moped_obs::Stage;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::planner::{PlanResult, PlanStats, RoundTrace, RrtStar};
 use crate::NeighborIndex;
 
-/// Maximum local trees the multi-tree engine seeds.
-const MAX_LOCAL_TREES: usize = 4;
-/// Sampling attempts spent looking for narrow-region seeds.
-const SEED_ATTEMPTS: usize = 128;
-/// Axis probes that must be blocked for a free sample to count as
-/// "narrow" (of `2 * dof` probes at steering-step distance).
-const NARROW_BLOCKED_MIN: usize = 2;
-
-/// Union-find over tree ids (plain vectors — `core` is under the
-/// determinism lint, and the forest never exceeds a handful of trees).
-struct Components {
-    parent: Vec<usize>,
-}
-
-impl Components {
-    fn new(n: usize) -> Self {
-        Components {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Deterministic: the lower root absorbs the higher.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
-        }
-    }
-}
-
-/// Runs RRT-Connect (`multi_tree == false`: two trees) or the multi-tree
-/// guided variant (`multi_tree == true`: plus narrow-region local trees)
-/// over the planner's arena and backends.
-pub(crate) fn plan_connect<N: NeighborIndex>(
-    planner: &mut RrtStar<'_, N>,
-    multi_tree: bool,
-) -> PlanResult {
+/// Runs RRT-Connect over the planner's arena and backends.
+pub(crate) fn plan_connect<N: NeighborIndex>(planner: &mut RrtStar<'_, N>) -> PlanResult {
     let mut stats = PlanStats::default();
     let (mut rng, budget) = planner.begin_run();
 
-    // --- Forest roots -------------------------------------------------
-    // Node 0 / tree 0: start. Node 1 / tree 1: goal. Local trees follow.
-    let mut roots = vec![planner.scenario.start, planner.scenario.goal];
-    if multi_tree {
-        roots.extend(seed_narrow_roots(planner, &mut stats));
-    }
-    for q in &roots {
-        planner.plant_root(*q, &mut stats);
-    }
-    let num_trees = roots.len();
-    let mut comps = Components::new(num_trees);
-    // Zero-length links between nodes of equal configuration in
-    // different trees; they only ever join distinct components, so tree
-    // edges plus bridges stay a forest and the start→goal path is unique.
-    let mut bridges: Vec<(usize, usize)> = Vec::new();
-    let mut solution: Option<usize> = None; // bridge that closed start↔goal
+    // Node 0 / tree 0: start. Node 1 / tree 1: goal.
+    planner.plant_root(planner.scenario.start, &mut stats);
+    planner.plant_root(planner.scenario.goal, &mut stats);
+    // The zero-length link that closed start↔goal: `(extended tree, its
+    // new node, the other tree's node)`.
+    let mut bridge: Option<(usize, usize, usize)> = None;
 
-    'rounds: for round in 0..budget {
+    for round in 0..budget {
         if planner.stop_requested(round) {
             stats.stopped_early = true;
             break;
@@ -105,8 +45,8 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
         // No goal bias: the goal is a tree root.
         let x_rand = planner.draw_sample(&mut rng, false);
 
-        // --- EXTEND: deterministic round-robin over the trees ---------
-        let t = round % num_trees;
+        // --- EXTEND: the trees take turns ------------------------------
+        let t = round % 2;
         let near = {
             let _s = moped_obs::span(Stage::Nearest);
             planner.trees[t]
@@ -121,58 +61,50 @@ pub(crate) fn plan_connect<N: NeighborIndex>(
         let new_idx = grow(planner, &mut stats, t, near, x_new);
         trace.accepted = true;
 
-        // --- CONNECT: greedy walk from the closest other component ----
-        // Target: the tree (outside x_new's component) whose nearest node
-        // is closest to x_new; ties break toward the lowest tree id.
-        let mut target: Option<(f64, usize, usize)> = None; // (dist, tree, node)
-        for (u, index) in planner.trees.iter().enumerate() {
-            if comps.find(u) == comps.find(t) {
-                continue;
-            }
+        // --- CONNECT: greedy walk from the other tree ------------------
+        let u = 1 - t;
+        let mut cur = {
             let _s = moped_obs::span(Stage::Nearest);
-            if let Some((id, d)) = index.nearest(&x_new, &mut stats.ns_ops) {
-                stats.other_ops.cmp += 1;
-                if target.is_none_or(|(bd, _, _)| d < bd) {
-                    target = Some((d, u, id as usize));
-                }
+            planner.trees[u]
+                .nearest(&x_new, &mut stats.ns_ops)
+                .expect("every tree holds at least its root")
+                .0 as usize
+        };
+        // The target-tree comparison; pinned op ledgers include it.
+        stats.other_ops.cmp += 1;
+        let reached = loop {
+            if planner.nodes[cur].q == x_new {
+                break true;
             }
-        }
-        if let Some((_, u, entry)) = target {
-            let mut cur = entry;
-            let reached = loop {
-                if planner.nodes[cur].q == x_new {
-                    break true;
-                }
-                match planner.step_toward(cur, &x_new, &mut stats) {
-                    Ok(q_next) => cur = grow(planner, &mut stats, u, cur, q_next),
-                    Err(_) => break false, // trapped
-                }
-            };
-            if reached {
-                // The walk ended on x_new: zero-length bridge between the
-                // trees.
-                bridges.push((new_idx, cur));
-                if let Some(j) = &mut planner.journal {
-                    j.record_link(new_idx as u64, cur as u64);
-                }
-                comps.union(t, u);
-                if comps.find(0) == comps.find(1) {
-                    solution = Some(bridges.len() - 1);
-                    finish_trace(planner, &mut stats, trace, ns_mark, cc_mark, ins_mark);
-                    break 'rounds;
-                }
+            match planner.step_toward(cur, &x_new, &mut stats) {
+                Ok(q_next) => cur = grow(planner, &mut stats, u, cur, q_next),
+                Err(_) => break false, // trapped
             }
-        }
+        };
         finish_trace(planner, &mut stats, trace, ns_mark, cc_mark, ins_mark);
+        if reached {
+            // The walk ended on x_new: zero-length bridge between the
+            // trees.
+            if let Some(j) = &mut planner.journal {
+                j.record_link(new_idx as u64, cur as u64);
+            }
+            bridge = Some((t, new_idx, cur));
+            break;
+        }
     }
 
     // --- Path extraction ----------------------------------------------
-    let (path, path_cost) = match solution {
+    let (path, path_cost) = match bridge {
         None => (None, f64::INFINITY),
-        Some(closing) => {
-            let path = extract_path(planner, &bridges);
+        Some((t, new_idx, cur)) => {
+            let (a, b) = if t == 0 {
+                (new_idx, cur)
+            } else {
+                (cur, new_idx)
+            };
+            let path = extract_path(planner, a, b);
             let total: f64 = path.windows(2).map(|w| w[0].distance(&w[1])).sum();
-            planner.record_goal(&mut stats, bridges[closing].0, total);
+            planner.record_goal(&mut stats, new_idx, total);
             (Some(path), total)
         }
     };
@@ -216,111 +148,22 @@ fn finish_trace<N: NeighborIndex>(
     }
 }
 
-/// Walks the unique node-0 → node-1 path through tree edges and bridge
-/// edges, returning its configurations with zero-length bridge
-/// duplicates collapsed.
-fn extract_path<N: NeighborIndex>(
-    planner: &RrtStar<'_, N>,
-    bridges: &[(usize, usize)],
-) -> Vec<Config> {
-    let n = planner.nodes.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in planner.nodes.iter().enumerate() {
-        if let Some(p) = node.parent {
-            adj[i].push(p);
-            adj[p].push(i);
-        }
-    }
-    for &(a, b) in bridges {
-        adj[a].push(b);
-        adj[b].push(a);
-    }
-    // BFS start → goal (deterministic: adjacency in construction order).
-    let mut prev: Vec<Option<usize>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[0] = true;
-    queue.push_back(0usize);
-    while let Some(i) = queue.pop_front() {
-        if i == 1 {
-            break;
-        }
-        for &j in &adj[i] {
-            if !seen[j] {
-                seen[j] = true;
-                prev[j] = Some(i);
-                queue.push_back(j);
-            }
-        }
-    }
-    debug_assert!(seen[1], "extract_path called on a disconnected forest");
-    let mut rev = vec![1usize];
-    while let Some(p) = prev[*rev.last().expect("non-empty")] {
-        rev.push(p);
-    }
-    rev.reverse();
-    let mut path: Vec<Config> = Vec::with_capacity(rev.len());
-    for i in rev {
+/// The start → goal path through the bridge `a`–`b` (`a` in the start
+/// tree, `b` in the goal tree): `a`'s walk up to the start reversed, then
+/// `b`'s walk up to the goal, with consecutive duplicate configurations
+/// (the zero-length bridge) collapsed.
+fn extract_path<N: NeighborIndex>(planner: &RrtStar<'_, N>, a: usize, b: usize) -> Vec<Config> {
+    let up = |from: usize| std::iter::successors(Some(from), |&i| planner.nodes[i].parent);
+    let mut ids: Vec<usize> = up(a).collect();
+    ids.reverse();
+    let mut path: Vec<Config> = Vec::with_capacity(ids.len());
+    for i in ids.into_iter().chain(up(b)) {
         let q = planner.nodes[i].q;
         if path.last() != Some(&q) {
             path.push(q);
         }
     }
     path
-}
-
-/// Finds up to [`MAX_LOCAL_TREES`] collision-free configurations in
-/// narrow regions (≥ [`NARROW_BLOCKED_MIN`] of the `2·dof` axis probes at
-/// steering-step distance are blocked by obstacles), using a seed-derived
-/// RNG that is independent of the sample stream so journal replay
-/// re-derives the same roots from `PlannerParams::seed`.
-fn seed_narrow_roots<N: NeighborIndex>(
-    planner: &RrtStar<'_, N>,
-    stats: &mut PlanStats,
-) -> Vec<Config> {
-    let mut rng = StdRng::seed_from_u64(planner.params.seed ^ 0x9E37_79B9_7F4A_7C15);
-    let robot = &planner.scenario.robot;
-    let dim = robot.dof();
-    let step = planner.step;
-    let mut roots: Vec<Config> = Vec::new();
-    for _ in 0..SEED_ATTEMPTS {
-        if roots.len() >= MAX_LOCAL_TREES {
-            break;
-        }
-        let q = planner.scenario.sample_any(&mut rng);
-        if !planner.checker.config_free(robot, &q, &mut stats.collision) {
-            continue;
-        }
-        // Keep seeds away from the fixed roots and each other so each
-        // local tree explores distinct territory.
-        let mut far = q.distance_counted(&planner.scenario.start, &mut stats.other_ops)
-            > 2.0 * step
-            && q.distance_counted(&planner.scenario.goal, &mut stats.other_ops) > 2.0 * step;
-        for r in &roots {
-            far = far && q.distance_counted(r, &mut stats.other_ops) > 2.0 * step;
-        }
-        stats.other_ops.cmp += 2 + roots.len() as u64;
-        if !far {
-            continue;
-        }
-        let mut blocked = 0usize;
-        for d in 0..dim {
-            for sgn in [-1.0, 1.0] {
-                let mut p = q;
-                p.as_mut_slice()[d] += sgn * step;
-                stats.other_ops.add += 1;
-                if robot.in_bounds(&p)
-                    && !planner.checker.config_free(robot, &p, &mut stats.collision)
-                {
-                    blocked += 1;
-                }
-            }
-        }
-        if blocked >= NARROW_BLOCKED_MIN {
-            roots.push(q);
-        }
-    }
-    roots
 }
 
 #[cfg(test)]
@@ -361,36 +204,16 @@ mod tests {
     }
 
     #[test]
-    fn multi_tree_solves_open_world() {
-        let s = open_scene(7);
-        let checker = TwoStageChecker::moped(s.obstacles.clone());
-        let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(800, 2))
-            .with_engine(Engine::MultiTree);
-        let r = planner.plan();
-        assert!(r.solved());
-        let path = r.path.as_ref().expect("solved");
-        assert_eq!(path[0], s.start);
-        assert_eq!(*path.last().expect("non-empty"), s.goal);
-        assert!(planner.check_tree_invariants().is_none());
-    }
-
-    #[test]
     fn connect_paths_are_collision_free() {
         let s = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(16), 11);
         let checker = TwoStageChecker::moped(s.obstacles.clone());
-        for engine in [Engine::RrtConnect, Engine::MultiTree] {
-            let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(1200, 9))
-                .with_engine(engine);
-            let r = planner.plan();
-            if let Some(path) = &r.path {
-                for w in path.windows(2) {
-                    for p in moped_geometry::interpolate(&w[0], &w[1], &planner.steps) {
-                        assert!(
-                            !s.config_collides(&p),
-                            "{} path pose collides: {p:?}",
-                            engine.name()
-                        );
-                    }
+        let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(1200, 9))
+            .with_engine(Engine::RrtConnect);
+        let r = planner.plan();
+        if let Some(path) = &r.path {
+            for w in path.windows(2) {
+                for p in moped_geometry::interpolate(&w[0], &w[1], &planner.steps) {
+                    assert!(!s.config_collides(&p), "path pose collides: {p:?}");
                 }
             }
         }
@@ -400,61 +223,43 @@ mod tests {
     fn connect_engines_are_deterministic() {
         let s = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(16), 8);
         let checker = TwoStageChecker::moped(s.obstacles.clone());
-        for engine in [Engine::RrtConnect, Engine::MultiTree] {
-            let run = |seed| {
-                RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(400, seed))
-                    .with_engine(engine)
-                    .plan()
-            };
-            let (a, b) = (run(17), run(17));
-            assert_eq!(
-                a.path_cost.to_bits(),
-                b.path_cost.to_bits(),
-                "{} cost must be bit-identical",
-                engine.name()
-            );
-            assert_eq!(a.path, b.path, "{} path must be identical", engine.name());
-            assert_eq!(a.stats.total_ops(), b.stats.total_ops());
-        }
+        let run = |seed| {
+            RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(400, seed))
+                .with_engine(Engine::RrtConnect)
+                .plan()
+        };
+        let (a, b) = (run(17), run(17));
+        assert_eq!(a.path_cost.to_bits(), b.path_cost.to_bits());
+        assert_eq!(a.path, b.path);
+        assert_eq!(a.stats.total_ops(), b.stats.total_ops());
     }
 
     #[test]
     fn connect_engines_replay_bit_identically() {
         let s = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(16), 9);
         let checker = TwoStageChecker::moped(s.obstacles.clone());
-        for engine in [Engine::RrtConnect, Engine::MultiTree] {
-            let mut recorder = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(400, 23))
-                .with_engine(engine)
-                .with_journal_recording();
-            let original = recorder.plan();
-            let journal = recorder.take_journal().expect("journaling was enabled");
-            assert_eq!(journal.rounds(), original.stats.samples);
-            if original.solved() {
-                assert!(
-                    journal.links() > 0,
-                    "{} must journal bridges",
-                    engine.name()
-                );
-            }
-
-            // Round-trip the wire format so hex-f64 parsing is covered.
-            let journal = Journal::parse(&journal.serialize()).expect("wire round trip");
-            let mut replayer = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(400, 23))
-                .with_engine(engine)
-                .with_replay(&journal);
-            let replayed = replayer.plan();
-            assert_eq!(
-                original.path_cost.to_bits(),
-                replayed.path_cost.to_bits(),
-                "{} replay cost mismatch",
-                engine.name()
-            );
-            assert_eq!(original.path, replayed.path);
-            assert_eq!(original.stats.nodes, replayed.stats.nodes);
-            assert_eq!(original.stats.samples, replayed.stats.samples);
-            assert_eq!(original.stats.total_ops(), replayed.stats.total_ops());
-            assert!(replayer.check_tree_invariants().is_none());
+        let mut recorder = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(400, 23))
+            .with_engine(Engine::RrtConnect)
+            .with_journal_recording();
+        let original = recorder.plan();
+        let journal = recorder.take_journal().expect("journaling was enabled");
+        assert_eq!(journal.rounds(), original.stats.samples);
+        if original.solved() {
+            assert!(journal.links() > 0, "the closing bridge must be journaled");
         }
+
+        // Round-trip the wire format so hex-f64 parsing is covered.
+        let journal = Journal::parse(&journal.serialize()).expect("wire round trip");
+        let mut replayer = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(400, 23))
+            .with_engine(Engine::RrtConnect)
+            .with_replay(&journal);
+        let replayed = replayer.plan();
+        assert_eq!(original.path_cost.to_bits(), replayed.path_cost.to_bits());
+        assert_eq!(original.path, replayed.path);
+        assert_eq!(original.stats.nodes, replayed.stats.nodes);
+        assert_eq!(original.stats.samples, replayed.stats.samples);
+        assert_eq!(original.stats.total_ops(), replayed.stats.total_ops());
+        assert!(replayer.check_tree_invariants().is_none());
     }
 
     #[test]
@@ -506,11 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_tree_forest_costs_are_root_relative() {
+    fn connect_forest_costs_are_root_relative() {
         let s = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(24), 19);
         let checker = TwoStageChecker::moped(s.obstacles.clone());
         let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params(300, 31))
-            .with_engine(Engine::MultiTree);
+            .with_engine(Engine::RrtConnect);
         let _ = planner.plan();
         let snapshot = planner.tree_snapshot();
         // Node 0 (start) and node 1 (goal) are always parentless roots.

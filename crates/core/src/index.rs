@@ -43,8 +43,8 @@ pub trait NeighborIndex {
     fn name(&self) -> &'static str;
 
     /// An empty index with the same configuration (dimension, node
-    /// capacity, search/insert switches) as `self`. The multi-tree
-    /// engines use this to give each exploration tree its own index
+    /// capacity, search/insert switches) as `self`. The planner uses this
+    /// to restart a run and to give RRT-Connect's goal tree its own index
     /// without the caller having to re-specify backend parameters.
     fn fresh(&self) -> Self
     where

@@ -11,9 +11,9 @@
 //!
 //! A [`PlannerProfile`] names one complete stack — engine, collision
 //! stage, NN backend, SIAS and LCI — and [`PlannerProfile::planner`] is
-//! the one place a stack is assembled. The three engines ([`Engine`])
+//! the one place a stack is assembled. The two engines ([`Engine`])
 //! run the same round steps — sample draw, extend, attach — and differ
-//! only in how the exploration forest grows.
+//! only in how their trees grow.
 //! The [`Variant`] ladder names the paper's ablation rungs (Fig 16) as
 //! profile presets: V0 baseline → V1 two-stage collision (TSPS) → V2
 //! SI-MBR neighbor search (STNS) → V3 approximated search (SIAS) → V4

@@ -11,7 +11,7 @@ use crate::NeighborIndex;
 
 /// Search strategy executed behind the [`RrtStar`] facade.
 ///
-/// All engines share the node arena, neighbor-index backend, TSPS
+/// Both engines share the node arena, neighbor-index backend, TSPS
 /// collision stack, journal recording/replay, and the stop-hook
 /// contract; they differ only in how the exploration structure grows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -21,15 +21,11 @@ pub enum Engine {
     #[default]
     RrtStar,
     /// Bidirectional RRT-Connect: one tree from the start, one from the
-    /// goal, alternating in deterministic swap order, with a greedy
-    /// multi-step connect toward every new node. Feasibility-first — it
-    /// returns the first path found and performs no rewiring.
+    /// goal, taking turns, with a greedy multi-step connect of the other
+    /// tree toward every new node. Feasibility-first — it returns the
+    /// first path found, closed by one zero-length bridge, and performs
+    /// no rewiring.
     RrtConnect,
-    /// RRT-Connect plus local trees seeded in narrow free-space regions
-    /// (detected by axis probes at steering-step distance); trees merge
-    /// through zero-length bridge links when a connect reaches another
-    /// component.
-    MultiTree,
 }
 
 impl Engine {
@@ -38,13 +34,12 @@ impl Engine {
         match self {
             Engine::RrtStar => "rrt-star",
             Engine::RrtConnect => "rrt-connect",
-            Engine::MultiTree => "multi-tree",
         }
     }
 
     /// Every engine, in report order.
-    pub fn all() -> [Engine; 3] {
-        [Engine::RrtStar, Engine::RrtConnect, Engine::MultiTree]
+    pub fn all() -> [Engine; 2] {
+        [Engine::RrtStar, Engine::RrtConnect]
     }
 }
 
@@ -218,8 +213,8 @@ pub(crate) struct TreeNode {
 pub struct RrtStar<'a, N: NeighborIndex> {
     pub(crate) scenario: &'a Scenario,
     pub(crate) checker: &'a dyn CollisionChecker,
-    /// One neighbor index per tree of the exploration forest; RRT\* grows
-    /// only tree 0, rooted at the start.
+    /// One neighbor index per exploration tree: RRT\* grows only tree 0,
+    /// rooted at the start; RRT-Connect adds tree 1, rooted at the goal.
     pub(crate) trees: Vec<N>,
     pub(crate) params: PlannerParams,
     pub(crate) nodes: Vec<TreeNode>,
@@ -338,12 +333,22 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     }
 
     /// Runs the planner to its sampling budget and extracts the best
-    /// path found (for the connect engines: the first path found).
+    /// path found (for RRT-Connect: the first path found).
+    ///
+    /// Parameters that [`PlannerParams::validate`] rejects plan nothing:
+    /// the result is unsolved with zero samples, rather than a panic or a
+    /// run that never ends.
     pub fn plan(&mut self) -> PlanResult {
+        if self.params.validate().is_err() {
+            return PlanResult {
+                path: None,
+                path_cost: f64::INFINITY,
+                stats: PlanStats::default(),
+            };
+        }
         match self.engine {
             Engine::RrtStar => self.plan_rrt_star(),
-            Engine::RrtConnect => crate::connect::plan_connect(self, false),
-            Engine::MultiTree => crate::connect::plan_connect(self, true),
+            Engine::RrtConnect => crate::connect::plan_connect(self),
         }
     }
 
@@ -722,8 +727,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     /// Verifies exploration-tree invariants: acyclic parent chains,
     /// consistent child links, and costs equal to the sum of edge lengths
     /// along the parent chain. The RRT\* engine additionally requires a
-    /// single root (node 0); the connect engines grow a forest, so any
-    /// parentless node is a valid root provided its cost is zero.
+    /// single root (node 0); RRT-Connect also roots its goal tree at
+    /// node 1, which must then cost zero.
     ///
     /// Returns a violation description or `None` when sound.
     pub fn check_tree_invariants(&self) -> Option<String> {
@@ -746,11 +751,11 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                     ));
                 }
             } else if i != 0 {
-                if self.engine == Engine::RrtStar {
+                if self.engine == Engine::RrtStar || i != 1 {
                     return Some(format!("non-root {i} has no parent"));
                 }
                 if n.cost != 0.0 {
-                    return Some(format!("forest root {i} has nonzero cost {}", n.cost));
+                    return Some(format!("goal root {i} has nonzero cost {}", n.cost));
                 }
             }
             // Walk to root, guarding against cycles.
@@ -830,6 +835,30 @@ mod tests {
         ];
         for p in bad {
             assert!(p.validate().is_err(), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_steering_step_plans_nothing_on_every_engine() {
+        let s = moped_env::Scenario::generate(
+            Robot::mobile_2d(),
+            &ScenarioParams::with_obstacles(8),
+            3,
+        );
+        let checker = TwoStageChecker::moped(s.obstacles.clone());
+        for step in [-5.0, -0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let params = PlannerParams {
+                steering_step: Some(step),
+                ..quick_params(200, 1)
+            };
+            assert!(params.validate().is_err(), "{step} must be rejected");
+            for engine in Engine::all() {
+                let r = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params.clone())
+                    .with_engine(engine)
+                    .plan();
+                assert!(!r.solved(), "{}: step {step}", engine.name());
+                assert_eq!(r.stats.samples, 0, "{}: step {step}", engine.name());
+            }
         }
     }
 

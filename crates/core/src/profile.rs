@@ -48,7 +48,7 @@ impl CollisionStage {
 /// params) fixes the plan bit-for-bit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannerProfile {
-    /// Planner engine (RRT\*, RRT-Connect, multi-tree).
+    /// Planner engine (RRT\* or RRT-Connect).
     pub engine: Engine,
     /// Collision checker.
     pub collision: CollisionStage,
@@ -208,6 +208,8 @@ mod tests {
             // The 7-field v2 wire, with its radius and budget policies.
             "rrt-star,two-stage,si-mbr,1,1,default,inherit",
             "warp-drive,two-stage,si-mbr,1,1",
+            // An engine that no longer exists.
+            "multi-tree,two-stage,si-mbr,1,1",
             "rrt-star,three-stage,si-mbr,1,1",
             "rrt-star,two-stage,hash-grid,1,1",
             "rrt-star,two-stage,si-mbr,2,1",

@@ -61,10 +61,14 @@ proptest! {
     }
 
     /// Tree invariants hold after any run of any engine (costs
-    /// consistent, no cycles, child links intact; the connect engines'
-    /// forest roots at cost zero).
+    /// consistent, no cycles, child links intact; RRT-Connect's goal
+    /// root at cost zero).
     #[test]
-    fn tree_invariants(scene_seed in 0u64..100, plan_seed in 0u64..30, eidx in 0usize..3) {
+    fn tree_invariants(
+        scene_seed in 0u64..100,
+        plan_seed in 0u64..30,
+        eidx in 0..Engine::all().len(),
+    ) {
         let s = Scenario::generate(
             Robot::drone_3d(),
             &ScenarioParams::with_obstacles(16),

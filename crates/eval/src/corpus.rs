@@ -23,8 +23,6 @@ pub enum EngineKind {
     MopedRrtStar,
     /// Bidirectional RRT-Connect on the MOPED stack.
     RrtConnect,
-    /// Multi-tree guided RRT-Connect on the MOPED stack.
-    MultiTree,
     /// Per-class auto-tuned profile resolved from a calibrated
     /// [`ProfileTable`] ([`run_auto_column`]); without a table
     /// ([`plan_engine`]) it degrades to the static default profile,
@@ -36,11 +34,10 @@ impl EngineKind {
     /// Every *static* engine column, in report order. [`EngineKind::Auto`]
     /// is deliberately excluded: its rows need a calibrated
     /// [`ProfileTable`] and go through [`run_auto_column`].
-    pub const ALL: [EngineKind; 4] = [
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::ReferenceRrtStar,
         EngineKind::MopedRrtStar,
         EngineKind::RrtConnect,
-        EngineKind::MultiTree,
     ];
 
     /// Stable identifier used in bench JSON.
@@ -49,7 +46,6 @@ impl EngineKind {
             EngineKind::ReferenceRrtStar => "reference-rrt-star",
             EngineKind::MopedRrtStar => "moped-rrt-star",
             EngineKind::RrtConnect => "moped-rrt-connect",
-            EngineKind::MultiTree => "moped-multi-tree",
             EngineKind::Auto => "moped-auto",
         }
     }
@@ -96,15 +92,13 @@ pub struct MatrixCell {
 /// default profile, which is the V4 stack; callers with a calibrated
 /// table use [`run_auto_column`], which resolves per class.
 pub fn plan_engine(scenario: &Scenario, engine: EngineKind, params: &PlannerParams) -> PlanResult {
-    let with_engine = |engine| PlannerProfile {
-        engine,
-        ..Variant::V4Lci.profile()
-    };
     let profile = match engine {
         EngineKind::ReferenceRrtStar => Variant::V0Baseline.profile(),
         EngineKind::MopedRrtStar | EngineKind::Auto => Variant::V4Lci.profile(),
-        EngineKind::RrtConnect => with_engine(Engine::RrtConnect),
-        EngineKind::MultiTree => with_engine(Engine::MultiTree),
+        EngineKind::RrtConnect => PlannerProfile {
+            engine: Engine::RrtConnect,
+            ..Variant::V4Lci.profile()
+        },
     };
     profile.plan(scenario, params)
 }

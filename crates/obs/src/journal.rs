@@ -87,9 +87,9 @@ pub enum JournalEvent {
         total_cost: f64,
     },
     /// Two exploration trees were bridged: node `from` (in the extending
-    /// tree) met node `to` (in the connected tree). Recorded by the
-    /// bidirectional and multi-tree engines; the single-tree RRT\* engine
-    /// never emits it.
+    /// tree) met node `to` (in the connected tree). Recorded once, when
+    /// the bidirectional RRT-Connect engine closes its path; the
+    /// single-tree RRT\* engine never emits it.
     Link {
         /// Bridge node in the tree that was being extended.
         from: u64,
@@ -190,7 +190,7 @@ impl Journal {
         self.events.push(JournalEvent::Goal { node, total_cost });
     }
 
-    /// Records a tree-to-tree bridge (multi-tree / RRT-Connect engines).
+    /// Records a tree-to-tree bridge (RRT-Connect engine).
     pub fn record_link(&mut self, from: u64, to: u64) {
         self.events.push(JournalEvent::Link { from, to });
     }

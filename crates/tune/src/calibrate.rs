@@ -41,19 +41,15 @@ impl Default for CalibrationConfig {
 }
 
 /// The default candidate set: the static V4 stack first (ties keep the
-/// status quo), then the two connect-style engines on the MOPED stack,
-/// then an exact kd-tree RRT\* for regimes where SIAS's approximate
-/// neighborhoods hurt path quality.
+/// status quo), then RRT-Connect on the MOPED stack, then an exact
+/// kd-tree RRT\* for regimes where SIAS's approximate neighborhoods hurt
+/// path quality.
 pub fn default_candidates() -> Vec<PlannerProfile> {
     let base = PlannerProfile::static_default();
     vec![
         base.clone(),
         PlannerProfile {
             engine: moped_core::Engine::RrtConnect,
-            ..base.clone()
-        },
-        PlannerProfile {
-            engine: moped_core::Engine::MultiTree,
             ..base.clone()
         },
         PlannerProfile {

@@ -43,6 +43,21 @@ echo "== corpus_bench --smoke (autotuning gate) =="
 cargo run --release -q -p moped-bench --bin corpus_bench -- \
     --smoke --out target/corpus_smoke.json
 
+echo "== corpus_bench full run (corpus-artifact freshness gate) =="
+# Every corpus cell and the calibrated `auto` profile block are a pure
+# function of the seeds; only the wall-clock fields vary between runs.
+# A rerun must therefore match the committed BENCH_corpus.json once
+# `wall_ms` and `probe_wall_ms` are stripped from both (about 3 s).
+cargo run --release -q -p moped-bench --bin corpus_bench -- \
+    --samples 900 --out target/corpus_full.json > /dev/null
+strip_wall() { sed -E 's/"(probe_)?wall_ms":[0-9.e+-]+//g' "$1"; }
+if ! diff -q <(strip_wall BENCH_corpus.json) <(strip_wall target/corpus_full.json) > /dev/null; then
+    echo "verify: FAIL — BENCH_corpus.json is stale. To re-pin after an intended" \
+        "change, copy target/corpus_full.json over BENCH_corpus.json (or rerun" \
+        "scripts/bench.sh) and record the moved numbers in EXPERIMENTS.md." >&2
+    exit 1
+fi
+
 echo "== service_bench --smoke (scaling gate) =="
 # Tiny open-loop run; the binary itself enforces the gate (4-worker
 # throughput >= 1.5x 1-worker on >=4-cpu machines, a no-collapse floor

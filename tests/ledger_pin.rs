@@ -130,19 +130,18 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
     );
 }
 
-/// Every rung of the V0–V4 ladder and both connect engines, on one small
+/// Every rung of the V0–V4 ladder and the RRT-Connect engine, on one small
 /// corpus scene: `(row, path_cost bits, samples, total MAC-equivalents)`.
 /// Taken before the ladder and the engine columns were folded into one
 /// `PlannerProfile` assembly path; any stack that plans differently from
 /// the one it replaced fails here.
-const LADDER_ROWS: [(&str, u64, usize, u64); 7] = [
+const LADDER_ROWS: [(&str, u64, usize, u64); 6] = [
     ("V0-baseline", 0x4073_1892_0db1_4260, 400, 3_457_556),
     ("V1-TSPS", 0x4073_1892_0db1_4260, 400, 1_436_671),
     ("V2-STNS", 0x4073_1892_0db1_4260, 400, 846_993),
     ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 1_281_977),
     ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 1_111_497),
     ("moped-rrt-connect", 0x4075_183b_916f_f669, 99, 200_168),
-    ("moped-multi-tree", 0x4075_81fb_ff39_db98, 80, 224_704),
 ];
 
 #[test]
@@ -157,12 +156,10 @@ fn ladder_and_engine_rows_are_pinned() {
         .iter()
         .map(|v| (v.to_string(), v.profile().plan(&scenario, &params)))
         .collect();
-    for engine in [EngineKind::RrtConnect, EngineKind::MultiTree] {
-        rows.push((
-            engine.name().to_string(),
-            plan_engine(&scenario, engine, &params),
-        ));
-    }
+    rows.push((
+        EngineKind::RrtConnect.name().to_string(),
+        plan_engine(&scenario, EngineKind::RrtConnect, &params),
+    ));
     assert_eq!(rows.len(), LADDER_ROWS.len());
     for ((name, r), (want_name, cost_bits, samples, macs)) in rows.iter().zip(LADDER_ROWS) {
         assert_eq!(name, want_name);
@@ -186,12 +183,12 @@ fn fnv1a(s: &str) -> u64 {
 /// the collision ledger.
 type EngineRow = (u64, usize, usize, u64, [u64; 5]);
 
-/// The three engines × three scenes (mobile clutter, drone narrow
+/// The two engines × three scenes (mobile clutter, drone narrow
 /// passage, xarm7 clutter), 400 samples, seed 7, round tracing and
 /// journal recording on. Taken before the engines were moved onto one
 /// set of shared round steps (sample draw, extend, attach); any reordered
 /// journal event, shifted trace charge or moved tree node fails here.
-const ENGINE_ROWS: [EngineRow; 9] = [
+const ENGINE_ROWS: [EngineRow; 6] = [
     (
         0x4072_6a41_847d_2bdf,
         268,
@@ -216,19 +213,6 @@ const ENGINE_ROWS: [EngineRow; 9] = [
             0x416a_11f5_6632_b746,
             0xe0d2_6b4f_97ad_0d9b,
             0xa301_8b60_ff00_2c74,
-        ],
-    ),
-    (
-        0x4075_81fb_ff39_db98,
-        108,
-        80,
-        224_704,
-        [
-            0xe0b8_9914_188d_c434,
-            0xb153_5908_8d62_e1a9,
-            0x26c5_4a7d_0a59_1a90,
-            0x3e6d_df88_11ee_ee0c,
-            0xd36a_8db3_a9cc_5c3d,
         ],
     ),
     (
@@ -258,19 +242,6 @@ const ENGINE_ROWS: [EngineRow; 9] = [
         ],
     ),
     (
-        0x406a_f3d8_3d6d_5752,
-        44,
-        2,
-        219_966,
-        [
-            0x3543_44ff_e653_9050,
-            0x4b6f_836a_ebfd_1d5c,
-            0xedd3_6e87_268f_0ece,
-            0x7f4c_aaa8_a1d4_ef4f,
-            0xd640_233d_c9d7_63e2,
-        ],
-    ),
-    (
         0x4017_7742_47c7_88ab,
         380,
         400,
@@ -294,19 +265,6 @@ const ENGINE_ROWS: [EngineRow; 9] = [
             0x6228_75ba_4d0a_b2df,
             0xdd66_2651_a261_bc86,
             0x16a4_1ace_b814_9525,
-        ],
-    ),
-    (
-        0x4017_2adc_7669_82b4,
-        19,
-        1,
-        4_519_431,
-        [
-            0x175e_2f14_483c_7848,
-            0xb6c0_58f7_2708_ce82,
-            0x6228_75ba_4d0a_b2df,
-            0xdd66_2651_a261_bc86,
-            0x8989_fc8f_082e_6b07,
         ],
     ),
 ];
