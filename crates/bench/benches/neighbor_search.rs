@@ -176,7 +176,10 @@ fn bench_sias(c: &mut Criterion) {
     g.bench_function("sias_leaf_group", |b| {
         b.iter(|| {
             let mut ops = OpCount::default();
-            black_box(tree.leaf_group(black_box(1500), &mut ops))
+            black_box(
+                tree.leaf_group(black_box(1500), &mut ops)
+                    .collect::<Vec<_>>(),
+            )
         })
     });
     g.finish();

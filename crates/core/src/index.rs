@@ -205,7 +205,6 @@ impl NeighborIndex for SimbrIndex {
         if self.approx_search {
             self.tree
                 .leaf_group(anchor, ops)
-                .into_iter()
                 .map(|e| (e.id, e.point))
                 .collect()
         } else {

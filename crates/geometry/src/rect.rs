@@ -170,8 +170,13 @@ impl Rect {
 
     /// MINDIST² computed directly over SoA rect planes: `lo`/`hi` are the
     /// per-axis slices of a flat arena layout, so no `Rect` value has to be
-    /// materialized on the search hot path. Arithmetic order and op charges
-    /// are identical to [`Rect::mindist_sq`].
+    /// materialized on the search hot path. Op charges are identical to
+    /// [`Rect::mindist_sq`], and so is the result, to the bit.
+    ///
+    /// Each axis's excess is computed without a branch as
+    /// `(lo − v).max(0) + (v − hi).max(0)`: because `lo ≤ hi`, at most one
+    /// term is positive, and adding an exact zero to it changes nothing, so
+    /// the sum equals the `if`/`else if` clamp of [`Rect::mindist_sq`].
     #[inline]
     pub fn mindist_sq_planes(lo: &[f64], hi: &[f64], q: &Config, ops: &mut OpCount) -> f64 {
         let d = q.dim();
@@ -181,15 +186,8 @@ impl Rect {
         ops.mul += d as u64;
         ops.add += (2 * d - 1) as u64;
         let mut acc = 0.0;
-        for i in 0..d {
-            let v = q[i];
-            let excess = if v < lo[i] {
-                lo[i] - v
-            } else if v > hi[i] {
-                v - hi[i]
-            } else {
-                0.0
-            };
+        for ((&l, &h), &v) in lo.iter().zip(hi).zip(q.as_slice()) {
+            let excess = (l - v).max(0.0) + (v - h).max(0.0);
             acc += excess * excess;
         }
         acc

@@ -110,6 +110,40 @@ proptest! {
         prop_assert!((md - p.distance_sq(&q)).abs() < 1e-9);
     }
 
+    /// The branchless plane kernel returns the clamp form's MINDIST² to
+    /// the bit, with the same op charges: per axis the query lies below,
+    /// on the low face, inside, on the high face or above the rect, which
+    /// is sometimes a degenerate point, in every dimension 2..=8.
+    #[test]
+    fn mindist_planes_equals_mindist_to_the_bit(
+        dim in 2..=8usize,
+        lo in prop::collection::vec(-50.0..50.0f64, 8),
+        extent in prop::collection::vec(0.0..20.0f64, 8),
+        gap in prop::collection::vec(0.0..30.0f64, 8),
+        place in prop::collection::vec(0..5usize, 8),
+        point_rect in any::<bool>(),
+    ) {
+        let hi: Vec<f64> = (0..dim)
+            .map(|i| if point_rect { lo[i] } else { lo[i] + extent[i] })
+            .collect();
+        let q: Vec<f64> = (0..dim)
+            .map(|i| match place[i] {
+                0 => lo[i] - gap[i],
+                1 => lo[i],
+                2 => 0.5 * (lo[i] + hi[i]),
+                3 => hi[i],
+                _ => hi[i] + gap[i],
+            })
+            .collect();
+        let rect = Rect::new(Config::new(&lo[..dim]), Config::new(&hi));
+        let q = Config::new(&q);
+        let (mut plane_ops, mut rect_ops) = (OpCount::default(), OpCount::default());
+        let planes = Rect::mindist_sq_planes(&lo[..dim], &hi, &q, &mut plane_ops);
+        let clamp = rect.mindist_sq(&q, &mut rect_ops);
+        prop_assert_eq!(planes.to_bits(), clamp.to_bits());
+        prop_assert_eq!(plane_ops, rect_ops);
+    }
+
     /// Union of rects contains both operands.
     #[test]
     fn rect_union_contains_operands(a in arb_config(3), b in arb_config(3), c in arb_config(3)) {

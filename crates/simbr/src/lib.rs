@@ -59,9 +59,8 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
-use moped_geometry::{Config, OpCount, Rect};
+use moped_geometry::{Config, OpCount, Rect, MAX_DOF};
 use moped_obs::counters::{bump, Counter};
 
 /// Number of tree levels held in the pinned top-of-tree block (the
@@ -71,8 +70,16 @@ use moped_obs::counters::{bump, Counter};
 /// paper budgets for its Top NS Cache.
 pub const TOP_LEVELS: usize = 4;
 
-/// Sentinel for "no parent" in the flat parent array.
+/// Sentinel for "no node": the root's parent, and an entry id absent
+/// from the dense entry → leaf table.
 const NO_NODE: u32 = u32::MAX;
+
+/// Largest node capacity [`SiMbrTree::new`] accepts.
+const MAX_ENTRIES: usize = 32;
+
+/// Items a node holds at the instant it splits: a full node plus the
+/// overflow item.
+const SPLIT_ITEMS: usize = MAX_ENTRIES + 1;
 
 /// Per-search traversal statistics, consumed by the hardware cache model
 /// (top-of-tree visits become Top NS Cache hits) and the evaluation
@@ -209,6 +216,11 @@ fn heap_pop(h: &mut Vec<Frontier>, ops: &mut OpCount) -> Option<Frontier> {
 }
 
 /// The steering-informed MBR tree. See the crate-level docs.
+///
+/// Entry ids index a dense `entry → leaf` table, so the tree's memory
+/// grows with the largest id inserted, not with the number of entries:
+/// callers should hand out dense ids (the planner uses its node-arena
+/// indices). Ids must be below `u32::MAX`, the table's "absent" sentinel.
 #[derive(Clone, Debug)]
 pub struct SiMbrTree {
     // --- flat SoA arena, all arrays indexed by node id ---
@@ -227,9 +239,9 @@ pub struct SiMbrTree {
     /// Leaf entry coordinates, stride `cap * dim`.
     pts: Vec<f64>,
     root: Option<usize>,
-    // BTreeMap, not HashMap: this crate's results must be bit-reproducible
-    // and hash iteration order is not (lint rule `hash-collections`).
-    entry_leaf: BTreeMap<u64, usize>,
+    /// Leaf node of each entry, indexed by entry id; `NO_NODE` marks an
+    /// absent id.
+    entry_leaf: Vec<u32>,
     dim: usize,
     max_entries: usize,
     /// Slots per node: `max_entries + 1` so a node can hold its overflow
@@ -255,7 +267,7 @@ impl SiMbrTree {
     /// `1..=moped_geometry::MAX_DOF`.
     pub fn new(dim: usize, max_entries: usize) -> Self {
         assert!(
-            (2..=32).contains(&max_entries),
+            (2..=MAX_ENTRIES).contains(&max_entries),
             "node capacity must be in 2..=32 (hardware node records are small)"
         );
         assert!(
@@ -271,7 +283,7 @@ impl SiMbrTree {
             slots: Vec::new(),
             pts: Vec::new(),
             root: None,
-            entry_leaf: BTreeMap::new(),
+            entry_leaf: Vec::new(),
             dim,
             max_entries,
             cap: max_entries + 1,
@@ -363,10 +375,27 @@ impl SiMbrTree {
         Rect::new(Config::new(self.lo_of(n)), Config::new(self.hi_of(n)))
     }
 
-    fn set_rect(&mut self, n: usize, r: &Rect) {
+    fn set_planes(&mut self, n: usize, lo: &[f64], hi: &[f64]) {
         let base = n * self.dim;
-        self.lo[base..base + self.dim].copy_from_slice(r.lo().as_slice());
-        self.hi[base..base + self.dim].copy_from_slice(r.hi().as_slice());
+        self.lo[base..base + self.dim].copy_from_slice(lo);
+        self.hi[base..base + self.dim].copy_from_slice(hi);
+    }
+
+    /// The leaf holding entry `id`, or `None` if `id` is absent.
+    #[inline]
+    fn leaf_of(&self, id: u64) -> Option<usize> {
+        let leaf = *self.entry_leaf.get(usize::try_from(id).ok()?)?;
+        (leaf != NO_NODE).then_some(leaf as usize)
+    }
+
+    /// Records that entry `id` (below `NO_NODE`, see `check_insert`) now
+    /// lives in `leaf`, growing the dense table if `id` is new.
+    fn set_leaf_of(&mut self, id: u64, leaf: usize) {
+        let i = id as usize;
+        if i >= self.entry_leaf.len() {
+            self.entry_leaf.resize(i + 1, NO_NODE);
+        }
+        self.entry_leaf[i] = leaf as u32;
     }
 
     #[inline]
@@ -453,9 +482,8 @@ impl SiMbrTree {
     /// or dimensions mismatch.
     pub fn insert_near(&mut self, id: u64, point: Config, near_id: u64, ops: &mut OpCount) {
         self.check_insert(id, &point);
-        let leaf = *self
-            .entry_leaf
-            .get(&near_id)
+        let leaf = self
+            .leaf_of(near_id)
             .unwrap_or_else(|| panic!("near_id {near_id} not present in SI-MBR-Tree"));
         self.push_entry(leaf, Entry { id, point }, ops);
     }
@@ -463,18 +491,22 @@ impl SiMbrTree {
     fn check_insert(&self, id: u64, point: &Config) {
         assert_eq!(point.dim(), self.dim, "dimension mismatch");
         assert!(
-            !self.entry_leaf.contains_key(&id),
+            id < u64::from(NO_NODE),
+            "SI-MBR-Tree entry id {id} is at or above the dense-table sentinel {NO_NODE}"
+        );
+        assert!(
+            self.leaf_of(id).is_none(),
             "duplicate SI-MBR-Tree entry id {id}"
         );
     }
 
     fn create_root(&mut self, id: u64, point: Config) {
         let n = self.alloc_node(NO_NODE, true);
-        self.set_rect(n, &Rect::from_point(&point));
+        self.set_planes(n, point.as_slice(), point.as_slice());
         self.write_entry(n, 0, id, &point);
         self.count[n] = 1;
         self.root = Some(n);
-        self.entry_leaf.insert(id, n);
+        self.set_leaf_of(id, n);
         self.len = 1;
         self.top_len = 1;
     }
@@ -491,7 +523,7 @@ impl SiMbrTree {
         debug_assert!(slot < self.cap, "leaf overfull before split");
         self.write_entry(leaf, slot, entry.id, &entry.point);
         self.count[leaf] += 1;
-        self.entry_leaf.insert(entry.id, leaf);
+        self.set_leaf_of(entry.id, leaf);
         self.len += 1;
         // Extend ancestor MBRs in place; per level this is 2d min/max
         // compares and a 2d-word write-back.
@@ -542,64 +574,57 @@ impl SiMbrTree {
     fn split_node(&mut self, node: usize, ops: &mut OpCount) -> (usize, bool) {
         let is_leaf = self.is_leaf[node];
         let n_items = self.count[node] as usize;
-        let rects: Vec<Rect> = if is_leaf {
-            (0..n_items)
-                .map(|k| Rect::from_point(&self.entry_config(node, k)))
-                .collect()
-        } else {
-            (0..n_items)
-                .map(|k| self.node_rect(self.slots[node * self.cap + k] as usize))
-                .collect()
-        };
-        let (ga, gb) = quadratic_split(&rects, ops);
+        let (cap, dim) = (self.cap, self.dim);
+        let (keep, moved) = self.quadratic_split(node, ops);
 
-        let slot_snap: Vec<u64> = self.kids_of(node).to_vec();
-        let pt_snap: Vec<Config> = if is_leaf {
-            (0..n_items).map(|k| self.entry_config(node, k)).collect()
-        } else {
-            Vec::new()
-        };
-
-        let new_node = self.alloc_node(self.parent[node], is_leaf);
-        let group_rect = |group: &[usize]| -> Rect {
-            group
-                .iter()
-                .map(|&i| rects[i])
-                .reduce(|a, b| a.union(&b))
-                .expect("split groups are non-empty")
-        };
-        let keep_rect = group_rect(&ga);
-        let moved_rect = group_rect(&gb);
+        // Snapshot the items before the kept group is rewritten in place.
+        let mut slot_snap = [0u64; SPLIT_ITEMS];
+        slot_snap[..n_items].copy_from_slice(self.kids_of(node));
+        let mut pt_snap = [0.0; SPLIT_ITEMS * MAX_DOF];
+        if is_leaf {
+            let base = node * cap * dim;
+            pt_snap[..n_items * dim].copy_from_slice(&self.pts[base..base + n_items * dim]);
+        }
+        let snap_pt = |i: usize| &pt_snap[i * dim..(i + 1) * dim];
 
         // Rewrite the kept group in place, the moved group into the twin.
-        for (slot, &i) in ga.iter().enumerate() {
-            self.slots[node * self.cap + slot] = slot_snap[i];
+        let new_node = self.alloc_node(self.parent[node], is_leaf);
+        for (slot, &i) in keep.items().iter().enumerate() {
+            let i = i as usize;
+            self.slots[node * cap + slot] = slot_snap[i];
             if is_leaf {
-                let (id, p) = (slot_snap[i], pt_snap[i]);
-                self.write_entry(node, slot, id, &p);
+                let base = (node * cap + slot) * dim;
+                self.pts[base..base + dim].copy_from_slice(snap_pt(i));
             }
         }
-        self.count[node] = ga.len() as u32;
-        self.set_rect(node, &keep_rect);
-        for (slot, &i) in gb.iter().enumerate() {
+        self.count[node] = keep.len as u32;
+        self.set_planes(node, keep.lo(), keep.hi());
+        for (slot, &i) in moved.items().iter().enumerate() {
+            let (i, id) = (i as usize, slot_snap[i as usize]);
+            self.slots[new_node * cap + slot] = id;
             if is_leaf {
-                self.write_entry(new_node, slot, slot_snap[i], &pt_snap[i]);
-                self.entry_leaf.insert(slot_snap[i], new_node);
+                let base = (new_node * cap + slot) * dim;
+                self.pts[base..base + dim].copy_from_slice(snap_pt(i));
+                self.entry_leaf[id as usize] = new_node as u32;
             } else {
-                self.slots[new_node * self.cap + slot] = slot_snap[i];
-                self.parent[slot_snap[i] as usize] = new_node as u32;
+                self.parent[id as usize] = new_node as u32;
             }
         }
-        self.count[new_node] = gb.len() as u32;
-        self.set_rect(new_node, &moved_rect);
+        self.count[new_node] = moved.len as u32;
+        self.set_planes(new_node, moved.lo(), moved.hi());
 
         if self.parent[node] == NO_NODE {
             // Grow a new root.
-            let rect = keep_rect.union(&moved_rect);
+            let mut lo = [0.0; MAX_DOF];
+            let mut hi = [0.0; MAX_DOF];
+            for i in 0..dim {
+                lo[i] = keep.lo[i].min(moved.lo[i]);
+                hi[i] = keep.hi[i].max(moved.hi[i]);
+            }
             let root = self.alloc_node(NO_NODE, false);
-            self.set_rect(root, &rect);
-            self.slots[root * self.cap] = node as u64;
-            self.slots[root * self.cap + 1] = new_node as u64;
+            self.set_planes(root, &lo[..dim], &hi[..dim]);
+            self.slots[root * cap] = node as u64;
+            self.slots[root * cap + 1] = new_node as u64;
             self.count[root] = 2;
             self.parent[node] = root as u32;
             self.parent[new_node] = root as u32;
@@ -614,6 +639,78 @@ impl SiMbrTree {
             self.count[p] += 1;
             (p, false)
         }
+    }
+
+    /// The MBR planes of item `k` of `node`: the child's rect for an
+    /// inner node, the entry point as a degenerate rect for a leaf.
+    #[inline]
+    fn item_planes(&self, node: usize, k: usize) -> (&[f64], &[f64]) {
+        if self.is_leaf[node] {
+            let p = self.entry_pt(node, k);
+            (p, p)
+        } else {
+            let child = self.slots[node * self.cap + k] as usize;
+            (self.lo_of(child), self.hi_of(child))
+        }
+    }
+
+    /// Guttman quadratic split of `node`'s items, read straight from the
+    /// arena. Seeds are the pair wasting the most dead area if grouped;
+    /// the other items, in slot order, join the group whose MBR grows
+    /// least.
+    ///
+    /// Each item's measure is computed once, and a union's measure
+    /// multiplies the same per-axis factors in the same order as
+    /// `Rect::union(..).measure()`, so every waste and enlargement value,
+    /// and with them every decision, is that of the `Rect` formulation.
+    // Index pairs (i, j) over the same items are the algorithm's
+    // vocabulary; the seed search needs both indices.
+    #[allow(clippy::needless_range_loop)]
+    fn quadratic_split(&self, node: usize, ops: &mut OpCount) -> (SplitGroup, SplitGroup) {
+        let n = self.count[node] as usize;
+        debug_assert!((2..=SPLIT_ITEMS).contains(&n));
+        let mut measures = [0.0; SPLIT_ITEMS];
+        for k in 0..n {
+            let (lo, hi) = self.item_planes(node, k);
+            measures[k] = measure(lo, hi);
+        }
+        // Pick seeds.
+        let (mut sa, mut sb) = (0, 1);
+        let mut worst = f64::NEG_INFINITY;
+        for i in 0..n {
+            let (ilo, ihi) = self.item_planes(node, i);
+            for j in (i + 1)..n {
+                let (jlo, jhi) = self.item_planes(node, j);
+                let waste = union_measure(ilo, ihi, jlo, jhi) - measures[i] - measures[j];
+                ops.add += 2;
+                ops.cmp += 1;
+                if waste > worst {
+                    worst = waste;
+                    sa = i;
+                    sb = j;
+                }
+            }
+        }
+        let (lo, hi) = self.item_planes(node, sa);
+        let mut ga = SplitGroup::seed(sa, lo, hi, measures[sa]);
+        let (lo, hi) = self.item_planes(node, sb);
+        let mut gb = SplitGroup::seed(sb, lo, hi, measures[sb]);
+        for i in 0..n {
+            if i == sa || i == sb {
+                continue;
+            }
+            let (lo, hi) = self.item_planes(node, i);
+            let ea = ga.enlargement(lo, hi);
+            let eb = gb.enlargement(lo, hi);
+            ops.add += 2;
+            ops.cmp += 1;
+            if ea < eb || (ea == eb && ga.len <= gb.len) {
+                ga.join(i, lo, hi);
+            } else {
+                gb.join(i, lo, hi);
+            }
+        }
+        (ga, gb)
     }
 
     /// Breadth-first arena repack: relabels every node so levels occupy
@@ -669,9 +766,8 @@ impl SiMbrTree {
                     .copy_from_slice(&self.slots[old * cap..old * cap + c]);
                 pts[new_idx * cap * dim..new_idx * cap * dim + c * dim]
                     .copy_from_slice(&self.pts[old * cap * dim..old * cap * dim + c * dim]);
-                for k in 0..c {
-                    let id = slots[new_idx * cap + k];
-                    self.entry_leaf.insert(id, new_idx);
+                for &id in &slots[new_idx * cap..new_idx * cap + c] {
+                    self.entry_leaf[id as usize] = new_idx as u32;
                 }
             } else {
                 for k in 0..c {
@@ -777,8 +873,8 @@ impl SiMbrTree {
         let mut best_d2 = f64::INFINITY;
 
         if let Some(hid) = hint {
-            match self.entry_leaf.get(&hid) {
-                Some(&leaf) => {
+            match self.leaf_of(hid) {
+                Some(leaf) => {
                     // Seed bound and candidate from the retained entry:
                     // an attained distance is a valid upper bound.
                     for k in 0..self.count[leaf] as usize {
@@ -936,20 +1032,21 @@ impl SiMbrTree {
     /// # Panics
     ///
     /// Panics if `entry_id` is not present.
-    pub fn leaf_group(&self, entry_id: u64, ops: &mut OpCount) -> Vec<Entry> {
-        let leaf = *self
-            .entry_leaf
-            .get(&entry_id)
+    pub fn leaf_group(
+        &self,
+        entry_id: u64,
+        ops: &mut OpCount,
+    ) -> impl ExactSizeIterator<Item = Entry> + '_ {
+        let leaf = self
+            .leaf_of(entry_id)
             .unwrap_or_else(|| panic!("entry {entry_id} not present in SI-MBR-Tree"));
         debug_assert!(self.is_leaf[leaf], "entry_leaf always maps to leaves");
         let n = self.count[leaf] as usize;
         ops.mem_words += n as u64 * (1 + self.dim as u64);
-        (0..n)
-            .map(|k| Entry {
-                id: self.slots[leaf * self.cap + k],
-                point: self.entry_config(leaf, k),
-            })
-            .collect()
+        (0..n).map(move |k| Entry {
+            id: self.slots[leaf * self.cap + k],
+            point: self.entry_config(leaf, k),
+        })
     }
 
     /// Linear-scan nearest neighbor over all entries — the reference the
@@ -1009,7 +1106,7 @@ impl SiMbrTree {
                     if !rect.contains_point(&self.entry_config(n, k)) {
                         return Some(format!("leaf rect of node {n} misses entry {id}"));
                     }
-                    if self.entry_leaf.get(&id) != Some(&n) {
+                    if self.leaf_of(id) != Some(n) {
                         return Some(format!("entry map stale for {id}"));
                     }
                 }
@@ -1035,6 +1132,13 @@ impl SiMbrTree {
                 self.len
             ));
         }
+        let mapped = self.entry_leaf.iter().filter(|&&l| l != NO_NODE).count();
+        if mapped != self.len {
+            return Some(format!(
+                "entry map holds {mapped} ids for {} entries",
+                self.len
+            ));
+        }
         for n in 0..self.top_len {
             if self.node_depth(n).is_none_or(|d| d >= TOP_LEVELS) {
                 return Some(format!("pinned-block node {n} below level {TOP_LEVELS}"));
@@ -1044,53 +1148,81 @@ impl SiMbrTree {
     }
 }
 
-/// Guttman quadratic split: partitions `rects` indices into two groups.
-///
-/// Seeds are the pair wasting the most dead area if grouped; remaining
-/// rects go to the group whose MBR grows least.
-// Index pairs (i, j) over the same slice are the algorithm's vocabulary;
-// the seed search needs both indices, not the elements alone.
-#[allow(clippy::needless_range_loop)]
-fn quadratic_split(rects: &[Rect], ops: &mut OpCount) -> (Vec<usize>, Vec<usize>) {
-    let n = rects.len();
-    debug_assert!(n >= 2);
-    // Pick seeds.
-    let (mut sa, mut sb) = (0, 1);
-    let mut worst = f64::NEG_INFINITY;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let waste =
-                rects[i].union(&rects[j]).measure() - rects[i].measure() - rects[j].measure();
-            ops.add += 2;
-            ops.cmp += 1;
-            if waste > worst {
-                worst = waste;
-                sa = i;
-                sb = j;
-            }
-        }
+/// `Rect::measure` over rect planes: the product of the side lengths,
+/// axis by axis.
+#[inline]
+fn measure(lo: &[f64], hi: &[f64]) -> f64 {
+    let mut m = 1.0;
+    for (&l, &h) in lo.iter().zip(hi) {
+        m *= h - l;
     }
-    let mut ga = vec![sa];
-    let mut gb = vec![sb];
-    let mut ra = rects[sa];
-    let mut rb = rects[sb];
-    for i in 0..n {
-        if i == sa || i == sb {
-            continue;
-        }
-        let ea = ra.union(&rects[i]).measure() - ra.measure();
-        let eb = rb.union(&rects[i]).measure() - rb.measure();
-        ops.add += 2;
-        ops.cmp += 1;
-        if ea < eb || (ea == eb && ga.len() <= gb.len()) {
-            ga.push(i);
-            ra = ra.union(&rects[i]);
-        } else {
-            gb.push(i);
-            rb = rb.union(&rects[i]);
-        }
+    m
+}
+
+/// `a.union(&b).measure()` over rect planes, without building the union.
+#[inline]
+fn union_measure(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+    let mut m = 1.0;
+    for i in 0..alo.len() {
+        m *= ahi[i].max(bhi[i]) - alo[i].min(blo[i]);
     }
-    (ga, gb)
+    m
+}
+
+/// One side of a quadratic split: its item indices in join order and its
+/// MBR planes, all in fixed arrays.
+struct SplitGroup {
+    items: [u8; SPLIT_ITEMS],
+    len: usize,
+    dim: usize,
+    lo: [f64; MAX_DOF],
+    hi: [f64; MAX_DOF],
+    /// `measure` of the group MBR, refreshed on every join.
+    measure: f64,
+}
+
+impl SplitGroup {
+    fn seed(item: usize, lo: &[f64], hi: &[f64], measure: f64) -> Self {
+        let mut g = SplitGroup {
+            items: [0; SPLIT_ITEMS],
+            len: 1,
+            dim: lo.len(),
+            lo: [0.0; MAX_DOF],
+            hi: [0.0; MAX_DOF],
+            measure,
+        };
+        g.items[0] = item as u8;
+        g.lo[..g.dim].copy_from_slice(lo);
+        g.hi[..g.dim].copy_from_slice(hi);
+        g
+    }
+
+    fn items(&self) -> &[u8] {
+        &self.items[..self.len]
+    }
+
+    fn lo(&self) -> &[f64] {
+        &self.lo[..self.dim]
+    }
+
+    fn hi(&self) -> &[f64] {
+        &self.hi[..self.dim]
+    }
+
+    /// Growth of the group's measure if it absorbed the rect `lo..hi`.
+    fn enlargement(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        union_measure(self.lo(), self.hi(), lo, hi) - self.measure
+    }
+
+    fn join(&mut self, item: usize, lo: &[f64], hi: &[f64]) {
+        self.items[self.len] = item as u8;
+        self.len += 1;
+        for i in 0..self.dim {
+            self.lo[i] = self.lo[i].min(lo[i]);
+            self.hi[i] = self.hi[i].max(hi[i]);
+        }
+        self.measure = measure(self.lo(), self.hi());
+    }
 }
 
 #[cfg(test)]
@@ -1200,7 +1332,7 @@ mod tests {
         let (tree, _) = build_grid(50, "conv");
         let mut ops = OpCount::default();
         for id in [0u64, 13, 49] {
-            let group = tree.leaf_group(id, &mut ops);
+            let group: Vec<Entry> = tree.leaf_group(id, &mut ops).collect();
             assert!(group.iter().any(|e| e.id == id));
             assert!(group.len() <= 4);
         }
@@ -1252,6 +1384,97 @@ mod tests {
         let mut ops = OpCount::default();
         tree.insert_conventional(7, c2(0.0, 0.0), &mut ops);
         tree.insert_conventional(7, c2(1.0, 1.0), &mut ops);
+    }
+
+    /// Ids `1000·i + 7`: the dense table has holes, which must read as
+    /// absent everywhere.
+    fn build_sparse(n: u64) -> SiMbrTree {
+        let mut tree = SiMbrTree::new(2, 4);
+        let mut ops = OpCount::default();
+        for i in 0..n {
+            let p = c2((i % 9) as f64 * 1.3, (i / 9) as f64 * 0.7);
+            if i % 3 == 0 {
+                tree.insert_conventional(1000 * i + 7, p, &mut ops);
+            } else {
+                tree.insert_near(1000 * i + 7, p, 1000 * (i - 1) + 7, &mut ops);
+            }
+        }
+        tree
+    }
+
+    #[test]
+    fn sparse_ids_index_a_dense_table() {
+        let tree = build_sparse(120);
+        assert!(
+            tree.check_invariants().is_none(),
+            "{:?}",
+            tree.check_invariants()
+        );
+        let mut ops = OpCount::default();
+        for q in [c2(3.3, 2.7), c2(-1.0, 40.0), c2(10.4, 5.5)] {
+            let a = tree.nearest(&q, &mut ops).unwrap();
+            let b = tree.nearest_linear(&q, &mut ops).unwrap();
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "query {q:?}");
+            assert_eq!(a.0 % 1000, 7);
+        }
+        for i in [0u64, 41, 119] {
+            let id = 1000 * i + 7;
+            assert!(tree.leaf_group(id, &mut ops).any(|e| e.id == id));
+        }
+        // A hole in the table is a seed miss, not an entry.
+        let mut stats = SearchStats::default();
+        let before = tree.cache_stats().seed_misses;
+        let _ = tree.nearest_with_hint(&c2(1.0, 1.0), Some(1008), &mut ops, &mut stats);
+        assert_eq!(tree.cache_stats().seed_misses, before + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate")]
+    fn duplicate_sparse_id_rejected() {
+        let mut tree = build_sparse(30);
+        tree.insert_conventional(1000 * 17 + 7, c2(50.0, 50.0), &mut OpCount::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "dense-table sentinel")]
+    fn id_at_the_sentinel_rejected() {
+        let mut tree = SiMbrTree::new(2, 4);
+        tree.insert_conventional(u64::from(u32::MAX), c2(0.0, 0.0), &mut OpCount::default());
+    }
+
+    /// Best-first search with a seeded hint returns the linear scan's
+    /// distance to the bit. Every point is stored twice (ids `i` and
+    /// `i + 100`), so the nearest distance is always tied: a hint on one
+    /// of the tied entries wins the tie, because an entry replaces the
+    /// best only when strictly closer.
+    #[test]
+    fn hinted_nearest_equals_linear_scan_bits_and_hint_wins_ties() {
+        let mut tree = SiMbrTree::new(2, 4);
+        let mut ops = OpCount::default();
+        for i in 0..100u64 {
+            let p = c2((i * 37 % 23) as f64 * 0.9, (i * 11 % 17) as f64 * 1.1);
+            tree.insert_conventional(i, p, &mut ops);
+            tree.insert_near(i + 100, p, i, &mut ops);
+        }
+        for q in [c2(3.3, 2.7), c2(-4.0, 7.5), c2(11.0, 9.9), c2(8.1, 0.05)] {
+            let (lin_id, lin_d) = tree.nearest_linear(&q, &mut ops).unwrap();
+            let twin = if lin_id < 100 {
+                lin_id + 100
+            } else {
+                lin_id - 100
+            };
+            for hint in [None, Some(3), Some(lin_id), Some(twin)] {
+                let mut stats = SearchStats::default();
+                let (id, d) = tree
+                    .nearest_with_hint(&q, hint, &mut ops, &mut stats)
+                    .unwrap();
+                assert_eq!(d.to_bits(), lin_d.to_bits(), "query {q:?} hint {hint:?}");
+                assert!(id % 100 == lin_id % 100, "a tied twin of the winner");
+                if hint == Some(lin_id) || hint == Some(twin) {
+                    assert_eq!(Some(id), hint, "the seeded hint wins the tie");
+                }
+            }
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ proptest! {
         let tree = build_lci(&points, 4);
         let mut ops = OpCount::default();
         for id in 0..points.len() as u64 {
-            let group = tree.leaf_group(id, &mut ops);
+            let group: Vec<_> = tree.leaf_group(id, &mut ops).collect();
             prop_assert!(group.iter().any(|e| e.id == id));
             prop_assert!(group.len() <= 4);
         }

@@ -65,6 +65,14 @@ echo "== service_bench --smoke (scaling gate) =="
 cargo run --release -q -p moped-bench --bin service_bench -- \
     --smoke --out target/service_smoke.json
 
+echo "== nn_replay --smoke (neighbor-index replay gate) =="
+# Records one drone-sparse plan's neighbor-index call stream and replays
+# it alone into SI-MBR V4, exact SI-MBR, kd-tree and linear indexes,
+# printing ns per call and per node visit. Every backend's nearest is
+# exact, so the binary exits non-zero if any replayed nearest distance
+# differs from the recorded one by a single bit.
+cargo run --release -q -p moped-bench --bin nn_replay -- --smoke
+
 echo "== figures smoke (modelled-figure gate) =="
 # Every modelled figure (op ledgers, the hardware model, success counts,
 # path costs) is a pure function of its seeds, so the small-scale run must

@@ -65,9 +65,11 @@ fn xarm7_clutter_plan_ledger_is_pinned() {
 /// The neighbor-bound workload: a 6-DoF drone among 8 obstacles at 5 000
 /// samples, where SI-MBR search rather than collision checking dominates.
 /// Besides the collision ledger this pins the search work (node visits,
-/// exact distances) and the top-of-tree and search-trace cache counters,
-/// so a change to the nearest-neighbor engine that alters traversal order
-/// fails here even when the path does not move.
+/// exact distances), the top-of-tree and search-trace cache counters, the
+/// full neighbor-search and insert op ledgers and the final tree shape, so
+/// a change to the nearest-neighbor engine that alters traversal order,
+/// split decisions or any op charge fails here even when the path does
+/// not move.
 #[test]
 fn drone_sparse_plan_ledger_and_search_are_pinned() {
     let scenario = Scenario::generate(Robot::drone_3d(), &ScenarioParams::with_obstacles(8), 1);
@@ -128,6 +130,35 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
             seed_misses: 0,
         }
     );
+    assert_eq!(
+        result.stats.ns_ops,
+        OpCount {
+            mul: 1_249_686,
+            add: 2_291_091,
+            cmp: 2_813_371,
+            sqrt: 0,
+            dist_calcs: 41_395,
+            sat_queries: 0,
+            mem_words: 2_401_082,
+        }
+    );
+    assert_eq!(
+        result.stats.insert_ops,
+        OpCount {
+            mul: 0,
+            add: 77_948,
+            cmp: 349_078,
+            sqrt: 0,
+            dist_calcs: 0,
+            sat_queries: 0,
+            mem_words: 310_104,
+        }
+    );
+    let tree = index.tree();
+    assert_eq!(tree.node_count(), 1_505);
+    assert_eq!(tree.height(), 6);
+    assert_eq!(tree.memory_words(), 52_758);
+    assert_eq!(tree.top_block_len(), 39);
 }
 
 /// Every rung of the V0–V4 ladder and the RRT-Connect engine, on one small
