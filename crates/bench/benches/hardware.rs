@@ -70,26 +70,5 @@ fn bench_satq(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cachesim(c: &mut Criterion) {
-    use moped_hw::cachesim;
-    // Root-heavy synthetic trace resembling real SI-MBR search traffic.
-    let mut trace = Vec::new();
-    for i in 0..20_000usize {
-        trace.push(0);
-        trace.push(1 + (i % 5));
-        trace.push(50 + (i * 7) % 1000);
-    }
-    c.bench_function("cachesim_replay_60k", |b| {
-        b.iter(|| black_box(cachesim::replay(black_box(&trace), 32, 4, 15)))
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_pipeline,
-    bench_lfsr,
-    bench_fixed,
-    bench_satq,
-    bench_cachesim
-);
+criterion_group!(benches, bench_pipeline, bench_lfsr, bench_fixed, bench_satq);
 criterion_main!(benches);

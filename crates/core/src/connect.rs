@@ -72,6 +72,9 @@ pub(crate) fn plan_connect<N: NeighborIndex>(planner: &mut RrtStar<'_, N>) -> Pl
         };
         // The target-tree comparison; pinned op ledgers include it.
         stats.other_ops.cmp += 1;
+        // A short steering step makes the walk arbitrarily long, so it
+        // polls the stop hook at the round cadence, counted in steps.
+        let mut walked = 0;
         let reached = loop {
             if planner.nodes[cur].q == x_new {
                 break true;
@@ -80,8 +83,16 @@ pub(crate) fn plan_connect<N: NeighborIndex>(planner: &mut RrtStar<'_, N>) -> Pl
                 Ok(q_next) => cur = grow(planner, &mut stats, u, cur, q_next),
                 Err(_) => break false, // trapped
             }
+            walked += 1;
+            if planner.stop_requested(walked) {
+                stats.stopped_early = true;
+                break false;
+            }
         };
         finish_trace(planner, &mut stats, trace, ns_mark, cc_mark, ins_mark);
+        if stats.stopped_early {
+            break;
+        }
         if reached {
             // The walk ended on x_new: zero-length bridge between the
             // trees.
@@ -274,6 +285,30 @@ mod tests {
         let r = planner.plan();
         assert!(r.stats.stopped_early);
         assert_eq!(r.stats.samples, 1);
+        assert!(planner.check_tree_invariants().is_none());
+    }
+
+    #[test]
+    fn connect_walk_polls_the_stop_hook() {
+        // A tiny step makes round 0's walk about a million steps long; a
+        // hook polled only between rounds would never see it.
+        let s = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(8), 1);
+        let checker = TwoStageChecker::moped(s.obstacles.clone());
+        let polls = std::cell::Cell::new(0);
+        let p = PlannerParams {
+            steering_step: Some(1e-4),
+            ..params(500, 7)
+        };
+        let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(3), p)
+            .with_engine(Engine::RrtConnect)
+            .with_stop_hook(1, || {
+                polls.set(polls.get() + 1);
+                polls.get() == 3
+            });
+        let r = planner.plan();
+        assert!(r.stats.stopped_early);
+        assert_eq!(polls.get(), 3);
+        assert!(r.stats.nodes < 1_000, "{} nodes", r.stats.nodes);
         assert!(planner.check_tree_invariants().is_none());
     }
 

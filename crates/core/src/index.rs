@@ -132,7 +132,7 @@ pub struct SimbrIndex {
     /// query's pruning bound (consecutive RRT\* samples are spatially
     /// correlated, so the stale winner is usually a tight bound).
     warm: std::cell::Cell<Option<u64>>,
-    search_stats: std::cell::RefCell<SearchStats>,
+    search_stats: std::cell::Cell<SearchStats>,
 }
 
 impl SimbrIndex {
@@ -144,14 +144,13 @@ impl SimbrIndex {
             approx_search,
             low_cost_insert,
             warm: std::cell::Cell::new(None),
-            search_stats: std::cell::RefCell::new(SearchStats::default()),
+            search_stats: std::cell::Cell::new(SearchStats::default()),
         }
     }
 
-    /// Accumulated traversal statistics across every `nearest` call (the
-    /// input to the hardware cache model).
+    /// Accumulated traversal statistics across every `nearest` call.
     pub fn search_stats(&self) -> SearchStats {
-        self.search_stats.borrow().clone()
+        self.search_stats.get()
     }
 
     /// Full MOPED configuration (SIAS + LCI).
@@ -162,16 +161,6 @@ impl SimbrIndex {
     /// Access to the underlying tree (for memory sizing / diagnostics).
     pub fn tree(&self) -> &SiMbrTree {
         &self.tree
-    }
-
-    /// Whether SIAS is enabled.
-    pub fn approx_search(&self) -> bool {
-        self.approx_search
-    }
-
-    /// Whether LCI is enabled.
-    pub fn low_cost_insert(&self) -> bool {
-        self.low_cost_insert
     }
 }
 
@@ -184,13 +173,13 @@ impl NeighborIndex for SimbrIndex {
     }
 
     fn nearest(&self, q: &Config, ops: &mut OpCount) -> Option<(u64, f64)> {
-        // The persistent accumulator is handed straight to the tree (all
-        // SearchStats fields are additive), so a warm query performs no
-        // heap allocation at all.
-        let mut stats = self.search_stats.borrow_mut();
+        // Every SearchStats field is additive, so the tree adds this
+        // query's counts straight onto the running totals.
+        let mut stats = self.search_stats.get();
         let out = self
             .tree
             .nearest_with_hint(q, self.warm.get(), ops, &mut stats);
+        self.search_stats.set(stats);
         self.warm.set(out.map(|(id, _)| id));
         out
     }

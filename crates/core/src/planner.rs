@@ -85,15 +85,29 @@ impl Default for PlannerParams {
 
 impl PlannerParams {
     /// Checks the knobs every engine relies on: a set `steering_step`
-    /// must be finite and positive, `rewire_gamma` and `goal_tolerance`
-    /// finite and non-negative, and `goal_bias` a probability. A step of
-    /// zero, below zero or NaN stalls or panics the engines, and an
-    /// infinite one turns every edge into one long, coarsely checked
-    /// motion.
+    /// must be finite and positive, a set `interpolation` must have a
+    /// finite, positive `resolution` and a nonzero `max_steps`,
+    /// `rewire_gamma` and `goal_tolerance` must be finite and
+    /// non-negative, and `goal_bias` a probability. A step of zero, below
+    /// zero or NaN stalls or panics the engines, and an infinite one turns
+    /// every edge into one long, coarsely checked motion. A bad resolution
+    /// checks only each motion's endpoint, and `max_steps` of zero panics
+    /// the motion check.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(step) = self.steering_step {
             if !(step.is_finite() && step > 0.0) {
                 return Err(format!("steering_step must be finite and > 0, got {step}"));
+            }
+        }
+        if let Some(interp) = self.interpolation {
+            if !(interp.resolution.is_finite() && interp.resolution > 0.0) {
+                return Err(format!(
+                    "interpolation resolution must be finite and > 0, got {}",
+                    interp.resolution
+                ));
+            }
+            if interp.max_steps == 0 {
+                return Err("interpolation max_steps must be >= 1".to_string());
             }
         }
         for (name, value) in [
@@ -279,7 +293,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     }
 
     /// Installs a cooperative stop hook polled every `every` sampling
-    /// rounds (clamped to ≥ 1). When `hook` returns `true` the planner
+    /// rounds (clamped to ≥ 1); RRT-Connect also polls it every `every`
+    /// steps of a connect walk. When `hook` returns `true` the planner
     /// stops early and returns its best-so-far anytime result with
     /// [`PlanStats::stopped_early`] set; the exploration tree remains
     /// fully consistent (see [`RrtStar::check_tree_invariants`]).
@@ -832,6 +847,34 @@ mod tests {
                 goal_bias: f64::NAN,
                 ..PlannerParams::default()
             },
+            PlannerParams {
+                interpolation: Some(InterpolationSteps {
+                    resolution: -1.0,
+                    max_steps: 64,
+                }),
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                interpolation: Some(InterpolationSteps {
+                    resolution: f64::NAN,
+                    max_steps: 64,
+                }),
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                interpolation: Some(InterpolationSteps {
+                    resolution: f64::INFINITY,
+                    max_steps: 64,
+                }),
+                ..PlannerParams::default()
+            },
+            PlannerParams {
+                interpolation: Some(InterpolationSteps {
+                    resolution: 0.5,
+                    max_steps: 0,
+                }),
+                ..PlannerParams::default()
+            },
         ];
         for p in bad {
             assert!(p.validate().is_err(), "{p:?}");
@@ -846,18 +889,29 @@ mod tests {
             3,
         );
         let checker = TwoStageChecker::moped(s.obstacles.clone());
-        for step in [-5.0, -0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let params = PlannerParams {
+        let bad_steps = [-5.0, -0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(|step| {
+            PlannerParams {
                 steering_step: Some(step),
                 ..quick_params(200, 1)
-            };
-            assert!(params.validate().is_err(), "{step} must be rejected");
+            }
+        });
+        let bad_interpolation = [(-1.0, 64), (f64::NAN, 64), (f64::INFINITY, 64), (0.5, 0)].map(
+            |(resolution, max_steps)| PlannerParams {
+                interpolation: Some(InterpolationSteps {
+                    resolution,
+                    max_steps,
+                }),
+                ..quick_params(200, 1)
+            },
+        );
+        for params in bad_steps.into_iter().chain(bad_interpolation) {
+            assert!(params.validate().is_err(), "{params:?} must be rejected");
             for engine in Engine::all() {
                 let r = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params.clone())
                     .with_engine(engine)
                     .plan();
-                assert!(!r.solved(), "{}: step {step}", engine.name());
-                assert_eq!(r.stats.samples, 0, "{}: step {step}", engine.name());
+                assert!(!r.solved(), "{}: {params:?}", engine.name());
+                assert_eq!(r.stats.samples, 0, "{}: {params:?}", engine.name());
             }
         }
     }

@@ -15,7 +15,6 @@
 //!   simulator: replays a planner's per-round trace, reports serial vs
 //!   speculative latency, FIFO / Missing-Neighbors-Buffer occupancy, and
 //!   verifies the §IV-B functional-equivalence claim.
-//! * [`cache`] — the three-level caching model (unit / module / engine).
 //! * [`design`] — the design-point roll-up (area, power, SRAM budget).
 //! * [`perf`] — end-to-end latency/energy reports for MOPED and the three
 //!   baselines (CPU, RRT\* ASIC, RRT\* ASIC + CODAcc).
@@ -30,12 +29,7 @@
 
 #![deny(missing_docs)]
 
-pub mod banks;
-pub mod cache;
-pub mod cachesim;
 pub mod design;
-pub mod energy;
-pub mod engine;
 pub mod fixed;
 pub mod lfsr;
 pub mod params;

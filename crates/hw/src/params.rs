@@ -24,10 +24,6 @@ pub const MAC_AREA_MM2: f64 = 5.6e-4;
 /// (joules). ~0.08 pJ/bit plus sense/decode overhead.
 pub const SRAM_WORD_ENERGY_J: f64 = 1.6e-12;
 
-/// Energy per 16-bit word served from a small cache / register-file
-/// structure (the Top NS Cache, trace cache, neighborhood cache).
-pub const CACHE_WORD_ENERGY_J: f64 = 0.4e-12;
-
 /// SRAM macro density at 28nm (mm² per KB), including periphery.
 pub const SRAM_AREA_MM2_PER_KB: f64 = 2.6e-3;
 
@@ -124,7 +120,6 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // sanity-pins the model's magnitudes
     fn constants_are_physical() {
         assert!(MAC_ENERGY_J > 0.0 && MAC_ENERGY_J < 1e-10);
-        assert!(SRAM_WORD_ENERGY_J > CACHE_WORD_ENERGY_J);
         assert!(CLOCK_HZ >= 1e8);
         assert!(cpu::INSTRUCTIONS_PER_OP >= 1.0);
         assert!(codacc::UNITS >= 1);

@@ -81,10 +81,10 @@ const MAX_ENTRIES: usize = 32;
 /// overflow item.
 const SPLIT_ITEMS: usize = MAX_ENTRIES + 1;
 
-/// Per-search traversal statistics, consumed by the hardware cache model
-/// (top-of-tree visits become Top NS Cache hits) and the evaluation
-/// figures.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Per-search traversal statistics: how many nodes a search expanded,
+/// how many subtrees the MINDIST bound skipped and how many exact
+/// distances it computed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Nodes whose children were examined.
     pub nodes_visited: u64,
@@ -92,36 +92,6 @@ pub struct SearchStats {
     pub subtrees_skipped: u64,
     /// Leaf-entry exact distance computations.
     pub distance_calcs: u64,
-    /// Node visits bucketed by depth (index 0 = root).
-    pub visits_by_depth: Vec<u64>,
-    /// Ordered node-id access trace of the search (filled only by
-    /// [`SiMbrTree::nearest_traced`]; the hardware cache simulator
-    /// replays it).
-    pub access_trace: Vec<usize>,
-}
-
-impl SearchStats {
-    fn bump_depth(&mut self, depth: usize) {
-        if self.visits_by_depth.len() <= depth {
-            self.visits_by_depth.resize(depth + 1, 0);
-        }
-        self.visits_by_depth[depth] += 1;
-        self.nodes_visited += 1;
-    }
-
-    /// Merges another search's statistics into this one (traces append).
-    pub fn absorb(&mut self, other: &SearchStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.subtrees_skipped += other.subtrees_skipped;
-        self.distance_calcs += other.distance_calcs;
-        for (i, v) in other.visits_by_depth.iter().enumerate() {
-            if self.visits_by_depth.len() <= i {
-                self.visits_by_depth.resize(i + 1, 0);
-            }
-            self.visits_by_depth[i] += v;
-        }
-        self.access_trace.extend_from_slice(&other.access_trace);
-    }
 }
 
 /// Per-tree software cache effectiveness counters. Deterministic and
@@ -153,7 +123,6 @@ pub struct Entry {
 struct Frontier {
     md: f64,
     node: u32,
-    depth: u32,
 }
 
 /// Total order on frontier elements: ascending MINDIST, ties broken by
@@ -835,21 +804,7 @@ impl SiMbrTree {
         assert_eq!(query.dim(), self.dim, "dimension mismatch");
         self.root?;
         let _span = moped_obs::span(moped_obs::Stage::MbrDescent);
-        self.search_best_first(query, hint, false, ops, stats)
-    }
-
-    /// Exact nearest neighbor that additionally records the ordered node
-    /// access trace into `stats.access_trace` — the input the hardware
-    /// cache simulator replays against the Top NS Cache model. Identical
-    /// traversal (and result) to [`SiMbrTree::nearest_with_stats`].
-    pub fn nearest_traced(
-        &self,
-        query: &Config,
-        ops: &mut OpCount,
-        stats: &mut SearchStats,
-    ) -> Option<(u64, f64)> {
-        assert_eq!(query.dim(), self.dim, "dimension mismatch");
-        self.search_best_first(query, None, true, ops, stats)
+        self.search_best_first(query, hint, ops, stats)
     }
 
     /// The shared best-first core: pops the frontier node with the
@@ -863,7 +818,6 @@ impl SiMbrTree {
         &self,
         query: &Config,
         hint: Option<u64>,
-        trace: bool,
         ops: &mut OpCount,
         stats: &mut SearchStats,
     ) -> Option<(u64, f64)> {
@@ -905,7 +859,6 @@ impl SiMbrTree {
             Frontier {
                 md: 0.0,
                 node: root as u32,
-                depth: 0,
             },
             ops,
         );
@@ -918,10 +871,7 @@ impl SiMbrTree {
                 break;
             }
             let node = f.node as usize;
-            if trace {
-                stats.access_trace.push(node);
-            }
-            stats.bump_depth(f.depth as usize);
+            stats.nodes_visited += 1;
             if node < self.top_len {
                 cache.top_hits += 1;
                 bump(Counter::TopBlockHit);
@@ -953,7 +903,6 @@ impl SiMbrTree {
                             Frontier {
                                 md,
                                 node: child as u32,
-                                depth: f.depth + 1,
                             },
                             ops,
                         );
@@ -967,9 +916,8 @@ impl SiMbrTree {
         best.map(|id| (id, best_d2.sqrt()))
     }
 
-    /// The depth (root = 0) of node `id` in the current structure, used
-    /// by the cache model to classify trace entries. Returns `None` for
-    /// an unknown node id.
+    /// The depth (root = 0) of node `id` in the current structure.
+    /// Returns `None` for an unknown node id.
     pub fn node_depth(&self, id: usize) -> Option<usize> {
         if id >= self.node_count() {
             return None;
@@ -1495,16 +1443,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_depth_buckets_cover_height() {
-        let (tree, _) = build_grid(150, "conv");
-        let mut ops = OpCount::default();
-        let mut stats = SearchStats::default();
-        let _ = tree.nearest_with_stats(&c2(5.0, 5.0), &mut ops, &mut stats);
-        assert_eq!(stats.visits_by_depth[0], 1, "root visited once");
-        assert!(stats.visits_by_depth.len() <= tree.height());
-    }
-
-    #[test]
     fn memory_words_grow_with_entries() {
         let (t1, _) = build_grid(10, "conv");
         let (t2, _) = build_grid(100, "conv");
@@ -1523,20 +1461,6 @@ mod tests {
         let fast = tree.nearest(&q, &mut ops).unwrap();
         let slow = tree.nearest_linear(&q, &mut ops).unwrap();
         assert!((fast.1 - slow.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn search_stats_absorb_accumulates() {
-        let mut a = SearchStats::default();
-        a.bump_depth(0);
-        a.bump_depth(1);
-        let mut b = SearchStats::default();
-        b.bump_depth(1);
-        b.distance_calcs = 5;
-        a.absorb(&b);
-        assert_eq!(a.nodes_visited, 3);
-        assert_eq!(a.visits_by_depth, vec![1, 2]);
-        assert_eq!(a.distance_calcs, 5);
     }
 
     #[test]
@@ -1603,20 +1527,5 @@ mod tests {
         let cs = tree.cache_stats();
         assert_eq!(cs.top_hits + cs.top_misses, stats.nodes_visited);
         assert!(cs.top_hits >= 3, "root pops alone hit the pinned block");
-    }
-
-    #[test]
-    fn traced_search_equals_plain_search() {
-        let (tree, _) = build_grid(250, "lci");
-        let mut ops = OpCount::default();
-        for q in [c2(3.1, 11.9), c2(7.7, 0.3), c2(0.0, 24.0)] {
-            let mut s1 = SearchStats::default();
-            let mut s2 = SearchStats::default();
-            let plain = tree.nearest_with_stats(&q, &mut ops, &mut s1);
-            let traced = tree.nearest_traced(&q, &mut ops, &mut s2);
-            assert_eq!(plain, traced);
-            assert_eq!(s1.nodes_visited, s2.nodes_visited);
-            assert_eq!(s2.access_trace.len() as u64, s2.nodes_visited);
-        }
     }
 }

@@ -17,6 +17,19 @@ cargo test -q
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+echo "== examples =="
+# `cargo test` compiles the examples but never runs them. Run every
+# `[[example]]` target named in Cargo.toml and fail on a non-zero exit.
+# plan_gallery and observe write only under target/.
+for ex in $(awk '/^\[\[example\]\]/ { ex = 1; next }
+                 ex && /^name *=/ { gsub(/"/, "", $3); print $3; ex = 0 }' Cargo.toml); do
+    echo "-- example $ex"
+    if ! cargo run --release -q --offline --example "$ex" > /dev/null; then
+        echo "verify: FAIL — example $ex exited non-zero" >&2
+        exit 1
+    fi
+done
+
 echo "== moped-lint --deny warnings (budget: ${LINT_BUDGET_S:=10}s) =="
 # The lint gate must stay cheap enough to run on every PR: fail the
 # verify run outright if the workspace sweep (token rules + structural

@@ -81,7 +81,7 @@ fn nearest_query_allocates_nothing_after_warmup() {
     let queries = drone_queries(&s, 64);
     let mut stats = SearchStats::default();
 
-    // Warm-up: sizes the reusable frontier and the depth histogram.
+    // Warm-up: sizes the reusable frontier.
     for q in &queries {
         let _ = tree.nearest_with_stats(q, &mut ops, &mut stats);
     }

@@ -18,7 +18,7 @@ use moped::geometry::OpCount;
 use moped::robot::{Robot, RobotModel};
 use moped::rtree::FilterStats;
 use moped::scenarios::{CorpusEntry, Family};
-use moped::simbr::CacheStats;
+use moped::simbr::{CacheStats, SearchStats};
 
 #[test]
 fn xarm7_clutter_plan_ledger_is_pinned() {
@@ -118,9 +118,14 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
     let AnyIndex::SiMbr(index) = planner.index() else {
         panic!("V4 plans over the SI-MBR index");
     };
-    let search = index.search_stats();
-    assert_eq!(search.nodes_visited, 46_269);
-    assert_eq!(search.distance_calcs, 41_395);
+    assert_eq!(
+        index.search_stats(),
+        SearchStats {
+            nodes_visited: 46_269,
+            subtrees_skipped: 125_617,
+            distance_calcs: 41_395,
+        }
+    );
     assert_eq!(
         index.tree().cache_stats(),
         CacheStats {

@@ -8,7 +8,7 @@
 use moped::core::{PlannerParams, Variant};
 use moped::env::{Scenario, ScenarioParams};
 use moped::hw::design::DesignPoint;
-use moped::hw::engine;
+use moped::hw::{params, perf, pipeline};
 use moped::robot::Robot;
 
 fn traced(samples: usize, seed: u64) -> PlannerParams {
@@ -37,7 +37,8 @@ fn algorithmic_saving_band() {
 }
 
 /// The end-to-end hardware evaluation keeps every comparison in the
-/// direction and rough magnitude the paper reports.
+/// direction and rough magnitude the paper reports, and the S&R pipeline
+/// stays inside its on-chip buffers.
 #[test]
 fn hardware_comparison_bands() {
     let s = Scenario::generate(
@@ -46,37 +47,41 @@ fn hardware_comparison_bands() {
         123,
     );
     let p = PlannerParams {
-        max_samples: 600,
-        seed: 5,
         goal_tolerance: 0.8,
-        ..PlannerParams::default()
+        ..traced(600, 5)
     };
-    let rep = engine::evaluate(&s, &p, &DesignPoint::default());
+    let design = DesignPoint::default();
+    let base = Variant::V0Baseline.profile().plan(&s, &p);
+    let moped = Variant::V4Lci.profile().plan(&s, &p);
+    let m = perf::moped_report(&moped.stats, &design);
+    let vs_cpu = perf::compare(&m, &perf::cpu_report(&base.stats));
+    let vs_asic = perf::compare(&m, &perf::rrt_asic_report(&base.stats, &design));
+    let vs_codacc = perf::compare(&m, &perf::codacc_report(&base.stats, &s.robot, &design));
+    let pipe = pipeline::simulate(&pipeline::rounds_from_trace(&moped.stats.rounds));
     assert!(
-        (200.0..100_000.0).contains(&rep.vs_cpu.speedup),
+        (200.0..100_000.0).contains(&vs_cpu.speedup),
         "CPU speedup band: {:.0}",
-        rep.vs_cpu.speedup
+        vs_cpu.speedup
     );
     assert!(
-        (1.5..60.0).contains(&rep.vs_asic.speedup),
+        (1.5..60.0).contains(&vs_asic.speedup),
         "ASIC speedup band: {:.1}",
-        rep.vs_asic.speedup
+        vs_asic.speedup
     );
     assert!(
-        (1.0..40.0).contains(&rep.vs_codacc.speedup),
+        (1.0..40.0).contains(&vs_codacc.speedup),
         "CODAcc speedup band: {:.1}",
-        rep.vs_codacc.speedup
+        vs_codacc.speedup
     );
+    assert!(vs_cpu.speedup > vs_asic.speedup);
+    assert!(m.latency_s < 5e-3, "latency {:.2e}s", m.latency_s);
     assert!(
-        rep.moped.latency_s < 5e-3,
-        "latency {:.2e}s",
-        rep.moped.latency_s
-    );
-    assert!(
-        (1.0..=2.0).contains(&rep.pipeline.speedup()),
+        (1.0..=2.0).contains(&pipe.speedup()),
         "S&R band: {:.2}",
-        rep.pipeline.speedup()
+        pipe.speedup()
     );
+    assert!(pipe.max_fifo_occupancy <= params::FIFO_DEPTH);
+    assert!(pipe.max_missing_neighbors <= params::MISSING_NEIGHBOR_CAPACITY);
 }
 
 /// The design point's silicon numbers stay pinned to the paper's.
