@@ -136,8 +136,8 @@ pub struct RoundTrace {
     pub ns_macs: u64,
     /// Collision-check work in the extension phase.
     pub cc_macs: u64,
-    /// Tree-refinement (parent choice + rewiring) work, collision checks
-    /// included.
+    /// Tree-refinement work (parent choice, rewiring and the goal
+    /// connection), collision checks included.
     pub refine_macs: u64,
     /// Index-insertion work.
     pub insert_macs: u64,
@@ -653,13 +653,15 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                     }
                 }
             }
-            trace.refine_macs = (self.ledger_macs(&stats) + stats.other_ops.mac_equiv())
-                .saturating_sub(refine_mark);
 
             // --- Goal bookkeeping --------------------------------------
+            // The bound is tested before the edge is checked: a goal
+            // connection that cannot beat the best path is never checked.
             let gd = x_new.distance_counted(&self.scenario.goal, &mut stats.other_ops);
             stats.other_ops.cmp += 1;
+            let total = self.nodes[new_idx].cost + gd;
             if gd <= self.params.goal_tolerance
+                && best_goal.is_none_or(|(bi, bd)| total < self.nodes[bi].cost + bd)
                 && self.checker.motion_free(
                     &self.scenario.robot,
                     &x_new,
@@ -668,12 +670,11 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                     &mut stats.collision,
                 )
             {
-                let total = self.nodes[new_idx].cost + gd;
-                if best_goal.is_none_or(|(bi, bd)| total < self.nodes[bi].cost + bd) {
-                    best_goal = Some((new_idx, gd));
-                    self.record_goal(&mut stats, new_idx, total);
-                }
+                best_goal = Some((new_idx, gd));
+                self.record_goal(&mut stats, new_idx, total);
             }
+            trace.refine_macs = (self.ledger_macs(&stats) + stats.other_ops.mac_equiv())
+                .saturating_sub(refine_mark);
 
             if self.params.trace_rounds {
                 stats.rounds.push(trace);
@@ -879,6 +880,75 @@ mod tests {
         for p in bad {
             assert!(p.validate().is_err(), "{p:?}");
         }
+    }
+
+    /// Delegates to an inner checker and counts the motion checks that
+    /// end at `goal` and find the edge free.
+    struct GoalCheckRecorder<'a> {
+        inner: &'a dyn CollisionChecker,
+        goal: Config,
+        free: std::cell::Cell<usize>,
+    }
+
+    impl CollisionChecker for GoalCheckRecorder<'_> {
+        fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
+            self.inner.config_free(robot, q, ledger)
+        }
+
+        fn motion_free(
+            &self,
+            robot: &Robot,
+            from: &Config,
+            to: &Config,
+            steps: &InterpolationSteps,
+            ledger: &mut CollisionLedger,
+        ) -> bool {
+            let free = self.inner.motion_free(robot, from, to, steps, ledger);
+            if free && *to == self.goal {
+                self.free.set(self.free.get() + 1);
+            }
+            free
+        }
+
+        fn name(&self) -> &'static str {
+            "goal-check-recorder"
+        }
+    }
+
+    #[test]
+    fn goal_connection_is_checked_only_when_it_could_improve() {
+        // An arm's default goal tolerance covers almost all of its joint
+        // space, so every accepted node is a goal candidate. A goal edge
+        // is checked only when it would beat the best path, so each free
+        // goal check improves the solution. A goal-biased draw can steer
+        // a node exactly onto the goal, and then its extension and
+        // parent-choice edges end there too; with no goal bias every
+        // check that ends at the goal is a goal connection.
+        let s = moped_scenarios::CorpusEntry::new(
+            moped_scenarios::Family::Clutter,
+            moped_robot::RobotModel::XArm7,
+            1,
+        )
+        .build();
+        let inner = TwoStageChecker::moped(s.obstacles.clone());
+        let checker = GoalCheckRecorder {
+            inner: &inner,
+            goal: s.goal,
+            free: std::cell::Cell::new(0),
+        };
+        let r = crate::Variant::V4Lci
+            .profile()
+            .planner(
+                &s,
+                &checker,
+                &PlannerParams {
+                    goal_bias: 0.0,
+                    ..quick_params(900, 7)
+                },
+            )
+            .plan();
+        assert!(r.path.is_some(), "the scene is solvable at this budget");
+        assert_eq!(checker.free.get(), r.stats.solution_history.len());
     }
 
     #[test]

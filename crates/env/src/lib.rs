@@ -28,7 +28,7 @@ pub mod dynamic;
 
 use std::f64::consts::PI;
 
-use moped_geometry::{sat, Config, Obb, OpCount, Vec3};
+use moped_geometry::{sat, Config, Obb, OpCount, Vec3, MAX_DOF};
 use moped_robot::{Robot, WORKSPACE_EXTENT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -220,8 +220,7 @@ impl Scenario {
     /// fully blocked).
     pub fn sample_free(&self, rng: &mut StdRng) -> Config {
         for _ in 0..100_000 {
-            let unit: Vec<f64> = (0..self.robot.dof()).map(|_| rng.gen::<f64>()).collect();
-            let q = self.robot.config_from_unit(&unit);
+            let q = self.sample_any(rng);
             if !self.config_collides(&q) {
                 return q;
             }
@@ -232,8 +231,12 @@ impl Scenario {
     /// Samples an arbitrary (possibly colliding) configuration — the raw
     /// `x_rand` draw of each RRT\* round.
     pub fn sample_any(&self, rng: &mut StdRng) -> Config {
-        let unit: Vec<f64> = (0..self.robot.dof()).map(|_| rng.gen::<f64>()).collect();
-        self.robot.config_from_unit(&unit)
+        let mut unit = [0.0; MAX_DOF];
+        let unit = &mut unit[..self.robot.dof()];
+        for u in unit.iter_mut() {
+            *u = rng.gen::<f64>();
+        }
+        self.robot.config_from_unit(unit)
     }
 }
 

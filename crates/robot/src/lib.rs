@@ -33,7 +33,7 @@
 use std::f64::consts::PI;
 use std::fmt;
 
-use moped_geometry::{Config, Mat3, Obb, Vec3};
+use moped_geometry::{Config, Mat3, Obb, Vec3, MAX_DOF};
 
 /// Side length of the simulated cubic workspace (§V: 300×300×300, or
 /// 300×300 for the planar robot).
@@ -321,12 +321,12 @@ impl Robot {
     /// Panics if `unit.len() != self.dof()`.
     pub fn config_from_unit(&self, unit: &[f64]) -> Config {
         assert_eq!(unit.len(), self.dof(), "unit sample has wrong dimension");
-        let coords: Vec<f64> = unit
-            .iter()
-            .zip(&self.bounds)
-            .map(|(u, (lo, hi))| lo + u.clamp(0.0, 1.0) * (hi - lo))
-            .collect();
-        Config::new(&coords)
+        let mut coords = [0.0; MAX_DOF];
+        let coords = &mut coords[..unit.len()];
+        for ((c, u), (lo, hi)) in coords.iter_mut().zip(unit).zip(&self.bounds) {
+            *c = lo + u.clamp(0.0, 1.0) * (hi - lo);
+        }
+        Config::new(coords)
     }
 
     /// Clamps a configuration into bounds component-wise.

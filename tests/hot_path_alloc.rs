@@ -1,6 +1,6 @@
 //! Zero-allocation contract for the hot-path engine: after warm-up,
-//! neighbor search and motion collision checking perform no heap
-//! allocation at all. The flat SoA tree arena, the reusable best-first
+//! sampling, neighbor search and motion collision checking perform no
+//! heap allocation at all. The flat SoA tree arena, the reusable best-first
 //! frontier, the checker scratch buffers, and the persistent search-stats
 //! accumulator exist precisely so the per-query path is allocation-free —
 //! this binary asserts that with a counting global allocator rather than
@@ -15,6 +15,8 @@ use moped::env::{Scenario, ScenarioParams};
 use moped::geometry::{Config, InterpolationSteps, OpCount};
 use moped::robot::Robot;
 use moped::simbr::{SearchStats, SiMbrTree};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 // ---------------------------------------------------------------------------
 // Counting allocator (same harness as tests/observability.rs): every heap
@@ -67,6 +69,25 @@ fn drone_queries(s: &Scenario, n: usize) -> Vec<Config> {
             s.robot.config_from_unit(&unit)
         })
         .collect()
+}
+
+#[test]
+fn sampling_allocates_nothing_after_warmup() {
+    // Every planner round draws `x_rand` through `Scenario::sample_any`,
+    // which maps the unit draw through `Robot::config_from_unit`.
+    let s = drone_scenario();
+    let mut rng = StdRng::seed_from_u64(7);
+    let _ = s.sample_any(&mut rng);
+    let allocs = allocations_during(|| {
+        for _ in 0..256 {
+            let q = s.sample_any(&mut rng);
+            assert!(s.robot.in_bounds(&q));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "sampling must not touch the heap ({allocs} allocations over 256 samples)"
+    );
 }
 
 #[test]

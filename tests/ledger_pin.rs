@@ -6,9 +6,14 @@
 //! The pose-check kernels (R-tree filter, prepared AABB–OBB SAT, forward
 //! kinematics) may be rewritten for speed, and the way a planner stack is
 //! assembled may change, but every verdict, count and modelled op charge
-//! must stay the same. The xarm7 constants were taken from the kernels
-//! before the flat R-tree / prepared-body rewrite; any drift in a single
-//! counter or in the last bit of the path cost fails here.
+//! must stay the same; any drift in a single counter or in the last bit
+//! of the path cost fails here. Path costs, sample and node counts,
+//! journals, solution histories and trees date from before the flat
+//! R-tree / prepared-body rewrite. Collision ledgers, MAC totals and
+//! round-trace hashes were re-taken when RRT\*'s goal connection became
+//! bound-first: a goal edge that cannot beat the best path is no longer
+//! checked, and the goal checks that remain are charged to refinement.
+//! That removed collision work without moving any path, tree or journal.
 
 use moped::collision::{CollisionLedger, TwoStageChecker};
 use moped::core::{AnyIndex, PlanResult, PlannerParams, Variant};
@@ -31,30 +36,30 @@ fn xarm7_clutter_plan_ledger_is_pinned() {
     let result = Variant::V4Lci.profile().plan(&scenario, &params);
     let expected = CollisionLedger {
         first_stage: OpCount {
-            mul: 36_876_138,
-            add: 49_072_445,
-            cmp: 7_863_853,
+            mul: 10_734_369,
+            add: 14_001_006,
+            cmp: 2_253_923,
             sqrt: 0,
             dist_calcs: 0,
-            sat_queries: 1_661_923,
-            mem_words: 9_971_538,
+            sat_queries: 465_295,
+            mem_words: 2_791_770,
         },
         second_stage: OpCount {
-            mul: 102_726,
-            add: 84_288,
-            cmp: 13_170,
+            mul: 40_599,
+            add: 33_312,
+            cmp: 5_205,
             sqrt: 0,
             dist_calcs: 0,
-            sat_queries: 878,
-            mem_words: 13_170,
+            sat_queries: 347,
+            mem_words: 5_205,
         },
-        motion_queries: 2_401,
-        pose_queries: 56_354,
+        motion_queries: 1_558,
+        pose_queries: 11_138,
         filter: FilterStats {
-            node_checks: 1_366_151,
-            leaf_checks: 295_772,
-            pruned_subtrees: 998_868,
-            survivors: 878,
+            node_checks: 357_675,
+            leaf_checks: 107_620,
+            pruned_subtrees: 247_841,
+            survivors: 347,
         },
     };
     assert_eq!(result.stats.collision, expected);
@@ -85,13 +90,13 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
     let result = planner.plan();
     let expected = CollisionLedger {
         first_stage: OpCount {
-            mul: 7_114_992,
-            add: 8_933_573,
-            cmp: 1_447_989,
+            mul: 7_113_003,
+            add: 8_931_086,
+            cmp: 1_447_590,
             sqrt: 0,
             dist_calcs: 0,
-            sat_queries: 286_220,
-            mem_words: 1_717_320,
+            sat_queries: 286_140,
+            mem_words: 1_716_840,
         },
         second_stage: OpCount {
             mul: 105_885,
@@ -102,12 +107,12 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
             sat_queries: 905,
             mem_words: 13_575,
         },
-        motion_queries: 8_425,
-        pose_queries: 59_928,
+        motion_queries: 8_422,
+        pose_queries: 59_914,
         filter: FilterStats {
-            node_checks: 137_356,
-            leaf_checks: 148_864,
-            pruned_subtrees: 61_426,
+            node_checks: 137_320,
+            leaf_checks: 148_820,
+            pruned_subtrees: 61_412,
             survivors: 905,
         },
     };
@@ -168,15 +173,15 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
 
 /// Every rung of the V0–V4 ladder and the RRT-Connect engine, on one small
 /// corpus scene: `(row, path_cost bits, samples, total MAC-equivalents)`.
-/// Taken before the ladder and the engine columns were folded into one
-/// `PlannerProfile` assembly path; any stack that plans differently from
-/// the one it replaced fails here.
+/// Path costs and samples were taken before the ladder and the engine
+/// columns were folded into one `PlannerProfile` assembly path; any stack
+/// that plans differently from the one it replaced fails here.
 const LADDER_ROWS: [(&str, u64, usize, u64); 6] = [
-    ("V0-baseline", 0x4073_1892_0db1_4260, 400, 3_457_556),
-    ("V1-TSPS", 0x4073_1892_0db1_4260, 400, 1_436_671),
-    ("V2-STNS", 0x4073_1892_0db1_4260, 400, 846_993),
-    ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 1_281_977),
-    ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 1_111_497),
+    ("V0-baseline", 0x4073_1892_0db1_4260, 400, 3_450_307),
+    ("V1-TSPS", 0x4073_1892_0db1_4260, 400, 1_435_436),
+    ("V2-STNS", 0x4073_1892_0db1_4260, 400, 845_758),
+    ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 1_280_742),
+    ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 1_110_262),
     ("moped-rrt-connect", 0x4075_183b_916f_f669, 99, 200_168),
 ];
 
@@ -221,21 +226,22 @@ type EngineRow = (u64, usize, usize, u64, [u64; 5]);
 
 /// The two engines × three scenes (mobile clutter, drone narrow
 /// passage, xarm7 clutter), 400 samples, seed 7, round tracing and
-/// journal recording on. Taken before the engines were moved onto one
-/// set of shared round steps (sample draw, extend, attach); any reordered
-/// journal event, shifted trace charge or moved tree node fails here.
+/// journal recording on. Path, journal, history and tree hashes were
+/// taken before the engines were moved onto one set of shared round steps
+/// (sample draw, extend, attach); any reordered journal event, shifted
+/// trace charge or moved tree node fails here.
 const ENGINE_ROWS: [EngineRow; 6] = [
     (
         0x4072_6a41_847d_2bdf,
         268,
         400,
-        1_111_497,
+        1_110_262,
         [
             0xa737_e2b4_84fd_40c5,
-            0xded9_65dc_90dd_77a1,
+            0x42b5_a1d9_d69f_73ca,
             0x7d44_0a2b_f81b_4568,
             0xb69a_d862_1b8d_87bc,
-            0xc140_a70c_7448_d321,
+            0x1ee7_538c_f39d_cafd,
         ],
     ),
     (
@@ -258,7 +264,7 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         2_036_739,
         [
             0xf873_5d52_3391_c885,
-            0xbd7d_f0ad_fe7e_7163,
+            0xc792_ac71_ba9b_fae2,
             0xc448_2f94_1ac1_7fc8,
             0x1af1_9ebd_be46_ecfa,
             0xd07a_506f_2f30_e9a8,
@@ -281,13 +287,13 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4017_7742_47c7_88ab,
         380,
         400,
-        40_209_033,
+        12_327_382,
         [
             0xb1d4_63f8_40aa_cb2e,
-            0x4572_c503_927b_4e47,
+            0xaa68_3780_ae05_f736,
             0x53ea_4c5d_36ca_1c63,
             0xf385_9bee_0149_ddfc,
-            0x009b_97e0_532b_54f9,
+            0x4263_8c85_5be9_e19e,
         ],
     ),
     (
