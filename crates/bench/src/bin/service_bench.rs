@@ -32,8 +32,8 @@
 //! scripts/verify.sh) and exits non-zero if 4 workers fail to beat 1
 //! worker by the factor this machine's core count can support: 1.5x on
 //! a >=4-core machine, and a 0.75x no-collapse floor on smaller ones
-//! (a single core cannot parallelize CPU-bound planning, but the
-//! sharded pool must at least not scale *negatively* the way the old
+//! (a single core cannot parallelize CPU-bound planning, but the pool
+//! must at least not scale *negatively* the way the old
 //! `Mutex<Receiver>` pool did).
 
 use std::time::{Duration, Instant};

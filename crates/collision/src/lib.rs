@@ -250,48 +250,47 @@ pub const RTREE_FANOUT: usize = 4;
 /// `f64` lanes instead of re-deriving axes per test. Survivors are
 /// checked in [`sat::SAT_BATCH`]-wide chunks of branch-free full-axis
 /// lanes, with the body's axes prepared once per pose.
+///
+/// The checker is read-only after construction and `Sync`: the per-pose
+/// scratch buffers live in a thread-local, so one checker can be shared
+/// by every thread that plans in its obstacle field.
 #[derive(Clone, Debug)]
 pub struct TwoStageChecker {
     rtree: RTree,
     soa: sat::ObbSoa,
     second: SecondStage,
-    scratch: std::cell::RefCell<TwoStageScratch>,
 }
 
-#[derive(Clone, Debug, Default)]
+/// Per-thread buffers reused by every [`TwoStageChecker`] call on that
+/// thread. Each call clears what it reads before filling it
+/// (`body_obbs_into` and `filter_into` clear their outputs), so a panic
+/// mid-check leaves nothing a later call could mistake for its own.
+#[derive(Default)]
 struct TwoStageScratch {
     bodies: Vec<Obb>,
     stack: Vec<usize>,
     survivors: Vec<usize>,
 }
 
+thread_local! {
+    static SCRATCH: std::cell::RefCell<TwoStageScratch> =
+        std::cell::RefCell::new(TwoStageScratch::default());
+}
+
 impl TwoStageChecker {
     /// Builds the checker, bulk-loading the obstacle R-tree offline with
     /// [`RTREE_FANOUT`].
     pub fn new(obstacles: Vec<Obb>, second: SecondStage) -> Self {
-        let rtree = RTree::build(&obstacles, RTREE_FANOUT);
-        TwoStageChecker::with_prebuilt_soa(rtree, sat::ObbSoa::build(obstacles), second)
+        TwoStageChecker {
+            rtree: RTree::build(&obstacles, RTREE_FANOUT),
+            soa: sat::ObbSoa::build(obstacles),
+            second,
+        }
     }
 
     /// The MOPED checker: exact OBB–OBB second stage.
     pub fn moped(obstacles: Vec<Obb>) -> Self {
         TwoStageChecker::new(obstacles, SecondStage::ObbExact)
-    }
-
-    /// Wraps an R-tree that was already bulk-loaded over exactly the
-    /// obstacles of `soa` (same order; see
-    /// `moped_env::Scenario::prepared_obstacles`). A serving layer pays
-    /// the STR build and the axis extraction once per environment
-    /// snapshot, so per-worker checker construction copies flat arrays
-    /// instead of re-sorting the obstacle field per request.
-    pub fn with_prebuilt_soa(rtree: RTree, soa: sat::ObbSoa, second: SecondStage) -> Self {
-        debug_assert_eq!(rtree.len(), soa.len(), "rtree/obstacle mismatch");
-        TwoStageChecker {
-            rtree,
-            soa,
-            second,
-            scratch: std::cell::RefCell::new(TwoStageScratch::default()),
-        }
     }
 
     /// The underlying obstacle R-tree (exposed for the hardware model's
@@ -311,48 +310,57 @@ impl TwoStageChecker {
     }
 }
 
+// One checker serves every thread that plans in its obstacle field; a
+// field that reintroduces per-checker interior mutability breaks the
+// build here.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<TwoStageChecker>();
+};
+
 impl CollisionChecker for TwoStageChecker {
     fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
         let _span = moped_obs::span(moped_obs::Stage::Collision);
-        let scratch = &mut *self.scratch.borrow_mut();
-        robot.body_obbs_into(q, &mut scratch.bodies);
+        SCRATCH.with_borrow_mut(|scratch| {
+            robot.body_obbs_into(q, &mut scratch.bodies);
 
-        for body in &scratch.bodies {
-            // Stage 1: hierarchical AABB filter (spanned as broad-phase
-            // inside `RTree::filter_into`).
-            self.rtree.filter_into(
-                body,
-                &mut ledger.first_stage,
-                &mut ledger.filter,
-                &mut scratch.stack,
-                &mut scratch.survivors,
-            );
-            if scratch.survivors.is_empty() {
-                continue;
-            }
-            match self.second {
-                SecondStage::AabbOnly => return false,
-                SecondStage::ObbExact => {
-                    // Stage 2: exact check on the few survivors only.
-                    let _narrow = moped_obs::span(moped_obs::Stage::NarrowPhase);
-                    let pre = sat::prepare(body);
-                    for &oid in &scratch.survivors {
-                        ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
-                    }
-                    if sat::obb_obb_batch(
-                        &self.soa,
-                        &scratch.survivors,
-                        &pre,
-                        &mut ledger.second_stage,
-                    )
-                    .is_some()
-                    {
-                        return false;
+            for body in &scratch.bodies {
+                // Stage 1: hierarchical AABB filter (spanned as
+                // broad-phase inside `RTree::filter_into`).
+                self.rtree.filter_into(
+                    body,
+                    &mut ledger.first_stage,
+                    &mut ledger.filter,
+                    &mut scratch.stack,
+                    &mut scratch.survivors,
+                );
+                if scratch.survivors.is_empty() {
+                    continue;
+                }
+                match self.second {
+                    SecondStage::AabbOnly => return false,
+                    SecondStage::ObbExact => {
+                        // Stage 2: exact check on the few survivors only.
+                        let _narrow = moped_obs::span(moped_obs::Stage::NarrowPhase);
+                        let pre = sat::prepare(body);
+                        for &oid in &scratch.survivors {
+                            ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
+                        }
+                        if sat::obb_obb_batch(
+                            &self.soa,
+                            &scratch.survivors,
+                            &pre,
+                            &mut ledger.second_stage,
+                        )
+                        .is_some()
+                        {
+                            return false;
+                        }
                     }
                 }
             }
-        }
-        true
+            true
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -574,6 +582,33 @@ mod tests {
             let b = two.motion_free(&s.robot, &s.start, &s.goal, &steps, &mut l2);
             assert_eq!(a, b, "{} checkers disagree", s.robot.name());
         }
+    }
+
+    /// Two threads checking one pose set through one shared checker each
+    /// get the serial run's verdicts and ledger: the per-thread scratch
+    /// carries nothing from one call, or one thread, into another.
+    #[test]
+    fn shared_checker_matches_serial_across_threads() {
+        let s = drone_scene(13, 36);
+        let poses = lcg_poses(&s, 120, 99, 2862933555777941757, 3037000493, 7);
+        let checker = TwoStageChecker::moped(s.obstacles.clone());
+        let run = || {
+            let mut ledger = CollisionLedger::default();
+            let verdicts: Vec<bool> = poses
+                .iter()
+                .map(|q| checker.config_free(&s.robot, q, &mut ledger))
+                .collect();
+            (verdicts, ledger)
+        };
+        let serial = run();
+        assert!(serial.0.contains(&true) && serial.0.contains(&false));
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(run);
+            let b = scope.spawn(run);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, serial);
+        assert_eq!(b, serial);
     }
 
     #[test]

@@ -191,15 +191,6 @@ impl Scenario {
         }
     }
 
-    /// Precomputes the structure-of-arrays obstacle field consumed by the
-    /// batched narrow phase: centers, half-extents, and rotation axes are
-    /// extracted once here, so checkers built from the result never
-    /// re-derive per-obstacle geometry on the hot path. Serving layers
-    /// pay this once per environment snapshot and clone it per worker.
-    pub fn prepared_obstacles(&self) -> sat::ObbSoa {
-        sat::ObbSoa::build(self.obstacles.clone())
-    }
-
     /// Exact (all-pairs OBB–OBB) collision test for a single
     /// configuration; used for start/goal validation and as the ground
     /// truth in tests. Planner-grade checking lives in `moped-collision`.

@@ -80,7 +80,7 @@ pub const RULES: &[Rule] = &[
         id: "mutex-receiver",
         severity: Severity::Error,
         summary: "no Mutex/RwLock-wrapped channel Receiver in the serving layer \
-                  (serializes every dequeue; shard the queue instead)",
+                  (a lock held across a blocking recv parks every other worker)",
         check: mutex_receiver,
     },
     Rule {
@@ -424,11 +424,12 @@ fn unbounded_channel(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// rule `mutex-receiver` — a `Mutex<Receiver<_>>` shared by a worker
-/// pool funnels every dequeue through one lock, so adding workers adds
-/// contention instead of throughput: the exact pathology the sharded
-/// work-stealing queue replaced (DESIGN.md §7). Dequeue paths must pull
-/// from per-worker shards, never from a lock-wrapped channel end.
+/// rule `mutex-receiver` — a worker that locks a shared
+/// `Mutex<Receiver<_>>` and then blocks in `recv` keeps the lock while it
+/// sleeps, so every other idle worker parks behind that one lock instead
+/// of waiting for work itself. Wait on a condition variable, which
+/// releases the lock while it sleeps (the serving layer's
+/// `queue::JobQueue`, DESIGN.md §7), never on a lock-wrapped channel end.
 fn mutex_receiver(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     if !applies(ctx, &["service"]) {
         return;
@@ -458,9 +459,9 @@ fn mutex_receiver(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 "mutex-receiver",
                 t.line,
                 format!(
-                    "`{}<Receiver<_>>` in the serving layer — a lock-wrapped channel end \
-                     serializes every dequeue across the pool; use per-worker shards with \
-                     work stealing (`queue::ShardedQueue`) instead",
+                    "`{}<Receiver<_>>` in the serving layer — a worker blocked in `recv` \
+                     holds the lock, so every other worker parks behind it; wait on a \
+                     condvar that releases the lock (`queue::JobQueue`) instead",
                     t.text
                 ),
             );

@@ -16,14 +16,10 @@
 //!   injected panic is caught and resolved as a typed
 //!   [`FailureReason::Panic`](crate::FailureReason) response (or
 //!   retried, per the configured [`RetryPolicy`](crate::RetryPolicy)).
-//! * [`FaultSite::Dequeue`], [`FaultSite::Steal`] and
-//!   [`FaultSite::Respond`] fire *outside* the guard: an injected panic
-//!   kills the worker thread itself, which exercises the supervisor's
-//!   respawn path and the client-side
+//! * [`FaultSite::Dequeue`] and [`FaultSite::Respond`] fire *outside*
+//!   the guard: an injected panic kills the worker thread itself, which
+//!   exercises the supervisor's respawn path and the client-side
 //!   [`FailureReason::WorkerDied`](crate::FailureReason) resolution.
-//!   `Steal` is the narrowest of the three: it is hit only when the
-//!   dequeued job came off *another* worker's shard, so it targets the
-//!   work-stealing path specifically.
 //!
 //! Hit counters are shared across the pool, so "every Nth" means every
 //! Nth hit of the site service-wide, not per worker. Injected panic
@@ -42,10 +38,6 @@ pub enum FaultSite {
     /// In the worker loop, right after a job is pulled off the queue and
     /// *outside* the panic guard — a panic here kills the worker.
     Dequeue,
-    /// In the worker loop, hit only when the dequeued job was *stolen*
-    /// from another worker's shard; *outside* the panic guard — a panic
-    /// here kills the thief mid-steal.
-    Steal,
     /// At the start of a planning attempt, *inside* the panic guard — a
     /// panic here becomes a typed failure response.
     Planning,
@@ -60,7 +52,6 @@ impl fmt::Display for FaultSite {
         let name = match self {
             FaultSite::Admission => "admission",
             FaultSite::Dequeue => "dequeue",
-            FaultSite::Steal => "steal",
             FaultSite::Planning => "planning",
             FaultSite::Respond => "respond",
         };
@@ -157,13 +148,6 @@ impl FaultPlan {
         self.with_rule_limited(FaultSite::Dequeue, FaultKind::Panic, every, limit)
     }
 
-    /// Kill the thief on every `every`-th *successful steal* (a panic
-    /// outside the per-job guard, hit only when the job came off another
-    /// worker's shard), at most `limit` times.
-    pub fn kill_worker_on_steal(self, every: u64, limit: u64) -> Self {
-        self.with_rule_limited(FaultSite::Steal, FaultKind::Panic, every, limit)
-    }
-
     /// Whether the plan has no rules (and is therefore inert).
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
@@ -254,7 +238,7 @@ mod tests {
     #[test]
     fn sites_render() {
         assert_eq!(FaultSite::Admission.to_string(), "admission");
-        assert_eq!(FaultSite::Steal.to_string(), "steal");
+        assert_eq!(FaultSite::Dequeue.to_string(), "dequeue");
         assert_eq!(
             FaultPlan::panic_message(FaultSite::Planning),
             "moped-fault: injected panic at planning"

@@ -8,9 +8,11 @@
 //! plus queue/service timing, or a typed failure. Design points:
 //!
 //! * **Shared immutable snapshots** — each environment is registered once
-//!   in an [`EnvironmentCatalog`]; its scenario and bulk-loaded obstacle
-//!   R-tree live behind an `Arc` shared by every worker, so admission is
-//!   O(1) and no obstacle field is ever re-sorted per request.
+//!   in an [`EnvironmentCatalog`]; its scenario and its two-stage
+//!   collision checker (R-tree bulk-loaded once) live behind an `Arc`
+//!   that every worker plans against, so admission is O(1) and no
+//!   obstacle field is ever re-sorted or copied per request or per
+//!   worker.
 //! * **Epoch-versioned hot swap** — a slot's snapshot can be replaced
 //!   while the service runs ([`PlanService::swap_env`]); each swap bumps
 //!   the slot's epoch, new admissions see the replacement, in-flight
@@ -35,17 +37,14 @@
 //!   hook is polled every few sampling rounds, and an expired or
 //!   cancelled request returns its best-so-far anytime result instead of
 //!   running away or killing a thread.
-//! * **Admission control** — the queue is bounded (one global capacity
-//!   across all shards); a full queue rejects with
-//!   [`RejectReason::QueueFull`] rather than buffering unboundedly, and
-//!   malformed planner parameters reject with
+//! * **Admission control** — the queue is bounded; a full queue rejects
+//!   with [`RejectReason::QueueFull`] rather than buffering unboundedly,
+//!   and malformed planner parameters reject with
 //!   [`RejectReason::InvalidRequest`] before they reach a worker.
-//! * **Contention-free dispatch** — admission round-robins jobs onto
-//!   per-worker deques; a worker dequeues from its own shard and steals
-//!   the oldest job from a sibling when its shard runs dry, so the pool
-//!   never serializes on a shared queue lock and no request waits
-//!   behind one idle worker. Responses resolve through per-request
-//!   one-shot slots, and hot metrics counters are sharded per worker.
+//! * **FIFO dispatch** — admitted jobs wait in one bounded FIFO (a
+//!   mutex-guarded deque plus a condvar); every idle worker takes the
+//!   oldest job, so no request waits behind a busy worker while another
+//!   sits idle. Responses resolve through per-request one-shot slots.
 //! * **Fault tolerance** — every planning attempt runs inside a panic
 //!   guard, so a panicking request resolves its ticket with a typed
 //!   [`PlanFailure`] instead of wedging the client; a supervisor thread
@@ -64,7 +63,7 @@
 //!   and respawns), aggregates per-stage op ledgers, and tracks latency
 //!   in fixed-bucket histograms with text/JSON dumps.
 //!
-//! Only `std` is used: threads + channels, no external runtime.
+//! Only `std` is used: threads, mutexes and condvars, no external runtime.
 //!
 //! # Example
 //!
@@ -97,23 +96,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use moped_collision::RTREE_FANOUT;
+use moped_collision::TwoStageChecker;
 use moped_core::{PlanResult, PlannerParams};
 use moped_env::catalog::{build as build_scene, NamedScene};
 use moped_env::Scenario;
 use moped_obs::Bottleneck;
 use moped_robot::Robot;
-use moped_rtree::RTree;
 use moped_tune::{Adapter, ProfileSwitch, ProfileTable, RequestClass, Resolution};
 
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use metrics::Metrics;
 
-use queue::{PushRefused, Responder, ResponseSlot, ShardedQueue, TryTake};
+use queue::{JobQueue, PushRefused, Responder, ResponseSlot, TryTake};
 use supervisor::{Pool, WorkerShared};
 
-/// An immutable, shareable environment: the scenario plus its obstacle
-/// R-tree, bulk-loaded once at registration and shared by every worker.
+/// An immutable, shareable environment: the scenario plus its two-stage
+/// collision checker, built once at registration (or swap) and shared by
+/// every worker. The checker keeps no per-call state of its own (its
+/// scratch is thread-local), so one instance serves the whole pool.
 #[derive(Clone, Debug)]
 pub struct EnvSnapshot {
     /// Catalog name of this environment.
@@ -126,11 +126,9 @@ pub struct EnvSnapshot {
     pub epoch: u64,
     /// The planning scenario (robot, obstacles, default start/goal).
     pub scenario: Scenario,
-    /// STR-bulk-loaded R-tree over the scenario's obstacles.
-    pub rtree: RTree,
-    /// Precomputed SoA obstacle field for the batched narrow phase
-    /// (centers / half-extents / axes extracted once at registration).
-    pub soa: moped_geometry::sat::ObbSoa,
+    /// The MOPED two-stage checker over the scenario's obstacles (STR
+    /// R-tree and SoA narrow-phase field), which workers plan against.
+    pub checker: TwoStageChecker,
     /// The request class this environment buckets into (robot ×
     /// obstacle/density signature), computed once at registration so
     /// per-request profile resolution is a map lookup, never a scene
@@ -139,24 +137,22 @@ pub struct EnvSnapshot {
 }
 
 impl EnvSnapshot {
-    /// Builds a snapshot at epoch 0, paying the R-tree bulk load and the
-    /// SoA obstacle extraction once.
+    /// Builds a snapshot at epoch 0, paying the checker's R-tree bulk
+    /// load and SoA obstacle extraction once.
     pub fn new(name: impl Into<String>, scenario: Scenario) -> Self {
         EnvSnapshot::at_epoch(name, scenario, 0)
     }
 
     /// Builds a snapshot carrying an explicit epoch (used by
     /// [`EnvironmentCatalog::swap`] to version replacements).
-    pub fn at_epoch(name: impl Into<String>, scenario: Scenario, epoch: u64) -> Self {
-        let rtree = RTree::build(&scenario.obstacles, RTREE_FANOUT);
-        let soa = scenario.prepared_obstacles();
+    fn at_epoch(name: impl Into<String>, scenario: Scenario, epoch: u64) -> Self {
+        let checker = TwoStageChecker::moped(scenario.obstacles.clone());
         let class = RequestClass::of_scenario(&scenario).id();
         EnvSnapshot {
             name: name.into(),
             epoch,
             scenario,
-            rtree,
-            soa,
+            checker,
             class,
         }
     }
@@ -225,10 +221,10 @@ impl EnvironmentCatalog {
     /// Replaces a slot's environment with a new scenario, keeping the
     /// slot's name and bumping its epoch by one. Returns the new epoch.
     ///
-    /// The snapshot (R-tree bulk load, SoA extraction) is built while
-    /// holding the slot's write lock, so concurrent swaps of one slot
-    /// serialize and each epoch is used exactly once; other slots and
-    /// already-admitted requests are unaffected.
+    /// The snapshot (checker build: R-tree bulk load, SoA extraction) is
+    /// built while holding the slot's write lock, so concurrent swaps of
+    /// one slot serialize and each epoch is used exactly once; other
+    /// slots and already-admitted requests are unaffected.
     pub fn swap(&self, id: EnvId, scenario: Scenario) -> Option<u64> {
         let slot = self.envs.get(id.0)?;
         let mut guard = match slot.write() {
@@ -556,10 +552,13 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// environment's request class against the table ([`Tuner::resolve`]);
 /// the decision rides on the job, selects the worker's engine/index
 /// stack, and is stamped into the [`PlanResponse`]. Every
-/// [`PlanService::swap_env`] is an epoch boundary: the tuner consumes
-/// the current `moped-obs` stage-profile snapshot for the outgoing
-/// snapshot's class and may switch that class's profile
-/// ([`Tuner::observe`]).
+/// [`PlanService::swap_env`] is an epoch boundary: the tuner reads the
+/// process-wide `moped-obs` stage profile, tags it with the outgoing
+/// snapshot's class, and may switch that class's profile
+/// ([`Tuner::observe`]). That profile is never reset by the service, so
+/// it holds every class's spans since process start (or since whoever
+/// last called `moped_obs::reset`), not only the outgoing class's
+/// requests since the previous swap.
 ///
 /// Determinism: with a pinned table and no adapter input, resolution is
 /// a pure map lookup, so every auto-tuned plan stays bit-identical and
@@ -740,7 +739,7 @@ pub(crate) struct Job {
 /// The concurrent batch planning engine. See the crate docs for the
 /// architecture; construct with [`PlanService::start`].
 pub struct PlanService {
-    queue: Arc<ShardedQueue>,
+    queue: Arc<JobQueue>,
     pool: Pool,
     metrics: Arc<Metrics>,
     catalog: Arc<EnvironmentCatalog>,
@@ -754,8 +753,8 @@ impl PlanService {
     pub fn start(catalog: EnvironmentCatalog, config: ServiceConfig) -> Self {
         supervisor::install_quiet_panic_hook();
         let workers_n = config.workers.max(1);
-        let metrics = Arc::new(Metrics::with_workers(workers_n));
-        let queue = Arc::new(ShardedQueue::new(workers_n, config.queue_capacity.max(1)));
+        let metrics = Arc::new(Metrics::default());
+        let queue = Arc::new(JobQueue::new(config.queue_capacity));
         let shared = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
             metrics: Arc::clone(&metrics),
@@ -791,11 +790,13 @@ impl PlanService {
             .catalog
             .swap(id, scenario)
             .ok_or(RejectReason::UnknownEnvironment)?;
-        // A swap is an epoch boundary: feed the tuner the stage-profile
-        // bottleneck accumulated under the outgoing snapshot's class.
-        // Workers publish their span data when idle (and every few
-        // jobs), so the snapshot reflects recently served requests; with
-        // tracing off the snapshot is empty and this is a no-op.
+        // A swap is an epoch boundary: feed the tuner the bottleneck of
+        // the process-wide stage profile, tagged with the outgoing
+        // snapshot's class. The profile is cumulative — nothing here
+        // resets it — so it mixes every class's spans since process
+        // start, not just this class's since the last swap. Workers
+        // publish their span data when idle (and every few jobs); with
+        // tracing off the profile is empty and this is a no-op.
         if let (Some(tuner), Some(class)) = (self.config.tuner.as_deref(), outgoing_class) {
             if moped_obs::enabled() {
                 moped_obs::flush();
@@ -828,8 +829,8 @@ impl PlanService {
     }
 
     /// Admits one request. O(1): resolves the environment snapshot and
-    /// enqueues onto one shard; planning happens on a worker. Rejection
-    /// (with reason) is immediate when the queue is full, the
+    /// appends the job to the queue; planning happens on a worker.
+    /// Rejection (with reason) is immediate when the queue is full, the
     /// environment is unknown, the parameters fail
     /// [`PlannerParams::validate`], or the service is shutting down.
     pub fn submit(&self, request: PlanRequest) -> Result<PlanTicket, RejectReason> {
@@ -993,7 +994,7 @@ mod tests {
             let id = cat.find(scene.name()).expect("registered");
             let snap = cat.get(id).unwrap();
             assert_eq!(snap.name, scene.name());
-            assert_eq!(snap.rtree.len(), snap.scenario.obstacles.len());
+            assert_eq!(snap.checker.rtree().len(), snap.scenario.obstacles.len());
         }
         assert!(cat.find("nope").is_none());
     }
@@ -1027,7 +1028,10 @@ mod tests {
         let current = cat.get(env).unwrap();
         assert_eq!(current.epoch, 2);
         assert_eq!(current.name, "drifting-clutter");
-        assert_eq!(current.rtree.len(), current.scenario.obstacles.len());
+        assert_eq!(
+            current.checker.obstacles(),
+            current.scenario.obstacles.as_slice()
+        );
 
         let after = service
             .submit(PlanRequest::new(env, small_params(150, 3)))
@@ -1051,8 +1055,8 @@ mod tests {
         use moped_env::ScenarioParams;
         use moped_geometry::{InterpolationSteps, Obb, Vec3};
 
-        // One worker serves both requests, so the second reuses the
-        // worker's cached checker for this slot across the swap.
+        // One worker serves both requests, before and after the swap;
+        // the second must plan against the swapped snapshot's checker.
         let robot = Robot::mobile_2d();
         let open = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(0), 4);
         let mut cat = EnvironmentCatalog::new();
@@ -1298,8 +1302,8 @@ mod tests {
 
     #[test]
     fn tuned_baseline_profile_plans_on_the_naive_checker() {
-        // A profile whose collision stage is naive bypasses the worker's
-        // cached two-stage checker and still matches the serial plan.
+        // A profile whose collision stage is naive bypasses the
+        // snapshot's two-stage checker and still matches the serial plan.
         let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
         let env = cat.find("open-meadow").unwrap();
         let class = cat.get(env).unwrap().class.clone();

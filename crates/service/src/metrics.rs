@@ -1,23 +1,10 @@
 //! Lock-free service observability: atomic counters, gauges, and
 //! fixed-bucket latency histograms with text/JSON dumps.
 //!
-//! Every instrument is a plain `AtomicU64`, so workers record without
-//! locks and readers see monotonically consistent (if racy by a few
-//! events) values — the usual contract of a scrape-style registry.
-//!
-//! # Sharding
-//!
-//! Counters that workers bump on every request (completions, latency
-//! samples, op ledgers) are *sharded per worker*: each worker owns a
-//! cache-line-aligned [`WorkerMetrics`] block and records into it with
-//! zero cross-worker traffic; readers aggregate across shards on demand.
-//! Before sharding, every worker's `fetch_add`s landed on the same
-//! cache lines, so the metrics registry itself was a serialization
-//! point on the per-request path — measurable once the admission queue
-//! stopped being the bottleneck. Counters bumped on the *admission*
-//! path (accepted/rejected, the queue-depth gauge) or rarely
-//! (respawns, injected faults) stay global: they are touched by the
-//! client thread or the supervisor, not the hot worker loop.
+//! Every instrument is a plain `AtomicU64` in one service-wide
+//! [`Metrics`] registry, so workers and the admission thread record
+//! without locks and readers see monotonically consistent (if racy by a
+//! few events) values — the usual contract of a scrape-style registry.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,8 +63,7 @@ impl LatencyHistogram {
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the histogram, for quantile math and
-    /// cross-shard merging.
+    /// A point-in-time copy of the histogram, for quantile math.
     pub fn snapshot(&self) -> LatencyStats {
         LatencyStats {
             counts: std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
@@ -109,8 +95,7 @@ impl LatencyHistogram {
     }
 }
 
-/// An owned, mergeable snapshot of a [`LatencyHistogram`] (or of several
-/// shards' histograms summed together).
+/// An owned snapshot of a [`LatencyHistogram`].
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyStats {
     counts: [u64; BUCKETS],
@@ -119,28 +104,7 @@ pub struct LatencyStats {
     max_us: u64,
 }
 
-impl Default for LatencyStats {
-    fn default() -> Self {
-        LatencyStats {
-            counts: [0; BUCKETS],
-            count: 0,
-            sum_us: 0,
-            max_us: 0,
-        }
-    }
-}
-
 impl LatencyStats {
-    /// Folds another snapshot into this one (bucket-wise sum).
-    fn merge(&mut self, other: &LatencyStats) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -200,101 +164,6 @@ impl LatencyStats {
     }
 }
 
-/// One worker's private metrics shard. Padded to two cache lines so
-/// adjacent shards never share a line — the whole point of sharding is
-/// that worker A's `fetch_add` does not bounce worker B's line.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct WorkerMetrics {
-    completed: AtomicU64,
-    deadline_expired: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-    panics_caught: AtomicU64,
-    retries: AtomicU64,
-    samples: AtomicU64,
-    nodes: AtomicU64,
-    rewires: AtomicU64,
-    solved: AtomicU64,
-    ns_macs: AtomicU64,
-    cc_macs: AtomicU64,
-    insert_macs: AtomicU64,
-    other_macs: AtomicU64,
-    /// Wall time from dequeue to response.
-    pub(crate) service_latency: LatencyHistogram,
-    /// Wall time from admission to dequeue (planning time excluded by
-    /// construction: the sample is taken the moment the job leaves the
-    /// queue, before any attempt runs).
-    pub(crate) queue_wait: LatencyHistogram,
-}
-
-macro_rules! shard_counter_api {
-    ($($(#[$doc:meta])* $name:ident / $inc:ident),* $(,)?) => {
-        impl WorkerMetrics {
-            $(pub(crate) fn $inc(&self) {
-                self.$name.fetch_add(1, Ordering::Relaxed);
-            })*
-        }
-
-        impl Metrics {
-            $(
-                $(#[$doc])*
-                pub fn $name(&self) -> u64 {
-                    self.shards.iter().map(|s| s.$name.load(Ordering::Relaxed)).sum()
-                }
-            )*
-        }
-    };
-}
-
-shard_counter_api! {
-    /// Requests that ran to their full sampling budget.
-    completed / inc_completed,
-    /// Requests cut short by their deadline (best-so-far returned).
-    deadline_expired / inc_deadline_expired,
-    /// Requests cut short by explicit cancellation.
-    cancelled / inc_cancelled,
-    /// Requests resolved as typed failures (exhausted panicking
-    /// attempts, or a shutdown drain with the pool dead).
-    failed / inc_failed,
-    /// Planning attempts that panicked and were caught by the
-    /// worker's per-job guard.
-    panics_caught / inc_panics_caught,
-    /// Retry attempts scheduled after a caught panic.
-    retries / inc_retries,
-}
-
-impl WorkerMetrics {
-    /// Folds one plan's statistics into this shard's op ledgers.
-    pub(crate) fn record_stats(&self, stats: &PlanStats, solved: bool) {
-        self.samples
-            .fetch_add(stats.samples as u64, Ordering::Relaxed);
-        self.nodes.fetch_add(stats.nodes as u64, Ordering::Relaxed);
-        self.rewires.fetch_add(stats.rewires, Ordering::Relaxed);
-        if solved {
-            self.solved.fetch_add(1, Ordering::Relaxed);
-        }
-        self.ns_macs
-            .fetch_add(stats.ns_ops.mac_equiv(), Ordering::Relaxed);
-        self.cc_macs
-            .fetch_add(stats.collision.total_ops().mac_equiv(), Ordering::Relaxed);
-        self.insert_macs
-            .fetch_add(stats.insert_ops.mac_equiv(), Ordering::Relaxed);
-        self.other_macs
-            .fetch_add(stats.other_ops.mac_equiv(), Ordering::Relaxed);
-    }
-
-    /// Records a dequeue-to-response service time.
-    pub(crate) fn record_service_latency(&self, d: Duration) {
-        self.service_latency.record(d);
-    }
-
-    /// Records an admission-to-dequeue queue wait.
-    pub(crate) fn record_queue_wait(&self, d: Duration) {
-        self.queue_wait.record(d);
-    }
-}
-
 /// The service-wide metrics registry.
 ///
 /// Request accounting obeys `accepted = completed + deadline_expired +
@@ -305,36 +174,43 @@ impl WorkerMetrics {
 /// died before responding resolves *client-side* (as a `WorkerDied`
 /// failure on the ticket) and is counted by no terminal counter here —
 /// `worker_respawns` is the server-side trace of those events.
-///
-/// Hot per-request counters live in per-worker [`WorkerMetrics`] shards
-/// (plus one extra *service shard* for the admission thread and the
-/// shutdown drain); readers aggregate across shards. See the module
-/// docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     accepted: AtomicU64,
     rejected: AtomicU64,
     worker_respawns: AtomicU64,
     faults_injected: AtomicU64,
-    queue_depth: AtomicU64,
     profile_switches: AtomicU64,
+    completed: AtomicU64,
+    deadline_expired: AtomicU64,
+    cancelled: AtomicU64,
+    failed: AtomicU64,
+    panics_caught: AtomicU64,
+    retries: AtomicU64,
+    queue_depth: AtomicU64,
+    samples: AtomicU64,
+    nodes: AtomicU64,
+    rewires: AtomicU64,
+    solved: AtomicU64,
+    ns_macs: AtomicU64,
+    cc_macs: AtomicU64,
+    insert_macs: AtomicU64,
+    other_macs: AtomicU64,
+    /// Wall time from dequeue to response.
+    service_latency: LatencyHistogram,
+    /// Wall time from admission to dequeue (planning time excluded by
+    /// construction: the sample is taken the moment the job leaves the
+    /// queue, before any attempt runs).
+    queue_wait: LatencyHistogram,
     /// Profile decisions by request class (admission path only — the
     /// client thread takes this lock, never a worker; the map is the one
     /// string-keyed instrument in the registry, so it lives behind a
     /// mutex instead of forcing classes into a fixed table). BTreeMap
     /// keeps dumps in stable class order.
     profile_decisions: Mutex<BTreeMap<String, (u64, u64)>>,
-    shards: Box<[WorkerMetrics]>,
 }
 
-impl Default for Metrics {
-    /// A registry for a single-worker pool.
-    fn default() -> Self {
-        Metrics::with_workers(1)
-    }
-}
-
-macro_rules! global_counter_api {
+macro_rules! counter_api {
     ($($(#[$doc:meta])* $name:ident / $inc:ident),* $(,)?) => {$(
         $(#[$doc])*
         pub fn $name(&self) -> u64 {
@@ -348,25 +224,7 @@ macro_rules! global_counter_api {
 }
 
 impl Metrics {
-    /// A registry with one metrics shard per worker, plus the service
-    /// shard.
-    pub fn with_workers(workers: usize) -> Self {
-        let shards: Box<[WorkerMetrics]> = (0..workers.max(1) + 1)
-            .map(|_| WorkerMetrics::default())
-            .collect();
-        Metrics {
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            profile_switches: AtomicU64::new(0),
-            profile_decisions: Mutex::new(BTreeMap::new()),
-            shards,
-        }
-    }
-
-    global_counter_api! {
+    counter_api! {
         /// Requests admitted into the queue.
         accepted / inc_accepted,
         /// Requests refused at admission (full queue, unknown env, shutdown).
@@ -380,6 +238,20 @@ impl Metrics {
         /// Profile switches committed by the autotuner's epoch-boundary
         /// adapter (always zero on untuned services).
         profile_switches / inc_profile_switches,
+        /// Requests that ran to their full sampling budget.
+        completed / inc_completed,
+        /// Requests cut short by their deadline (best-so-far returned).
+        deadline_expired / inc_deadline_expired,
+        /// Requests cut short by explicit cancellation.
+        cancelled / inc_cancelled,
+        /// Requests resolved as typed failures (exhausted panicking
+        /// attempts, or a shutdown drain with the pool dead).
+        failed / inc_failed,
+        /// Planning attempts that panicked and were caught by the
+        /// worker's per-job guard.
+        panics_caught / inc_panics_caught,
+        /// Retry attempts scheduled after a caught panic.
+        retries / inc_retries,
     }
 
     /// Records one admission-time profile decision for `class_id`
@@ -407,21 +279,33 @@ impl Metrics {
         map.iter().map(|(k, &(n, h))| (k.clone(), n, h)).collect()
     }
 
-    /// Worker `idx`'s private shard (clamped, so a respawned worker with
-    /// a stale index can never reach past the shard table; the service
-    /// shard is the fallback, unreachable after the clamp).
-    pub(crate) fn worker(&self, idx: usize) -> &WorkerMetrics {
-        let workers = self.shards.len().saturating_sub(1);
-        self.shards
-            .get(idx.min(workers.saturating_sub(1)))
-            .unwrap_or_else(|| self.service_shard())
+    /// Folds one plan's statistics into the op ledgers.
+    pub(crate) fn record_stats(&self, stats: &PlanStats, solved: bool) {
+        self.samples
+            .fetch_add(stats.samples as u64, Ordering::Relaxed);
+        self.nodes.fetch_add(stats.nodes as u64, Ordering::Relaxed);
+        self.rewires.fetch_add(stats.rewires, Ordering::Relaxed);
+        if solved {
+            self.solved.fetch_add(1, Ordering::Relaxed);
+        }
+        self.ns_macs
+            .fetch_add(stats.ns_ops.mac_equiv(), Ordering::Relaxed);
+        self.cc_macs
+            .fetch_add(stats.collision.total_ops().mac_equiv(), Ordering::Relaxed);
+        self.insert_macs
+            .fetch_add(stats.insert_ops.mac_equiv(), Ordering::Relaxed);
+        self.other_macs
+            .fetch_add(stats.other_ops.mac_equiv(), Ordering::Relaxed);
     }
 
-    /// The extra shard used by non-worker threads (admission faults,
-    /// shutdown drains, tests).
-    pub(crate) fn service_shard(&self) -> &WorkerMetrics {
-        // moped-lint: allow(panic-path) the shard table always holds >= 2 entries (`with_workers` allocates workers.max(1) + 1)
-        &self.shards[self.shards.len() - 1]
+    /// Records a dequeue-to-response service time.
+    pub(crate) fn record_service_latency(&self, d: Duration) {
+        self.service_latency.record(d);
+    }
+
+    /// Records an admission-to-dequeue queue wait.
+    pub(crate) fn record_queue_wait(&self, d: Duration) {
+        self.queue_wait.record(d);
     }
 
     /// Requests currently queued (admitted, not yet dequeued).
@@ -444,65 +328,41 @@ impl Metrics {
 
     /// Requests whose response carried a start-to-goal path.
     pub fn solved(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.solved.load(Ordering::Relaxed))
-            .sum()
+        self.solved.load(Ordering::Relaxed)
     }
 
     /// Total sampling rounds executed across all responses.
     pub fn samples(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.samples.load(Ordering::Relaxed))
-            .sum()
+        self.samples.load(Ordering::Relaxed)
     }
 
     /// MAC-equivalent work split `(collision, neighbor-search, insert,
     /// other)` aggregated across all responses.
     pub fn mac_breakdown(&self) -> (u64, u64, u64, u64) {
-        let mut out = (0, 0, 0, 0);
-        for s in self.shards.iter() {
-            out.0 += s.cc_macs.load(Ordering::Relaxed);
-            out.1 += s.ns_macs.load(Ordering::Relaxed);
-            out.2 += s.insert_macs.load(Ordering::Relaxed);
-            out.3 += s.other_macs.load(Ordering::Relaxed);
-        }
-        out
+        (
+            self.cc_macs.load(Ordering::Relaxed),
+            self.ns_macs.load(Ordering::Relaxed),
+            self.insert_macs.load(Ordering::Relaxed),
+            self.other_macs.load(Ordering::Relaxed),
+        )
     }
 
     fn nodes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.nodes.load(Ordering::Relaxed))
-            .sum()
+        self.nodes.load(Ordering::Relaxed)
     }
 
     fn rewires(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.rewires.load(Ordering::Relaxed))
-            .sum()
+        self.rewires.load(Ordering::Relaxed)
     }
 
-    /// Dequeue-to-response latency, aggregated across every worker
-    /// shard.
+    /// Dequeue-to-response latency.
     pub fn service_latency(&self) -> LatencyStats {
-        let mut merged = LatencyStats::default();
-        for s in self.shards.iter() {
-            merged.merge(&s.service_latency.snapshot());
-        }
-        merged
+        self.service_latency.snapshot()
     }
 
-    /// Admission-to-dequeue queue wait, aggregated across every worker
-    /// shard.
+    /// Admission-to-dequeue queue wait.
     pub fn queue_wait(&self) -> LatencyStats {
-        let mut merged = LatencyStats::default();
-        for s in self.shards.iter() {
-            merged.merge(&s.queue_wait.snapshot());
-        }
-        merged
+        self.queue_wait.snapshot()
     }
 
     /// Human-readable dump (one `key value` pair per line).
@@ -755,41 +615,27 @@ mod tests {
         assert_eq!(m.queue_depth(), 1);
     }
 
-    /// Shards aggregate: counters bumped on different worker shards (and
-    /// the service shard) all surface through the same readers.
     #[test]
-    fn sharded_counters_aggregate_on_read() {
-        let m = Metrics::with_workers(4);
-        m.worker(0).inc_completed();
-        m.worker(3).inc_completed();
-        m.service_shard().inc_completed();
-        assert_eq!(m.completed(), 3);
-
-        m.worker(1).record_service_latency(Duration::from_millis(5));
-        m.worker(2)
-            .record_service_latency(Duration::from_millis(50));
+    fn latency_readers_see_every_record() {
+        let m = Metrics::default();
+        m.record_service_latency(Duration::from_millis(5));
+        m.record_service_latency(Duration::from_millis(50));
         assert_eq!(m.service_latency().count(), 2);
         assert_eq!(m.service_latency().max(), Duration::from_millis(50));
-
-        m.worker(0).record_queue_wait(Duration::from_micros(300));
+        m.record_queue_wait(Duration::from_micros(300));
         assert_eq!(m.queue_wait().count(), 1);
-
-        // Out-of-range worker indices clamp onto the last worker shard
-        // rather than reaching the service shard or panicking.
-        m.worker(99).inc_failed();
-        assert_eq!(m.failed(), 1);
     }
 
     #[test]
     fn dumps_contain_counters() {
         let m = Metrics::default();
         m.inc_accepted();
-        m.worker(0).inc_completed();
-        m.worker(0).inc_failed();
-        m.worker(0).inc_panics_caught();
-        m.worker(0).inc_retries();
+        m.inc_completed();
+        m.inc_failed();
+        m.inc_panics_caught();
+        m.inc_retries();
         m.inc_worker_respawns();
-        m.worker(0).record_service_latency(Duration::from_millis(3));
+        m.record_service_latency(Duration::from_millis(3));
         let text = m.dump_text();
         assert!(text.contains("requests_accepted 1"));
         assert!(text.contains("requests_completed 1"));

@@ -1,44 +1,23 @@
-//! The sharded, work-stealing admission queue and the one-shot response
-//! slot that resolves each ticket.
+//! The bounded FIFO admission queue and the one-shot response slot that
+//! resolves each ticket.
 //!
-//! The pool's original admission path was a single bounded
-//! `sync_channel` whose receiver sat behind one `Mutex` shared by every
-//! worker: each dequeue took a pool-wide lock, so adding workers added
-//! contention instead of throughput (BENCH_service.json showed 8 workers
-//! *slower* than 1). This module replaces it with one FIFO deque *per
-//! worker*:
+//! The queue is one `Mutex<VecDeque<Job>>` plus a `Condvar`. Admission
+//! appends under the lock, refusing the job outright when `capacity`
+//! jobs are already queued (reject-don't-buffer). Workers pop the oldest
+//! job; an idle worker waits on the condvar, which releases the lock
+//! while it sleeps, so no lock is ever held across a blocking wait. The
+//! lock is held only for one `VecDeque` push or pop; at the measured
+//! traffic (a few thousand sub-millisecond plans per second on two
+//! workers) it did not limit throughput (EXPERIMENTS.md).
 //!
-//! * **Admission** reserves a slot against a single global capacity
-//!   atomic (reject-don't-buffer is preserved exactly), then round-robins
-//!   the job onto a shard. The push touches one shard lock and — while
-//!   the pool is busy — nothing else.
-//! * **Dequeue** pops the worker's own shard, contending only with
-//!   admission to that shard and the occasional stealer, never with the
-//!   rest of the pool.
-//! * **Stealing**: a worker whose shard runs dry takes the *oldest* job
-//!   from a sibling shard (FIFO steal — this is a latency-bound service,
-//!   not a fork-join pool, so oldest-first minimises queue-wait tails).
-//!   No queued request ever waits behind one idle worker.
-//! * **Parking** is two-phase so the wake machinery stays off the hot
-//!   path: a worker that finds every shard empty registers itself in the
-//!   sleeper count, re-scans, and only then parks on the condvar.
-//!   Admission consults the sleeper count with one atomic load and skips
-//!   the wake lock entirely when nobody sleeps (the saturated steady
-//!   state). The count is incremented *before* the re-scan, so a push
-//!   that misses the count is guaranteed to be seen by the re-scan — no
-//!   lost wakeups; a bounded park timeout is kept as belt and braces.
-//!
-//! The response path is likewise per-request: a [`ResponseSlot`] is a
-//! one-shot mutex+condvar cell. The worker's [`Responder`] half delivers
-//! exactly one resolution; dropping it unsent (a worker death mid-job)
-//! marks the slot abandoned, which the ticket surfaces as a typed
-//! `WorkerDied` failure — the same guarantee the old sender-drop
-//! semantics gave, without allocating channel machinery per request.
+//! The response path is per-request: a [`ResponseSlot`] is a one-shot
+//! mutex+condvar cell. The worker's [`Responder`] half delivers exactly
+//! one resolution; dropping it unsent (a worker death mid-job) marks the
+//! slot abandoned, which the ticket surfaces as a typed `WorkerDied`
+//! failure.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use crate::{Job, PlanOutcome};
 
@@ -50,177 +29,100 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Belt-and-braces park bound. Wakeups are edge-triggered through the
-/// sleeper count (see the module docs for why no edge can be missed);
-/// the timeout only bounds the cost of a missed edge if that reasoning
-/// is ever broken by a refactor.
-const PARK_TIMEOUT: Duration = Duration::from_millis(10);
-
 /// Why a push was refused (the job itself is dropped; its responder
 /// marks the slot abandoned, which is harmless because no ticket has
 /// been handed out for a refused admission).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PushRefused {
-    /// The queue is at its global capacity bound.
+    /// The queue holds `capacity` jobs already.
     Full,
     /// The queue is closed (service shutting down).
     Closed,
 }
 
-/// One worker's deque.
-struct Shard {
-    jobs: Mutex<VecDeque<Job>>,
+struct State {
+    jobs: VecDeque<Job>,
+    closed: bool,
 }
 
-/// A dequeued job plus how it was obtained.
-pub(crate) struct Popped {
-    pub(crate) job: Job,
-    /// Whether the job came off another worker's shard.
-    pub(crate) stolen: bool,
-}
-
-/// The sharded admission queue. See the module docs.
-pub(crate) struct ShardedQueue {
-    shards: Box<[Shard]>,
-    /// Jobs currently queued across all shards; enforces `capacity`.
-    queued: AtomicUsize,
+/// The bounded admission queue. See the module docs.
+pub(crate) struct JobQueue {
+    state: Mutex<State>,
+    /// Signalled on every push (one waiter) and on close (all waiters).
+    ready: Condvar,
     capacity: usize,
-    /// Round-robin admission cursor.
-    next_shard: AtomicUsize,
-    closed: AtomicBool,
-    /// Workers parked (or committed to parking) on `wake`.
-    sleepers: AtomicUsize,
-    sleep: Mutex<()>,
-    wake: Condvar,
 }
 
-impl ShardedQueue {
-    /// A queue with one shard per worker and a global capacity bound.
-    pub(crate) fn new(workers: usize, capacity: usize) -> Self {
-        let shards: Box<[Shard]> = (0..workers.max(1))
-            .map(|_| Shard {
-                jobs: Mutex::new(VecDeque::new()),
-            })
-            .collect();
-        ShardedQueue {
-            shards,
-            queued: AtomicUsize::new(0),
+impl JobQueue {
+    /// An empty queue admitting at most `capacity` (at least 1) queued
+    /// jobs.
+    pub(crate) fn new(capacity: usize) -> Self {
+        JobQueue {
+            state: Mutex::new(State {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
             capacity: capacity.max(1),
-            next_shard: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
         }
     }
 
-    /// Whether [`close`](ShardedQueue::close) has been called.
+    /// Whether [`close`](JobQueue::close) has been called.
     pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
+        lock_ignore_poison(&self.state).closed
     }
 
     /// Admits one job: O(1), reject-don't-buffer. On refusal the job is
     /// dropped (no ticket exists for it yet).
     pub(crate) fn push(&self, job: Job) -> Result<(), PushRefused> {
-        if self.is_closed() {
-            return Err(PushRefused::Closed);
-        }
-        // Reserve a slot against the global bound before touching any
-        // shard, so capacity is exact under concurrent admission.
-        if self
-            .queued
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| {
-                (q < self.capacity).then_some(q + 1)
-            })
-            .is_err()
         {
-            return Err(PushRefused::Full);
+            let mut state = lock_ignore_poison(&self.state);
+            if state.closed {
+                return Err(PushRefused::Closed);
+            }
+            if state.jobs.len() >= self.capacity {
+                return Err(PushRefused::Full);
+            }
+            state.jobs.push_back(job);
         }
-        let cursor = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        // moped-lint: allow(panic-path) modulo the shard count, which `new` clamps to >= 1 — in-bounds by construction
-        let shard = &self.shards[cursor % self.shards.len()];
-        lock_ignore_poison(&shard.jobs).push_back(job);
-        // Wake one sleeper, if any. The SeqCst load orders after the
-        // shard insert: a worker that registered as a sleeper before
-        // this load will re-scan and find the job; a worker that
-        // registers after it is counted here and woken.
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _wake_guard = lock_ignore_poison(&self.sleep);
-            self.wake.notify_one();
-        }
+        self.ready.notify_one();
         Ok(())
     }
 
-    /// Non-blocking dequeue for `worker`: its own shard first (FIFO),
-    /// then an oldest-first steal from the other shards.
-    pub(crate) fn try_pop(&self, worker: usize) -> Option<Popped> {
-        let n = self.shards.len();
-        // moped-lint: allow(panic-path) modulo the shard count, which `new` clamps to >= 1
-        let own = worker % n;
-        // Ring sweep: the worker's own shard first (k == 0, a plain
-        // FIFO pop), then an oldest-first steal from each sibling.
-        for (k, shard) in self.shards.iter().cycle().skip(own).take(n).enumerate() {
-            let mut jobs = lock_ignore_poison(&shard.jobs);
-            if let Some(job) = jobs.pop_front() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(Popped { job, stolen: k > 0 });
-            }
-        }
-        None
+    /// Non-blocking dequeue of the oldest job.
+    pub(crate) fn try_pop(&self) -> Option<Job> {
+        lock_ignore_poison(&self.state).jobs.pop_front()
     }
 
-    /// Blocking dequeue: parks until a job arrives or the queue is
+    /// Blocking dequeue: waits until a job arrives or the queue is
     /// closed *and* drained. `None` means the worker should exit.
-    pub(crate) fn pop_blocking(&self, worker: usize) -> Option<Popped> {
+    pub(crate) fn pop_blocking(&self) -> Option<Job> {
+        let mut state = lock_ignore_poison(&self.state);
         loop {
-            if let Some(popped) = self.try_pop(worker) {
-                return Some(popped);
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
             }
-            // Two-phase park: register as a sleeper *before* the
-            // re-scan, so any push that skipped the wake (it read
-            // sleepers == 0) necessarily landed before our registration
-            // and is found by the re-scan below.
-            let guard = lock_ignore_poison(&self.sleep);
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            let rescanned = self.try_pop(worker);
-            if let Some(popped) = rescanned {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                return Some(popped);
-            }
-            if self.is_closed() {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            if state.closed {
                 return None;
             }
-            let (guard, _timed_out) = self
-                .wake
-                .wait_timeout(guard, PARK_TIMEOUT)
+            state = self
+                .ready
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-            drop(guard);
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
-    /// Stops admission and wakes every parked worker; workers drain
+    /// Stops admission and wakes every waiting worker; workers drain
     /// whatever is already queued, then exit.
     pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        let _wake_guard = lock_ignore_poison(&self.sleep);
-        self.wake.notify_all();
+        lock_ignore_poison(&self.state).closed = true;
+        self.ready.notify_all();
     }
 
     /// Removes and returns every job still queued (used after the whole
     /// pool has exited, to resolve leftovers with typed failures).
     pub(crate) fn drain_remaining(&self) -> Vec<Job> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            // Take the whole deque in one motion and release the shard
-            // lock before accounting — nothing else is appended while a
-            // guard is held.
-            let drained: Vec<Job> = lock_ignore_poison(&shard.jobs).drain(..).collect();
-            self.queued.fetch_sub(drained.len(), Ordering::SeqCst);
-            out.extend(drained);
-        }
-        out
+        lock_ignore_poison(&self.state).jobs.drain(..).collect()
     }
 }
 
@@ -355,6 +257,92 @@ impl Drop for Responder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
+
+    use moped_core::PlannerParams;
+    use moped_env::{Scenario, ScenarioParams};
+    use moped_robot::Robot;
+
+    use crate::{EnvId, EnvSnapshot};
+
+    fn snapshot() -> Arc<EnvSnapshot> {
+        let scenario =
+            Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(0), 1);
+        Arc::new(EnvSnapshot::new("empty", scenario))
+    }
+
+    fn job(id: u64, env: &Arc<EnvSnapshot>) -> Job {
+        let (_slot, respond) = ResponseSlot::pair();
+        Job {
+            id,
+            env_id: EnvId(0),
+            env: Arc::clone(env),
+            params: PlannerParams::default(),
+            deadline_at: None,
+            cancel: Arc::new(AtomicBool::new(false)),
+            enqueued: Instant::now(),
+            respond,
+            profile: None,
+        }
+    }
+
+    #[test]
+    fn jobs_pop_in_push_order_whichever_worker_pops() {
+        let env = snapshot();
+        let q = JobQueue::new(8);
+        for id in 0..6 {
+            assert!(q.push(job(id, &env)).is_ok());
+        }
+        // Alternate between a non-blocking pop on this thread and a
+        // blocking pop on a fresh worker thread.
+        for id in 0..6 {
+            let popped = if id % 2 == 0 {
+                q.try_pop()
+            } else {
+                std::thread::scope(|s| s.spawn(|| q.pop_blocking()).join().unwrap())
+            };
+            assert_eq!(popped.map(|j| j.id), Some(id));
+        }
+        assert!(q.try_pop().is_none());
+    }
+
+    #[test]
+    fn push_beyond_capacity_is_refused_full() {
+        let env = snapshot();
+        let q = JobQueue::new(3);
+        for id in 0..3 {
+            assert!(q.push(job(id, &env)).is_ok());
+        }
+        assert_eq!(q.push(job(3, &env)).err(), Some(PushRefused::Full));
+        // A pop frees exactly one slot.
+        assert_eq!(q.try_pop().map(|j| j.id), Some(0));
+        assert!(q.push(job(4, &env)).is_ok());
+        assert_eq!(q.push(job(5, &env)).err(), Some(PushRefused::Full));
+    }
+
+    #[test]
+    fn push_after_close_is_refused_closed() {
+        let env = snapshot();
+        let q = JobQueue::new(4);
+        assert!(!q.is_closed());
+        q.close();
+        assert!(q.is_closed());
+        assert_eq!(q.push(job(0, &env)).err(), Some(PushRefused::Closed));
+    }
+
+    #[test]
+    fn close_drains_queued_jobs_before_pop_blocking_ends() {
+        let env = snapshot();
+        let q = JobQueue::new(4);
+        for id in 0..3 {
+            assert!(q.push(job(id, &env)).is_ok());
+        }
+        q.close();
+        let drained: Vec<u64> = std::iter::from_fn(|| q.pop_blocking().map(|j| j.id)).collect();
+        assert_eq!(drained, [0, 1, 2]);
+        assert!(q.pop_blocking().is_none());
+    }
 
     #[test]
     fn slot_round_trips_a_resolution() {

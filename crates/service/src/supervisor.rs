@@ -10,23 +10,19 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use moped_collision::{CollisionChecker, NaiveChecker, SecondStage, TwoStageChecker};
+use moped_collision::{CollisionChecker, NaiveChecker};
 use moped_core::{CollisionStage, PlanResult, PlanStats, PlannerProfile};
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use crate::metrics::Metrics;
-use crate::queue::{lock_ignore_poison, ShardedQueue};
-use crate::{
-    EnvId, EnvSnapshot, FailureReason, Job, Outcome, PlanFailure, PlanOutcome, PlanResponse,
-    RetryPolicy,
-};
+use crate::queue::{lock_ignore_poison, JobQueue};
+use crate::{FailureReason, Job, Outcome, PlanFailure, PlanOutcome, PlanResponse, RetryPolicy};
 
 /// How often the monitor thread scans the pool for dead workers.
 const MONITOR_POLL: Duration = Duration::from_millis(2);
@@ -39,8 +35,8 @@ const FLUSH_EVERY: usize = 32;
 
 /// State shared by every worker, the monitor, and the service handle.
 pub(crate) struct WorkerShared {
-    /// The sharded work-stealing admission queue.
-    pub(crate) queue: Arc<ShardedQueue>,
+    /// The bounded admission queue.
+    pub(crate) queue: Arc<JobQueue>,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) poll_every: usize,
     pub(crate) retry: RetryPolicy,
@@ -158,7 +154,7 @@ impl Pool {
     pub(crate) fn fail_leftovers(&self) {
         for job in self.shared.queue.drain_remaining() {
             self.shared.metrics.queue_left();
-            self.shared.metrics.service_shard().inc_failed();
+            self.shared.metrics.inc_failed();
             let failure = PlanFailure {
                 id: job.id,
                 env: job.env_id,
@@ -228,19 +224,13 @@ fn apply_worker_fault(shared: &WorkerShared, site: FaultSite) {
     }
 }
 
-/// A worker: pull a job off its own shard (or steal one), serve it
+/// A worker: pull the oldest job off the queue, serve it
 /// (panic-isolated, with retries), repeat until the queue closes.
 fn worker_loop(worker_idx: usize, shared: &Arc<WorkerShared>) {
-    // Per-worker cache of two-stage checkers: the R-tree inside is a
-    // structural clone of the snapshot's shared build (no re-sort), and
-    // the scratch buffers stay thread-local, keeping the checker hot
-    // across requests to the same environment. Entries remember the
-    // epoch they were built from (see `execute`).
-    let mut checkers = CheckerCache::new();
     let mut since_flush = 0usize;
     loop {
-        let popped = match shared.queue.try_pop(worker_idx) {
-            Some(popped) => popped,
+        let job = match shared.queue.try_pop() {
+            Some(job) => job,
             None => {
                 // About to go idle: publish this worker's span data to
                 // the global registry while nobody is waiting on it, so
@@ -248,8 +238,8 @@ fn worker_loop(worker_idx: usize, shared: &Arc<WorkerShared>) {
                 // completed jobs without joining the pool.
                 moped_obs::flush();
                 since_flush = 0;
-                match shared.queue.pop_blocking(worker_idx) {
-                    Some(popped) => popped,
+                match shared.queue.pop_blocking() {
+                    Some(job) => job,
                     None => break, // queue closed and drained: graceful exit
                 }
             }
@@ -258,14 +248,7 @@ fn worker_loop(worker_idx: usize, shared: &Arc<WorkerShared>) {
         // gauge before any kill site can take this worker down, so a
         // death between pop and serve cannot leak queue depth.
         shared.metrics.queue_left();
-        if popped.stolen {
-            // The steal-specific kill site: outside the per-job guard,
-            // so an injected panic here takes the thief down with the
-            // stolen job's response unsent (the dropped responder then
-            // resolves the ticket as WorkerDied).
-            apply_worker_fault(shared, FaultSite::Steal);
-        }
-        serve_job(worker_idx, popped.job, shared, &mut checkers);
+        serve_job(worker_idx, job, shared);
         // Amortized flush: the global registry lock is off the per-job
         // path, but long busy stretches still publish periodically.
         since_flush += 1;
@@ -281,15 +264,14 @@ fn worker_loop(worker_idx: usize, shared: &Arc<WorkerShared>) {
 /// retries per policy, and exactly one resolution on the ticket's slot —
 /// unless a worker-kill fault fires, in which case the dropped responder
 /// itself resolves the ticket as `WorkerDied`.
-fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared, checkers: &mut CheckerCache) {
-    // Hot per-request counters go to this worker's private shard; the
-    // caller already settled the shared queue-depth gauge at pop time.
-    let shard = shared.metrics.worker(worker_idx);
+fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared) {
+    // The caller already settled the queue-depth gauge at pop time.
+    let metrics = &shared.metrics;
     let started = Instant::now();
     // Queue wait is admission → dequeue, sampled before any attempt
     // runs, so planning time can never leak into it.
     let queue_wait = started.duration_since(job.enqueued);
-    shard.record_queue_wait(queue_wait);
+    metrics.record_queue_wait(queue_wait);
     // Queue wait spans two threads, so it is recorded as a synthesized
     // duration rather than an enter/exit pair on either thread.
     moped_obs::record_duration(
@@ -319,18 +301,14 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared, checkers: &mut 
                     }
                 }
             }
-            execute(&job, checkers, shared.poll_every, started)
+            execute(&job, shared.poll_every, started)
         });
         drop(attempt_span);
         match attempt_result {
             Ok(result) => break result,
             Err(payload) => {
                 let message = panic_message(payload);
-                shard.inc_panics_caught();
-                // The cached checker may have been mid-use when the
-                // attempt unwound; rebuild it from the immutable
-                // snapshot rather than trust its scratch state.
-                checkers.remove(&job.env_id);
+                metrics.inc_panics_caught();
 
                 // Planning is deterministic in (env, profile, params),
                 // so a repeat of the *same* panic will not heal on its
@@ -339,7 +317,7 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared, checkers: &mut 
                 let identical = last_panic.as_deref() == Some(message.as_str());
                 let deadline_blown = job.deadline_at.is_some_and(|d| Instant::now() >= d);
                 if attempt < shared.retry.max_attempts && !identical && !deadline_blown {
-                    shard.inc_retries();
+                    metrics.inc_retries();
                     last_panic = Some(message);
                     let pause = retry_pause(&shared.retry, job.id, attempt);
                     if !pause.is_zero() {
@@ -349,8 +327,8 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared, checkers: &mut 
                     continue;
                 }
 
-                shard.inc_failed();
-                shard.record_service_latency(started.elapsed());
+                metrics.inc_failed();
+                metrics.record_service_latency(started.elapsed());
                 apply_worker_fault(shared, FaultSite::Respond);
                 // A dropped ticket just discards the resolution.
                 let failure = PlanFailure {
@@ -367,20 +345,20 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared, checkers: &mut 
 
     let outcome = if result.stats.stopped_early {
         if job.cancel.load(Ordering::Relaxed) {
-            shard.inc_cancelled();
+            metrics.inc_cancelled();
             Outcome::Cancelled
         } else {
-            shard.inc_deadline_expired();
+            metrics.inc_deadline_expired();
             Outcome::DeadlineExpired
         }
     } else {
-        shard.inc_completed();
+        metrics.inc_completed();
         Outcome::Completed
     };
-    shard.record_stats(&result.stats, result.solved());
+    metrics.record_stats(&result.stats, result.solved());
     // Spans every attempt, including retry backoff.
     let service_time = started.elapsed();
-    shard.record_service_latency(service_time);
+    metrics.record_service_latency(service_time);
 
     apply_worker_fault(shared, FaultSite::Respond);
     let response = PlanResponse {
@@ -421,26 +399,12 @@ fn splitmix64(state: &mut u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A worker's two-stage checkers, each with the epoch of the snapshot it
-/// was built from.
-type CheckerCache = HashMap<EnvId, (u64, TwoStageChecker)>;
-
-/// The serving path's checker over `env`'s prebuilt R-tree and SoA field.
-fn two_stage_checker(env: &EnvSnapshot) -> TwoStageChecker {
-    TwoStageChecker::with_prebuilt_soa(env.rtree.clone(), env.soa.clone(), SecondStage::ObbExact)
-}
-
 /// Runs one request's plan on its profile's stack: the admission-time
 /// resolution's profile, or the static default on untuned services. The
-/// two-stage checker comes from the worker's cache over the shared
-/// R-tree snapshot, so the result is byte-identical to a serial
-/// `PlannerProfile::plan` run on the same inputs.
-fn execute(
-    job: &Job,
-    checkers: &mut CheckerCache,
-    poll_every: usize,
-    started: Instant,
-) -> PlanResult {
+/// two-stage checker is the one the job's snapshot was built with, so
+/// the result is byte-identical to a serial `PlannerProfile::plan` run
+/// on the same inputs.
+fn execute(job: &Job, poll_every: usize, started: Instant) -> PlanResult {
     // Deadline already blown while queued: answer immediately with an
     // empty best-so-far result instead of burning worker time.
     if job.deadline_at.is_some_and(|d| started >= d) {
@@ -466,19 +430,7 @@ fn execute(
 
     let naive;
     let checker: &dyn CollisionChecker = match profile.collision {
-        CollisionStage::TwoStage => {
-            // A checker built from an earlier (or later) epoch of this
-            // slot holds another snapshot's obstacles: rebuild it from
-            // the snapshot this job was admitted with.
-            let (epoch, cached) = checkers
-                .entry(job.env_id)
-                .or_insert_with(|| (job.env.epoch, two_stage_checker(&job.env)));
-            if *epoch != job.env.epoch {
-                *epoch = job.env.epoch;
-                *cached = two_stage_checker(&job.env);
-            }
-            cached
-        }
+        CollisionStage::TwoStage => &job.env.checker,
         CollisionStage::Naive => {
             naive = NaiveChecker::new(scenario.obstacles.clone());
             &naive
