@@ -50,7 +50,7 @@ pub mod recorder;
 
 pub use counters::{Counter, CounterValue};
 pub use journal::{Journal, JournalEvent, RejectReason};
-pub use profile::{Bottleneck, Profile, StageProfile};
+pub use profile::{Profile, StageProfile};
 pub use recorder::SpanEvent;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

@@ -45,21 +45,6 @@ pub struct Profile {
     pub counters: Vec<CounterValue>,
 }
 
-/// Quantized collision-vs-NN exclusive-time split (the Fig 3 axis),
-/// in 1/256ths of instrumented self time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Bottleneck {
-    /// Collision-side share (`collision` + `broad-phase` + `narrow-phase`
-    /// self ticks), quantized to 0..=256.
-    pub collision_q256: u16,
-    /// NN-side share (`nearest` + `mbr-descent` + `neighborhood` self
-    /// ticks), quantized to 0..=256.
-    pub nn_q256: u16,
-    /// The denominator: total instrumented self ticks outside the round
-    /// envelope (sample-size signal for the adapter's confidence gate).
-    pub instrumented_ticks: u64,
-}
-
 impl Profile {
     /// The row for `stage`, if it recorded anything.
     pub fn stage(&self, stage: Stage) -> Option<&StageProfile> {
@@ -90,34 +75,6 @@ impl Profile {
             .filter(|s| s.stage != Stage::Round)
             .map(|s| s.self_ticks)
             .sum()
-    }
-
-    /// The quantized collision-vs-NN bottleneck split of this profile —
-    /// the stable accessor the autotuner's online adapter consumes.
-    ///
-    /// Fractions are integer 0..=256 (q/256 of instrumented self time);
-    /// quantization makes downstream hysteresis decisions pure integer
-    /// functions of the snapshot, immune to float formatting drift.
-    /// `None` when nothing outside the round envelope was recorded.
-    pub fn bottleneck(&self) -> Option<Bottleneck> {
-        let denom = self.instrumented_self_ticks();
-        if denom == 0 {
-            return None;
-        }
-        let sum = |stages: &[Stage]| -> u64 {
-            stages
-                .iter()
-                .filter_map(|s| self.stage(*s))
-                .map(|s| s.self_ticks)
-                .sum()
-        };
-        let collision = sum(&[Stage::Collision, Stage::BroadPhase, Stage::NarrowPhase]);
-        let nn = sum(&[Stage::Nearest, Stage::MbrDescent, Stage::Neighborhood]);
-        Some(Bottleneck {
-            collision_q256: ((collision.min(denom) * 256) / denom) as u16,
-            nn_q256: ((nn.min(denom) * 256) / denom) as u16,
-            instrumented_ticks: denom,
-        })
     }
 
     /// Renders the aligned human-readable table (one row per stage, a
@@ -274,27 +231,6 @@ mod tests {
         assert!(json.contains("\"attributed_fraction\":0.95"));
         assert!(json.contains("\"name\":\"top-block-hit\",\"value\":12"));
         crate::export::validate_json(&json).expect("profile JSON must be well-formed");
-    }
-
-    #[test]
-    fn bottleneck_quantizes_collision_vs_nn_split() {
-        let p = sample_profile();
-        // Instrumented self = 100 + 450 + 400 = 950; collision = 400, NN = 450.
-        let b = p.bottleneck().expect("instrumented work present");
-        assert_eq!(b.instrumented_ticks, 950);
-        assert_eq!(b.collision_q256, ((400u64 * 256) / 950) as u16);
-        assert_eq!(b.nn_q256, ((450u64 * 256) / 950) as u16);
-        assert!(b.collision_q256 <= 256 && b.nn_q256 <= 256);
-    }
-
-    #[test]
-    fn bottleneck_absent_when_nothing_instrumented() {
-        let p = Profile {
-            stages: vec![row(Stage::Round, 3, 30, 30)],
-            unit: "ticks",
-            counters: Vec::new(),
-        };
-        assert!(p.bottleneck().is_none());
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //!   calibrated `moped_tune::ProfileTable` at admission; the decision
 //!   picks the worker's engine/index stack, is stamped into the
 //!   [`PlanResponse`], and is counted per class in [`metrics::Metrics`].
-//!   Every [`PlanService::swap_env`] is an epoch boundary where the
-//!   tuner's hysteresis adapter may rewrite a class's profile from the
-//!   observed `moped-obs` collision-vs-NN bottleneck split.
+//!   The table is fixed for the service's lifetime, so tracing and
+//!   environment swaps never change which plan a class is served.
 //! * **Deadlines and cancellation** — cooperative: the planner's stop
 //!   hook is polled every few sampling rounds, and an expired or
 //!   cancelled request returns its best-so-far anytime result instead of
@@ -93,16 +92,15 @@ mod supervisor;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use moped_collision::TwoStageChecker;
 use moped_core::{PlanResult, PlannerParams};
 use moped_env::catalog::{build as build_scene, NamedScene};
 use moped_env::Scenario;
-use moped_obs::Bottleneck;
 use moped_robot::Robot;
-use moped_tune::{Adapter, ProfileSwitch, ProfileTable, RequestClass, Resolution};
+use moped_tune::{ProfileTable, RequestClass, Resolution};
 
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use metrics::Metrics;
@@ -533,82 +531,38 @@ impl RetryPolicy {
     }
 }
 
-/// Locks a mutex, recovering the guard even if a prior holder panicked —
-/// both tuner structures stay internally consistent across a poisoned
-/// unwind (the table is replaced atomically under its lock; the adapter
-/// only mutates plain integer streaks).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The service-side autotuner: a hot [`ProfileTable`] resolved on every
-/// admission, plus the epoch-boundary [`Adapter`] that rewrites it under
-/// hysteresis when the observed collision-vs-NN bottleneck flips.
+/// The service-side autotuner: a pinned [`ProfileTable`] resolved on
+/// every admission.
 ///
 /// Install one via [`ServiceConfig::tuner`]. Admissions then resolve the
 /// environment's request class against the table ([`Tuner::resolve`]);
 /// the decision rides on the job, selects the worker's engine/index
-/// stack, and is stamped into the [`PlanResponse`]. Every
-/// [`PlanService::swap_env`] is an epoch boundary: the tuner reads the
-/// process-wide `moped-obs` stage profile, tags it with the outgoing
-/// snapshot's class, and may switch that class's profile
-/// ([`Tuner::observe`]). That profile is never reset by the service, so
-/// it holds every class's spans since process start (or since whoever
-/// last called `moped_obs::reset`), not only the outgoing class's
-/// requests since the previous swap.
+/// stack, and is stamped into the [`PlanResponse`]. Nothing rewrites the
+/// table while the service runs: environment swaps and tracing leave
+/// every class's resolution as the table reads.
 ///
-/// Determinism: with a pinned table and no adapter input, resolution is
-/// a pure map lookup, so every auto-tuned plan stays bit-identical and
-/// journal-replayable. Adapter switches are themselves pure functions of
-/// the quantized observation sequence — wall clock never enters.
+/// Determinism: resolution is a pure map lookup, so every auto-tuned
+/// plan stays bit-identical and journal-replayable.
 #[derive(Debug)]
 pub struct Tuner {
-    table: RwLock<ProfileTable>,
-    adapter: Mutex<Adapter>,
+    table: ProfileTable,
 }
 
 impl Tuner {
-    /// A tuner over `table` with the adapter's hysteresis thresholds.
+    /// A tuner over `table`.
     pub fn new(table: ProfileTable) -> Self {
-        Tuner {
-            table: RwLock::new(table),
-            adapter: Mutex::new(Adapter::default()),
-        }
+        Tuner { table }
     }
 
-    /// Resolves a request class against the current table (read lock;
-    /// admission-path cost is one map lookup plus the profile clone).
+    /// Resolves a request class against the table (one map lookup plus
+    /// the profile clone).
     pub fn resolve(&self, class_id: &str) -> Resolution {
-        let table = match self.table.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        table.resolve(class_id)
+        self.table.resolve(class_id)
     }
 
-    /// A point-in-time copy of the table (pin it to reproduce runs).
-    pub fn table(&self) -> ProfileTable {
-        match self.table.read() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
-
-    /// Feeds one epoch-boundary bottleneck observation for `class_id`
-    /// through the hysteresis adapter, rewriting the table on a switch.
-    /// In-flight requests keep the resolution they were admitted with;
-    /// only later admissions see the new profile — the same isolation
-    /// rule environment swaps follow.
-    pub fn observe(&self, class_id: &str, b: &Bottleneck) -> Option<ProfileSwitch> {
-        let mut adapter = lock_unpoisoned(&self.adapter);
-        let mut table = match self.table.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        adapter.observe(&mut table, class_id, b)
+    /// The table (pin it to reproduce runs).
+    pub fn table(&self) -> &ProfileTable {
+        &self.table
     }
 }
 
@@ -785,29 +739,9 @@ impl PlanService {
     /// Returns the slot's new epoch (also reported per-request in
     /// [`PlanResponse::epoch`]).
     pub fn swap_env(&self, id: EnvId, scenario: Scenario) -> Result<u64, RejectReason> {
-        let outgoing_class = self.catalog.get(id).map(|snap| snap.class.clone());
-        let epoch = self
-            .catalog
+        self.catalog
             .swap(id, scenario)
-            .ok_or(RejectReason::UnknownEnvironment)?;
-        // A swap is an epoch boundary: feed the tuner the bottleneck of
-        // the process-wide stage profile, tagged with the outgoing
-        // snapshot's class. The profile is cumulative — nothing here
-        // resets it — so it mixes every class's spans since process
-        // start, not just this class's since the last swap. Workers
-        // publish their span data when idle (and every few jobs); with
-        // tracing off the profile is empty and this is a no-op.
-        if let (Some(tuner), Some(class)) = (self.config.tuner.as_deref(), outgoing_class) {
-            if moped_obs::enabled() {
-                moped_obs::flush();
-                if let Some(b) = moped_obs::snapshot().bottleneck() {
-                    if tuner.observe(&class, &b).is_some() {
-                        self.metrics.inc_profile_switches();
-                    }
-                }
-            }
-        }
-        Ok(epoch)
+            .ok_or(RejectReason::UnknownEnvironment)
     }
 
     /// The live metrics registry (shared; clone the `Arc` to keep reading
@@ -1384,56 +1318,12 @@ mod tests {
 
         let metrics = service.shutdown();
         assert_eq!(metrics.profile_decisions(), vec![(class.clone(), 1, 1)]);
-        assert_eq!(metrics.profile_switches(), 0);
         let text = metrics.dump_text();
-        assert!(text.contains("profile_switches 0"));
         assert!(text.contains(&format!(
             "profile_decisions{{class=\"{class}\"}} 1 (1 from table)"
         )));
         let json = metrics.dump_json();
         assert!(json.contains("\"profile_decisions\":[{\"class\":"));
-    }
-
-    #[test]
-    fn tuner_observe_applies_hysteresis_then_rewrites_the_table() {
-        let tuner = Tuner::new(ProfileTable::static_default());
-        let class = "mobile_2d/d3/o-few/v-thin";
-        let collision_bound = Bottleneck {
-            collision_q256: 220,
-            nn_q256: 10,
-            instrumented_ticks: 5_000,
-        };
-        // Hysteresis: the first epoch arms the streak, the second commits.
-        assert!(tuner.observe(class, &collision_bound).is_none());
-        let switch = tuner
-            .observe(class, &collision_bound)
-            .expect("switch on the second consecutive epoch");
-        assert_eq!(switch.to.engine, moped_core::Engine::RrtConnect);
-        let res = tuner.resolve(class);
-        assert!(res.from_table);
-        assert!(res.reason.starts_with("adapter: "));
-        // The snapshot copy carries the rewrite.
-        assert!(tuner.table().resolve(class).from_table);
-    }
-
-    #[test]
-    fn swap_env_with_a_tuner_is_an_epoch_boundary_noop_without_traces() {
-        let mut cat = EnvironmentCatalog::new();
-        let epochs = moped_scenarios::dynamic_epochs(moped_robot::RobotModel::Mobile2d, 2, 3, 2.5);
-        let env = cat.register("drifting-clutter", epochs[0].clone());
-        let service = PlanService::start(
-            cat,
-            ServiceConfig {
-                workers: 1,
-                tuner: Some(Arc::new(Tuner::new(ProfileTable::static_default()))),
-                ..Default::default()
-            },
-        );
-        // With obs tracing off there is no bottleneck evidence, so the
-        // swap must succeed without consulting the adapter.
-        assert_eq!(service.swap_env(env, epochs[1].clone()), Ok(1));
-        let metrics = service.shutdown();
-        assert_eq!(metrics.profile_switches(), 0);
     }
 
     #[test]

@@ -180,7 +180,6 @@ pub struct Metrics {
     rejected: AtomicU64,
     worker_respawns: AtomicU64,
     faults_injected: AtomicU64,
-    profile_switches: AtomicU64,
     completed: AtomicU64,
     deadline_expired: AtomicU64,
     cancelled: AtomicU64,
@@ -235,9 +234,6 @@ impl Metrics {
         /// Faults fired by the configured `FaultPlan` (always zero when
         /// the harness is unconfigured).
         faults_injected / inc_faults_injected,
-        /// Profile switches committed by the autotuner's epoch-boundary
-        /// adapter (always zero on untuned services).
-        profile_switches / inc_profile_switches,
         /// Requests that ran to their full sampling budget.
         completed / inc_completed,
         /// Requests cut short by their deadline (best-so-far returned).
@@ -423,7 +419,6 @@ impl Metrics {
         );
         // Autotuner decisions (aggregate-on-read: the per-class map is
         // folded here, never on the per-request path).
-        kv("profile_switches", self.profile_switches().to_string());
         for (class, decisions, hits) in self.profile_decisions() {
             kv(
                 &format!("profile_decisions{{class=\"{class}\"}}"),
@@ -488,10 +483,6 @@ impl Metrics {
                 queue_wait.quantile(0.99).as_micros().to_string(),
             ),
         ];
-        fields.push((
-            "profile_switches".into(),
-            self.profile_switches().to_string(),
-        ));
         let decisions = self
             .profile_decisions()
             .iter()

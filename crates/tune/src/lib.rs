@@ -1,9 +1,9 @@
-//! moped-tune: the adaptive planner-profile subsystem.
+//! moped-tune: the planner-profile subsystem.
 //!
-//! Closes the observation→configuration loop the paper's Fig 3 data
-//! motivates: the collision-vs-NN bottleneck flips with workload, and
-//! engine/backend choice is the biggest lever the serving layer can pull
-//! per request. This crate owns that choice:
+//! The paper's Fig 3 data shows the collision-vs-NN bottleneck flipping
+//! with workload, and engine/backend choice is the biggest lever the
+//! serving layer can pull per request. This crate owns that choice,
+//! made offline by calibration and pinned in a table:
 //!
 //! * [`PlannerProfile`] — one serializable planner stack (engine,
 //!   collision stage, NN backend, SIAS, LCI), defined in `moped-core`
@@ -12,16 +12,14 @@
 //!   are resolved under;
 //! * [`Calibrator`] — short seeded micro-plans scoring candidate
 //!   profiles per class (offline/startup path);
-//! * [`Adapter`] — epoch-boundary profile switching with hysteresis,
-//!   driven by quantized `moped-obs` bottleneck snapshots (online path);
 //! * [`ProfileTable`] — the class→profile map the service resolves on
 //!   admission, with a pinnable wire form.
 //!
 //! **Determinism contract.** Every decision here is a pure function of
-//! (class, probe results, quantized profile snapshot). The crate is on
-//! the lint `DETERMINISTIC_CRATES` list: no wall clock, no hash-order
-//! iteration. Fix the calibration seed and pin the table, and every
-//! auto-tuned plan is bit-identical and journal-replayable.
+//! (class, probe results). The crate is on the lint
+//! `DETERMINISTIC_CRATES` list: no wall clock, no hash-order iteration.
+//! Fix the calibration seed and pin the table, and every auto-tuned
+//! plan is bit-identical and journal-replayable.
 //!
 //! # Example
 //!
@@ -42,12 +40,10 @@
 
 #![deny(missing_docs)]
 
-mod adapter;
 mod calibrate;
 mod class;
 mod table;
 
-pub use adapter::{regime, Adapter, ProfileSwitch, Regime};
 pub use calibrate::{default_candidates, CalibrationConfig, Calibrator, ProbeOutcome};
 pub use class::{DensityBucket, ObstacleBucket, RequestClass};
 pub use moped_core::PlannerProfile;

@@ -17,7 +17,8 @@ pub struct Resolution {
     pub class_id: String,
     /// The profile to plan with.
     pub profile: PlannerProfile,
-    /// Why this profile: the calibration/adapter reason for table hits,
+    /// Why this profile: the reason stored with the table entry (the
+    /// calibration verdict, or a hand-pinned note) for table hits,
     /// `"default"` for misses.
     pub reason: String,
     /// Whether the class had a table entry (false → default profile).
@@ -98,7 +99,7 @@ impl ProfileTable {
     /// ```text
     /// moped-profile-table v3
     /// default|rrt-star,two-stage,si-mbr,1,1
-    /// class|mobile_2d/d3/o-few,v-thin|rrt-connect,two-stage,si-mbr,1,1|probe: ...
+    /// class|mobile_2d/d3/o-few/v-thin|rrt-connect,two-stage,si-mbr,1,1|probe: ...
     /// ```
     pub fn serialize(&self) -> String {
         let mut out = String::new();
@@ -148,6 +149,9 @@ impl ProfileTable {
             let reason = fields.next().unwrap_or_default();
             if class.is_empty() {
                 return Err(format!("line `{line}`: empty class id"));
+            }
+            if table.entries.contains_key(class) {
+                return Err(format!("duplicate entry for class `{class}`"));
             }
             table.insert(class, PlannerProfile::parse(wire)?, reason);
         }
@@ -216,5 +220,10 @@ mod tests {
             ProfileTable::parse(&format!("{good}class||rrt-star,two-stage,si-mbr,1,1|r\n"))
                 .is_err()
         );
+        // A repeated class line would otherwise let the last one win
+        // silently, so the table would resolve unlike how it reads.
+        let entry = "class|a/b|rrt-star,two-stage,si-mbr,1,1|r\n";
+        let dup = ProfileTable::parse(&format!("{good}{entry}{entry}"));
+        assert!(dup.unwrap_err().contains("`a/b`"));
     }
 }

@@ -119,6 +119,18 @@ case "$wb_last" in
         ;;
 esac
 
+echo "== wallbench: frozen lock file =="
+# wallbench/ is the frozen benchmark: building it must not rewrite its
+# lock file. A dependency edit in any workspace crate it builds (a new,
+# moved or dropped [dependencies] entry) changes the lock and fails here.
+if ! git diff --quiet -- wallbench/Cargo.lock; then
+    echo "verify: FAIL — building wallbench rewrote wallbench/Cargo.lock; a" \
+        "dependency edit in a crate wallbench builds changed its lock, and" \
+        "nothing under wallbench/ may change. Revert the dependency edit." >&2
+    git diff --stat -- wallbench/Cargo.lock >&2
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -1,21 +1,24 @@
 //! Observability contract tests through the facade: the disabled tracing
 //! path allocates nothing and costs a negligible fraction of a planning
-//! run, the event journal replays bit-identically, and the Chrome-trace
-//! exporter emits well-formed JSON from a real run.
+//! run, the event journal replays bit-identically, the Chrome-trace
+//! exporter emits well-formed JSON from a real run, and turning tracing
+//! on never changes which plan the service serves.
 //!
 //! The obs recorder is process-global, so every test here serializes on
 //! one mutex and restores the disabled/logical defaults on exit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use moped::collision::TwoStageChecker;
 use moped::core::{PlannerParams, RrtStar, SimbrIndex};
 use moped::env::{Scenario, ScenarioParams};
 use moped::obs;
-use moped::robot::Robot;
+use moped::robot::{Robot, RobotModel};
+use moped::service::{EnvironmentCatalog, PlanRequest, PlanService, ServiceConfig, Tuner};
+use moped::tune::{PlannerProfile, ProfileTable};
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every heap allocation in this test binary bumps a
@@ -220,5 +223,57 @@ fn chrome_trace_from_a_real_run_is_well_formed() {
         assert!(!events.is_empty(), "traced run produced no span events");
         let trace = obs::export::chrome_trace(&events);
         obs::export::validate_json(&trace).expect("chrome trace well-formed");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Tracing never chooses plans
+// ---------------------------------------------------------------------------
+
+#[test]
+fn tracing_never_changes_a_served_plan() {
+    with_obs_lock(|| {
+        let epochs = moped::scenarios::dynamic_epochs(RobotModel::XArm7, 4, 3, 2.5);
+        let mut catalog = EnvironmentCatalog::new();
+        let env = catalog.register("drifting-clutter", epochs[0].clone());
+        let service = PlanService::start(
+            catalog,
+            ServiceConfig {
+                workers: 1,
+                tuner: Some(Arc::new(Tuner::new(ProfileTable::static_default()))),
+                ..Default::default()
+            },
+        );
+        obs::set_enabled(true);
+        for (epoch, scenario) in epochs.iter().enumerate() {
+            // Collision-heavy evidence from outside the service: whatever
+            // the process-wide profile says, the pinned table decides.
+            obs::record_duration(obs::Stage::Collision, 10_000_000);
+            if epoch > 0 {
+                assert_eq!(service.swap_env(env, scenario.clone()), Ok(epoch as u64));
+            }
+            for seed in 0..3 {
+                let params = PlannerParams {
+                    max_samples: 300,
+                    seed,
+                    ..PlannerParams::default()
+                };
+                let response = service
+                    .submit(PlanRequest::new(env, params))
+                    .expect("admitted")
+                    .wait()
+                    .into_result()
+                    .expect("served");
+                let res = response.profile.expect("tuned services stamp");
+                assert_eq!(
+                    res.profile,
+                    PlannerProfile::static_default(),
+                    "epoch {epoch}"
+                );
+                assert_eq!(res.reason, "default", "epoch {epoch}");
+                assert_eq!(response.epoch, epoch as u64);
+            }
+        }
+        service.shutdown();
     });
 }
