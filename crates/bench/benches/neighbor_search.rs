@@ -115,8 +115,9 @@ fn bench_nearest(c: &mut Criterion) {
     g.finish();
 }
 
-/// The best-first nearest engine on one tree, cold and with a warm
-/// search-trace seed. Both return the exact nearest neighbor.
+/// The depth-first MINDIST branch-and-bound nearest engine on one tree,
+/// cold and with a warm search-trace seed. Both return the exact nearest
+/// neighbor.
 fn bench_nearest_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("nearest_engine");
     for &(n, dim) in &[(5000usize, 3usize), (5000, 6)] {
@@ -130,7 +131,7 @@ fn bench_nearest_engine(c: &mut Criterion) {
         let mut stats = SearchStats::default();
         let (winner, _) = tree.nearest(&q, &mut ops).unwrap();
         g.bench_with_input(
-            BenchmarkId::new("best_first", format!("{n}x{dim}d")),
+            BenchmarkId::new("depth_first", format!("{n}x{dim}d")),
             &q,
             |b, q| {
                 b.iter(|| {
@@ -140,7 +141,7 @@ fn bench_nearest_engine(c: &mut Criterion) {
             },
         );
         g.bench_with_input(
-            BenchmarkId::new("best_first_warm", format!("{n}x{dim}d")),
+            BenchmarkId::new("depth_first_warm", format!("{n}x{dim}d")),
             &q,
             |b, q| {
                 b.iter(|| {

@@ -8,8 +8,11 @@
 //! loop, into a fresh SI-MBR V4 index (SIAS + LCI), an exact SI-MBR index
 //! (range search + conventional insert), a kd-tree and a linear scan.
 //! Each call is timed on its own; `nearest` is also priced per node
-//! visit (tree nodes popped for SI-MBR, nodes touched for the kd-tree,
-//! points scanned for the linear scan).
+//! visit (tree nodes visited for SI-MBR, nodes touched for the kd-tree,
+//! points scanned for the linear scan). The `cold` column counts the
+//! visits each query makes without the index's warm hint (the previous
+//! winner), found by an untimed second search; it equals `visits` for
+//! backends that take no hint.
 //!
 //! Usage:
 //!
@@ -19,8 +22,11 @@
 //!
 //! Every backend answers `nearest` exactly, and all four compute the
 //! squared distance axis by axis in the same order, so each replayed
-//! `nearest` distance must equal the recorded one to the bit. The binary
-//! exits non-zero on any mismatch. A full run keeps the fastest of 3
+//! `nearest` distance must equal the recorded one to the bit. The
+//! planner's tree also depends on *which* entry wins, so the two SI-MBR
+//! backends must return the recorded id as well (the kd-tree and the
+//! linear scan may break an exact tie differently and are checked on
+//! distance only). The binary exits non-zero on any mismatch. A full run keeps the fastest of 3
 //! replays per backend; `--smoke` replays one scene at 1 500 samples
 //! once (the `scripts/verify.sh` step).
 
@@ -35,6 +41,7 @@ use moped_env::{Scenario, ScenarioParams};
 use moped_geometry::{Config, OpCount};
 use moped_kdtree::KdSearchStats;
 use moped_robot::Robot;
+use moped_simbr::SearchStats;
 
 /// One recorded `NeighborIndex` call.
 #[derive(Clone, Copy)]
@@ -157,7 +164,9 @@ struct Replay {
     nearest: Timings,
     neighborhood: Timings,
     visits: u64,
+    cold_visits: u64,
     mismatches: u64,
+    id_mismatches: u64,
 }
 
 impl Replay {
@@ -166,9 +175,10 @@ impl Replay {
     }
 }
 
-/// Counts one `nearest` query's node visits, called untimed right after
-/// the query; a new counter is made for each fresh index.
-type VisitCounter<N> = Box<dyn FnMut(&N, &Config) -> u64>;
+/// Counts one `nearest` query's node visits, as served and without the
+/// warm hint; called untimed right after the query, and made anew for
+/// each fresh index.
+type VisitCounter<N> = Box<dyn FnMut(&N, &Config) -> (u64, u64)>;
 
 /// Replays every log into a fresh copy of `empty`.
 fn replay<N: NeighborIndex>(
@@ -191,10 +201,15 @@ fn replay<N: NeighborIndex>(
                 Call::Nearest { q, found } => {
                     let got = index.nearest(&q, &mut ops);
                     out.nearest.ns.push(start.elapsed().as_nanos() as u64);
-                    out.visits += visits(&index, &q);
+                    let (served, cold) = visits(&index, &q);
+                    out.visits += served;
+                    out.cold_visits += cold;
                     let bits = |r: Option<(u64, f64)>| r.map(|(_, d)| d.to_bits());
                     if bits(got) != bits(found) {
                         out.mismatches += 1;
+                    }
+                    if got.map(|(id, _)| id) != found.map(|(id, _)| id) {
+                        out.id_mismatches += 1;
                     }
                 }
                 Call::Neighborhood { anchor, q, radius } => {
@@ -225,7 +240,7 @@ fn best_of<N: NeighborIndex>(
 fn print_row(backend: &str, r: &mut Replay) {
     let (calls, ns) = (r.nearest.ns.len() as f64, r.nearest.total() as f64);
     println!(
-        "{backend:<16} {:>9.0} {:>8} {:>9.0} {:>8} {:>9.0} {:>8} {:>8.1} {:>8.1} {:>10}",
+        "{backend:<16} {:>9.0} {:>8} {:>9.0} {:>8} {:>9.0} {:>8} {:>8.1} {:>8.1} {:>8.1} {:>10} {:>8}",
         r.insert.mean(),
         r.insert.p50(),
         r.nearest.mean(),
@@ -233,8 +248,10 @@ fn print_row(backend: &str, r: &mut Replay) {
         r.neighborhood.mean(),
         r.neighborhood.p50(),
         r.visits as f64 / calls.max(1.0),
+        r.cold_visits as f64 / calls.max(1.0),
         ns / (r.visits as f64).max(1.0),
         r.mismatches,
+        r.id_mismatches,
     );
 }
 
@@ -264,7 +281,7 @@ fn main() {
         count(|c| matches!(c, Call::Neighborhood { .. })),
     );
     println!(
-        "{:<16} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>10}",
+        "{:<16} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>10} {:>8}",
         "backend",
         "ins_mean",
         "ins_p50",
@@ -273,18 +290,25 @@ fn main() {
         "nbh_mean",
         "nbh_p50",
         "visits",
+        "cold",
         "ns/visit",
-        "mismatches"
+        "mismatches",
+        "id_diffs"
     );
     let dim = Robot::drone_3d().dof();
-    // SI-MBR accumulates its visits; the counter reports the growth.
+    // SI-MBR accumulates its visits; the counter reports the growth, and
+    // repeats the query on the bare tree, with no hint, for the cold count.
     let simbr_visits = || -> VisitCounter<SimbrIndex> {
         let mut seen = 0;
-        Box::new(move |index: &SimbrIndex, _: &Config| {
+        Box::new(move |index: &SimbrIndex, q: &Config| {
             let total = index.search_stats().nodes_visited;
             let visits = total - seen;
             seen = total;
-            visits
+            let mut cold = SearchStats::default();
+            index
+                .tree()
+                .nearest_with_stats(q, &mut OpCount::default(), &mut cold);
+            (visits, cold.nodes_visited)
         })
     };
     let mut rows = vec![
@@ -309,25 +333,35 @@ fn main() {
                     index
                         .tree()
                         .nearest_with_stats(q, &mut OpCount::default(), &mut stats);
-                    stats.nodes_visited
+                    (stats.nodes_visited, stats.nodes_visited)
                 })
             }),
         ),
         (
             "linear",
             best_of(reps, &LinearIndex::new(), &logs, &|| {
-                Box::new(|index: &LinearIndex, _: &Config| index.len() as u64)
+                Box::new(|index: &LinearIndex, _: &Config| (index.len() as u64, index.len() as u64))
             }),
         ),
     ];
-    let mut mismatches = 0;
+    let (mut mismatches, mut id_mismatches) = (0, 0);
     for (backend, r) in &mut rows {
         print_row(backend, r);
         mismatches += r.mismatches;
+        if backend.starts_with("si-mbr") {
+            id_mismatches += r.id_mismatches;
+        }
     }
-    println!("nn_replay: ns per call (mean, p50); {mismatches} nearest-distance mismatches");
+    println!(
+        "nn_replay: ns per call (mean, p50); {mismatches} nearest-distance mismatches, \
+         {id_mismatches} SI-MBR nearest-id mismatches"
+    );
     if mismatches > 0 {
         eprintln!("nn_replay: FAIL — a backend's nearest distance differs from the recorded one");
+        std::process::exit(1);
+    }
+    if id_mismatches > 0 {
+        eprintln!("nn_replay: FAIL — an SI-MBR backend's nearest id differs from the recorded one");
         std::process::exit(1);
     }
 }

@@ -129,8 +129,11 @@ pub struct SimbrIndex {
     approx_search: bool,
     low_cost_insert: bool,
     /// Search-trace cache: the previous `nearest` winner seeds the next
-    /// query's pruning bound (consecutive RRT\* samples are spatially
-    /// correlated, so the stale winner is usually a tight bound).
+    /// query's pruning bound. Consecutive RRT\* samples are independent
+    /// uniform draws, so the stale winner is seldom near the new query:
+    /// over the drone-sparse plans `nn_replay` replays, the seed cuts a
+    /// query's mean node visits only from 12.3 to 12.2. It never changes
+    /// the nearest distance, since the seed is an attained one.
     warm: std::cell::Cell<Option<u64>>,
     search_stats: std::cell::Cell<SearchStats>,
 }

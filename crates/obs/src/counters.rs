@@ -14,10 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Counter {
-    /// Best-first pop landed inside the pinned top-of-tree block
+    /// SI-MBR node visit landed inside the pinned top-of-tree block
     /// (Top NS Cache analog).
     TopBlockHit = 0,
-    /// Best-first pop fell outside the pinned block.
+    /// SI-MBR node visit fell outside the pinned block.
     TopBlockMiss = 1,
     /// Previous-round winner was still indexed and seeded the pruning
     /// bound (search-trace cache analog).

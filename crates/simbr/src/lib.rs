@@ -6,10 +6,12 @@
 //! rectangle (MBR) of its descendants. Three capabilities distinguish it
 //! from a stock R-tree:
 //!
-//! 1. **MINDIST branch-and-bound nearest search** — subtrees are expanded
-//!    in globally ascending MINDIST order (best-first) and skipped the
-//!    moment their MINDIST exceeds the best distance found so far, since
-//!    MINDIST lower bounds the distance to *every* leaf in the subtree.
+//! 1. **MINDIST branch-and-bound nearest search** — a depth-first descent
+//!    that expands each node's children closest-MINDIST first and skips a
+//!    subtree the moment its MINDIST reaches the best distance found so
+//!    far, since MINDIST lower bounds the distance to *every* leaf in the
+//!    subtree. The MINDIST and distance loops are compiled once per
+//!    dimension, over fixed-length arrays.
 //! 2. **Steering-informed approximated neighborhoods (SIAS)** — because
 //!    `x_new` is steered a short step from `x_nearest`, the leaf group
 //!    (siblings) of `x_nearest` approximates the `near()` set of `x_new`,
@@ -28,13 +30,14 @@
 //!
 //! * **Pinned top-of-tree block** (Top NS Cache analog): whenever the
 //!   root grows, the arena is repacked breadth-first so the top
-//!   [`TOP_LEVELS`] levels occupy one contiguous prefix; pops landing in
-//!   the prefix count as top-block hits.
+//!   [`TOP_LEVELS`] levels occupy one contiguous prefix; node visits
+//!   landing in the prefix count as top-block hits.
 //! * **Search-trace seed** (search-trace cache analog):
 //!   [`SiMbrTree::nearest_with_hint`] accepts the previous round's winner
 //!   and seeds the pruning bound with its exact distance — an attained
 //!   distance is a valid upper bound, so exactness is preserved while the
-//!   warm bound prunes the frontier from the first pop.
+//!   warm bound prunes from the first visit, and the hint keeps any exact
+//!   tie.
 //!
 //! Both the conventional insertion (for the V2/V3 ablations) and LCI (V4)
 //! are implemented; every kernel charges an [`OpCount`] ledger.
@@ -58,7 +61,6 @@
 #![deny(missing_docs)]
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Ordering;
 
 use moped_geometry::{Config, OpCount, Rect, MAX_DOF};
 use moped_obs::counters::{bump, Counter};
@@ -81,14 +83,20 @@ const MAX_ENTRIES: usize = 32;
 /// overflow item.
 const SPLIT_ITEMS: usize = MAX_ENTRIES + 1;
 
-/// Per-search traversal statistics: how many nodes a search expanded,
+// `SiMbrTree::nearest_with_hint` dispatches on every dimension in
+// `1..=MAX_DOF`.
+const _: () = assert!(MAX_DOF == 8);
+
+/// Per-search traversal statistics: how many nodes a search visited,
 /// how many subtrees the MINDIST bound skipped and how many exact
 /// distances it computed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Nodes whose children were examined.
+    /// Nodes whose children (or entries, for a leaf) were scored.
     pub nodes_visited: u64,
-    /// Subtrees skipped by the MINDIST bound.
+    /// Subtrees skipped by the MINDIST bound: a child rejected when its
+    /// parent was visited, or a stacked subtree rejected when popped
+    /// because the bound had tightened since it was pushed.
     pub subtrees_skipped: u64,
     /// Leaf-entry exact distance computations.
     pub distance_calcs: u64,
@@ -99,9 +107,9 @@ pub struct SearchStats {
 /// counters mirror these when tracing is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Best-first pops that landed inside the pinned top block.
+    /// Node visits that landed inside the pinned top block.
     pub top_hits: u64,
-    /// Best-first pops outside the pinned top block.
+    /// Node visits outside the pinned top block.
     pub top_misses: u64,
     /// Queries whose hint entry was present and seeded the bound.
     pub seed_hits: u64,
@@ -118,70 +126,12 @@ pub struct Entry {
     pub point: Config,
 }
 
-/// One frontier element of the best-first search.
+/// A subtree the depth-first search still has to consider: its node id
+/// and the MINDIST from the query to its MBR.
 #[derive(Clone, Copy, Debug)]
-struct Frontier {
+struct Pending {
     md: f64,
     node: u32,
-}
-
-/// Total order on frontier elements: ascending MINDIST, ties broken by
-/// node id so the traversal is deterministic.
-#[inline]
-fn frontier_before(a: &Frontier, b: &Frontier) -> bool {
-    match a.md.partial_cmp(&b.md).expect("finite MINDIST") {
-        Ordering::Less => true,
-        Ordering::Greater => false,
-        Ordering::Equal => a.node < b.node,
-    }
-}
-
-/// Binary min-heap push; every ordering probe is charged one `cmp`.
-fn heap_push(h: &mut Vec<Frontier>, f: Frontier, ops: &mut OpCount) {
-    h.push(f);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let p = (i - 1) / 2;
-        ops.cmp += 1;
-        if frontier_before(&h[i], &h[p]) {
-            h.swap(i, p);
-            i = p;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Binary min-heap pop; every ordering probe is charged one `cmp`.
-fn heap_pop(h: &mut Vec<Frontier>, ops: &mut OpCount) -> Option<Frontier> {
-    let out = *h.first()?;
-    let last = h.pop().expect("non-empty");
-    if !h.is_empty() {
-        h[0] = last;
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut m = i;
-            if l < h.len() {
-                ops.cmp += 1;
-                if frontier_before(&h[l], &h[m]) {
-                    m = l;
-                }
-            }
-            if r < h.len() {
-                ops.cmp += 1;
-                if frontier_before(&h[r], &h[m]) {
-                    m = r;
-                }
-            }
-            if m == i {
-                break;
-            }
-            h.swap(i, m);
-            i = m;
-        }
-    }
-    Some(out)
 }
 
 /// The steering-informed MBR tree. See the crate-level docs.
@@ -220,9 +170,9 @@ pub struct SiMbrTree {
     /// Arena prefix length of the pinned top block (nodes in the top
     /// [`TOP_LEVELS`] levels as of the last repack).
     top_len: usize,
-    /// Reusable best-first frontier: amortizes to zero heap allocation
-    /// per query.
-    frontier: RefCell<Vec<Frontier>>,
+    /// Reusable depth-first stack: amortizes to zero heap allocation per
+    /// query.
+    stack: RefCell<Vec<Pending>>,
     cache_stats: Cell<CacheStats>,
 }
 
@@ -258,7 +208,7 @@ impl SiMbrTree {
             cap: max_entries + 1,
             len: 0,
             top_len: 0,
-            frontier: RefCell::new(Vec::new()),
+            stack: RefCell::new(Vec::new()),
             cache_stats: Cell::new(CacheStats::default()),
         }
     }
@@ -761,10 +711,11 @@ impl SiMbrTree {
 
     /// Exact nearest neighbor of `query`: returns `(entry id, distance)`.
     ///
-    /// Subtrees are expanded in globally ascending MINDIST order
-    /// (best-first over a reusable frontier); a child is skipped the
-    /// moment its MINDIST can no longer beat the current best — the
-    /// §III-B pruning rule. Returns `None` on an empty tree. See
+    /// A depth-first MINDIST branch-and-bound: each visited node's
+    /// children are scored, and those whose MINDIST can still beat the
+    /// current best are expanded closest first; a subtree is skipped the
+    /// moment its MINDIST can no longer beat the best — the §III-B pruning
+    /// rule. Returns `None` on an empty tree. See
     /// [`SiMbrTree::nearest_with_stats`] for traversal detail.
     pub fn nearest(&self, query: &Config, ops: &mut OpCount) -> Option<(u64, f64)> {
         let mut stats = SearchStats::default();
@@ -788,8 +739,9 @@ impl SiMbrTree {
     /// Exact nearest neighbor with a search-trace cache seed: when `hint`
     /// names an indexed entry (typically the previous round's winner),
     /// its exact distance initializes the pruning bound *and* the best
-    /// candidate, so the answer stays exact while the frontier is pruned
-    /// from the first pop.
+    /// candidate, so the answer stays exact while subtrees are pruned
+    /// from the first visit. An entry replaces the best only when it is
+    /// strictly closer, so a hint that ties the nearest distance wins.
     ///
     /// # Panics
     ///
@@ -804,17 +756,31 @@ impl SiMbrTree {
         assert_eq!(query.dim(), self.dim, "dimension mismatch");
         self.root?;
         let _span = moped_obs::span(moped_obs::Stage::MbrDescent);
-        self.search_best_first(query, hint, ops, stats)
+        // One copy of the search per dimension, so the MINDIST and
+        // distance loops run over fixed-length arrays.
+        match self.dim {
+            1 => self.search::<1>(query, hint, ops, stats),
+            2 => self.search::<2>(query, hint, ops, stats),
+            3 => self.search::<3>(query, hint, ops, stats),
+            4 => self.search::<4>(query, hint, ops, stats),
+            5 => self.search::<5>(query, hint, ops, stats),
+            6 => self.search::<6>(query, hint, ops, stats),
+            7 => self.search::<7>(query, hint, ops, stats),
+            8 => self.search::<8>(query, hint, ops, stats),
+            d => unreachable!("dimension {d} is rejected by SiMbrTree::new"),
+        }
     }
 
-    /// The shared best-first core: pops the frontier node with the
-    /// smallest MINDIST, expands it, and admits children only while their
-    /// MINDIST beats the current bound. Terminates when the cheapest
-    /// frontier element can no longer win — at which point *every*
-    /// remaining element is provably skippable, which is what makes
-    /// best-first visit-optimal (it expands exactly the nodes whose
-    /// MINDIST is below the true nearest distance).
-    fn search_best_first(
+    /// The depth-first core over `D`-dimensional points. Pops a pending
+    /// subtree and skips it if its MINDIST no longer beats the bound
+    /// (the bound may have tightened since it was pushed); otherwise
+    /// visits it. A leaf visit scores every entry; an inner visit scores
+    /// every child and pushes the survivors so the stack holds them in
+    /// descending MINDIST order, with the closest on top and ties in slot
+    /// order. Op charges are added once per visit: per entry and per
+    /// child they are those of the `Config`/`Rect` kernels, and every
+    /// probe that places a survivor on the stack is one `cmp`.
+    fn search<const D: usize>(
         &self,
         query: &Config,
         hint: Option<u64>,
@@ -822,6 +788,11 @@ impl SiMbrTree {
         stats: &mut SearchStats,
     ) -> Option<(u64, f64)> {
         let root = self.root?;
+        let q: &[f64; D] = query
+            .as_slice()
+            .try_into()
+            .expect("query dimension checked");
+        let (cap, d) = (self.cap, D as u64);
         let mut cache = self.cache_stats.get();
         let mut best: Option<u64> = None;
         let mut best_d2 = f64::INFINITY;
@@ -833,8 +804,8 @@ impl SiMbrTree {
                     // an attained distance is a valid upper bound.
                     for k in 0..self.count[leaf] as usize {
                         ops.cmp += 1;
-                        if self.slots[leaf * self.cap + k] == hid {
-                            ops.mem_words += self.dim as u64;
+                        if self.slots[leaf * cap + k] == hid {
+                            ops.mem_words += d;
                             best_d2 =
                                 query.distance_sq_to_slice_counted(self.entry_pt(leaf, k), ops);
                             stats.distance_calcs += 1;
@@ -852,25 +823,19 @@ impl SiMbrTree {
             }
         }
 
-        let mut frontier = self.frontier.borrow_mut();
-        frontier.clear();
-        heap_push(
-            &mut frontier,
-            Frontier {
-                md: 0.0,
-                node: root as u32,
-            },
-            ops,
-        );
-        while let Some(f) = heap_pop(&mut frontier, ops) {
+        let mut stack = self.stack.borrow_mut();
+        stack.clear();
+        stack.push(Pending {
+            md: 0.0,
+            node: root as u32,
+        });
+        while let Some(Pending { md, node }) = stack.pop() {
             ops.cmp += 1;
-            if f.md >= best_d2 {
-                // The cheapest frontier element already loses: everything
-                // still queued is skippable.
-                stats.subtrees_skipped += frontier.len() as u64 + 1;
-                break;
+            if md >= best_d2 {
+                stats.subtrees_skipped += 1;
+                continue;
             }
-            let node = f.node as usize;
+            let node = node as usize;
             stats.nodes_visited += 1;
             if node < self.top_len {
                 cache.top_hits += 1;
@@ -879,37 +844,56 @@ impl SiMbrTree {
                 cache.top_misses += 1;
                 bump(Counter::TopBlockMiss);
             }
+            let slots = &self.slots[node * cap..node * cap + self.count[node] as usize];
+            let n = slots.len() as u64;
             if self.is_leaf[node] {
-                for k in 0..self.count[node] as usize {
-                    ops.mem_words += self.dim as u64;
-                    let d2 = query.distance_sq_to_slice_counted(self.entry_pt(node, k), ops);
-                    stats.distance_calcs += 1;
-                    ops.cmp += 1;
+                for (k, &id) in slots.iter().enumerate() {
+                    let d2 = dist_sq(q, fixed(&self.pts, node * cap + k));
                     if d2 < best_d2 {
                         best_d2 = d2;
-                        best = Some(self.slots[node * self.cap + k]);
+                        best = Some(id);
                     }
                 }
+                // Per entry: a d-word point read, the distance kernel and
+                // one compare against the bound.
+                ops.mem_words += n * d;
+                ops.mul += n * d;
+                ops.add += n * (2 * d - 1);
+                ops.dist_calcs += n;
+                ops.cmp += n;
+                stats.distance_calcs += n;
             } else {
-                for k in 0..self.count[node] as usize {
-                    let child = self.slots[node * self.cap + k] as usize;
-                    ops.mem_words += 2 * self.dim as u64;
-                    let md =
-                        Rect::mindist_sq_planes(self.lo_of(child), self.hi_of(child), query, ops);
-                    ops.cmp += 1;
+                let base = stack.len();
+                for &child in slots {
+                    let child = child as usize;
+                    let md = mindist_sq(q, fixed(&self.lo, child), fixed(&self.hi, child));
                     if md < best_d2 {
-                        heap_push(
-                            &mut frontier,
-                            Frontier {
-                                md,
-                                node: child as u32,
-                            },
-                            ops,
-                        );
+                        // Insertion into the descending run above `base`.
+                        let pending = Pending {
+                            md,
+                            node: child as u32,
+                        };
+                        let mut j = stack.len();
+                        stack.push(pending);
+                        while j > base {
+                            ops.cmp += 1;
+                            if stack[j - 1].md > md {
+                                break;
+                            }
+                            stack[j] = stack[j - 1];
+                            j -= 1;
+                        }
+                        stack[j] = pending;
                     } else {
                         stats.subtrees_skipped += 1;
                     }
                 }
+                // Per child: a 2d-word MBR read, the MINDIST kernel and
+                // one compare against the bound.
+                ops.mem_words += n * 2 * d;
+                ops.cmp += n * (2 * d + 1);
+                ops.mul += n * d;
+                ops.add += n * (2 * d - 1);
             }
         }
         self.cache_stats.set(cache);
@@ -1115,6 +1099,38 @@ fn union_measure(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
         m *= ahi[i].max(bhi[i]) - alo[i].min(blo[i]);
     }
     m
+}
+
+/// The `D` coordinates at `slab[at * D..]` as a fixed-length array.
+#[inline(always)]
+fn fixed<const D: usize>(slab: &[f64], at: usize) -> &[f64; D] {
+    slab[at * D..at * D + D]
+        .try_into()
+        .expect("slice of length D")
+}
+
+/// Squared distance from `q` to `p`, summed axis by axis in the order of
+/// `Config::distance_sq_to_slice_counted`, so the two agree to the bit.
+#[inline(always)]
+fn dist_sq<const D: usize>(q: &[f64; D], p: &[f64; D]) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..D {
+        let d = q[i] - p[i];
+        acc += d * d;
+    }
+    acc
+}
+
+/// Squared MINDIST from `q` to the rect `lo..hi`, summed axis by axis in
+/// the order of `Rect::mindist_sq_planes`, so the two agree to the bit.
+#[inline(always)]
+fn mindist_sq<const D: usize>(q: &[f64; D], lo: &[f64; D], hi: &[f64; D]) -> f64 {
+    let mut acc = 0.0;
+    for i in 0..D {
+        let excess = (lo[i] - q[i]).max(0.0) + (q[i] - hi[i]).max(0.0);
+        acc += excess * excess;
+    }
+    acc
 }
 
 /// One side of a quadratic split: its item indices in join order and its
@@ -1390,41 +1406,6 @@ mod tests {
         tree.insert_conventional(u64::from(u32::MAX), c2(0.0, 0.0), &mut OpCount::default());
     }
 
-    /// Best-first search with a seeded hint returns the linear scan's
-    /// distance to the bit. Every point is stored twice (ids `i` and
-    /// `i + 100`), so the nearest distance is always tied: a hint on one
-    /// of the tied entries wins the tie, because an entry replaces the
-    /// best only when strictly closer.
-    #[test]
-    fn hinted_nearest_equals_linear_scan_bits_and_hint_wins_ties() {
-        let mut tree = SiMbrTree::new(2, 4);
-        let mut ops = OpCount::default();
-        for i in 0..100u64 {
-            let p = c2((i * 37 % 23) as f64 * 0.9, (i * 11 % 17) as f64 * 1.1);
-            tree.insert_conventional(i, p, &mut ops);
-            tree.insert_near(i + 100, p, i, &mut ops);
-        }
-        for q in [c2(3.3, 2.7), c2(-4.0, 7.5), c2(11.0, 9.9), c2(8.1, 0.05)] {
-            let (lin_id, lin_d) = tree.nearest_linear(&q, &mut ops).unwrap();
-            let twin = if lin_id < 100 {
-                lin_id + 100
-            } else {
-                lin_id - 100
-            };
-            for hint in [None, Some(3), Some(lin_id), Some(twin)] {
-                let mut stats = SearchStats::default();
-                let (id, d) = tree
-                    .nearest_with_hint(&q, hint, &mut ops, &mut stats)
-                    .unwrap();
-                assert_eq!(d.to_bits(), lin_d.to_bits(), "query {q:?} hint {hint:?}");
-                assert!(id % 100 == lin_id % 100, "a tied twin of the winner");
-                if hint == Some(lin_id) || hint == Some(twin) {
-                    assert_eq!(Some(id), hint, "the seeded hint wins the tie");
-                }
-            }
-        }
-    }
-
     #[test]
     #[should_panic(expected = "not present")]
     fn insert_near_missing_anchor_rejected() {
@@ -1496,7 +1477,7 @@ mod tests {
         assert!(
             warm.nodes_visited + warm.subtrees_skipped
                 <= cold.nodes_visited + cold.subtrees_skipped,
-            "seeding with the true winner must not grow the frontier"
+            "seeding with the true winner must not grow the search"
         );
         let cs = tree.cache_stats();
         assert!(cs.seed_hits >= 1);
@@ -1526,6 +1507,6 @@ mod tests {
         }
         let cs = tree.cache_stats();
         assert_eq!(cs.top_hits + cs.top_misses, stats.nodes_visited);
-        assert!(cs.top_hits >= 3, "root pops alone hit the pinned block");
+        assert!(cs.top_hits >= 3, "root visits alone hit the pinned block");
     }
 }

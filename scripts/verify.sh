@@ -83,7 +83,8 @@ echo "== nn_replay --smoke (neighbor-index replay gate) =="
 # it alone into SI-MBR V4, exact SI-MBR, kd-tree and linear indexes,
 # printing ns per call and per node visit. Every backend's nearest is
 # exact, so the binary exits non-zero if any replayed nearest distance
-# differs from the recorded one by a single bit.
+# differs from the recorded one by a single bit, or if an SI-MBR backend
+# returns a different nearest id (the planner's tree depends on it).
 cargo run --release -q -p moped-bench --bin nn_replay -- --smoke
 
 echo "== figures smoke (modelled-figure gate) =="

@@ -1,7 +1,7 @@
 //! Zero-allocation contract for the hot-path engine: after warm-up,
 //! sampling, neighbor search and motion collision checking perform no
-//! heap allocation at all. The flat SoA tree arena, the reusable best-first
-//! frontier, the checker scratch buffers, and the persistent search-stats
+//! heap allocation at all. The flat SoA tree arena, the reusable depth-first
+//! search stack, the checker scratch buffers, and the persistent search-stats
 //! accumulator exist precisely so the per-query path is allocation-free —
 //! this binary asserts that with a counting global allocator rather than
 //! assuming it.
@@ -102,7 +102,7 @@ fn nearest_query_allocates_nothing_after_warmup() {
     let queries = drone_queries(&s, 64);
     let mut stats = SearchStats::default();
 
-    // Warm-up: sizes the reusable frontier.
+    // Warm-up: sizes the reusable search stack.
     for q in &queries {
         let _ = tree.nearest_with_stats(q, &mut ops, &mut stats);
     }

@@ -14,6 +14,11 @@
 //! bound-first: a goal edge that cannot beat the best path is no longer
 //! checked, and the goal checks that remain are charged to refinement.
 //! That removed collision work without moving any path, tree or journal.
+//! The neighbor-search ledger, search and cache counters, MAC totals and
+//! round-trace hashes were re-taken when SI-MBR nearest became a
+//! depth-first search: it visits more nodes than the best-first search
+//! did, but returns the same entry, so again no path, tree, journal or
+//! collision ledger moved.
 
 use moped::collision::{CollisionLedger, TwoStageChecker};
 use moped::core::{AnyIndex, PlanResult, PlannerParams, Variant};
@@ -126,16 +131,16 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
     assert_eq!(
         index.search_stats(),
         SearchStats {
-            nodes_visited: 46_269,
-            subtrees_skipped: 125_617,
-            distance_calcs: 41_395,
+            nodes_visited: 59_458,
+            subtrees_skipped: 145_005,
+            distance_calcs: 66_927,
         }
     );
     assert_eq!(
         index.tree().cache_stats(),
         CacheStats {
-            top_hits: 20_512,
-            top_misses: 25_757,
+            top_hits: 23_125,
+            top_misses: 36_333,
             seed_hits: 4_999,
             seed_misses: 0,
         }
@@ -143,13 +148,13 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
     assert_eq!(
         result.stats.ns_ops,
         OpCount {
-            mul: 1_249_686,
-            add: 2_291_091,
-            cmp: 2_813_371,
+            mul: 1_598_340,
+            add: 2_930_290,
+            cmp: 2_954_188,
             sqrt: 0,
-            dist_calcs: 41_395,
+            dist_calcs: 66_927,
             sat_queries: 0,
-            mem_words: 2_401_082,
+            mem_words: 2_945_198,
         }
     );
     assert_eq!(
@@ -179,10 +184,10 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
 const LADDER_ROWS: [(&str, u64, usize, u64); 6] = [
     ("V0-baseline", 0x4073_1892_0db1_4260, 400, 3_450_307),
     ("V1-TSPS", 0x4073_1892_0db1_4260, 400, 1_435_436),
-    ("V2-STNS", 0x4073_1892_0db1_4260, 400, 845_758),
-    ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 1_280_742),
-    ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 1_110_262),
-    ("moped-rrt-connect", 0x4075_183b_916f_f669, 99, 200_168),
+    ("V2-STNS", 0x4073_1892_0db1_4260, 400, 844_609),
+    ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 1_279_593),
+    ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 1_109_877),
+    ("moped-rrt-connect", 0x4075_183b_916f_f669, 99, 200_202),
 ];
 
 #[test]
@@ -235,10 +240,10 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4072_6a41_847d_2bdf,
         268,
         400,
-        1_110_262,
+        1_109_877,
         [
             0xa737_e2b4_84fd_40c5,
-            0x42b5_a1d9_d69f_73ca,
+            0x4f6d_2ccd_8083_e403,
             0x7d44_0a2b_f81b_4568,
             0xb69a_d862_1b8d_87bc,
             0x1ee7_538c_f39d_cafd,
@@ -248,10 +253,10 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4075_183b_916f_f669,
         104,
         99,
-        200_168,
+        200_202,
         [
             0x9bc0_8aee_5c8b_e29e,
-            0x8780_981d_1ffb_ae29,
+            0x1aad_05bf_9ea8_6042,
             0x416a_11f5_6632_b746,
             0xe0d2_6b4f_97ad_0d9b,
             0xa301_8b60_ff00_2c74,
@@ -261,10 +266,10 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4067_73aa_e651_b210,
         353,
         400,
-        2_036_739,
+        2_042_790,
         [
             0xf873_5d52_3391_c885,
-            0xc792_ac71_ba9b_fae2,
+            0x0d75_37f4_0761_0afd,
             0xc448_2f94_1ac1_7fc8,
             0x1af1_9ebd_be46_ecfa,
             0xd07a_506f_2f30_e9a8,
@@ -287,10 +292,10 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4017_7742_47c7_88ab,
         380,
         400,
-        12_327_382,
+        12_357_630,
         [
             0xb1d4_63f8_40aa_cb2e,
-            0xaa68_3780_ae05_f736,
+            0x5f89_d4f8_a8f5_9219,
             0x53ea_4c5d_36ca_1c63,
             0xf385_9bee_0149_ddfc,
             0x4263_8c85_5be9_e19e,
