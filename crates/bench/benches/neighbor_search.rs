@@ -116,8 +116,7 @@ fn bench_nearest(c: &mut Criterion) {
 }
 
 /// The depth-first MINDIST branch-and-bound nearest engine on one tree,
-/// cold and with a warm search-trace seed. Both return the exact nearest
-/// neighbor.
+/// with its traversal statistics.
 fn bench_nearest_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("nearest_engine");
     for &(n, dim) in &[(5000usize, 3usize), (5000, 6)] {
@@ -129,7 +128,6 @@ fn bench_nearest_engine(c: &mut Criterion) {
         }
         let q = Config::new(&vec![13.7; dim]);
         let mut stats = SearchStats::default();
-        let (winner, _) = tree.nearest(&q, &mut ops).unwrap();
         g.bench_with_input(
             BenchmarkId::new("depth_first", format!("{n}x{dim}d")),
             &q,
@@ -137,21 +135,6 @@ fn bench_nearest_engine(c: &mut Criterion) {
                 b.iter(|| {
                     let mut ops = OpCount::default();
                     black_box(tree.nearest_with_stats(black_box(q), &mut ops, &mut stats))
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("depth_first_warm", format!("{n}x{dim}d")),
-            &q,
-            |b, q| {
-                b.iter(|| {
-                    let mut ops = OpCount::default();
-                    black_box(tree.nearest_with_hint(
-                        black_box(q),
-                        Some(winner),
-                        &mut ops,
-                        &mut stats,
-                    ))
                 })
             },
         );

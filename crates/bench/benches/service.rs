@@ -18,7 +18,6 @@ fn run_batch(workers: usize) -> usize {
         ServiceConfig {
             workers,
             queue_capacity: BATCH,
-            stop_poll_every: 64,
             ..Default::default()
         },
     );

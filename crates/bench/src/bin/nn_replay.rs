@@ -9,10 +9,7 @@
 //! (range search + conventional insert), a kd-tree and a linear scan.
 //! Each call is timed on its own; `nearest` is also priced per node
 //! visit (tree nodes visited for SI-MBR, nodes touched for the kd-tree,
-//! points scanned for the linear scan). The `cold` column counts the
-//! visits each query makes without the index's warm hint (the previous
-//! winner), found by an untimed second search; it equals `visits` for
-//! backends that take no hint.
+//! points scanned for the linear scan).
 //!
 //! Usage:
 //!
@@ -41,7 +38,6 @@ use moped_env::{Scenario, ScenarioParams};
 use moped_geometry::{Config, OpCount};
 use moped_kdtree::KdSearchStats;
 use moped_robot::Robot;
-use moped_simbr::SearchStats;
 
 /// One recorded `NeighborIndex` call.
 #[derive(Clone, Copy)]
@@ -164,7 +160,6 @@ struct Replay {
     nearest: Timings,
     neighborhood: Timings,
     visits: u64,
-    cold_visits: u64,
     mismatches: u64,
     id_mismatches: u64,
 }
@@ -175,10 +170,9 @@ impl Replay {
     }
 }
 
-/// Counts one `nearest` query's node visits, as served and without the
-/// warm hint; called untimed right after the query, and made anew for
-/// each fresh index.
-type VisitCounter<N> = Box<dyn FnMut(&N, &Config) -> (u64, u64)>;
+/// Counts one `nearest` query's node visits; called untimed right after
+/// the query, and made anew for each fresh index.
+type VisitCounter<N> = Box<dyn FnMut(&N, &Config) -> u64>;
 
 /// Replays every log into a fresh copy of `empty`.
 fn replay<N: NeighborIndex>(
@@ -201,9 +195,7 @@ fn replay<N: NeighborIndex>(
                 Call::Nearest { q, found } => {
                     let got = index.nearest(&q, &mut ops);
                     out.nearest.ns.push(start.elapsed().as_nanos() as u64);
-                    let (served, cold) = visits(&index, &q);
-                    out.visits += served;
-                    out.cold_visits += cold;
+                    out.visits += visits(&index, &q);
                     let bits = |r: Option<(u64, f64)>| r.map(|(_, d)| d.to_bits());
                     if bits(got) != bits(found) {
                         out.mismatches += 1;
@@ -240,7 +232,7 @@ fn best_of<N: NeighborIndex>(
 fn print_row(backend: &str, r: &mut Replay) {
     let (calls, ns) = (r.nearest.ns.len() as f64, r.nearest.total() as f64);
     println!(
-        "{backend:<16} {:>9.0} {:>8} {:>9.0} {:>8} {:>9.0} {:>8} {:>8.1} {:>8.1} {:>8.1} {:>10} {:>8}",
+        "{backend:<16} {:>9.0} {:>8} {:>9.0} {:>8} {:>9.0} {:>8} {:>8.1} {:>8.1} {:>10} {:>8}",
         r.insert.mean(),
         r.insert.p50(),
         r.nearest.mean(),
@@ -248,7 +240,6 @@ fn print_row(backend: &str, r: &mut Replay) {
         r.neighborhood.mean(),
         r.neighborhood.p50(),
         r.visits as f64 / calls.max(1.0),
-        r.cold_visits as f64 / calls.max(1.0),
         ns / (r.visits as f64).max(1.0),
         r.mismatches,
         r.id_mismatches,
@@ -281,7 +272,7 @@ fn main() {
         count(|c| matches!(c, Call::Neighborhood { .. })),
     );
     println!(
-        "{:<16} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>10} {:>8}",
+        "{:<16} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>8}",
         "backend",
         "ins_mean",
         "ins_p50",
@@ -290,25 +281,19 @@ fn main() {
         "nbh_mean",
         "nbh_p50",
         "visits",
-        "cold",
         "ns/visit",
         "mismatches",
         "id_diffs"
     );
     let dim = Robot::drone_3d().dof();
-    // SI-MBR accumulates its visits; the counter reports the growth, and
-    // repeats the query on the bare tree, with no hint, for the cold count.
+    // SI-MBR accumulates its visits; the counter reports the growth.
     let simbr_visits = || -> VisitCounter<SimbrIndex> {
         let mut seen = 0;
-        Box::new(move |index: &SimbrIndex, q: &Config| {
+        Box::new(move |index: &SimbrIndex, _: &Config| {
             let total = index.search_stats().nodes_visited;
             let visits = total - seen;
             seen = total;
-            let mut cold = SearchStats::default();
-            index
-                .tree()
-                .nearest_with_stats(q, &mut OpCount::default(), &mut cold);
-            (visits, cold.nodes_visited)
+            visits
         })
     };
     let mut rows = vec![
@@ -333,14 +318,14 @@ fn main() {
                     index
                         .tree()
                         .nearest_with_stats(q, &mut OpCount::default(), &mut stats);
-                    (stats.nodes_visited, stats.nodes_visited)
+                    stats.nodes_visited
                 })
             }),
         ),
         (
             "linear",
             best_of(reps, &LinearIndex::new(), &logs, &|| {
-                Box::new(|index: &LinearIndex, _: &Config| (index.len() as u64, index.len() as u64))
+                Box::new(|index: &LinearIndex, _: &Config| index.len() as u64)
             }),
         ),
     ];

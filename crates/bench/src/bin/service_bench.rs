@@ -99,7 +99,6 @@ fn run_open_loop(workers: usize, load: &Load) -> Row {
             // Deep buffer: this run measures capacity and queueing, not
             // admission control, so nothing should be shed at the door.
             queue_capacity: load.requests,
-            stop_poll_every: 64,
             ..Default::default()
         },
     );

@@ -123,18 +123,14 @@ pub const SIMBR_NODE_CAPACITY: usize = 6;
 ///   leaf group instead of running an exact range search.
 /// * `low_cost_insert` (LCI): inserts place the point next to its steering
 ///   anchor in O(1) instead of the min-enlargement descent.
+///
+/// `nearest` is the tree's exact search with no state carried between
+/// queries; the index only totals its [`SearchStats`].
 #[derive(Clone, Debug)]
 pub struct SimbrIndex {
     tree: SiMbrTree,
     approx_search: bool,
     low_cost_insert: bool,
-    /// Search-trace cache: the previous `nearest` winner seeds the next
-    /// query's pruning bound. Consecutive RRT\* samples are independent
-    /// uniform draws, so the stale winner is seldom near the new query:
-    /// over the drone-sparse plans `nn_replay` replays, the seed cuts a
-    /// query's mean node visits only from 12.3 to 12.2. It never changes
-    /// the nearest distance, since the seed is an attained one.
-    warm: std::cell::Cell<Option<u64>>,
     search_stats: std::cell::Cell<SearchStats>,
 }
 
@@ -146,7 +142,6 @@ impl SimbrIndex {
             tree: SiMbrTree::new(dim, SIMBR_NODE_CAPACITY),
             approx_search,
             low_cost_insert,
-            warm: std::cell::Cell::new(None),
             search_stats: std::cell::Cell::new(SearchStats::default()),
         }
     }
@@ -179,11 +174,8 @@ impl NeighborIndex for SimbrIndex {
         // Every SearchStats field is additive, so the tree adds this
         // query's counts straight onto the running totals.
         let mut stats = self.search_stats.get();
-        let out = self
-            .tree
-            .nearest_with_hint(q, self.warm.get(), ops, &mut stats);
+        let out = self.tree.nearest_with_stats(q, ops, &mut stats);
         self.search_stats.set(stats);
-        self.warm.set(out.map(|(id, _)| id));
         out
     }
 

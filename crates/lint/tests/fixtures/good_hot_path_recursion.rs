@@ -13,7 +13,7 @@ pub fn nearest_iterative(root: usize) -> Option<usize> {
     best
 }
 
-pub fn nearest_with_hint(root: usize) -> Option<usize> {
+pub fn nearest_with_stats(root: usize) -> Option<usize> {
     nearest_iterative(root)
 }
 

@@ -27,6 +27,7 @@ proptest! {
 
     /// Whatever a string contains, it lexes as exactly one `Str` token:
     /// no identifiers, comments, or braces leak out of the quotes.
+    #[test]
     fn string_contents_never_become_tokens(
         idx in prop::collection::vec(0usize..PAYLOAD.len(), 0..24),
         variant in 0usize..4,
@@ -59,6 +60,7 @@ proptest! {
 
     /// A raw string closed by `"` + n hashes ignores any embedded
     /// `"` + fewer-than-n hashes.
+    #[test]
     fn raw_string_hash_counts(
         n in 1usize..5,
         a in prop::collection::vec(0usize..LETTERS.len(), 0..10),
@@ -80,6 +82,7 @@ proptest! {
 
     /// Block comments nest to arbitrary depth and swallow their whole
     /// body into one `Comment`, leaving the token stream untouched.
+    #[test]
     fn nested_block_comments_are_trivia(
         depth in 1usize..6,
         idx in prop::collection::vec(0usize..LETTERS.len(), 0..12),
@@ -100,6 +103,7 @@ proptest! {
 
     /// `'ident` is a lifetime; `'c'` is a char literal — never confused,
     /// for any identifier and any single-char body.
+    #[test]
     fn lifetimes_vs_char_literals(
         life in 0usize..5,
         ch in 0usize..6,
@@ -127,6 +131,7 @@ proptest! {
 
     /// `a..b` stays two ints around a range operator; dotted, exponent,
     /// and `f`-suffixed forms classify as floats, `u`-suffixed as int.
+    #[test]
     fn int_float_classification(a in 0u32..100_000, b in 0u32..100_000) {
         let src = format!(
             "let r = {a}..{b}; let f = {a}.5; let g = {a}e3; let h = {a}_u64; let i = {b}f32;"
@@ -153,6 +158,7 @@ proptest! {
 
     /// Newlines inside a multi-line string still advance the line
     /// counter, so diagnostics after the string point at the right line.
+    #[test]
     fn line_numbers_track_newlines_in_strings(k in 1u32..8) {
         let body = "x\n".repeat(k as usize);
         let src = format!("let s = \"{body}\";\nfn f() {{}}");

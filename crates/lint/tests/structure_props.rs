@@ -60,6 +60,7 @@ proptest! {
     /// The builder is total: arbitrary token soup — including wildly
     /// unbalanced braces — never panics, and the tree it produces keeps
     /// the span invariants.
+    #[test]
     fn arbitrary_soup_never_panics(
         idx in prop::collection::vec(0usize..PIECES.len(), 0..120),
     ) {
@@ -71,6 +72,7 @@ proptest! {
     /// For *balanced* input, every `{` opens exactly one node: node
     /// count equals open-brace count and every node is closed (its `}`
     /// is a real token, not the EOF backstop).
+    #[test]
     fn balanced_braces_open_one_node_each(
         depths in prop::collection::vec(1usize..5, 1..8),
     ) {
@@ -97,6 +99,7 @@ proptest! {
     /// Unbalanced prefixes of a balanced stream still produce a tree
     /// whose spans respect the invariants (unclosed nodes end at the
     /// last token).
+    #[test]
     fn truncation_keeps_spans_ordered(
         depth in 1usize..7,
         cut in 0usize..14,

@@ -42,13 +42,11 @@
 
 #![deny(missing_docs)]
 
-pub mod counters;
 pub mod export;
 pub mod journal;
 pub mod profile;
 pub mod recorder;
 
-pub use counters::{Counter, CounterValue};
 pub use journal::{Journal, JournalEvent, RejectReason};
 pub use profile::{Profile, StageProfile};
 pub use recorder::SpanEvent;
@@ -315,12 +313,11 @@ pub fn take_events() -> (Vec<SpanEvent>, u64) {
     recorder::take_events()
 }
 
-/// Clears the global registry, the calling thread's recorder, and the
-/// software cache counters. Other threads' unflushed events survive until
-/// their next flush; tests that need a clean slate serialize on one thread.
+/// Clears the global registry and the calling thread's recorder. Other
+/// threads' unflushed events survive until their next flush; tests that
+/// need a clean slate serialize on one thread.
 pub fn reset() {
     recorder::reset();
-    counters::reset_counters();
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! The stage profiler: merged per-stage tables with exclusive-time
 //! accounting, plus the text and JSON renderers.
 
-use crate::counters::CounterValue;
 use crate::Stage;
 
 /// Aggregated measurements for one stage.
@@ -40,9 +39,6 @@ pub struct Profile {
     pub stages: Vec<StageProfile>,
     /// Tick unit label at snapshot time ("ticks" or "ns").
     pub unit: &'static str,
-    /// Software cache counters at snapshot time, in
-    /// [`crate::Counter::ALL`] order (always all four, zeros included).
-    pub counters: Vec<CounterValue>,
 }
 
 impl Profile {
@@ -111,9 +107,6 @@ impl Profile {
                 100.0 * f
             ));
         }
-        for c in self.counters.iter().filter(|c| c.value > 0) {
-            out.push_str(&format!("counter      {:<18} {}\n", c.name, c.value));
-        }
         out
     }
 
@@ -142,15 +135,9 @@ impl Profile {
         let attributed = self
             .attributed_fraction()
             .map_or("null".to_string(), |f| format!("{f:.6}"));
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| format!("{{\"name\":\"{}\",\"value\":{}}}", c.name, c.value))
-            .collect::<Vec<_>>()
-            .join(",");
         format!(
             "{{\"unit\":\"{}\",\"attributed_fraction\":{attributed},\
-             \"stages\":[{rows}],\"counters\":[{counters}]}}",
+             \"stages\":[{rows}]}}",
             self.unit
         )
     }
@@ -182,10 +169,6 @@ mod tests {
                 row(Stage::Collision, 40, 400, 400),
             ],
             unit: "ticks",
-            counters: vec![CounterValue {
-                name: "top-block-hit",
-                value: 12,
-            }],
         }
     }
 
@@ -201,7 +184,6 @@ mod tests {
         let p = Profile {
             stages: vec![row(Stage::Sample, 1, 5, 5)],
             unit: "ticks",
-            counters: Vec::new(),
         };
         assert!(p.attributed_fraction().is_none());
     }
@@ -229,7 +211,6 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"stage\":\"nearest\""));
         assert!(json.contains("\"attributed_fraction\":0.95"));
-        assert!(json.contains("\"name\":\"top-block-hit\",\"value\":12"));
         crate::export::validate_json(&json).expect("profile JSON must be well-formed");
     }
 

@@ -324,7 +324,6 @@ pub(crate) fn snapshot_profile() -> Profile {
         Profile {
             stages,
             unit: tick_unit(),
-            counters: crate::counters::snapshot_counters(),
         }
     })
 }

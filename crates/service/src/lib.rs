@@ -573,8 +573,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; admissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// How many sampling rounds between deadline/cancellation polls.
-    pub stop_poll_every: usize,
     /// Retry policy for panicked planning attempts (off by default).
     pub retry: RetryPolicy,
     /// Optional fault-injection plan (chaos testing); `None` — the
@@ -589,13 +587,12 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// 4 workers, a 64-deep queue, polling every 64 rounds, no retries,
-    /// no fault injection, no autotuner.
+    /// 4 workers, a 64-deep queue, no retries, no fault injection, no
+    /// autotuner.
     fn default() -> Self {
         ServiceConfig {
             workers: 4,
             queue_capacity: 64,
-            stop_poll_every: 64,
             retry: RetryPolicy::default(),
             faults: None,
             tuner: None,
@@ -712,7 +709,6 @@ impl PlanService {
         let shared = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
             metrics: Arc::clone(&metrics),
-            poll_every: config.stop_poll_every.max(1),
             retry: config.retry,
             faults: config.faults.clone(),
             shutting_down: AtomicBool::new(false),
@@ -1055,7 +1051,6 @@ mod tests {
             cat,
             ServiceConfig {
                 workers: 1,
-                stop_poll_every: 16,
                 ..Default::default()
             },
         );
@@ -1138,7 +1133,6 @@ mod tests {
             cat,
             ServiceConfig {
                 workers: 1,
-                stop_poll_every: 16,
                 ..Default::default()
             },
         );
@@ -1165,7 +1159,6 @@ mod tests {
             ServiceConfig {
                 workers: 1,
                 queue_capacity: 1,
-                stop_poll_every: 16,
                 ..Default::default()
             },
         );
@@ -1211,7 +1204,6 @@ mod tests {
             ServiceConfig {
                 workers: 2,
                 queue_capacity: 32,
-                stop_poll_every: 64,
                 ..Default::default()
             },
         );

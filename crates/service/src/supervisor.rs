@@ -33,12 +33,14 @@ const MONITOR_POLL: Duration = Duration::from_millis(2);
 /// keeps profile snapshots fresh whenever the pool has slack.
 const FLUSH_EVERY: usize = 32;
 
+/// Sampling rounds between a plan's deadline/cancellation polls.
+const STOP_POLL_EVERY: usize = 64;
+
 /// State shared by every worker, the monitor, and the service handle.
 pub(crate) struct WorkerShared {
     /// The bounded admission queue.
     pub(crate) queue: Arc<JobQueue>,
     pub(crate) metrics: Arc<Metrics>,
-    pub(crate) poll_every: usize,
     pub(crate) retry: RetryPolicy,
     pub(crate) faults: Option<Arc<FaultPlan>>,
     /// Set (before the queue closes) to tell the monitor that worker
@@ -301,7 +303,7 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared) {
                     }
                 }
             }
-            execute(&job, shared.poll_every, started)
+            execute(&job, started)
         });
         drop(attempt_span);
         match attempt_result {
@@ -404,7 +406,7 @@ fn splitmix64(state: &mut u64) -> f64 {
 /// two-stage checker is the one the job's snapshot was built with, so
 /// the result is byte-identical to a serial `PlannerProfile::plan` run
 /// on the same inputs.
-fn execute(job: &Job, poll_every: usize, started: Instant) -> PlanResult {
+fn execute(job: &Job, started: Instant) -> PlanResult {
     // Deadline already blown while queued: answer immediately with an
     // empty best-so-far result instead of burning worker time.
     if job.deadline_at.is_some_and(|d| started >= d) {
@@ -439,7 +441,7 @@ fn execute(job: &Job, poll_every: usize, started: Instant) -> PlanResult {
 
     let result = profile
         .planner(scenario, checker, &job.params)
-        .with_stop_hook(poll_every, stop)
+        .with_stop_hook(STOP_POLL_EVERY, stop)
         .plan();
     result
 }

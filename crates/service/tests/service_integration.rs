@@ -49,7 +49,6 @@ fn concurrent_batch_matches_serial_bit_for_bit() {
         ServiceConfig {
             workers: 4,
             queue_capacity: BATCH,
-            stop_poll_every: 64,
             ..Default::default()
         },
     );
@@ -111,7 +110,6 @@ fn repeated_batches_are_reproducible() {
             ServiceConfig {
                 workers: 4,
                 queue_capacity: BATCH,
-                stop_poll_every: 32,
                 ..Default::default()
             },
         );
@@ -143,7 +141,6 @@ fn deadline_is_enforced_with_best_so_far_result() {
         ServiceConfig {
             workers: 2,
             queue_capacity: 8,
-            stop_poll_every: 32,
             ..Default::default()
         },
     );
@@ -186,7 +183,6 @@ fn deadline_expired_in_queue_short_circuits() {
         ServiceConfig {
             workers: 1,
             queue_capacity: 8,
-            stop_poll_every: 32,
             ..Default::default()
         },
     );
@@ -231,7 +227,6 @@ fn metrics_sum_correctly_over_mixed_batch() {
         ServiceConfig {
             workers: 4,
             queue_capacity: BATCH,
-            stop_poll_every: 32,
             ..Default::default()
         },
     );
@@ -414,7 +409,6 @@ fn idle_pool_reports_near_zero_queue_wait() {
         ServiceConfig {
             workers: 2,
             queue_capacity: 8,
-            stop_poll_every: 64,
             ..Default::default()
         },
     );

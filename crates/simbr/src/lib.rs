@@ -20,24 +20,19 @@
 //!    a sibling of `x_nearest`, skipping the conventional root-to-leaf
 //!    min-area-enlargement descent.
 //!
-//! # Layout and caching
+//! # Layout
 //!
 //! The tree is stored as a flat structure-of-arrays arena: rect planes
 //! are contiguous `f64` slabs, child/entry slots are fixed-stride spans,
 //! and leaf points live in one coordinate slab — no per-node `Vec`, no
-//! pointer chasing on the search hot path. Two software analogs of the
-//! paper's multi-level caches (§IV-C) ride on this layout:
+//! pointer chasing on the search hot path. A node keeps the arena slot
+//! it was allocated in.
 //!
-//! * **Pinned top-of-tree block** (Top NS Cache analog): whenever the
-//!   root grows, the arena is repacked breadth-first so the top
-//!   [`TOP_LEVELS`] levels occupy one contiguous prefix; node visits
-//!   landing in the prefix count as top-block hits.
-//! * **Search-trace seed** (search-trace cache analog):
-//!   [`SiMbrTree::nearest_with_hint`] accepts the previous round's winner
-//!   and seeds the pruning bound with its exact distance — an attained
-//!   distance is a valid upper bound, so exactness is preserved while the
-//!   warm bound prunes from the first visit, and the hint keeps any exact
-//!   tie.
+//! The paper's top-of-tree and search-trace caches (§IV-C) are on-chip
+//! hardware; `moped-hw`'s design point budgets the top levels as its
+//! 4 KB "Top NS Cache" bank. This crate keeps no software copy of
+//! either: a pinned top block and a previous-winner seed were measured
+//! here and bought no wall time (DESIGN.md §10).
 //!
 //! Both the conventional insertion (for the V2/V3 ablations) and LCI (V4)
 //! are implemented; every kernel charges an [`OpCount`] ledger.
@@ -60,17 +55,9 @@
 
 #![deny(missing_docs)]
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use moped_geometry::{Config, OpCount, Rect, MAX_DOF};
-use moped_obs::counters::{bump, Counter};
-
-/// Number of tree levels held in the pinned top-of-tree block (the
-/// software Top NS Cache). The prefix is refreshed on every root growth.
-/// Four levels of a fanout-≤7 tree is at most 400 nodes — a few tens of
-/// KiB of rect planes and slots, comfortably inside the on-chip SRAM the
-/// paper budgets for its Top NS Cache.
-pub const TOP_LEVELS: usize = 4;
 
 /// Sentinel for "no node": the root's parent, and an entry id absent
 /// from the dense entry → leaf table.
@@ -83,13 +70,14 @@ const MAX_ENTRIES: usize = 32;
 /// overflow item.
 const SPLIT_ITEMS: usize = MAX_ENTRIES + 1;
 
-// `SiMbrTree::nearest_with_hint` dispatches on every dimension in
+// `SiMbrTree::nearest_with_stats` dispatches on every dimension in
 // `1..=MAX_DOF`.
 const _: () = assert!(MAX_DOF == 8);
 
-/// Per-search traversal statistics: how many nodes a search visited,
-/// how many subtrees the MINDIST bound skipped and how many exact
-/// distances it computed.
+/// Traversal statistics of nearest searches: how many nodes they
+/// visited, how many subtrees the MINDIST bound skipped and how many
+/// exact distances they computed. Every field is additive, so one record
+/// can total any number of searches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Nodes whose children (or entries, for a leaf) were scored.
@@ -100,21 +88,6 @@ pub struct SearchStats {
     pub subtrees_skipped: u64,
     /// Leaf-entry exact distance computations.
     pub distance_calcs: u64,
-}
-
-/// Per-tree software cache effectiveness counters. Deterministic and
-/// always on (plain `Cell` bumps); the process-global `moped-obs`
-/// counters mirror these when tracing is enabled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Node visits that landed inside the pinned top block.
-    pub top_hits: u64,
-    /// Node visits outside the pinned top block.
-    pub top_misses: u64,
-    /// Queries whose hint entry was present and seeded the bound.
-    pub seed_hits: u64,
-    /// Queries whose hint entry was absent (or no hint given).
-    pub seed_misses: u64,
 }
 
 /// A leaf entry: one exploration-tree node.
@@ -167,13 +140,9 @@ pub struct SiMbrTree {
     /// item for the instant between insertion and split.
     cap: usize,
     len: usize,
-    /// Arena prefix length of the pinned top block (nodes in the top
-    /// [`TOP_LEVELS`] levels as of the last repack).
-    top_len: usize,
     /// Reusable depth-first stack: amortizes to zero heap allocation per
     /// query.
     stack: RefCell<Vec<Pending>>,
-    cache_stats: Cell<CacheStats>,
 }
 
 impl SiMbrTree {
@@ -207,9 +176,7 @@ impl SiMbrTree {
             max_entries,
             cap: max_entries + 1,
             len: 0,
-            top_len: 0,
             stack: RefCell::new(Vec::new()),
-            cache_stats: Cell::new(CacheStats::default()),
         }
     }
 
@@ -247,18 +214,6 @@ impl SiMbrTree {
     /// Total allocated node count.
     pub fn node_count(&self) -> usize {
         self.parent.len()
-    }
-
-    /// Arena prefix length of the pinned top-of-tree block: every node id
-    /// below this bound sat in the top [`TOP_LEVELS`] levels at the last
-    /// breadth-first repack.
-    pub fn top_block_len(&self) -> usize {
-        self.top_len
-    }
-
-    /// Per-tree software cache counters (monotonic since construction).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache_stats.get()
     }
 
     /// On-chip footprint in 16-bit words: each node MBR is `2d` words plus
@@ -427,7 +382,6 @@ impl SiMbrTree {
         self.root = Some(n);
         self.set_leaf_of(id, n);
         self.len = 1;
-        self.top_len = 1;
     }
 
     fn write_entry(&mut self, leaf: usize, slot: usize, id: u64, point: &Config) {
@@ -473,24 +427,14 @@ impl SiMbrTree {
     // ------------------------------------------------------------------
 
     fn maybe_split(&mut self, mut node: usize, ops: &mut OpCount) {
-        let mut grew = false;
         while self.count[node] as usize > self.max_entries {
-            let (parent, grew_now) = self.split_node(node, ops);
-            grew |= grew_now;
-            node = parent;
-        }
-        if grew {
-            // Root growth is the deterministic refill point of the pinned
-            // top block: repack the arena breadth-first so the top levels
-            // are one contiguous prefix. Charged as free, like the
-            // paper's background cache fill.
-            self.repack();
+            node = self.split_node(node, ops);
         }
     }
 
     /// Splits `node` in two; returns the parent that gained a child (and
-    /// may itself now be overfull) plus whether the root grew.
-    fn split_node(&mut self, node: usize, ops: &mut OpCount) -> (usize, bool) {
+    /// may itself now be overfull).
+    fn split_node(&mut self, node: usize, ops: &mut OpCount) -> usize {
         let is_leaf = self.is_leaf[node];
         let n_items = self.count[node] as usize;
         let (cap, dim) = (self.cap, self.dim);
@@ -548,7 +492,7 @@ impl SiMbrTree {
             self.parent[node] = root as u32;
             self.parent[new_node] = root as u32;
             self.root = Some(root);
-            (root, true)
+            root
         } else {
             let p = self.parent[node] as usize;
             debug_assert!(!self.is_leaf[p], "parent of a split node must be inner");
@@ -556,7 +500,7 @@ impl SiMbrTree {
             debug_assert!(slot < self.cap, "parent overfull before split");
             self.slots[p * self.cap + slot] = new_node as u64;
             self.count[p] += 1;
-            (p, false)
+            p
         }
     }
 
@@ -632,79 +576,6 @@ impl SiMbrTree {
         (ga, gb)
     }
 
-    /// Breadth-first arena repack: relabels every node so levels occupy
-    /// contiguous index ranges (root = 0), then records the prefix length
-    /// of the top [`TOP_LEVELS`] levels as the pinned block. Runs only on
-    /// root growth, so the amortized cost over n insertions is O(log n)
-    /// full passes.
-    fn repack(&mut self) {
-        let Some(root) = self.root else { return };
-        let n = self.node_count();
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        let mut depth: Vec<u32> = Vec::with_capacity(n);
-        order.push(root as u32);
-        depth.push(0);
-        let mut i = 0;
-        while i < order.len() {
-            let v = order[i] as usize;
-            if !self.is_leaf[v] {
-                for k in 0..self.count[v] as usize {
-                    order.push(self.slots[v * self.cap + k] as u32);
-                    depth.push(depth[i] + 1);
-                }
-            }
-            i += 1;
-        }
-        debug_assert_eq!(order.len(), n, "splits never orphan nodes");
-
-        let mut new_of: Vec<u32> = vec![NO_NODE; n];
-        for (new_idx, &old) in order.iter().enumerate() {
-            new_of[old as usize] = new_idx as u32;
-        }
-
-        let (dim, cap) = (self.dim, self.cap);
-        let mut lo = vec![0.0; n * dim];
-        let mut hi = vec![0.0; n * dim];
-        let mut parent = vec![NO_NODE; n];
-        let mut is_leaf = vec![false; n];
-        let mut count = vec![0u32; n];
-        let mut slots = vec![0u64; n * cap];
-        let mut pts = vec![0.0; n * cap * dim];
-        for (new_idx, &old_u) in order.iter().enumerate() {
-            let old = old_u as usize;
-            lo[new_idx * dim..(new_idx + 1) * dim].copy_from_slice(self.lo_of(old));
-            hi[new_idx * dim..(new_idx + 1) * dim].copy_from_slice(self.hi_of(old));
-            if self.parent[old] != NO_NODE {
-                parent[new_idx] = new_of[self.parent[old] as usize];
-            }
-            is_leaf[new_idx] = self.is_leaf[old];
-            count[new_idx] = self.count[old];
-            let c = self.count[old] as usize;
-            if self.is_leaf[old] {
-                slots[new_idx * cap..new_idx * cap + c]
-                    .copy_from_slice(&self.slots[old * cap..old * cap + c]);
-                pts[new_idx * cap * dim..new_idx * cap * dim + c * dim]
-                    .copy_from_slice(&self.pts[old * cap * dim..old * cap * dim + c * dim]);
-                for &id in &slots[new_idx * cap..new_idx * cap + c] {
-                    self.entry_leaf[id as usize] = new_idx as u32;
-                }
-            } else {
-                for k in 0..c {
-                    slots[new_idx * cap + k] = new_of[self.slots[old * cap + k] as usize] as u64;
-                }
-            }
-        }
-        self.lo = lo;
-        self.hi = hi;
-        self.parent = parent;
-        self.is_leaf = is_leaf;
-        self.count = count;
-        self.slots = slots;
-        self.pts = pts;
-        self.root = Some(0);
-        self.top_len = depth.iter().filter(|&&d| (d as usize) < TOP_LEVELS).count();
-    }
-
     // ------------------------------------------------------------------
     // Search
     // ------------------------------------------------------------------
@@ -722,7 +593,8 @@ impl SiMbrTree {
         self.nearest_with_stats(query, ops, &mut stats)
     }
 
-    /// Exact nearest neighbor with traversal statistics.
+    /// Exact nearest neighbor with traversal statistics: this query's
+    /// counts are added onto `stats`, so one record can total a run.
     ///
     /// # Panics
     ///
@@ -733,40 +605,20 @@ impl SiMbrTree {
         ops: &mut OpCount,
         stats: &mut SearchStats,
     ) -> Option<(u64, f64)> {
-        self.nearest_with_hint(query, None, ops, stats)
-    }
-
-    /// Exact nearest neighbor with a search-trace cache seed: when `hint`
-    /// names an indexed entry (typically the previous round's winner),
-    /// its exact distance initializes the pruning bound *and* the best
-    /// candidate, so the answer stays exact while subtrees are pruned
-    /// from the first visit. An entry replaces the best only when it is
-    /// strictly closer, so a hint that ties the nearest distance wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.dim()` differs from the tree dimension.
-    pub fn nearest_with_hint(
-        &self,
-        query: &Config,
-        hint: Option<u64>,
-        ops: &mut OpCount,
-        stats: &mut SearchStats,
-    ) -> Option<(u64, f64)> {
         assert_eq!(query.dim(), self.dim, "dimension mismatch");
         self.root?;
         let _span = moped_obs::span(moped_obs::Stage::MbrDescent);
         // One copy of the search per dimension, so the MINDIST and
         // distance loops run over fixed-length arrays.
         match self.dim {
-            1 => self.search::<1>(query, hint, ops, stats),
-            2 => self.search::<2>(query, hint, ops, stats),
-            3 => self.search::<3>(query, hint, ops, stats),
-            4 => self.search::<4>(query, hint, ops, stats),
-            5 => self.search::<5>(query, hint, ops, stats),
-            6 => self.search::<6>(query, hint, ops, stats),
-            7 => self.search::<7>(query, hint, ops, stats),
-            8 => self.search::<8>(query, hint, ops, stats),
+            1 => self.search::<1>(query, ops, stats),
+            2 => self.search::<2>(query, ops, stats),
+            3 => self.search::<3>(query, ops, stats),
+            4 => self.search::<4>(query, ops, stats),
+            5 => self.search::<5>(query, ops, stats),
+            6 => self.search::<6>(query, ops, stats),
+            7 => self.search::<7>(query, ops, stats),
+            8 => self.search::<8>(query, ops, stats),
             d => unreachable!("dimension {d} is rejected by SiMbrTree::new"),
         }
     }
@@ -783,7 +635,6 @@ impl SiMbrTree {
     fn search<const D: usize>(
         &self,
         query: &Config,
-        hint: Option<u64>,
         ops: &mut OpCount,
         stats: &mut SearchStats,
     ) -> Option<(u64, f64)> {
@@ -793,36 +644,8 @@ impl SiMbrTree {
             .try_into()
             .expect("query dimension checked");
         let (cap, d) = (self.cap, D as u64);
-        let mut cache = self.cache_stats.get();
         let mut best: Option<u64> = None;
         let mut best_d2 = f64::INFINITY;
-
-        if let Some(hid) = hint {
-            match self.leaf_of(hid) {
-                Some(leaf) => {
-                    // Seed bound and candidate from the retained entry:
-                    // an attained distance is a valid upper bound.
-                    for k in 0..self.count[leaf] as usize {
-                        ops.cmp += 1;
-                        if self.slots[leaf * cap + k] == hid {
-                            ops.mem_words += d;
-                            best_d2 =
-                                query.distance_sq_to_slice_counted(self.entry_pt(leaf, k), ops);
-                            stats.distance_calcs += 1;
-                            best = Some(hid);
-                            break;
-                        }
-                    }
-                    cache.seed_hits += 1;
-                    bump(Counter::TraceSeedHit);
-                }
-                None => {
-                    cache.seed_misses += 1;
-                    bump(Counter::TraceSeedMiss);
-                }
-            }
-        }
-
         let mut stack = self.stack.borrow_mut();
         stack.clear();
         stack.push(Pending {
@@ -837,13 +660,6 @@ impl SiMbrTree {
             }
             let node = node as usize;
             stats.nodes_visited += 1;
-            if node < self.top_len {
-                cache.top_hits += 1;
-                bump(Counter::TopBlockHit);
-            } else {
-                cache.top_misses += 1;
-                bump(Counter::TopBlockMiss);
-            }
             let slots = &self.slots[node * cap..node * cap + self.count[node] as usize];
             let n = slots.len() as u64;
             if self.is_leaf[node] {
@@ -896,23 +712,7 @@ impl SiMbrTree {
                 ops.add += n * (2 * d - 1);
             }
         }
-        self.cache_stats.set(cache);
         best.map(|id| (id, best_d2.sqrt()))
-    }
-
-    /// The depth (root = 0) of node `id` in the current structure.
-    /// Returns `None` for an unknown node id.
-    pub fn node_depth(&self, id: usize) -> Option<usize> {
-        if id >= self.node_count() {
-            return None;
-        }
-        let mut d = 0;
-        let mut cur = id;
-        while self.parent[cur] != NO_NODE {
-            cur = self.parent[cur] as usize;
-            d += 1;
-        }
-        Some(d)
     }
 
     /// Exact range search: all entries within `radius` of `query`,
@@ -1016,8 +816,7 @@ impl SiMbrTree {
     }
 
     /// Verifies structural invariants (MBR containment, parent links,
-    /// entry-map consistency, pinned-block depth bound); used by tests
-    /// and debug assertions.
+    /// entry-map consistency); used by tests and debug assertions.
     ///
     /// Returns a human-readable violation description, or `None` if sound.
     pub fn check_invariants(&self) -> Option<String> {
@@ -1070,11 +869,6 @@ impl SiMbrTree {
                 "entry map holds {mapped} ids for {} entries",
                 self.len
             ));
-        }
-        for n in 0..self.top_len {
-            if self.node_depth(n).is_none_or(|d| d >= TOP_LEVELS) {
-                return Some(format!("pinned-block node {n} below level {TOP_LEVELS}"));
-            }
         }
         None
     }
@@ -1385,11 +1179,6 @@ mod tests {
             let id = 1000 * i + 7;
             assert!(tree.leaf_group(id, &mut ops).any(|e| e.id == id));
         }
-        // A hole in the table is a seed miss, not an entry.
-        let mut stats = SearchStats::default();
-        let before = tree.cache_stats().seed_misses;
-        let _ = tree.nearest_with_hint(&c2(1.0, 1.0), Some(1008), &mut ops, &mut stats);
-        assert_eq!(tree.cache_stats().seed_misses, before + 1);
     }
 
     #[test]
@@ -1442,71 +1231,5 @@ mod tests {
         let fast = tree.nearest(&q, &mut ops).unwrap();
         let slow = tree.nearest_linear(&q, &mut ops).unwrap();
         assert!((fast.1 - slow.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hint_seed_preserves_exactness_for_every_hint() {
-        let (tree, _) = build_grid(120, "conv");
-        let mut ops = OpCount::default();
-        let q = c2(4.3, 6.8);
-        let cold = tree.nearest(&q, &mut ops).unwrap();
-        for hint in 0..120u64 {
-            let mut stats = SearchStats::default();
-            let warm = tree
-                .nearest_with_hint(&q, Some(hint), &mut ops, &mut stats)
-                .unwrap();
-            assert_eq!(warm.1.to_bits(), cold.1.to_bits(), "hint {hint}");
-        }
-        // An unknown hint is a seed miss, never an error.
-        let mut stats = SearchStats::default();
-        let missed = tree
-            .nearest_with_hint(&q, Some(9999), &mut ops, &mut stats)
-            .unwrap();
-        assert_eq!(missed.1.to_bits(), cold.1.to_bits());
-    }
-
-    #[test]
-    fn warm_hint_shrinks_the_search() {
-        let (tree, _) = build_grid(300, "conv");
-        let q = c2(6.4, 22.6);
-        let mut ops = OpCount::default();
-        let mut cold = SearchStats::default();
-        let (winner, _) = tree.nearest_with_stats(&q, &mut ops, &mut cold).unwrap();
-        let mut warm = SearchStats::default();
-        let _ = tree.nearest_with_hint(&q, Some(winner), &mut ops, &mut warm);
-        assert!(
-            warm.nodes_visited + warm.subtrees_skipped
-                <= cold.nodes_visited + cold.subtrees_skipped,
-            "seeding with the true winner must not grow the search"
-        );
-        let cs = tree.cache_stats();
-        assert!(cs.seed_hits >= 1);
-    }
-
-    #[test]
-    fn repack_pins_top_levels_in_the_arena_prefix() {
-        let (tree, _) = build_grid(300, "conv");
-        assert!(tree.height() >= 3);
-        let top = tree.top_block_len();
-        assert!(top > 0 && top <= tree.node_count());
-        for n in 0..top {
-            let d = tree.node_depth(n).expect("pinned node exists");
-            assert!(d < TOP_LEVELS, "node {n} at depth {d} inside pinned block");
-        }
-        // The root is the first arena slot after a repack.
-        assert_eq!(tree.node_depth(0), Some(0));
-    }
-
-    #[test]
-    fn cache_stats_account_every_pop() {
-        let (tree, _) = build_grid(200, "conv");
-        let mut ops = OpCount::default();
-        let mut stats = SearchStats::default();
-        for q in [c2(1.0, 1.0), c2(8.0, 15.0), c2(4.4, 9.6)] {
-            let _ = tree.nearest_with_stats(&q, &mut ops, &mut stats);
-        }
-        let cs = tree.cache_stats();
-        assert_eq!(cs.top_hits + cs.top_misses, stats.nodes_visited);
-        assert!(cs.top_hits >= 3, "root visits alone hit the pinned block");
     }
 }

@@ -53,40 +53,23 @@ fn linear_nearest(points: &[Config], q: &Config) -> (u64, f64) {
 const DIMS: [usize; 5] = [2, 3, 6, 7, 8];
 const CAPS: [usize; 3] = [2, 6, 32];
 
-/// Checks one hinted query against the linear scan: the distance bits
-/// match, the returned entry's point lies at that distance, the search
-/// visits no more nodes than the tree has, and a hint that ties the
-/// nearest distance wins.
-fn check_query(
-    tree: &SiMbrTree,
-    points: &[Config],
-    q: &Config,
-    hint: Option<u64>,
-) -> Result<(), TestCaseError> {
+/// Checks one query against the linear scan: the distance bits match,
+/// the returned entry's point lies at that distance, and the search
+/// visits no more nodes than the tree has.
+fn check_query(tree: &SiMbrTree, points: &[Config], q: &Config) -> Result<(), TestCaseError> {
     let mut ops = OpCount::default();
     let mut stats = SearchStats::default();
     let (id, d) = tree
-        .nearest_with_hint(q, hint, &mut ops, &mut stats)
+        .nearest_with_stats(q, &mut ops, &mut stats)
         .expect("tree is non-empty");
     let (_, lin_d) = tree.nearest_linear(q, &mut ops).expect("tree is non-empty");
-    prop_assert_eq!(
-        d.to_bits(),
-        lin_d.to_bits(),
-        "query {:?} hint {:?}",
-        q,
-        hint
-    );
+    prop_assert_eq!(d.to_bits(), lin_d.to_bits(), "query {:?}", q);
     prop_assert_eq!(points[id as usize].distance(q).to_bits(), d.to_bits());
     prop_assert!(
         stats.nodes_visited as usize <= tree.node_count(),
         "{:?}",
         stats
     );
-    if let Some(h) = hint {
-        if points[h as usize].distance(q).to_bits() == d.to_bits() {
-            prop_assert_eq!(id, h, "a hint at the nearest distance wins the tie");
-        }
-    }
     Ok(())
 }
 
@@ -98,14 +81,13 @@ proptest! {
     /// Snapped coordinates put many points at equal distances, so ties
     /// between distinct entries and duplicate points are exercised too.
     #[test]
-    fn hinted_nearest_equals_linear_scan_bits(
+    fn nearest_equals_linear_scan_bits(
         dim_pick in 0usize..DIMS.len(),
         cap_pick in 0usize..CAPS.len(),
         lci in any::<bool>(),
         snap in any::<bool>(),
         coords in prop::collection::vec(-30.0..30.0f64, 16..960),
         queries in prop::collection::vec(-40.0..40.0f64, 64),
-        hints in prop::collection::vec(0usize..120, 8),
     ) {
         let (dim, cap) = (DIMS[dim_pick], CAPS[cap_pick]);
         let round = |v: f64| if snap { v.round() } else { v };
@@ -116,12 +98,9 @@ proptest! {
         prop_assume!(!points.is_empty());
         let tree = if lci { build_lci(&points, cap) } else { build_conv(&points, cap) };
         prop_assert!(tree.check_invariants().is_none(), "{:?}", tree.check_invariants());
-        for (q, &h) in queries.chunks_exact(dim).zip(&hints) {
+        for q in queries.chunks_exact(dim).take(8) {
             let q = Config::new(&q.iter().map(|&v| round(v)).collect::<Vec<_>>());
-            let (lin_id, _) = tree.nearest_linear(&q, &mut OpCount::default()).unwrap();
-            for hint in [None, Some((h % points.len()) as u64), Some(lin_id)] {
-                check_query(&tree, &points, &q, hint)?;
-            }
+            check_query(&tree, &points, &q)?;
         }
     }
 
@@ -216,10 +195,9 @@ proptest! {
 /// Every grid point is stored twice (ids `i` and `i + 100`), so the
 /// nearest distance is always tied, and some queries sit at equal
 /// distance from distinct points as well: whatever entry wins must lie at
-/// the linear scan's distance, and a hint on either tied twin of the
-/// linear winner is what the search returns.
+/// the linear scan's distance.
 #[test]
-fn hinted_nearest_on_a_tied_grid_lets_the_hint_win() {
+fn nearest_on_a_tied_grid_lies_at_the_linear_distance() {
     let mut tree = SiMbrTree::new(2, 4);
     let mut ops = OpCount::default();
     let mut points = vec![Config::zeros(2); 200];
@@ -231,11 +209,6 @@ fn hinted_nearest_on_a_tied_grid_lets_the_hint_win() {
         points[i as usize + 100] = p;
     }
     for q in [[3.3, 2.7], [-4.0, 7.5], [11.0, 9.9], [8.1, 0.05]] {
-        let q = Config::new(&q);
-        let (lin_id, _) = tree.nearest_linear(&q, &mut ops).unwrap();
-        let twin = (lin_id + 100) % 200;
-        for hint in [None, Some(3), Some(lin_id), Some(twin)] {
-            check_query(&tree, &points, &q, hint).unwrap();
-        }
+        check_query(&tree, &points, &Config::new(&q)).unwrap();
     }
 }

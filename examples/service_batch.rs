@@ -26,7 +26,6 @@ fn main() {
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 64,
-        stop_poll_every: 64,
         ..Default::default()
     };
     let workers = config.workers;

@@ -41,7 +41,6 @@ fn main() {
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 64,
-        stop_poll_every: 64,
         retry: RetryPolicy::attempts(2).with_backoff(Duration::from_millis(1)),
         faults: Some(faults),
         tuner: None,

@@ -17,6 +17,26 @@ cargo test -q
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+echo "== property tests: each registered once =="
+# `proptest!` forwards the `#[test]` written on each property and adds
+# none of its own, so a property registered twice would run twice. List
+# every test target that holds a property suite and fail if it lists no
+# test or lists a name more than once.
+prop_targets="proptest:--lib"
+for f in $(grep -l 'proptest!' crates/*/tests/*.rs); do
+    pkg=$(sed -n 's/^name *= *"\(.*\)"/\1/p' "${f%%/tests/*}/Cargo.toml" | head -n 1)
+    prop_targets="$prop_targets $pkg:--test=$(basename "$f" .rs)"
+done
+for t in $prop_targets; do
+    names=$(cargo test -q --offline -p "${t%%:*}" "${t#*:}" -- --list | sed -n 's/: test$//p')
+    dups=$(printf '%s\n' "$names" | sort | uniq -d)
+    if [ -z "$names" ] || [ -n "$dups" ]; then
+        echo "verify: FAIL — ${t%%:*} ${t#*:} lists no test or repeats:" $dups >&2
+        exit 1
+    fi
+done
+echo "each property test is listed once in:" $prop_targets
+
 echo "== examples =="
 # `cargo test` compiles the examples but never runs them. Run every
 # `[[example]]` target named in Cargo.toml and fail on a non-zero exit.

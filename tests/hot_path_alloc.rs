@@ -119,9 +119,9 @@ fn nearest_query_allocates_nothing_after_warmup() {
 }
 
 #[test]
-fn index_nearest_with_warm_hint_allocates_nothing() {
-    // Through the planner-facing index: persistent stats accumulator plus
-    // the search-trace warm-start cell, still zero allocations.
+fn index_nearest_allocates_nothing() {
+    // Through the planner-facing index: the persistent stats accumulator
+    // still allows zero allocations.
     let s = drone_scenario();
     let points = drone_queries(&s, 600);
     let mut index = SimbrIndex::moped(6);

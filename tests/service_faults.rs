@@ -71,7 +71,6 @@ fn chaos_batch_with_injected_panics_keeps_contract() {
         ServiceConfig {
             workers: WORKERS,
             queue_capacity: BATCH,
-            stop_poll_every: 64,
             faults: Some(faults),
             ..Default::default()
         },
@@ -142,7 +141,6 @@ fn killed_workers_are_respawned_and_tickets_resolve() {
         ServiceConfig {
             workers: WORKERS,
             queue_capacity: BATCH,
-            stop_poll_every: 64,
             faults: Some(faults),
             ..Default::default()
         },

@@ -37,7 +37,6 @@ fn batch_is_deterministic_and_deadlines_bite() {
         ServiceConfig {
             workers: 4,
             queue_capacity: 16,
-            stop_poll_every: 32,
             ..Default::default()
         },
     );
