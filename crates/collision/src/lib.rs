@@ -17,6 +17,14 @@
 //!   ablation: survivors of the first stage are *declared* collisions
 //!   (loose, conservative), trading path quality for check cost.
 //!
+//! For the drone and the mobile robot, whose one rigid body is centered at
+//! the configuration's translation, [`TwoStageChecker`]'s motion check
+//! first runs one R-tree traversal on bounds that hold for every pose
+//! ([`RTree::filter_swept`]). Where that traversal provably stands for
+//! every pose's and leaves no survivor, the motion is free with no
+//! per-pose work, and it is charged exactly what the per-pose check
+//! would have charged.
+//!
 //! All work is charged to a [`CollisionLedger`] so the Fig 6 / Fig 18
 //! comparisons come from counted operations.
 
@@ -24,7 +32,7 @@
 
 use std::fmt;
 
-use moped_geometry::{sat, Config, InterpolationSteps, Obb, OpCount, Vec3};
+use moped_geometry::{sat, Config, InterpolationSteps, Obb, OpCount, Poses, Vec3};
 use moped_robot::Robot;
 use moped_rtree::{FilterStats, RTree};
 
@@ -80,8 +88,9 @@ pub trait CollisionChecker {
     /// Returns `true` if the straight motion `from → to` is collision
     /// free at the given discretization.
     ///
-    /// The default implementation interpolates poses and checks each one,
-    /// failing fast on the first colliding pose.
+    /// The default implementation checks each pose of
+    /// [`InterpolationSteps::poses`] with `config_free`, failing fast on
+    /// the first colliding pose.
     fn motion_free(
         &self,
         robot: &Robot,
@@ -92,21 +101,7 @@ pub trait CollisionChecker {
     ) -> bool {
         let _span = moped_obs::span(moped_obs::Stage::Collision);
         ledger.motion_queries += 1;
-        // Poses are generated in place (same sequence as
-        // [`moped_geometry::interpolate`]) so the hot loop never allocates.
-        let n = steps.count(from.distance(to));
-        for i in 1..=n {
-            let pose = if i == n {
-                *to
-            } else {
-                from.lerp(to, i as f64 / n as f64)
-            };
-            ledger.pose_queries += 1;
-            if !self.config_free(robot, &pose, ledger) {
-                return false;
-            }
-        }
-        true
+        poses_free(self, robot, steps.poses(from, to), ledger)
     }
 
     /// Called by the planners once at the start of each plan, so a checker
@@ -117,6 +112,20 @@ pub trait CollisionChecker {
 
     /// Short descriptive name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// The per-pose motion check: each pose goes through `config_free` and is
+/// counted, stopping at the first colliding one.
+fn poses_free<C: CollisionChecker + ?Sized>(
+    checker: &C,
+    robot: &Robot,
+    mut poses: Poses,
+    ledger: &mut CollisionLedger,
+) -> bool {
+    poses.all(|pose| {
+        ledger.pose_queries += 1;
+        checker.config_free(robot, &pose, ledger)
+    })
 }
 
 /// Baseline all-pairs exact checker: every robot body OBB against every
@@ -308,6 +317,23 @@ impl TwoStageChecker {
     pub fn second_stage(&self) -> SecondStage {
         self.second
     }
+
+    /// The one swept R-tree traversal of the motion `from → to`, for a
+    /// robot with one rigid body centered at the configuration's
+    /// translation ([`Robot::center_hull`]): the traversal's statistics
+    /// and charge when it provably stands for every pose's traversal and
+    /// leaves no survivor ([`RTree::filter_swept`]); `None` when it does
+    /// not, and for the arms.
+    pub fn swept_pass(
+        &self,
+        robot: &Robot,
+        from: &Config,
+        to: &Config,
+    ) -> Option<(FilterStats, OpCount)> {
+        let (centers, half) = robot.center_hull(from, to)?;
+        let body = sat::SweptAabbObbBody::new(&centers, half, robot.workspace_is_2d());
+        SCRATCH.with_borrow_mut(|scratch| self.rtree.filter_swept(body, &mut scratch.stack))
+    }
 }
 
 // One checker serves every thread that plans in its obstacle field; a
@@ -361,6 +387,36 @@ impl CollisionChecker for TwoStageChecker {
             }
             true
         })
+    }
+
+    /// One swept R-tree traversal for the whole motion where it provably
+    /// stands for every pose's, else the per-pose check.
+    ///
+    /// When [`TwoStageChecker::swept_pass`] resolves, every pose's check
+    /// would take that same traversal and leave no survivor, so the
+    /// motion is free and the ledger gets `n` times that traversal:
+    /// exactly what `n` per-pose checks add, with no forward kinematics
+    /// and no per-pose filter. Otherwise, and for the arms, every pose is
+    /// checked as in the default.
+    fn motion_free(
+        &self,
+        robot: &Robot,
+        from: &Config,
+        to: &Config,
+        steps: &InterpolationSteps,
+        ledger: &mut CollisionLedger,
+    ) -> bool {
+        let _span = moped_obs::span(moped_obs::Stage::Collision);
+        ledger.motion_queries += 1;
+        let poses = steps.poses(from, to);
+        if let Some((stats, ops)) = self.swept_pass(robot, from, to) {
+            let n = poses.len() as u64;
+            ledger.pose_queries += n;
+            ledger.first_stage += ops * n;
+            ledger.filter += stats * n;
+            return true;
+        }
+        poses_free(self, robot, poses, ledger)
     }
 
     fn name(&self) -> &'static str {

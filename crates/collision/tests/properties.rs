@@ -5,7 +5,9 @@
 use moped_collision::{
     CollisionChecker, CollisionLedger, NaiveAabbChecker, NaiveChecker, SecondStage, TwoStageChecker,
 };
-use moped_geometry::{Config, InterpolationSteps};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use moped_geometry::{interpolate, Config, InterpolationSteps};
 use moped_robot::Robot;
 use proptest::prelude::*;
 
@@ -83,28 +85,92 @@ proptest! {
             b.config_free(&s.robot, &q, &mut l)
         );
     }
+}
 
-    /// Motion queries agree between checkers for arbitrary short motions.
-    #[test]
-    fn motion_queries_agree(
-        seed in 0u64..200,
-        unit_a in prop::collection::vec(0.0..1.0f64, 6),
-        delta in prop::collection::vec(-0.05..0.05f64, 6),
+/// Motions the two-stage checker settled with one swept R-tree pass, that
+/// a drone or mobile robot checked pose by pose, and that an arm checked.
+static RESOLVED: AtomicU64 = AtomicU64::new(0);
+static RIGID_FALLBACK: AtomicU64 = AtomicU64::new(0);
+static ARM: AtomicU64 = AtomicU64::new(0);
+
+/// The per-pose reference: every pose of the motion through
+/// `config_free`, counted, stopping at the first colliding one.
+fn per_pose_reference(
+    checker: &TwoStageChecker,
+    robot: &Robot,
+    from: &Config,
+    to: &Config,
+    steps: &InterpolationSteps,
+    ledger: &mut CollisionLedger,
+) -> bool {
+    ledger.motion_queries += 1;
+    for pose in interpolate(from, to, steps) {
+        ledger.pose_queries += 1;
+        if !checker.config_free(robot, &pose, ledger) {
+            return false;
+        }
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Steering-step motions of the drone, the xarm7 and the mobile
+    /// robot: the two-stage `motion_free` gives the naive checker's
+    /// verdict and charges exactly the per-pose reference's ledger,
+    /// whether the swept pass settled the motion or every pose was
+    /// checked. Run by `motion_queries_agree`, which also requires both
+    /// branches to have run.
+    fn motion_ledgers_match_per_pose(
+        (robot, seed) in (0usize..3, 0u64..200),
+        unit_a in prop::collection::vec(0.0..1.0f64, 7),
+        unit_b in prop::collection::vec(0.0..1.0f64, 7),
+        resolution in 0.5..3.0f64,
     ) {
-        let s = scene(seed, 16);
+        let robot = [Robot::drone_3d(), Robot::xarm7(), Robot::mobile_2d()][robot].clone();
+        let dof = robot.dof();
+        let s = moped_env::Scenario::generate(
+            robot,
+            &moped_env::ScenarioParams::with_obstacles(16),
+            seed,
+        );
         let naive = NaiveChecker::new(s.obstacles.clone());
         let two = TwoStageChecker::moped(s.obstacles.clone());
-        let from = unit_config(&s.robot, &unit_a);
-        let unit_b: Vec<f64> =
-            unit_a.iter().zip(&delta).map(|(a, d)| (a + d).clamp(0.0, 1.0)).collect();
-        let to = unit_config(&s.robot, &unit_b);
-        let steps = InterpolationSteps::default();
-        let mut l1 = CollisionLedger::default();
-        let mut l2 = CollisionLedger::default();
+        let from = unit_config(&s.robot, &unit_a[..dof]);
+        let target = unit_config(&s.robot, &unit_b[..dof]);
+        let to = from.steer_toward(&target, s.robot.steering_step());
+        let steps = InterpolationSteps::with_resolution(resolution);
+        let mut live = CollisionLedger::default();
+        let mut reference = CollisionLedger::default();
+        let mut l = CollisionLedger::default();
+        let free = two.motion_free(&s.robot, &from, &to, &steps, &mut live);
         prop_assert_eq!(
-            naive.motion_free(&s.robot, &from, &to, &steps, &mut l1),
-            two.motion_free(&s.robot, &from, &to, &steps, &mut l2)
+            free,
+            per_pose_reference(&two, &s.robot, &from, &to, &steps, &mut reference)
         );
-        prop_assert_eq!(l1.pose_queries >= 1, true);
+        prop_assert_eq!(free, naive.motion_free(&s.robot, &from, &to, &steps, &mut l));
+        prop_assert_eq!(live, reference);
+
+        let counter = if two.swept_pass(&s.robot, &from, &to).is_some() {
+            &RESOLVED
+        } else if s.robot.center_hull(&from, &to).is_some() {
+            &RIGID_FALLBACK
+        } else {
+            &ARM
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn motion_queries_agree() {
+    motion_ledgers_match_per_pose();
+    for (what, counter) in [
+        ("resolved by the swept pass", &RESOLVED),
+        ("checked pose by pose (drone or mobile)", &RIGID_FALLBACK),
+        ("checked pose by pose (arm)", &ARM),
+    ] {
+        assert!(counter.load(Ordering::Relaxed) > 0, "no motion {what}");
     }
 }

@@ -48,5 +48,5 @@ pub use mat3::Mat3;
 pub use obb::Obb;
 pub use ops::OpCount;
 pub use rect::Rect;
-pub use segment::{interpolate, InterpolationSteps};
+pub use segment::{interpolate, InterpolationSteps, Poses};
 pub use vec3::Vec3;

@@ -7,7 +7,7 @@
 //! counted work onto its 168-MAC datapath.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// An additive ledger of primitive operations.
 ///
@@ -102,6 +102,22 @@ impl AddAssign for OpCount {
     }
 }
 
+impl Mul<u64> for OpCount {
+    type Output = OpCount;
+    /// The ledger of `n` repetitions of this work.
+    fn mul(self, n: u64) -> OpCount {
+        OpCount {
+            mul: self.mul * n,
+            add: self.add * n,
+            cmp: self.cmp * n,
+            sqrt: self.sqrt * n,
+            dist_calcs: self.dist_calcs * n,
+            sat_queries: self.sat_queries * n,
+            mem_words: self.mem_words * n,
+        }
+    }
+}
+
 impl Sub for OpCount {
     type Output = OpCount;
     fn sub(self, rhs: OpCount) -> OpCount {
@@ -167,6 +183,20 @@ mod tests {
         let s = a + a;
         assert_eq!(s.mul, 2);
         assert_eq!(s.mem_words, 14);
+    }
+
+    #[test]
+    fn scaling_repeats_the_ledger() {
+        let a = OpCount {
+            mul: 1,
+            add: 2,
+            cmp: 3,
+            sqrt: 4,
+            dist_calcs: 5,
+            sat_queries: 6,
+            mem_words: 7,
+        };
+        assert_eq!(a * 3, a + a + a);
     }
 
     #[test]

@@ -134,10 +134,45 @@ pub struct AabbObbBody {
     world_rb: [f64; 3],
     /// Body radius along cross axis `e_i × b_j`.
     cross_rb: [[f64; 3]; 3],
-    /// Per-exit charges of this body's test (3D or planar).
+    charges: ExitCharges,
+}
+
+/// The modelled charges of the tests a prepared body has run: each test
+/// records its exit, and [`ExitCharges::charge`] moves the total into
+/// [`OpCount`] in one step.
+#[derive(Clone, Copy, Debug)]
+struct ExitCharges {
+    /// Per-exit charges of one test (3D or planar).
     costs: &'static [[u64; 4]; EXITS],
     /// `[sat_queries, mul, add, cmp]` recorded since the last charge.
     owed: [u64; 4],
+}
+
+impl ExitCharges {
+    #[inline(always)]
+    fn new(planar: bool) -> Self {
+        ExitCharges {
+            costs: if planar { &COST_2D } else { &COST_3D },
+            owed: [0; 4],
+        }
+    }
+
+    /// Records one test that exited at `exit`.
+    #[inline(always)]
+    fn record(&mut self, exit: usize) {
+        for (owed, c) in self.owed.iter_mut().zip(&self.costs[exit]) {
+            *owed += c;
+        }
+    }
+
+    #[inline(always)]
+    fn charge(&mut self, ops: &mut OpCount) {
+        let [sat_queries, mul, add, cmp] = std::mem::take(&mut self.owed);
+        ops.sat_queries += sat_queries;
+        ops.mul += mul;
+        ops.add += add;
+        ops.cmp += cmp;
+    }
 }
 
 impl AabbObbBody {
@@ -180,8 +215,7 @@ impl AabbObbBody {
             abs_r,
             world_rb,
             cross_rb,
-            costs: if planar { &COST_2D } else { &COST_3D },
-            owed: [0; 4],
+            charges: ExitCharges::new(planar),
         }
     }
 
@@ -196,10 +230,7 @@ impl AabbObbBody {
         } else {
             self.exit_3d(&center, &half)
         };
-        let cost = &self.costs[exit];
-        for (owed, c) in self.owed.iter_mut().zip(cost) {
-            *owed += c;
-        }
+        self.charges.record(exit);
         exit == 0
     }
 
@@ -207,11 +238,7 @@ impl AabbObbBody {
     /// clears the record.
     #[inline(always)]
     pub fn charge(&mut self, ops: &mut OpCount) {
-        let [sat_queries, mul, add, cmp] = std::mem::take(&mut self.owed);
-        ops.sat_queries += sat_queries;
-        ops.mul += mul;
-        ops.add += add;
-        ops.cmp += cmp;
+        self.charges.charge(ops);
     }
 
     /// 15-axis test: 0 if no axis separates, else the 1-based separating
@@ -300,6 +327,131 @@ impl AabbObbBody {
             }
         }
         0
+    }
+}
+
+/// Relative margin of [`SweptAabbObbBody`]'s classification, scaled by
+/// the magnitudes a test combines.
+///
+/// Every quantity a per-pose test compares is a handful of IEEE
+/// operations on values no larger than that scale (the pose center, the
+/// box center and half-extent, the body radius), and a pose's center and
+/// rotation rows are themselves a few rounded operations away from the
+/// bounds the swept body assumes. The whole discrepancy is a small
+/// multiple of the unit roundoff `2⁻⁵³ ≈ 1.1e-16` times the scale; this
+/// margin exceeds it by more than five orders of magnitude.
+const SWEPT_MARGIN: f64 = 1e-9;
+
+/// A rigid body over every pose of a motion, prepared to run first-stage
+/// AABB–OBB tests for all poses at once.
+///
+/// The poses are known only by bounds: each pose's body center lies in a
+/// box of centers, and its body is a box with fixed half-extents `h` in
+/// some rotation. Every row of a rotation is a unit vector, so each
+/// world-axis body radius [`AabbObbBody`] computes,
+/// `Σⱼ hⱼ (|Rᵢⱼ| + ε)`, lies in `[min h, |h|₂ + ε|h|₁]` (the lower bound
+/// from `|row|₁ ≥ |row|₂ = 1`, the upper one by Cauchy–Schwarz).
+///
+/// [`SweptAabbObbBody::classify`] decides a test for every pose, or
+/// declines. It only uses world axes, where the pose's rotation enters
+/// through that radius alone:
+///
+/// * *exit at world axis `k`* when axis `k` separates on every pose and
+///   every earlier world axis separates on none, so every pose's test
+///   exits at `k`;
+/// * *overlap* when the center is inside the box on every pose: the 3D
+///   test fast-accepts there, and the planar test, which has no fast
+///   accept, still finds no separating body axis by the same termwise
+///   bound (see [`AabbObbBody`]'s 15-axis test), so every pose exits at 0;
+/// * *unknown* otherwise, including whenever a bound is NaN.
+///
+/// Each classified test records its exit's row of the per-exit charge
+/// table that [`AabbObbBody`] uses, so after `n` poses' worth of
+/// classified tests the charge equals `n` times what one pose's tests
+/// charge.
+#[derive(Clone, Copy, Debug)]
+pub struct SweptAabbObbBody {
+    planar: bool,
+    /// Lowest and highest body center per world axis.
+    lo: [f64; 3],
+    hi: [f64; 3],
+    /// Bounds on every pose's world-axis body radius.
+    rb_lo: f64,
+    rb_hi: f64,
+    /// Magnitude of the body's own coordinates, for the margin.
+    scale: f64,
+    charges: ExitCharges,
+}
+
+impl SweptAabbObbBody {
+    /// Prepares a body with half-extents `half` whose center lies in
+    /// `centers` on every pose (planar bodies use the 4-axis 2D test and
+    /// only their `x` and `y` extents).
+    pub fn new(centers: &Aabb, half: Vec3, planar: bool) -> Self {
+        let (lo, hi) = (centers.min(), centers.max());
+        let h = half;
+        let (h_min, l2_sq, l1) = if planar {
+            (h.x.min(h.y), h.x * h.x + h.y * h.y, h.x + h.y)
+        } else {
+            (h.x.min(h.y).min(h.z), h.norm_sq(), h.x + h.y + h.z)
+        };
+        let rb_hi = l2_sq.sqrt() + SAT_EPS * l1;
+        let reach = lo.abs().max(hi.abs());
+        SweptAabbObbBody {
+            planar,
+            lo: [lo.x, lo.y, lo.z],
+            hi: [hi.x, hi.y, hi.z],
+            rb_lo: h_min,
+            rb_hi,
+            scale: reach.x.max(reach.y).max(reach.z) + rb_hi,
+            charges: ExitCharges::new(planar),
+        }
+    }
+
+    /// Whether the body uses the planar (2D) test.
+    pub fn is_planar(&self) -> bool {
+        self.planar
+    }
+
+    /// Classifies the test against the AABB with the given center and
+    /// half-extents for every pose: `Some(true)` if every pose's test
+    /// overlaps, `Some(false)` if every pose's test separates at the same
+    /// world axis, `None` if the poses' tests are not provably alike.
+    /// A classified test is recorded for [`SweptAabbObbBody::charge`].
+    #[inline(always)]
+    pub fn classify(&mut self, center: Vec3, half: Vec3) -> Option<bool> {
+        let (c, ha) = ([center.x, center.y, center.z], [half.x, half.y, half.z]);
+        let axes = if self.planar { 2 } else { 3 };
+        let mut inside = true;
+        for i in 0..axes {
+            // Nearest and farthest |pose center − box center| on axis i.
+            let (below, above) = (c[i] - self.lo[i], self.hi[i] - c[i]);
+            let near = (-below).max(-above).max(0.0);
+            let far = below.max(above);
+            let m = SWEPT_MARGIN * (self.scale + c[i].abs() + ha[i]);
+            if near - m > ha[i] + self.rb_hi {
+                self.charges.record(i + 1);
+                return Some(false);
+            }
+            // No pose separates on this axis (false on any NaN).
+            let never_separates = far + m < ha[i] + self.rb_lo;
+            if !never_separates {
+                return None;
+            }
+            inside &= far + m < ha[i];
+        }
+        if inside {
+            self.charges.record(0);
+            Some(true)
+        } else {
+            None
+        }
+    }
+
+    /// Charges every test classified since the last charge, once (one
+    /// pose's worth), to `ops` and clears the record.
+    pub fn charge(&mut self, ops: &mut OpCount) {
+        self.charges.charge(ops);
     }
 }
 

@@ -41,7 +41,60 @@ impl InterpolationSteps {
         }
         ((dist / self.resolution).ceil() as usize).clamp(1, self.max_steps)
     }
+
+    /// The checked poses of the straight motion `from → to`, generated in
+    /// place: [`InterpolationSteps::count`] evenly spaced poses ending
+    /// exactly at `to` (the start pose is assumed already validated when
+    /// its node entered the tree). This is the one definition of a
+    /// motion's pose sequence; it never allocates.
+    pub fn poses(&self, from: &Config, to: &Config) -> Poses {
+        Poses {
+            from: *from,
+            to: *to,
+            next: 1,
+            n: self.count(from.distance(to)),
+        }
+    }
 }
+
+/// Iterator over a motion's checked poses; see
+/// [`InterpolationSteps::poses`].
+#[derive(Clone, Debug)]
+pub struct Poses {
+    from: Config,
+    to: Config,
+    /// 1-based index of the next pose.
+    next: usize,
+    n: usize,
+}
+
+impl Iterator for Poses {
+    type Item = Config;
+
+    #[inline]
+    fn next(&mut self) -> Option<Config> {
+        let i = self.next;
+        if i > self.n {
+            return None;
+        }
+        self.next += 1;
+        // Emit the endpoint exactly rather than via lerp(.., 1.0), which
+        // can differ by an ULP and would make the planner store a drifted
+        // node.
+        Some(if i == self.n {
+            self.to
+        } else {
+            self.from.lerp(&self.to, i as f64 / self.n as f64)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.n + 1 - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Poses {}
 
 impl Default for InterpolationSteps {
     /// One pose per 2.0 configuration-space units, matching the evaluation
@@ -52,8 +105,7 @@ impl Default for InterpolationSteps {
 }
 
 /// Returns the checked poses of the straight motion `from -> to` under the
-/// given policy: evenly spaced poses ending exactly at `to` (the start pose
-/// is assumed already validated when its node entered the tree).
+/// given policy, collected from [`InterpolationSteps::poses`].
 ///
 /// # Example
 ///
@@ -66,13 +118,7 @@ impl Default for InterpolationSteps {
 /// assert_eq!(poses[1], to);
 /// ```
 pub fn interpolate(from: &Config, to: &Config, steps: &InterpolationSteps) -> Vec<Config> {
-    let dist = from.distance(to);
-    let n = steps.count(dist);
-    let mut poses: Vec<Config> = (1..n).map(|i| from.lerp(to, i as f64 / n as f64)).collect();
-    // Emit the endpoint exactly rather than via lerp(.., 1.0), which can
-    // differ by an ULP and would make the planner store a drifted node.
-    poses.push(*to);
-    poses
+    steps.poses(from, to).collect()
 }
 
 #[cfg(test)]
@@ -123,6 +169,19 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_resolution_rejected() {
         let _ = InterpolationSteps::with_resolution(0.0);
+    }
+
+    #[test]
+    fn poses_report_their_remaining_length() {
+        let a = Config::new(&[0.0, 0.0]);
+        let b = Config::new(&[10.0, 0.0]);
+        let policy = InterpolationSteps::with_resolution(3.0);
+        let mut poses = policy.poses(&a, &b);
+        assert_eq!(poses.len(), policy.count(a.distance(&b)));
+        assert_eq!(poses.len(), 4);
+        poses.next();
+        assert_eq!(poses.len(), 3);
+        assert_eq!(poses.last(), Some(b));
     }
 
     #[test]

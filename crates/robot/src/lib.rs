@@ -33,11 +33,18 @@
 use std::f64::consts::PI;
 use std::fmt;
 
-use moped_geometry::{Config, Mat3, Obb, Vec3, MAX_DOF};
+use moped_geometry::{Aabb, Config, Mat3, Obb, Vec3, MAX_DOF};
 
 /// Side length of the simulated cubic workspace (§V: 300×300×300, or
 /// 300×300 for the planar robot).
 pub const WORKSPACE_EXTENT: f64 = 300.0;
+
+/// Half-extents of the drone's body box (6×6×2 half-widths).
+const DRONE_HALF: Vec3 = Vec3::new(6.0, 6.0, 2.0);
+
+/// Half-extents of the mobile robot's footprint rectangle (its `z`
+/// half-extent is the planar box's fixed 0.5).
+const MOBILE_HALF: Vec3 = Vec3::new(8.0, 5.0, 0.5);
 
 /// The five evaluated robot models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -377,17 +384,46 @@ impl Robot {
         out.clear();
         match self.model {
             RobotModel::Mobile2d => {
-                out.push(Obb::planar(Vec3::new(q[0], q[1], 0.0), 8.0, 5.0, q[2]));
+                let center = Vec3::new(q[0], q[1], 0.0);
+                out.push(Obb::planar(center, MOBILE_HALF.x, MOBILE_HALF.y, q[2]));
             }
             RobotModel::Drone3d => {
                 out.push(Obb::new(
                     Vec3::new(q[0], q[1], q[2]),
-                    Vec3::new(6.0, 6.0, 2.0),
+                    DRONE_HALF,
                     Mat3::from_euler(q[3], q[4], q[5]),
                 ));
             }
             _ => self.arm_fk(q, out),
         }
+    }
+
+    /// The body of every pose on the straight motion `from → to`, for the
+    /// robots with one rigid body centered at the configuration's
+    /// translation (the drone and the mobile robot): the box that holds
+    /// every pose's body center, and the body's half-extents.
+    ///
+    /// A pose `from + t·(to − from)`, `t ∈ [0, 1]`, puts the body center
+    /// between the endpoints' translations on every axis, up to the
+    /// rounding of that interpolation; its rotation is whatever the
+    /// pose's angles give. `None` for the arms, whose link boxes move with
+    /// every joint, and whenever a coordinate or an endpoint difference is
+    /// not finite.
+    pub fn center_hull(&self, from: &Config, to: &Config) -> Option<(Aabb, Vec3)> {
+        let (half, drone) = match self.model {
+            RobotModel::Mobile2d => (MOBILE_HALF, false),
+            RobotModel::Drone3d => (DRONE_HALF, true),
+            _ => return None,
+        };
+        let (a, b) = (from.as_slice(), to.as_slice());
+        // A finite difference implies both coordinates are finite.
+        let finite = a.iter().zip(b).all(|(x, y)| (y - x).is_finite());
+        if a.len() != self.dof() || b.len() != self.dof() || !finite {
+            return None;
+        }
+        let center = |q: &[f64]| Vec3::new(q[0], q[1], if drone { q[2] } else { 0.0 });
+        let (p, q) = (center(a), center(b));
+        Some((Aabb::new(p.min(q), p.max(q)), half))
     }
 
     fn arm_fk(&self, q: &Config, bodies: &mut Vec<Obb>) {

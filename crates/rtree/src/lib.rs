@@ -12,6 +12,11 @@
 //! this crate mirrors that contract (build once per environment, then only
 //! query).
 //!
+//! [`RTree::filter_into`] filters one robot body. [`RTree::filter_swept`]
+//! runs the same traversal once for a rigid body over every pose of a
+//! motion, known only by bounds on its center and its world-axis radius,
+//! and answers only when every test is provably the same on every pose.
+//!
 //! # Example
 //!
 //! ```
@@ -51,6 +56,28 @@ impl FilterStats {
     /// Total first-stage SAT queries issued.
     pub fn total_checks(&self) -> u64 {
         self.node_checks + self.leaf_checks
+    }
+}
+
+impl std::ops::AddAssign for FilterStats {
+    fn add_assign(&mut self, rhs: FilterStats) {
+        self.node_checks += rhs.node_checks;
+        self.leaf_checks += rhs.leaf_checks;
+        self.pruned_subtrees += rhs.pruned_subtrees;
+        self.survivors += rhs.survivors;
+    }
+}
+
+impl std::ops::Mul<u64> for FilterStats {
+    type Output = FilterStats;
+    /// The statistics of `n` repetitions of these traversals.
+    fn mul(self, n: u64) -> FilterStats {
+        FilterStats {
+            node_checks: self.node_checks * n,
+            leaf_checks: self.leaf_checks * n,
+            pruned_subtrees: self.pruned_subtrees * n,
+            survivors: self.survivors * n,
+        }
     }
 }
 
@@ -299,8 +326,69 @@ impl RTree {
         stats.leaf_checks += leaves;
         stats.pruned_subtrees += pruned;
         stats.survivors += out.len() as u64;
-        ops.mem_words += box_words(robot) * (nodes + leaves);
+        ops.mem_words += box_words(robot.is_planar()) * (nodes + leaves);
         body.charge(ops);
+    }
+
+    /// The traversal of [`RTree::filter_into`] run once for every pose of
+    /// a swept body at once.
+    ///
+    /// Each node and obstacle test is classified for all poses with
+    /// [`sat::SweptAabbObbBody::classify`], in the order `filter_into`
+    /// tests them. When every test is classified and no obstacle passes,
+    /// every pose's `filter_into` would take this same traversal and
+    /// leave no survivor: the result is that one traversal's statistics
+    /// and charge, exactly what `filter_into` adds for any one of the
+    /// poses. It is `None` as soon as a test is not provably the same on
+    /// every pose or an obstacle passes.
+    pub fn filter_swept(
+        &self,
+        mut body: sat::SweptAabbObbBody,
+        stack: &mut Vec<usize>,
+    ) -> Option<(FilterStats, OpCount)> {
+        let _span = moped_obs::span(moped_obs::Stage::BroadPhase);
+        stack.clear();
+        let Some(root) = self.root else {
+            return Some((FilterStats::default(), OpCount::ZERO));
+        };
+        let (mut nodes, mut leaves, mut pruned) = (1u64, 0u64, 0u64);
+        if body.classify(self.node_center[root], self.node_half[root])? {
+            stack.push(root);
+        } else {
+            pruned += 1;
+        }
+        while let Some(ni) = stack.pop() {
+            let (kids, leaf) = self.kids(ni);
+            if leaf {
+                leaves += kids.len() as u64;
+                for &oid in kids {
+                    if body.classify(self.obstacle_center[oid], self.obstacle_half[oid])? {
+                        return None;
+                    }
+                }
+                continue;
+            }
+            nodes += kids.len() as u64;
+            for &k in kids {
+                if body.classify(self.node_center[k], self.node_half[k])? {
+                    stack.push(k);
+                } else {
+                    pruned += 1;
+                }
+            }
+        }
+        let stats = FilterStats {
+            node_checks: nodes,
+            leaf_checks: leaves,
+            pruned_subtrees: pruned,
+            survivors: 0,
+        };
+        let mut ops = OpCount {
+            mem_words: box_words(body.is_planar()) * (nodes + leaves),
+            ..OpCount::ZERO
+        };
+        body.charge(&mut ops);
+        Some((stats, ops))
     }
 
     /// On-chip storage footprint of the tree in 16-bit words (every node
@@ -324,8 +412,8 @@ impl RTree {
 }
 
 /// Words read per AABB test: the paper's 6-value 3D / 4-value 2D box.
-fn box_words(robot: &Obb) -> u64 {
-    if robot.is_planar() {
+fn box_words(planar: bool) -> u64 {
+    if planar {
         4
     } else {
         6
@@ -533,6 +621,35 @@ mod tests {
     fn memory_words_positive_for_nonempty() {
         let tree = RTree::build(&grid_obstacles(2, 5.0), 4);
         assert!(tree.memory_words() > 0);
+    }
+
+    #[test]
+    fn swept_filter_resolves_clear_motions_and_declines_others() {
+        let tree = RTree::build(&grid_obstacles(3, 20.0), 4);
+        let half = Vec3::new(2.0, 1.0, 0.5);
+        let swept = |lo: Vec3, hi: Vec3| {
+            let body = sat::SweptAabbObbBody::new(&Aabb::new(lo, hi), half, false);
+            tree.filter_swept(body, &mut Vec::new())
+        };
+        // Between obstacles: every pose prunes the same nodes.
+        let (stats, ops) = swept(Vec3::new(10.0, 10.0, 9.0), Vec3::new(10.0, 10.0, 11.0))
+            .expect("a motion clear of every box resolves");
+        let mut pose_ops = OpCount::default();
+        let mut pose_stats = FilterStats::default();
+        let pose = Obb::from_euler(Vec3::splat(10.0), half, 0.4, -0.3, 1.2);
+        let out = tree.filter_with_stats(&pose, &mut pose_ops, &mut pose_stats);
+        assert!(out.is_empty());
+        assert_eq!((stats, ops), (pose_stats, pose_ops));
+        // Through an obstacle, or grazing one by less than the body radius.
+        assert!(swept(Vec3::new(-5.0, 0.0, 0.0), Vec3::new(5.0, 0.0, 0.0)).is_none());
+        assert!(swept(Vec3::new(2.5, 0.0, 0.0), Vec3::new(2.5, 0.0, 0.0)).is_none());
+        // An empty tree charges nothing.
+        let empty = RTree::build(&[], 4);
+        let body = sat::SweptAabbObbBody::new(&Aabb::new(Vec3::ZERO, Vec3::ZERO), half, false);
+        assert_eq!(
+            empty.filter_swept(body, &mut Vec::new()),
+            Some((FilterStats::default(), OpCount::ZERO))
+        );
     }
 
     #[test]

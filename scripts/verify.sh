@@ -107,6 +107,15 @@ echo "== nn_replay --smoke (neighbor-index replay gate) =="
 # returns a different nearest id (the planner's tree depends on it).
 cargo run --release -q -p moped-bench --bin nn_replay -- --smoke
 
+echo "== motion_replay --smoke (motion-check replay gate) =="
+# Records one drone-sparse plan's and one xarm7 plan's motion-check
+# streams and replays each through TwoStageChecker::motion_free and
+# through a per-pose config_free reference, in alternating passes,
+# printing ns per motion and the fraction the swept R-tree pass resolves.
+# The binary exits non-zero if any motion's verdict or collision ledger
+# differs from the reference's.
+cargo run --release -q -p moped-bench --bin motion_replay -- --smoke
+
 echo "== figures smoke (modelled-figure gate) =="
 # Every modelled figure (op ledgers, the hardware model, success counts,
 # path costs) is a pure function of its seeds, so the small-scale run must
@@ -124,21 +133,24 @@ fi
 echo "== wallbench: unit tests =="
 cargo test -q --offline --manifest-path wallbench/Cargo.toml
 
-echo "== wallbench: traced arm-clutter smoke (kernel-replay gate) =="
+echo "== wallbench: traced arm-clutter and drone-sparse smokes (kernel-replay gate) =="
 # The traced run replays every recorded pose check through the kernels
 # and requires the replayed R-tree and SAT counts to equal the live
 # ledgers; it also checks each returned path against the oracle. Its
 # last stdout line is a JSON object whose "correct" and "failed" fields
-# carry those verdicts.
-wb_last=$(cargo run --release -q --offline --manifest-path wallbench/Cargo.toml -- \
-    --workload arm-clutter --seed 1 --seconds 5 --trace 1 | tail -n 1)
-case "$wb_last" in
-    *'"correct":true'*'"failed":0,'*) echo "wallbench smoke: correct, no failures" ;;
-    *)
-        echo "verify: FAIL — wallbench smoke reported: ${wb_last:0:200}" >&2
-        exit 1
-        ;;
-esac
+# carry those verdicts. drone-sparse is the workload whose motions the
+# swept R-tree pass settles without per-pose checks.
+for wb_workload in arm-clutter drone-sparse; do
+    wb_last=$(cargo run --release -q --offline --manifest-path wallbench/Cargo.toml -- \
+        --workload "$wb_workload" --seed 1 --seconds 5 --trace 1 | tail -n 1)
+    case "$wb_last" in
+        *'"correct":true'*'"failed":0,'*) echo "wallbench $wb_workload smoke: correct, no failures" ;;
+        *)
+            echo "verify: FAIL — wallbench $wb_workload smoke reported: ${wb_last:0:200}" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "== wallbench: frozen lock file =="
 # wallbench/ is the frozen benchmark: building it must not rewrite its
