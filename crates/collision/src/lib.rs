@@ -99,7 +99,6 @@ pub trait CollisionChecker {
         steps: &InterpolationSteps,
         ledger: &mut CollisionLedger,
     ) -> bool {
-        let _span = moped_obs::span(moped_obs::Stage::Collision);
         ledger.motion_queries += 1;
         poses_free(self, robot, steps.poses(from, to), ledger)
     }
@@ -153,10 +152,8 @@ impl NaiveChecker {
 
 impl CollisionChecker for NaiveChecker {
     fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
-        let _span = moped_obs::span(moped_obs::Stage::Collision);
         let mut bodies = self.bodies.borrow_mut();
         robot.body_obbs_into(q, &mut bodies);
-        let _narrow = moped_obs::span(moped_obs::Stage::NarrowPhase);
         for body in bodies.iter() {
             for obs in &self.obstacles {
                 ledger.second_stage.mem_words += obs.encoded_words();
@@ -210,10 +207,8 @@ impl NaiveAabbChecker {
 
 impl CollisionChecker for NaiveAabbChecker {
     fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
-        let _span = moped_obs::span(moped_obs::Stage::Collision);
         let mut bodies = self.bodies.borrow_mut();
         robot.body_obbs_into(q, &mut bodies);
-        let _broad = moped_obs::span(moped_obs::Stage::BroadPhase);
         for body in bodies.iter() {
             let mut prepared = sat::AabbObbBody::new(body);
             let words = if body.is_planar() { 4 } else { 6 };
@@ -346,13 +341,11 @@ const _: () = {
 
 impl CollisionChecker for TwoStageChecker {
     fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
-        let _span = moped_obs::span(moped_obs::Stage::Collision);
         SCRATCH.with_borrow_mut(|scratch| {
             robot.body_obbs_into(q, &mut scratch.bodies);
 
             for body in &scratch.bodies {
-                // Stage 1: hierarchical AABB filter (spanned as
-                // broad-phase inside `RTree::filter_into`).
+                // Stage 1: hierarchical AABB filter.
                 self.rtree.filter_into(
                     body,
                     &mut ledger.first_stage,
@@ -367,7 +360,6 @@ impl CollisionChecker for TwoStageChecker {
                     SecondStage::AabbOnly => return false,
                     SecondStage::ObbExact => {
                         // Stage 2: exact check on the few survivors only.
-                        let _narrow = moped_obs::span(moped_obs::Stage::NarrowPhase);
                         let pre = sat::prepare(body);
                         for &oid in &scratch.survivors {
                             ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
@@ -406,7 +398,6 @@ impl CollisionChecker for TwoStageChecker {
         steps: &InterpolationSteps,
         ledger: &mut CollisionLedger,
     ) -> bool {
-        let _span = moped_obs::span(moped_obs::Stage::Collision);
         ledger.motion_queries += 1;
         let poses = steps.poses(from, to);
         if let Some((stats, ops)) = self.swept_pass(robot, from, to) {

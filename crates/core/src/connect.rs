@@ -14,7 +14,6 @@
 //! same seed → same trees, and a recorded journal replays bit-exactly.
 
 use moped_geometry::{Config, OpCount};
-use moped_obs::Stage;
 
 use crate::planner::{PlanResult, PlanStats, RoundTrace, RrtStar};
 use crate::NeighborIndex;
@@ -41,19 +40,15 @@ pub(crate) fn plan_connect<N: NeighborIndex>(planner: &mut RrtStar<'_, N>) -> Pl
         let ns_mark = stats.ns_ops;
         let cc_mark = planner.ledger_macs(&stats);
         let ins_mark = stats.insert_ops;
-        let _round_span = moped_obs::span(Stage::Round);
         // No goal bias: the goal is a tree root.
         let x_rand = planner.draw_sample(&mut rng, false);
 
         // --- EXTEND: the trees take turns ------------------------------
         let t = round % 2;
-        let near = {
-            let _s = moped_obs::span(Stage::Nearest);
-            planner.trees[t]
-                .nearest(&x_rand, &mut stats.ns_ops)
-                .expect("every tree holds at least its root")
-                .0 as usize
-        };
+        let near = planner.trees[t]
+            .nearest(&x_rand, &mut stats.ns_ops)
+            .expect("every tree holds at least its root")
+            .0 as usize;
         let Some(x_new) = planner.extend(near, &x_rand, &mut stats) else {
             finish_trace(planner, &mut stats, trace, ns_mark, cc_mark, ins_mark);
             continue;
@@ -63,13 +58,10 @@ pub(crate) fn plan_connect<N: NeighborIndex>(planner: &mut RrtStar<'_, N>) -> Pl
 
         // --- CONNECT: greedy walk from the other tree ------------------
         let u = 1 - t;
-        let mut cur = {
-            let _s = moped_obs::span(Stage::Nearest);
-            planner.trees[u]
-                .nearest(&x_new, &mut stats.ns_ops)
-                .expect("every tree holds at least its root")
-                .0 as usize
-        };
+        let mut cur = planner.trees[u]
+            .nearest(&x_new, &mut stats.ns_ops)
+            .expect("every tree holds at least its root")
+            .0 as usize;
         // The target-tree comparison; pinned op ledgers include it.
         stats.other_ops.cmp += 1;
         // A short steering step makes the walk arbitrarily long, so it

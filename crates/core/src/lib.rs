@@ -42,7 +42,6 @@ mod connect;
 mod index;
 mod planner;
 mod profile;
-pub mod replan;
 pub mod smooth;
 mod variant;
 

@@ -3,7 +3,7 @@
 use moped_collision::{CollisionChecker, CollisionLedger};
 use moped_env::Scenario;
 use moped_geometry::{Config, InterpolationSteps, OpCount};
-use moped_obs::{Journal, RejectReason, Stage};
+use moped_obs::{Journal, RejectReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -402,7 +402,6 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     /// Draws the round's sample — the next replayed one, or from `rng`
     /// (with RRT\*'s goal-bias coin when `goal_biased`) — and journals it.
     pub(crate) fn draw_sample(&mut self, rng: &mut StdRng, goal_biased: bool) -> Config {
-        let _s = moped_obs::span(Stage::Sample);
         let q = match &mut self.replay {
             Some(r) => {
                 let q = r.samples[r.cursor];
@@ -428,10 +427,7 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
         stats: &mut PlanStats,
     ) -> Result<Config, RejectReason> {
         let q_from = &self.nodes[from].q;
-        let q = {
-            let _s = moped_obs::span(Stage::Steer);
-            q_from.steer_toward(target, self.step)
-        };
+        let q = q_from.steer_toward(target, self.step);
         let dim = self.scenario.robot.dof() as u64;
         stats.other_ops.mul += dim;
         stats.other_ops.add += dim;
@@ -499,7 +495,6 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
         hint: usize,
         stats: &mut PlanStats,
     ) -> usize {
-        let _s = moped_obs::span(Stage::Insert);
         let id = self.nodes.len();
         self.nodes.push(TreeNode {
             q,
@@ -539,17 +534,13 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             }
             stats.samples += 1;
             let mut trace = RoundTrace::default();
-            let _round_span = moped_obs::span(Stage::Round);
             let x_rand = self.draw_sample(&mut rng, true);
 
             // --- Neighbor search 1: nearest ---------------------------
             let ns_mark = stats.ns_ops;
-            let (nearest_id, _) = {
-                let _s = moped_obs::span(Stage::Nearest);
-                self.trees[0]
-                    .nearest(&x_rand, &mut stats.ns_ops)
-                    .expect("index holds at least the root")
-            };
+            let (nearest_id, _) = self.trees[0]
+                .nearest(&x_rand, &mut stats.ns_ops)
+                .expect("index holds at least the root");
             let nearest_idx = nearest_id as usize;
 
             // --- Steer + collision check: extension edge --------------
@@ -565,11 +556,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             };
 
             // --- Neighbor search 2: neighborhood of x_new -------------
-            let near = {
-                let _s = moped_obs::span(Stage::Neighborhood);
-                let radius = self.rewire_radius();
-                self.trees[0].neighborhood(nearest_id, &x_new, radius, &mut stats.ns_ops)
-            };
+            let radius = self.rewire_radius();
+            let near = self.trees[0].neighborhood(nearest_id, &x_new, radius, &mut stats.ns_ops);
             trace.near_count = near.len() as u32;
             trace.ns_macs = (stats.ns_ops - ns_mark).mac_equiv();
 
@@ -579,7 +567,6 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             // nearest node's already-verified edge usually terminates the
             // scan immediately, exactly the paper's low-check refinement).
             let refine_mark = self.ledger_macs(&stats) + stats.other_ops.mac_equiv();
-            let refine_span = moped_obs::span(Stage::Rewire);
             let nearest_through = self.nodes[nearest_idx].cost
                 + self.nodes[nearest_idx]
                     .q
@@ -617,7 +604,6 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                     break;
                 }
             }
-            drop(refine_span);
 
             // --- Insert the new node -----------------------------------
             let ins_mark = stats.insert_ops;
@@ -627,29 +613,26 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             stats.nodes = self.nodes.len();
 
             // --- Rewire ------------------------------------------------
-            {
-                let _s = moped_obs::span(Stage::Rewire);
-                for (cand_id, cand_q) in &near {
-                    let ci = *cand_id as usize;
-                    if ci == parent || ci == new_idx {
-                        continue;
-                    }
-                    let through = best_cost + x_new.distance_counted(cand_q, &mut stats.other_ops);
-                    stats.other_ops.cmp += 1;
-                    if through < self.nodes[ci].cost
-                        && self.checker.motion_free(
-                            &self.scenario.robot,
-                            &x_new,
-                            cand_q,
-                            &self.steps,
-                            &mut stats.collision,
-                        )
-                    {
-                        self.reparent(ci, new_idx, through);
-                        stats.rewires += 1;
-                        if let Some(j) = &mut self.journal {
-                            j.record_rewire(ci as u64, new_idx as u64, through);
-                        }
+            for (cand_id, cand_q) in &near {
+                let ci = *cand_id as usize;
+                if ci == parent || ci == new_idx {
+                    continue;
+                }
+                let through = best_cost + x_new.distance_counted(cand_q, &mut stats.other_ops);
+                stats.other_ops.cmp += 1;
+                if through < self.nodes[ci].cost
+                    && self.checker.motion_free(
+                        &self.scenario.robot,
+                        &x_new,
+                        cand_q,
+                        &self.steps,
+                        &mut stats.collision,
+                    )
+                {
+                    self.reparent(ci, new_idx, through);
+                    stats.rewires += 1;
+                    if let Some(j) = &mut self.journal {
+                        j.record_rewire(ci as u64, new_idx as u64, through);
                     }
                 }
             }

@@ -226,7 +226,6 @@ pub fn verify_equivalence(
         let (true_id, true_d) = tree.nearest(&x_rand, &mut ops).expect("non-empty");
 
         // Speculative search on the stale tree + repair from the MNB.
-        let repair_span = moped_obs::span(moped_obs::Stage::SpecRepair);
         let (mut spec_id, mut spec_d) = stale.nearest(&x_rand, &mut ops).expect("non-empty");
         report.max_missing_considered = report.max_missing_considered.max(pending.len());
         let mut repaired = false;
@@ -246,12 +245,10 @@ pub fn verify_equivalence(
         if spec_id != true_id && (spec_d - true_d).abs() > 1e-12 {
             report.equivalent = false;
         }
-        drop(repair_span);
 
         // Commit: steer, "collision check always passes" abstraction
         // (collision rejections only shrink the MNB, so accepting every
         // sample is the adversarial worst case for equivalence).
-        let _commit_span = moped_obs::span(moped_obs::Stage::SpecCommit);
         let anchor_q = tree
             .iter()
             .find(|e| e.id == true_id)

@@ -286,7 +286,6 @@ impl RTree {
         stack: &mut Vec<usize>,
         out: &mut Vec<usize>,
     ) {
-        let _span = moped_obs::span(moped_obs::Stage::BroadPhase);
         out.clear();
         stack.clear();
         let Some(root) = self.root else { return };
@@ -346,7 +345,6 @@ impl RTree {
         mut body: sat::SweptAabbObbBody,
         stack: &mut Vec<usize>,
     ) -> Option<(FilterStats, OpCount)> {
-        let _span = moped_obs::span(moped_obs::Stage::BroadPhase);
         stack.clear();
         let Some(root) = self.root else {
             return Some((FilterStats::default(), OpCount::ZERO));

@@ -30,8 +30,8 @@
 //!   calibrated `moped_tune::ProfileTable` at admission; the decision
 //!   picks the worker's engine/index stack, is stamped into the
 //!   [`PlanResponse`], and is counted per class in [`metrics::Metrics`].
-//!   The table is fixed for the service's lifetime, so tracing and
-//!   environment swaps never change which plan a class is served.
+//!   The table is fixed for the service's lifetime, so environment
+//!   swaps never change which plan a class is served.
 //! * **Deadlines and cancellation** — cooperative: the planner's stop
 //!   hook is polled every few sampling rounds, and an expired or
 //!   cancelled request returns its best-so-far anytime result instead of
@@ -538,8 +538,8 @@ impl RetryPolicy {
 /// environment's request class against the table ([`Tuner::resolve`]);
 /// the decision rides on the job, selects the worker's engine/index
 /// stack, and is stamped into the [`PlanResponse`]. Nothing rewrites the
-/// table while the service runs: environment swaps and tracing leave
-/// every class's resolution as the table reads.
+/// table while the service runs: environment swaps leave every class's
+/// resolution as the table reads.
 ///
 /// Determinism: resolution is a pure map lookup, so every auto-tuned
 /// plan stays bit-identical and journal-replayable.
@@ -764,7 +764,6 @@ impl PlanService {
     /// environment is unknown, the parameters fail
     /// [`PlannerParams::validate`], or the service is shutting down.
     pub fn submit(&self, request: PlanRequest) -> Result<PlanTicket, RejectReason> {
-        let _span = moped_obs::span(moped_obs::Stage::Admission);
         if self.queue.is_closed() {
             self.metrics.inc_rejected();
             return Err(RejectReason::ShuttingDown);

@@ -425,13 +425,6 @@ impl Metrics {
                 format!("{decisions} ({hits} from table)"),
             );
         }
-        // When stage tracing is on, the dump carries the merged per-stage
-        // profile (admission, queue wait, attempts, and every planner
-        // stage the workers recorded).
-        if moped_obs::enabled() {
-            out.push_str("\n# stage profile (moped-obs)\n");
-            out.push_str(&moped_obs::snapshot().render_text());
-        }
         out
     }
 
@@ -499,9 +492,6 @@ impl Metrics {
             .collect::<Vec<_>>()
             .join(",");
         fields.push(("latency_buckets".into(), format!("[{buckets}]")));
-        if moped_obs::enabled() {
-            fields.push(("stage_profile".into(), moped_obs::snapshot().to_json()));
-        }
         let body = fields
             .iter()
             .map(|(k, v)| format!("\"{k}\":{v}"))

@@ -89,11 +89,6 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Non-blocking dequeue of the oldest job.
-    pub(crate) fn try_pop(&self) -> Option<Job> {
-        lock_ignore_poison(&self.state).jobs.pop_front()
-    }
-
     /// Blocking dequeue: waits until a job arrives or the queue is
     /// closed *and* drained. `None` means the worker should exit.
     pub(crate) fn pop_blocking(&self) -> Option<Job> {
@@ -294,17 +289,18 @@ mod tests {
         for id in 0..6 {
             assert!(q.push(job(id, &env)).is_ok());
         }
-        // Alternate between a non-blocking pop on this thread and a
-        // blocking pop on a fresh worker thread.
+        // Alternate between a pop on this thread and one on a fresh
+        // worker thread.
         for id in 0..6 {
             let popped = if id % 2 == 0 {
-                q.try_pop()
+                q.pop_blocking()
             } else {
                 std::thread::scope(|s| s.spawn(|| q.pop_blocking()).join().unwrap())
             };
             assert_eq!(popped.map(|j| j.id), Some(id));
         }
-        assert!(q.try_pop().is_none());
+        q.close();
+        assert!(q.pop_blocking().is_none());
     }
 
     #[test]
@@ -316,7 +312,7 @@ mod tests {
         }
         assert_eq!(q.push(job(3, &env)).err(), Some(PushRefused::Full));
         // A pop frees exactly one slot.
-        assert_eq!(q.try_pop().map(|j| j.id), Some(0));
+        assert_eq!(q.pop_blocking().map(|j| j.id), Some(0));
         assert!(q.push(job(4, &env)).is_ok());
         assert_eq!(q.push(job(5, &env)).err(), Some(PushRefused::Full));
     }

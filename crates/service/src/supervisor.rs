@@ -27,12 +27,6 @@ use crate::{FailureReason, Job, Outcome, PlanFailure, PlanOutcome, PlanResponse,
 /// How often the monitor thread scans the pool for dead workers.
 const MONITOR_POLL: Duration = Duration::from_millis(2);
 
-/// Jobs served between obs flushes while a worker stays busy. The flush
-/// takes the global obs registry lock, so it must stay off the per-job
-/// path; idle workers flush immediately before parking instead, which
-/// keeps profile snapshots fresh whenever the pool has slack.
-const FLUSH_EVERY: usize = 32;
-
 /// Sampling rounds between a plan's deadline/cancellation polls.
 const STOP_POLL_EVERY: usize = 64;
 
@@ -229,37 +223,14 @@ fn apply_worker_fault(shared: &WorkerShared, site: FaultSite) {
 /// A worker: pull the oldest job off the queue, serve it
 /// (panic-isolated, with retries), repeat until the queue closes.
 fn worker_loop(worker_idx: usize, shared: &Arc<WorkerShared>) {
-    let mut since_flush = 0usize;
-    loop {
-        let job = match shared.queue.try_pop() {
-            Some(job) => job,
-            None => {
-                // About to go idle: publish this worker's span data to
-                // the global registry while nobody is waiting on it, so
-                // profile snapshots taken from the API thread see
-                // completed jobs without joining the pool.
-                moped_obs::flush();
-                since_flush = 0;
-                match shared.queue.pop_blocking() {
-                    Some(job) => job,
-                    None => break, // queue closed and drained: graceful exit
-                }
-            }
-        };
+    // `None`: the queue is closed and drained, a graceful exit.
+    while let Some(job) = shared.queue.pop_blocking() {
         // The job left the queue the moment it was popped: settle the
         // gauge before any kill site can take this worker down, so a
         // death between pop and serve cannot leak queue depth.
         shared.metrics.queue_left();
         serve_job(worker_idx, job, shared);
-        // Amortized flush: the global registry lock is off the per-job
-        // path, but long busy stretches still publish periodically.
-        since_flush += 1;
-        if since_flush >= FLUSH_EVERY {
-            moped_obs::flush();
-            since_flush = 0;
-        }
     }
-    moped_obs::flush();
 }
 
 /// Serves one job: planning attempts under `catch_unwind`, bounded
@@ -274,12 +245,6 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared) {
     // runs, so planning time can never leak into it.
     let queue_wait = started.duration_since(job.enqueued);
     metrics.record_queue_wait(queue_wait);
-    // Queue wait spans two threads, so it is recorded as a synthesized
-    // duration rather than an enter/exit pair on either thread.
-    moped_obs::record_duration(
-        moped_obs::Stage::QueueWait,
-        moped_obs::duration_ticks(queue_wait),
-    );
 
     apply_worker_fault(shared, FaultSite::Dequeue);
 
@@ -287,7 +252,6 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared) {
     let mut last_panic: Option<String> = None;
     let result = loop {
         attempt += 1;
-        let attempt_span = moped_obs::span(moped_obs::Stage::Attempt);
         let attempt_result = catch_quietly(|| {
             if let Some(plan) = shared.faults.as_deref() {
                 match plan.fire(FaultSite::Planning) {
@@ -305,7 +269,6 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared) {
             }
             execute(&job, started)
         });
-        drop(attempt_span);
         match attempt_result {
             Ok(result) => break result,
             Err(payload) => {
@@ -323,7 +286,6 @@ fn serve_job(worker_idx: usize, job: Job, shared: &WorkerShared) {
                     last_panic = Some(message);
                     let pause = retry_pause(&shared.retry, job.id, attempt);
                     if !pause.is_zero() {
-                        let _retry = moped_obs::span(moped_obs::Stage::Retry);
                         thread::sleep(pause);
                     }
                     continue;

@@ -607,7 +607,6 @@ impl SiMbrTree {
     ) -> Option<(u64, f64)> {
         assert_eq!(query.dim(), self.dim, "dimension mismatch");
         self.root?;
-        let _span = moped_obs::span(moped_obs::Stage::MbrDescent);
         // One copy of the search per dimension, so the MINDIST and
         // distance loops run over fixed-length arrays.
         match self.dim {

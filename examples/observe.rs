@@ -1,10 +1,9 @@
-//! Observability walkthrough: trace a 3-DoF planning run, print the
-//! per-stage profile table, export a Chrome-trace file, and prove the
-//! deterministic journal reproduces the run bit for bit.
+//! Journal walkthrough: record a 3-DoF planning run, serialize the
+//! journal, parse it back, and replay it to the same plan bit for bit.
 //!
-//! Run with `cargo run --release --example observe`. Open the emitted
-//! `target/observe_trace.json` in `chrome://tracing` or
-//! <https://ui.perfetto.dev> to see the span timeline.
+//! Run with `cargo run --release --example observe`. Per-layer wall time
+//! comes from the benchmark's traced run (`wallbench --trace 1`), not from
+//! this example.
 
 use moped::collision::TwoStageChecker;
 use moped::core::{PlannerParams, PlannerProfile};
@@ -15,60 +14,15 @@ use moped::robot::Robot;
 fn main() {
     // 3-DoF mobile robot (x, y, theta) in a cluttered planar world.
     let scenario = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(48), 42);
-    // A fine collision discretization: each motion check verifies many
-    // interpolated poses, the regime the two-stage checker is built for.
     let params = PlannerParams {
         max_samples: 2000,
         interpolation: Some(moped::geometry::InterpolationSteps::with_resolution(0.25)),
         ..PlannerParams::default()
     };
-
-    // Arm the tracer. Wall-clock ticks (nanoseconds) make the profile
-    // a real time breakdown; the default logical ticks would give
-    // deterministic ordering but meaningless durations.
-    obs::reset();
-    obs::set_tick_source(obs::TickSource::WallClock);
-    obs::set_enabled(true);
-
     let moped = PlannerProfile::static_default();
     let checker = TwoStageChecker::moped(scenario.obstacles.clone());
-    let result = moped.planner(&scenario, &checker, &params).plan();
-    obs::set_enabled(false);
 
-    println!(
-        "planned: solved={} cost={:.1} nodes={} samples={}",
-        result.solved(),
-        result.path_cost,
-        result.stats.nodes,
-        result.stats.samples
-    );
-
-    // --- Stage profile table -------------------------------------------
-    let profile = obs::snapshot();
-    println!("\n{}", profile.render_text());
-    if let Some(f) = profile.attributed_fraction() {
-        println!(
-            "named stages explain {:.1}% of instrumented iteration time",
-            100.0 * f
-        );
-    }
-
-    // --- Chrome trace ---------------------------------------------------
-    let (events, dropped) = obs::take_events();
-    let trace = obs::export::chrome_trace(&events);
-    let path = std::path::Path::new("target").join("observe_trace.json");
-    match std::fs::write(&path, &trace) {
-        Ok(()) => println!(
-            "\nwrote {} span events to {} ({dropped} dropped by the ring)",
-            events.len(),
-            path.display()
-        ),
-        Err(e) => println!("\ncould not write {}: {e}", path.display()),
-    }
-
-    // --- Deterministic journal replay -----------------------------------
-    // A separate journaled run (tracing off): the journal captures the
-    // full sample stream, so replaying it reproduces the plan exactly.
+    // Record: the journal captures the seed and the full sample stream.
     let mut recorder = moped
         .planner(&scenario, &checker, &params)
         .with_journal_recording();
@@ -76,14 +30,25 @@ fn main() {
     let journal = recorder
         .take_journal()
         .expect("journaling was enabled before plan()");
+    println!(
+        "planned: solved={} cost={:.1} nodes={} samples={}",
+        recorded.solved(),
+        recorded.path_cost,
+        recorded.stats.nodes,
+        recorded.stats.samples
+    );
+
+    // Serialize and parse: f64s travel as IEEE-754 bit patterns.
     let wire = journal.serialize();
     println!(
-        "\njournal: {} rounds, {} accepts, {} bytes on the wire",
+        "journal: {} rounds, {} accepts, {} bytes on the wire",
         journal.rounds(),
         journal.accepts(),
         wire.len()
     );
     let reparsed = obs::Journal::parse(&wire).expect("journal round-trips");
+
+    // Replay: the parsed sample stream reproduces the plan exactly.
     let mut replayer = moped
         .planner(&scenario, &checker, &params)
         .with_replay(&reparsed);

@@ -40,7 +40,6 @@ echo "each property test is listed once in:" $prop_targets
 echo "== examples =="
 # `cargo test` compiles the examples but never runs them. Run every
 # `[[example]]` target named in Cargo.toml and fail on a non-zero exit.
-# plan_gallery and observe write only under target/.
 for ex in $(awk '/^\[\[example\]\]/ { ex = 1; next }
                  ex && /^name *=/ { gsub(/"/, "", $3); print $3; ex = 0 }' Cargo.toml); do
     echo "-- example $ex"

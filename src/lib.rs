@@ -18,15 +18,14 @@
 //! * [`kdtree`] — the KD-tree neighbor-search baseline
 //! * [`octree`] — the octree occupancy baseline (§VI comparison)
 //! * [`eval`] — corpus regression matrix and path-clearance metrics
-//! * [`viz`] — SVG rendering of planar scenes and paths
 //! * [`collision`] — naive and two-stage motion collision checkers
 //! * [`core`] — the RRT\* planner, the `PlannerProfile` stack value, and
 //!   the V0–V4 variant ladder as profile presets
 //! * [`hw`] — the 28nm hardware performance model and baselines
 //! * [`service`] — the concurrent batch planning engine (worker pool,
 //!   bounded admission queue, deadlines, cancellation, metrics)
-//! * [`obs`] — observability: stage spans, the profiler, the
-//!   deterministic event journal, and the trace exporters
+//! * [`obs`] — the deterministic event journal (record, serialize,
+//!   replay a plan bit-identically)
 //!
 //! # Quickstart
 //!
@@ -62,4 +61,3 @@ pub use moped_scenarios as scenarios;
 pub use moped_service as service;
 pub use moped_simbr as simbr;
 pub use moped_tune as tune;
-pub use moped_viz as viz;

@@ -19,8 +19,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 // ---------------------------------------------------------------------------
-// Counting allocator (same harness as tests/observability.rs): every heap
-// allocation in this binary bumps a thread-local counter.
+// Counting allocator: every heap allocation in this binary bumps a
+// thread-local counter.
 // ---------------------------------------------------------------------------
 
 struct CountingAlloc;

@@ -1,11 +1,15 @@
-//! Tier-1 smoke test for the serving layer: a concurrent batch is
-//! deterministic vs serial planning, and deadlines are enforced.
+//! Tier-1 smoke tests for the serving layer: a concurrent batch is
+//! deterministic vs serial planning, deadlines are enforced, and a tuned
+//! service stamps every response with the pinned table's profile and the
+//! epoch it planned against.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use moped::core::{PlannerParams, PlannerProfile};
-use moped::robot::Robot;
-use moped::service::{EnvironmentCatalog, Outcome, PlanRequest, PlanService, ServiceConfig};
+use moped::robot::{Robot, RobotModel};
+use moped::service::{EnvironmentCatalog, Outcome, PlanRequest, PlanService, ServiceConfig, Tuner};
+use moped::tune::ProfileTable;
 
 #[test]
 fn batch_is_deterministic_and_deadlines_bite() {
@@ -67,4 +71,46 @@ fn batch_is_deterministic_and_deadlines_bite() {
     assert_eq!(metrics.accepted(), 13);
     assert_eq!(metrics.completed() + metrics.deadline_expired(), 13);
     assert_eq!(metrics.queue_depth(), 0);
+}
+
+#[test]
+fn pinned_table_stamps_every_response_across_env_swaps() {
+    let epochs = moped::scenarios::dynamic_epochs(RobotModel::XArm7, 4, 3, 2.5);
+    let mut catalog = EnvironmentCatalog::new();
+    let env = catalog.register("drifting-clutter", epochs[0].clone());
+    let service = PlanService::start(
+        catalog,
+        ServiceConfig {
+            workers: 1,
+            tuner: Some(Arc::new(Tuner::new(ProfileTable::static_default()))),
+            ..Default::default()
+        },
+    );
+    for (epoch, scenario) in epochs.iter().enumerate() {
+        if epoch > 0 {
+            assert_eq!(service.swap_env(env, scenario.clone()), Ok(epoch as u64));
+        }
+        for seed in 0..3 {
+            let params = PlannerParams {
+                max_samples: 300,
+                seed,
+                ..PlannerParams::default()
+            };
+            let response = service
+                .submit(PlanRequest::new(env, params))
+                .expect("admitted")
+                .wait()
+                .into_result()
+                .expect("served");
+            let res = response.profile.expect("tuned services stamp");
+            assert_eq!(
+                res.profile,
+                PlannerProfile::static_default(),
+                "epoch {epoch}"
+            );
+            assert_eq!(res.reason, "default", "epoch {epoch}");
+            assert_eq!(response.epoch, epoch as u64);
+        }
+    }
+    service.shutdown();
 }
