@@ -9,7 +9,11 @@
 //! (range search + conventional insert), a kd-tree and a linear scan.
 //! Each call is timed on its own; `nearest` is also priced per node
 //! visit (tree nodes visited for SI-MBR, nodes touched for the kd-tree,
-//! points scanned for the linear scan).
+//! points scanned for the linear scan). A per-call clock-read pair costs
+//! about as much as a non-splitting insert, so inserts are also timed in
+//! a batch: each plan's insert stream alone into a fresh index, with one
+//! clock read around the whole stream (`ins_ms/plan`). The binary prints
+//! what one clock-read pair costs on the host.
 //!
 //! Usage:
 //!
@@ -23,7 +27,12 @@
 //! planner's tree also depends on *which* entry wins, so the two SI-MBR
 //! backends must return the recorded id as well (the kd-tree and the
 //! linear scan may break an exact tie differently and are checked on
-//! distance only). The binary exits non-zero on any mismatch. A full run keeps the fastest of 3
+//! distance only). The replayed SI-MBR V4 inserts must also charge each
+//! plan's recorded insert `OpCount` exactly, so the timed insert stream
+//! is the plan's own: a dropped call or anchor, or an insert that
+//! depends on anything but the call stream, fails here. (Kernel changes
+//! that move the ledger are caught by the insert pins in the tests.)
+//! The binary exits non-zero on any mismatch. A full run keeps the fastest of 3
 //! replays per backend; `--smoke` replays one scene at 1 500 samples
 //! once (the `scripts/verify.sh` step).
 
@@ -107,8 +116,9 @@ impl<N: NeighborIndex> NeighborIndex for Recording<'_, N> {
     }
 }
 
-/// Plans drone-sparse scene `scene_seed` and returns its index call log.
-fn record(scene_seed: u64, samples: usize, seed: u64) -> Vec<Call> {
+/// Plans drone-sparse scene `scene_seed` and returns its index call log
+/// and the insert ledger the plan charged.
+fn record(scene_seed: u64, samples: usize, seed: u64) -> (Vec<Call>, OpCount) {
     let scenario = Scenario::generate(
         Robot::drone_3d(),
         &ScenarioParams::with_obstacles(8),
@@ -126,10 +136,10 @@ fn record(scene_seed: u64, samples: usize, seed: u64) -> Vec<Call> {
         inner: profile.build_index(scenario.robot.dof()),
         log: &log,
     };
-    RrtStar::new(&scenario, &checker, index, params)
+    let result = RrtStar::new(&scenario, &checker, index, params)
         .with_engine(profile.engine)
         .plan();
-    log.into_inner()
+    (log.into_inner(), result.stats.insert_ops)
 }
 
 /// Per-call wall times of one operation kind.
@@ -215,6 +225,48 @@ fn replay<N: NeighborIndex>(
     out
 }
 
+/// Replays only the inserts of each log into a fresh copy of `empty`,
+/// `reps` times, with one clock read around each plan's whole stream.
+/// Returns the fastest rep's ms per plan and each plan's insert ledger.
+fn insert_batch<N: NeighborIndex>(
+    reps: usize,
+    empty: &N,
+    logs: &[Vec<Call>],
+) -> (f64, Vec<OpCount>) {
+    let mut best_ns = u128::MAX;
+    let mut ledgers = Vec::new();
+    for _ in 0..reps {
+        let mut ns = 0;
+        ledgers.clear();
+        for log in logs {
+            let mut index = empty.fresh();
+            let mut ops = OpCount::default();
+            let start = Instant::now();
+            for call in log {
+                if let Call::Insert { id, q, hint } = *call {
+                    index.insert(id, q, hint, &mut ops);
+                }
+            }
+            ns += start.elapsed().as_nanos();
+            std::hint::black_box(&index);
+            ledgers.push(ops);
+        }
+        best_ns = best_ns.min(ns);
+    }
+    (best_ns as f64 / 1e6 / logs.len() as f64, ledgers)
+}
+
+/// Mean cost of one `Instant::now()` / `elapsed()` pair, the overhead
+/// every per-call timing above carries.
+fn clock_pair_ns() -> f64 {
+    const PAIRS: u32 = 100_000;
+    let start = Instant::now();
+    for _ in 0..PAIRS {
+        std::hint::black_box(Instant::now().elapsed());
+    }
+    start.elapsed().as_nanos() as f64 / f64::from(PAIRS)
+}
+
 /// Replays `reps` times and keeps the fastest run: the others differ
 /// only by scheduler noise.
 fn best_of<N: NeighborIndex>(
@@ -229,12 +281,13 @@ fn best_of<N: NeighborIndex>(
         .expect("at least one rep")
 }
 
-fn print_row(backend: &str, r: &mut Replay) {
+fn print_row(backend: &str, r: &mut Replay, insert_ms: f64) {
     let (calls, ns) = (r.nearest.ns.len() as f64, r.nearest.total() as f64);
     println!(
-        "{backend:<16} {:>9.0} {:>8} {:>9.0} {:>8} {:>9.0} {:>8} {:>8.1} {:>8.1} {:>10} {:>8}",
+        "{backend:<16} {:>9.0} {:>8} {:>11.3} {:>9.0} {:>8} {:>9.0} {:>8} {:>8.1} {:>8.1} {:>10} {:>8}",
         r.insert.mean(),
         r.insert.p50(),
+        insert_ms,
         r.nearest.mean(),
         r.nearest.p50(),
         r.neighborhood.mean(),
@@ -258,10 +311,10 @@ fn main() {
     };
     let seed = PLANNER_SEED;
 
-    let logs: Vec<Vec<Call>> = scene_seeds
+    let (logs, insert_ops): (Vec<Vec<Call>>, Vec<OpCount>) = scene_seeds
         .clone()
         .map(|s| record(s, samples, seed))
-        .collect();
+        .unzip();
     let count =
         |pred: fn(&Call) -> bool| -> usize { logs.iter().flatten().filter(|c| pred(c)).count() };
     println!(
@@ -272,10 +325,15 @@ fn main() {
         count(|c| matches!(c, Call::Neighborhood { .. })),
     );
     println!(
-        "{:<16} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>8}",
+        "nn_replay: one clock-read pair costs {:.0} ns",
+        clock_pair_ns()
+    );
+    println!(
+        "{:<16} {:>9} {:>8} {:>11} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>10} {:>8}",
         "backend",
         "ins_mean",
         "ins_p50",
+        "ins_ms/plan",
         "nn_mean",
         "nn_p50",
         "nbh_mean",
@@ -296,19 +354,19 @@ fn main() {
             visits
         })
     };
+    let v4 = SimbrIndex::moped(dim);
+    let exact = SimbrIndex::new(dim, false, false);
+    let (v4_insert_ms, v4_ledgers) = insert_batch(reps, &v4, &logs);
     let mut rows = vec![
         (
             "si-mbr-v4",
-            best_of(reps, &SimbrIndex::moped(dim), &logs, &simbr_visits),
+            best_of(reps, &v4, &logs, &simbr_visits),
+            v4_insert_ms,
         ),
         (
             "si-mbr-exact",
-            best_of(
-                reps,
-                &SimbrIndex::new(dim, false, false),
-                &logs,
-                &simbr_visits,
-            ),
+            best_of(reps, &exact, &logs, &simbr_visits),
+            insert_batch(reps, &exact, &logs).0,
         ),
         (
             "kd-tree",
@@ -321,25 +379,33 @@ fn main() {
                     stats.nodes_visited
                 })
             }),
+            insert_batch(reps, &KdIndex::new(dim), &logs).0,
         ),
         (
             "linear",
             best_of(reps, &LinearIndex::new(), &logs, &|| {
                 Box::new(|index: &LinearIndex, _: &Config| index.len() as u64)
             }),
+            insert_batch(reps, &LinearIndex::new(), &logs).0,
         ),
     ];
     let (mut mismatches, mut id_mismatches) = (0, 0);
-    for (backend, r) in &mut rows {
-        print_row(backend, r);
+    for (backend, r, insert_ms) in &mut rows {
+        print_row(backend, r, *insert_ms);
         mismatches += r.mismatches;
         if backend.starts_with("si-mbr") {
             id_mismatches += r.id_mismatches;
         }
     }
+    let ledger_mismatches = insert_ops
+        .iter()
+        .zip(&v4_ledgers)
+        .filter(|(recorded, replayed)| recorded != replayed)
+        .count();
     println!(
-        "nn_replay: ns per call (mean, p50); {mismatches} nearest-distance mismatches, \
-         {id_mismatches} SI-MBR nearest-id mismatches"
+        "nn_replay: ns per call (mean, p50), batch-timed ms of inserts per plan; \
+         {mismatches} nearest-distance mismatches, {id_mismatches} SI-MBR nearest-id mismatches, \
+         {ledger_mismatches} SI-MBR V4 insert-ledger mismatches"
     );
     if mismatches > 0 {
         eprintln!("nn_replay: FAIL — a backend's nearest distance differs from the recorded one");
@@ -347,6 +413,12 @@ fn main() {
     }
     if id_mismatches > 0 {
         eprintln!("nn_replay: FAIL — an SI-MBR backend's nearest id differs from the recorded one");
+        std::process::exit(1);
+    }
+    if ledger_mismatches > 0 {
+        eprintln!(
+            "nn_replay: FAIL — the SI-MBR V4 replay's insert OpCount differs from a recorded plan's"
+        );
         std::process::exit(1);
     }
 }

@@ -527,6 +527,10 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
 
         let mut best_goal: Option<(usize, f64)> = None; // (node, node→goal dist)
 
+        // Refinement candidates `(cost through, node)`: one buffer that
+        // every round clears and refills.
+        let mut candidates: Vec<(f64, usize)> = Vec::new();
+
         for round in 0..budget {
             if self.stop_requested(round) {
                 stats.stopped_early = true;
@@ -571,7 +575,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                 + self.nodes[nearest_idx]
                     .q
                     .distance_counted(&x_new, &mut stats.other_ops);
-            let mut candidates: Vec<(f64, usize)> = vec![(nearest_through, nearest_idx)];
+            candidates.clear();
+            candidates.push((nearest_through, nearest_idx));
             for (cand_id, cand_q) in &near {
                 let ci = *cand_id as usize;
                 if ci == nearest_idx {
@@ -584,7 +589,7 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             stats.other_ops.cmp += candidates.len() as u64;
             let mut parent = nearest_idx;
             let mut best_cost = nearest_through;
-            for (c, ci) in candidates {
+            for &(c, ci) in &candidates {
                 if ci == nearest_idx {
                     // Edge already verified collision free above.
                     parent = ci;

@@ -107,21 +107,6 @@ impl Rect {
         (0..self.dim()).map(|i| self.hi[i] - self.lo[i]).sum()
     }
 
-    /// The *area enlargement* incurred by absorbing point `p`:
-    /// `measure(union) - measure(self)` — the quantity the conventional
-    /// insertion descent minimizes at every level (§III-C, Fig 9).
-    ///
-    /// Charges `2d` comparisons (the min/max per axis), `d` subs and the
-    /// two `d`-term products to `ops`.
-    pub fn enlargement_counted(&self, p: &Config, ops: &mut OpCount) -> f64 {
-        let d = self.dim() as u64;
-        ops.cmp += 2 * d;
-        ops.add += 2 * d;
-        ops.mul += 2 * (d - 1).max(1);
-        let u = self.union_point(p);
-        u.measure() - self.measure()
-    }
-
     /// Point containment (boundary inclusive).
     pub fn contains_point(&self, p: &Config) -> bool {
         debug_assert_eq!(self.dim(), p.dim());
@@ -291,14 +276,6 @@ mod tests {
         for p in &pts {
             assert!(p.distance_sq(&q) + 1e-12 >= lower);
         }
-    }
-
-    #[test]
-    fn enlargement_zero_when_contained() {
-        let r = Rect::new(c2(0.0, 0.0), c2(2.0, 2.0));
-        let mut ops = OpCount::default();
-        assert_eq!(r.enlargement_counted(&c2(1.0, 1.0), &mut ops), 0.0);
-        assert!(r.enlargement_counted(&c2(3.0, 1.0), &mut ops) > 0.0);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!    eliminating the second neighbor search of each RRT\* round.
 //! 3. **Low-cost O(1) insertion (LCI)** — `x_new` is inserted directly as
 //!    a sibling of `x_nearest`, skipping the conventional root-to-leaf
-//!    min-area-enlargement descent.
+//!    min-area-enlargement descent. Insertion, like search, is compiled
+//!    once per dimension: the ancestor-MBR walk, the descent and the
+//!    quadratic split run over fixed-length arrays.
 //!
 //! # Layout
 //!
@@ -70,8 +72,8 @@ const MAX_ENTRIES: usize = 32;
 /// overflow item.
 const SPLIT_ITEMS: usize = MAX_ENTRIES + 1;
 
-// `SiMbrTree::nearest_with_stats` dispatches on every dimension in
-// `1..=MAX_DOF`.
+// `SiMbrTree::nearest_with_stats` and `SiMbrTree::insert` dispatch on
+// every dimension in `1..=MAX_DOF`.
 const _: () = assert!(MAX_DOF == 8);
 
 /// Traversal statistics of nearest searches: how many nodes they
@@ -249,10 +251,9 @@ impl SiMbrTree {
         Rect::new(Config::new(self.lo_of(n)), Config::new(self.hi_of(n)))
     }
 
-    fn set_planes(&mut self, n: usize, lo: &[f64], hi: &[f64]) {
-        let base = n * self.dim;
-        self.lo[base..base + self.dim].copy_from_slice(lo);
-        self.hi[base..base + self.dim].copy_from_slice(hi);
+    fn set_planes<const D: usize>(&mut self, n: usize, lo: &[f64; D], hi: &[f64; D]) {
+        *fixed_mut(&mut self.lo, n) = *lo;
+        *fixed_mut(&mut self.hi, n) = *hi;
     }
 
     /// The leaf holding entry `id`, or `None` if `id` is absent.
@@ -315,34 +316,7 @@ impl SiMbrTree {
     /// already present.
     pub fn insert_conventional(&mut self, id: u64, point: Config, ops: &mut OpCount) {
         self.check_insert(id, &point);
-        let Some(root) = self.root else {
-            self.create_root(id, point);
-            return;
-        };
-        let mut node = root;
-        while !self.is_leaf[node] {
-            // Min-area-enlargement choice, the costly part the paper's
-            // LCI removes.
-            let kids = self.kids_of(node);
-            let mut best = kids[0] as usize;
-            let mut best_enl = f64::INFINITY;
-            let mut best_area = f64::INFINITY;
-            for &k in kids {
-                let rect = self.node_rect(k as usize);
-                let enl = rect.enlargement_counted(&point, ops);
-                let area = rect.measure();
-                ops.cmp += 1;
-                if enl < best_enl || (enl == best_enl && area < best_area) {
-                    best = k as usize;
-                    best_enl = enl;
-                    best_area = area;
-                }
-            }
-            // Reading each child MBR costs 2d words.
-            ops.mem_words += self.count[node] as u64 * 2 * self.dim as u64;
-            node = best;
-        }
-        self.push_entry(node, Entry { id, point }, ops);
+        self.insert(id, &point, None, ops);
     }
 
     /// Steering-informed low-cost insertion (LCI, §III-C): places `point`
@@ -359,7 +333,7 @@ impl SiMbrTree {
         let leaf = self
             .leaf_of(near_id)
             .unwrap_or_else(|| panic!("near_id {near_id} not present in SI-MBR-Tree"));
-        self.push_entry(leaf, Entry { id, point }, ops);
+        self.insert(id, &point, Some(leaf), ops);
     }
 
     fn check_insert(&self, id: u64, point: &Config) {
@@ -374,118 +348,201 @@ impl SiMbrTree {
         );
     }
 
-    fn create_root(&mut self, id: u64, point: Config) {
+    /// Inserts `point` into `leaf`, or, for `None`, into the leaf the
+    /// conventional descent picks. One copy of the insertion per
+    /// dimension, so the ancestor-MBR, descent and split loops run over
+    /// fixed-length arrays.
+    fn insert(&mut self, id: u64, point: &Config, leaf: Option<usize>, ops: &mut OpCount) {
+        match self.dim {
+            1 => self.insert_fixed::<1>(id, point, leaf, ops),
+            2 => self.insert_fixed::<2>(id, point, leaf, ops),
+            3 => self.insert_fixed::<3>(id, point, leaf, ops),
+            4 => self.insert_fixed::<4>(id, point, leaf, ops),
+            5 => self.insert_fixed::<5>(id, point, leaf, ops),
+            6 => self.insert_fixed::<6>(id, point, leaf, ops),
+            7 => self.insert_fixed::<7>(id, point, leaf, ops),
+            8 => self.insert_fixed::<8>(id, point, leaf, ops),
+            d => unreachable!("dimension {d} is rejected by SiMbrTree::new"),
+        }
+    }
+
+    fn insert_fixed<const D: usize>(
+        &mut self,
+        id: u64,
+        point: &Config,
+        leaf: Option<usize>,
+        ops: &mut OpCount,
+    ) {
+        let p: &[f64; D] = point
+            .as_slice()
+            .try_into()
+            .expect("point dimension checked");
+        let leaf = match (leaf, self.root) {
+            (Some(leaf), _) => leaf,
+            (None, Some(root)) => self.choose_leaf(root, p, ops),
+            (None, None) => return self.create_root(id, p),
+        };
+        self.push_entry(leaf, id, p, ops);
+    }
+
+    /// The conventional descent from `root`: the min-area-enlargement
+    /// choice, the costly part the paper's LCI removes. A child's
+    /// enlargement is `measure(union) − measure` of its MBR and `p`.
+    fn choose_leaf<const D: usize>(&self, root: usize, p: &[f64; D], ops: &mut OpCount) -> usize {
+        let d = D as u64;
+        let mut node = root;
+        while !self.is_leaf[node] {
+            let kids = self.kids_of(node);
+            let mut best = kids[0] as usize;
+            let mut best_enl = f64::INFINITY;
+            let mut best_area = f64::INFINITY;
+            for &k in kids {
+                let (lo, hi) = (fixed(&self.lo, k as usize), fixed(&self.hi, k as usize));
+                let area = measure(lo, hi);
+                let enl = union_measure(lo, hi, p, p) - area;
+                if enl < best_enl || (enl == best_enl && area < best_area) {
+                    best = k as usize;
+                    best_enl = enl;
+                    best_area = area;
+                }
+            }
+            // Per child: a 2d-word MBR read; the enlargement's 2d
+            // min/max compares, 2d subtractions and two d-term products;
+            // and one compare.
+            let n = kids.len() as u64;
+            ops.mem_words += n * 2 * d;
+            ops.cmp += n * (2 * d + 1);
+            ops.add += n * 2 * d;
+            ops.mul += n * 2 * (d - 1).max(1);
+            node = best;
+        }
+        node
+    }
+
+    fn create_root<const D: usize>(&mut self, id: u64, p: &[f64; D]) {
         let n = self.alloc_node(NO_NODE, true);
-        self.set_planes(n, point.as_slice(), point.as_slice());
-        self.write_entry(n, 0, id, &point);
+        self.set_planes(n, p, p);
+        self.slots[n * self.cap] = id;
+        *fixed_mut(&mut self.pts, n * self.cap) = *p;
         self.count[n] = 1;
         self.root = Some(n);
         self.set_leaf_of(id, n);
         self.len = 1;
     }
 
-    fn write_entry(&mut self, leaf: usize, slot: usize, id: u64, point: &Config) {
-        self.slots[leaf * self.cap + slot] = id;
-        let base = (leaf * self.cap + slot) * self.dim;
-        self.pts[base..base + self.dim].copy_from_slice(point.as_slice());
-    }
-
-    fn push_entry(&mut self, leaf: usize, entry: Entry, ops: &mut OpCount) {
+    fn push_entry<const D: usize>(
+        &mut self,
+        leaf: usize,
+        id: u64,
+        p: &[f64; D],
+        ops: &mut OpCount,
+    ) {
         debug_assert!(self.is_leaf[leaf]);
         let slot = self.count[leaf] as usize;
         debug_assert!(slot < self.cap, "leaf overfull before split");
-        self.write_entry(leaf, slot, entry.id, &entry.point);
+        self.slots[leaf * self.cap + slot] = id;
+        *fixed_mut(&mut self.pts, leaf * self.cap + slot) = *p;
         self.count[leaf] += 1;
-        self.set_leaf_of(entry.id, leaf);
+        self.set_leaf_of(id, leaf);
         self.len += 1;
         // Extend ancestor MBRs in place; per level this is 2d min/max
         // compares and a 2d-word write-back.
         let mut n = leaf;
+        let mut levels = 0u64;
         loop {
-            let base = n * self.dim;
-            for i in 0..self.dim {
-                let v = entry.point[i];
-                if v < self.lo[base + i] {
-                    self.lo[base + i] = v;
-                }
-                if v > self.hi[base + i] {
-                    self.hi[base + i] = v;
+            let lo: &mut [f64; D] = fixed_mut(&mut self.lo, n);
+            for i in 0..D {
+                if p[i] < lo[i] {
+                    lo[i] = p[i];
                 }
             }
-            ops.cmp += 2 * self.dim as u64;
-            ops.mem_words += 2 * self.dim as u64;
+            let hi: &mut [f64; D] = fixed_mut(&mut self.hi, n);
+            for i in 0..D {
+                if p[i] > hi[i] {
+                    hi[i] = p[i];
+                }
+            }
+            levels += 1;
             if self.parent[n] == NO_NODE {
                 break;
             }
             n = self.parent[n] as usize;
         }
-        self.maybe_split(leaf, ops);
+        ops.cmp += levels * 2 * D as u64;
+        ops.mem_words += levels * 2 * D as u64;
+        self.maybe_split::<D>(leaf, ops);
     }
 
     // ------------------------------------------------------------------
     // Splitting (Guttman quadratic split)
     // ------------------------------------------------------------------
 
-    fn maybe_split(&mut self, mut node: usize, ops: &mut OpCount) {
+    fn maybe_split<const D: usize>(&mut self, mut node: usize, ops: &mut OpCount) {
         while self.count[node] as usize > self.max_entries {
-            node = self.split_node(node, ops);
+            node = self.split_node::<D>(node, ops);
         }
     }
 
     /// Splits `node` in two; returns the parent that gained a child (and
     /// may itself now be overfull).
-    fn split_node(&mut self, node: usize, ops: &mut OpCount) -> usize {
+    fn split_node<const D: usize>(&mut self, node: usize, ops: &mut OpCount) -> usize {
         let is_leaf = self.is_leaf[node];
         let n_items = self.count[node] as usize;
-        let (cap, dim) = (self.cap, self.dim);
-        let (keep, moved) = self.quadratic_split(node, ops);
+        let cap = self.cap;
 
-        // Snapshot the items before the kept group is rewritten in place.
-        let mut slot_snap = [0u64; SPLIT_ITEMS];
-        slot_snap[..n_items].copy_from_slice(self.kids_of(node));
-        let mut pt_snap = [0.0; SPLIT_ITEMS * MAX_DOF];
-        if is_leaf {
-            let base = node * cap * dim;
-            pt_snap[..n_items * dim].copy_from_slice(&self.pts[base..base + n_items * dim]);
+        // Gather each item once, before the kept group is rewritten in
+        // place: its slot and its MBR planes (the child's rect for an
+        // inner node, the entry point as a degenerate rect for a leaf).
+        let mut ids = [0u64; SPLIT_ITEMS];
+        ids[..n_items].copy_from_slice(self.kids_of(node));
+        let mut lo = [[0.0; D]; SPLIT_ITEMS];
+        let mut hi = [[0.0; D]; SPLIT_ITEMS];
+        for k in 0..n_items {
+            if is_leaf {
+                lo[k] = *fixed(&self.pts, node * cap + k);
+                hi[k] = lo[k];
+            } else {
+                let child = ids[k] as usize;
+                lo[k] = *fixed(&self.lo, child);
+                hi[k] = *fixed(&self.hi, child);
+            }
         }
-        let snap_pt = |i: usize| &pt_snap[i * dim..(i + 1) * dim];
+        let (keep, moved) = quadratic_split(&lo[..n_items], &hi[..n_items], ops);
 
         // Rewrite the kept group in place, the moved group into the twin.
         let new_node = self.alloc_node(self.parent[node], is_leaf);
         for (slot, &i) in keep.items().iter().enumerate() {
             let i = i as usize;
-            self.slots[node * cap + slot] = slot_snap[i];
+            self.slots[node * cap + slot] = ids[i];
             if is_leaf {
-                let base = (node * cap + slot) * dim;
-                self.pts[base..base + dim].copy_from_slice(snap_pt(i));
+                *fixed_mut(&mut self.pts, node * cap + slot) = lo[i];
             }
         }
         self.count[node] = keep.len as u32;
-        self.set_planes(node, keep.lo(), keep.hi());
+        self.set_planes(node, &keep.lo, &keep.hi);
         for (slot, &i) in moved.items().iter().enumerate() {
-            let (i, id) = (i as usize, slot_snap[i as usize]);
+            let (i, id) = (i as usize, ids[i as usize]);
             self.slots[new_node * cap + slot] = id;
             if is_leaf {
-                let base = (new_node * cap + slot) * dim;
-                self.pts[base..base + dim].copy_from_slice(snap_pt(i));
+                *fixed_mut(&mut self.pts, new_node * cap + slot) = lo[i];
                 self.entry_leaf[id as usize] = new_node as u32;
             } else {
                 self.parent[id as usize] = new_node as u32;
             }
         }
         self.count[new_node] = moved.len as u32;
-        self.set_planes(new_node, moved.lo(), moved.hi());
+        self.set_planes(new_node, &moved.lo, &moved.hi);
 
         if self.parent[node] == NO_NODE {
             // Grow a new root.
-            let mut lo = [0.0; MAX_DOF];
-            let mut hi = [0.0; MAX_DOF];
-            for i in 0..dim {
+            let mut lo = [0.0; D];
+            let mut hi = [0.0; D];
+            for i in 0..D {
                 lo[i] = keep.lo[i].min(moved.lo[i]);
                 hi[i] = keep.hi[i].max(moved.hi[i]);
             }
             let root = self.alloc_node(NO_NODE, false);
-            self.set_planes(root, &lo[..dim], &hi[..dim]);
+            self.set_planes(root, &lo, &hi);
             self.slots[root * cap] = node as u64;
             self.slots[root * cap + 1] = new_node as u64;
             self.count[root] = 2;
@@ -502,78 +559,6 @@ impl SiMbrTree {
             self.count[p] += 1;
             p
         }
-    }
-
-    /// The MBR planes of item `k` of `node`: the child's rect for an
-    /// inner node, the entry point as a degenerate rect for a leaf.
-    #[inline]
-    fn item_planes(&self, node: usize, k: usize) -> (&[f64], &[f64]) {
-        if self.is_leaf[node] {
-            let p = self.entry_pt(node, k);
-            (p, p)
-        } else {
-            let child = self.slots[node * self.cap + k] as usize;
-            (self.lo_of(child), self.hi_of(child))
-        }
-    }
-
-    /// Guttman quadratic split of `node`'s items, read straight from the
-    /// arena. Seeds are the pair wasting the most dead area if grouped;
-    /// the other items, in slot order, join the group whose MBR grows
-    /// least.
-    ///
-    /// Each item's measure is computed once, and a union's measure
-    /// multiplies the same per-axis factors in the same order as
-    /// `Rect::union(..).measure()`, so every waste and enlargement value,
-    /// and with them every decision, is that of the `Rect` formulation.
-    // Index pairs (i, j) over the same items are the algorithm's
-    // vocabulary; the seed search needs both indices.
-    #[allow(clippy::needless_range_loop)]
-    fn quadratic_split(&self, node: usize, ops: &mut OpCount) -> (SplitGroup, SplitGroup) {
-        let n = self.count[node] as usize;
-        debug_assert!((2..=SPLIT_ITEMS).contains(&n));
-        let mut measures = [0.0; SPLIT_ITEMS];
-        for k in 0..n {
-            let (lo, hi) = self.item_planes(node, k);
-            measures[k] = measure(lo, hi);
-        }
-        // Pick seeds.
-        let (mut sa, mut sb) = (0, 1);
-        let mut worst = f64::NEG_INFINITY;
-        for i in 0..n {
-            let (ilo, ihi) = self.item_planes(node, i);
-            for j in (i + 1)..n {
-                let (jlo, jhi) = self.item_planes(node, j);
-                let waste = union_measure(ilo, ihi, jlo, jhi) - measures[i] - measures[j];
-                ops.add += 2;
-                ops.cmp += 1;
-                if waste > worst {
-                    worst = waste;
-                    sa = i;
-                    sb = j;
-                }
-            }
-        }
-        let (lo, hi) = self.item_planes(node, sa);
-        let mut ga = SplitGroup::seed(sa, lo, hi, measures[sa]);
-        let (lo, hi) = self.item_planes(node, sb);
-        let mut gb = SplitGroup::seed(sb, lo, hi, measures[sb]);
-        for i in 0..n {
-            if i == sa || i == sb {
-                continue;
-            }
-            let (lo, hi) = self.item_planes(node, i);
-            let ea = ga.enlargement(lo, hi);
-            let eb = gb.enlargement(lo, hi);
-            ops.add += 2;
-            ops.cmp += 1;
-            if ea < eb || (ea == eb && ga.len <= gb.len) {
-                ga.join(i, lo, hi);
-            } else {
-                gb.join(i, lo, hi);
-            }
-        }
-        (ga, gb)
     }
 
     // ------------------------------------------------------------------
@@ -873,31 +858,19 @@ impl SiMbrTree {
     }
 }
 
-/// `Rect::measure` over rect planes: the product of the side lengths,
-/// axis by axis.
-#[inline]
-fn measure(lo: &[f64], hi: &[f64]) -> f64 {
-    let mut m = 1.0;
-    for (&l, &h) in lo.iter().zip(hi) {
-        m *= h - l;
-    }
-    m
-}
-
-/// `a.union(&b).measure()` over rect planes, without building the union.
-#[inline]
-fn union_measure(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
-    let mut m = 1.0;
-    for i in 0..alo.len() {
-        m *= ahi[i].max(bhi[i]) - alo[i].min(blo[i]);
-    }
-    m
-}
-
 /// The `D` coordinates at `slab[at * D..]` as a fixed-length array.
 #[inline(always)]
 fn fixed<const D: usize>(slab: &[f64], at: usize) -> &[f64; D] {
     slab[at * D..at * D + D]
+        .try_into()
+        .expect("slice of length D")
+}
+
+/// The `D` coordinates at `slab[at * D..]` as a mutable fixed-length
+/// array.
+#[inline(always)]
+fn fixed_mut<const D: usize>(slab: &mut [f64], at: usize) -> &mut [f64; D] {
+    (&mut slab[at * D..at * D + D])
         .try_into()
         .expect("slice of length D")
 }
@@ -926,59 +899,132 @@ fn mindist_sq<const D: usize>(q: &[f64; D], lo: &[f64; D], hi: &[f64; D]) -> f64
     acc
 }
 
+/// `Rect::measure` over rect planes: the product of the side lengths,
+/// axis by axis.
+#[inline(always)]
+fn measure<const D: usize>(lo: &[f64; D], hi: &[f64; D]) -> f64 {
+    let mut m = 1.0;
+    for i in 0..D {
+        m *= hi[i] - lo[i];
+    }
+    m
+}
+
+/// `a.union(&b).measure()` over rect planes, without building the union.
+#[inline(always)]
+fn union_measure<const D: usize>(
+    alo: &[f64; D],
+    ahi: &[f64; D],
+    blo: &[f64; D],
+    bhi: &[f64; D],
+) -> f64 {
+    let mut m = 1.0;
+    for i in 0..D {
+        m *= ahi[i].max(bhi[i]) - alo[i].min(blo[i]);
+    }
+    m
+}
+
+/// Guttman quadratic split of the gathered items `lo[k]..hi[k]`. Seeds
+/// are the pair wasting the most dead area if grouped; the other items,
+/// in slot order, join the group whose MBR grows least.
+///
+/// Each item's measure is computed once, and a union's measure
+/// multiplies the same per-axis factors in the same order as
+/// `Rect::union(..).measure()`, so every waste and enlargement value,
+/// and with them every decision, is that of the `Rect` formulation.
+// Index pairs (i, j) over the same items are the algorithm's
+// vocabulary; the seed search needs both indices.
+#[allow(clippy::needless_range_loop)]
+fn quadratic_split<const D: usize>(
+    lo: &[[f64; D]],
+    hi: &[[f64; D]],
+    ops: &mut OpCount,
+) -> (SplitGroup<D>, SplitGroup<D>) {
+    let n = lo.len();
+    debug_assert!((2..=SPLIT_ITEMS).contains(&n));
+    let mut measures = [0.0; SPLIT_ITEMS];
+    for k in 0..n {
+        measures[k] = measure(&lo[k], &hi[k]);
+    }
+    // Pick seeds.
+    let (mut sa, mut sb) = (0, 1);
+    let mut worst = f64::NEG_INFINITY;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let waste = union_measure(&lo[i], &hi[i], &lo[j], &hi[j]) - measures[i] - measures[j];
+            if waste > worst {
+                worst = waste;
+                sa = i;
+                sb = j;
+            }
+        }
+    }
+    // Per pair: two subtractions and one compare.
+    let pairs = (n * (n - 1) / 2) as u64;
+    ops.add += 2 * pairs;
+    ops.cmp += pairs;
+    let mut ga = SplitGroup::seed(sa, &lo[sa], &hi[sa], measures[sa]);
+    let mut gb = SplitGroup::seed(sb, &lo[sb], &hi[sb], measures[sb]);
+    for i in 0..n {
+        if i == sa || i == sb {
+            continue;
+        }
+        let ea = ga.enlargement(&lo[i], &hi[i]);
+        let eb = gb.enlargement(&lo[i], &hi[i]);
+        if ea < eb || (ea == eb && ga.len <= gb.len) {
+            ga.join(i, &lo[i], &hi[i]);
+        } else {
+            gb.join(i, &lo[i], &hi[i]);
+        }
+    }
+    // Per remaining item: two enlargements and one compare.
+    ops.add += 2 * (n - 2) as u64;
+    ops.cmp += (n - 2) as u64;
+    (ga, gb)
+}
+
 /// One side of a quadratic split: its item indices in join order and its
 /// MBR planes, all in fixed arrays.
-struct SplitGroup {
+struct SplitGroup<const D: usize> {
     items: [u8; SPLIT_ITEMS],
     len: usize,
-    dim: usize,
-    lo: [f64; MAX_DOF],
-    hi: [f64; MAX_DOF],
+    lo: [f64; D],
+    hi: [f64; D],
     /// `measure` of the group MBR, refreshed on every join.
     measure: f64,
 }
 
-impl SplitGroup {
-    fn seed(item: usize, lo: &[f64], hi: &[f64], measure: f64) -> Self {
-        let mut g = SplitGroup {
-            items: [0; SPLIT_ITEMS],
+impl<const D: usize> SplitGroup<D> {
+    fn seed(item: usize, lo: &[f64; D], hi: &[f64; D], measure: f64) -> Self {
+        let mut items = [0; SPLIT_ITEMS];
+        items[0] = item as u8;
+        SplitGroup {
+            items,
             len: 1,
-            dim: lo.len(),
-            lo: [0.0; MAX_DOF],
-            hi: [0.0; MAX_DOF],
+            lo: *lo,
+            hi: *hi,
             measure,
-        };
-        g.items[0] = item as u8;
-        g.lo[..g.dim].copy_from_slice(lo);
-        g.hi[..g.dim].copy_from_slice(hi);
-        g
+        }
     }
 
     fn items(&self) -> &[u8] {
         &self.items[..self.len]
     }
 
-    fn lo(&self) -> &[f64] {
-        &self.lo[..self.dim]
-    }
-
-    fn hi(&self) -> &[f64] {
-        &self.hi[..self.dim]
-    }
-
     /// Growth of the group's measure if it absorbed the rect `lo..hi`.
-    fn enlargement(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        union_measure(self.lo(), self.hi(), lo, hi) - self.measure
+    fn enlargement(&self, lo: &[f64; D], hi: &[f64; D]) -> f64 {
+        union_measure(&self.lo, &self.hi, lo, hi) - self.measure
     }
 
-    fn join(&mut self, item: usize, lo: &[f64], hi: &[f64]) {
+    fn join(&mut self, item: usize, lo: &[f64; D], hi: &[f64; D]) {
         self.items[self.len] = item as u8;
         self.len += 1;
-        for i in 0..self.dim {
+        for i in 0..D {
             self.lo[i] = self.lo[i].min(lo[i]);
             self.hi[i] = self.hi[i].max(hi[i]);
         }
-        self.measure = measure(self.lo(), self.hi());
+        self.measure = measure(&self.lo, &self.hi);
     }
 }
 

@@ -212,3 +212,133 @@ fn nearest_on_a_tied_grid_lies_at_the_linear_distance() {
         check_query(&tree, &points, &Config::new(&q)).unwrap();
     }
 }
+
+/// SplitMix64: a seeded coordinate stream that does not depend on the
+/// `rand` version.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// FNV-1a (64-bit) over the ids and coordinate bits of `iter()`, in arena
+/// order: any moved entry, reordered slot or changed split fails it.
+fn arena_hash(tree: &SiMbrTree) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for e in tree.iter() {
+        eat(e.id);
+        for &c in e.point.as_slice() {
+            eat(c.to_bits());
+        }
+    }
+    h
+}
+
+/// One pinned build: `(dim, cap, insertion, arena hash, node_count,
+/// height, memory_words, insert ledger [mul, add, cmp, mem_words])`.
+type InsertPin = (usize, usize, &'static str, u64, usize, usize, u64, [u64; 4]);
+
+/// Builds a tree from a seeded 300-point stream in `[-30, 30)^dim` and
+/// returns its pin. `"lci"` anchors each point at its exact nearest
+/// entry, `"conv"` descends from the root; only the insertions are
+/// charged to the pinned ledger.
+fn insert_pin(dim: usize, cap: usize, insertion: &'static str) -> InsertPin {
+    let mut state = 0x5EED_0000 ^ (dim as u64) << 8 ^ cap as u64;
+    let mut tree = SiMbrTree::new(dim, cap);
+    let (mut ops, mut search_ops) = (OpCount::default(), OpCount::default());
+    for i in 0..300u64 {
+        let coords: Vec<f64> = (0..dim)
+            .map(|_| (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * 60.0 - 30.0)
+            .collect();
+        let p = Config::new(&coords);
+        match tree.nearest(&p, &mut search_ops) {
+            Some((anchor, _)) if insertion == "lci" => tree.insert_near(i, p, anchor, &mut ops),
+            _ => tree.insert_conventional(i, p, &mut ops),
+        }
+    }
+    assert!(
+        tree.check_invariants().is_none(),
+        "{:?}",
+        tree.check_invariants()
+    );
+    assert_eq!((ops.sqrt, ops.dist_calcs, ops.sat_queries), (0, 0, 0));
+    (
+        dim,
+        cap,
+        insertion,
+        arena_hash(&tree),
+        tree.node_count(),
+        tree.height(),
+        tree.memory_words(),
+        [ops.mul, ops.add, ops.cmp, ops.mem_words],
+    )
+}
+
+/// Trees, split decisions and insert ledgers in every dimension the
+/// insert kernels are compiled for, at capacities 2 and 6, by LCI and by
+/// conventional insertion. Taken before insertion was specialised per
+/// dimension; any change to a split, a slot order or an op charge fails
+/// here.
+#[rustfmt::skip]
+const INSERT_PINS: [InsertPin; 32] = [
+    (1, 2, "lci",  0xe592_66c8_e154_2a09, 580, 13,  2339, [0, 4536, 8906, 6638]),
+    (1, 2, "conv", 0xe592_66c8_e154_2a09, 580, 13,  2339, [9914, 14450, 23777, 16552]),
+    (1, 6, "lci",  0xbe35_4b0f_3675_aa02,  98,  4,   893, [0, 4888, 4598, 2154]),
+    (1, 6, "conv", 0xbe35_4b0f_3675_aa02,  98,  4,   893, [6412, 11300, 14216, 8566]),
+    (2, 2, "lci",  0x014b_3ea8_9ed1_25fa, 552, 13,  3659, [0, 4312, 15180, 13024]),
+    (2, 2, "conv", 0x17d4_b800_6ffa_7d46, 501, 12,  3404, [9470, 22852, 38159, 31468]),
+    (2, 6, "lci",  0x8f36_02de_2f3b_f8ce,  98,  4,  1389, [0, 4888, 6588, 4144]),
+    (2, 6, "conv", 0xe7c6_5632_1fcc_0c86,  99,  4,  1394, [6358, 17656, 22541, 16892]),
+    (3, 2, "lci",  0x5435_3b65_ffdb_ceb5, 579, 16,  5252, [0, 4504, 22004, 19752]),
+    (3, 2, "conv", 0x8dec_33cd_8245_0bad, 458, 12,  4405, [17584, 29944, 49620, 43440]),
+    (3, 6, "lci",  0xa08a_4f2b_6393_bd99,  93,  4,  1850, [0, 4628, 8620, 6306]),
+    (3, 6, "conv", 0x5ea2_eb4d_1d8e_0cb9,  92,  4,  1843, [12028, 22618, 29475, 24180]),
+    (4, 2, "lci",  0x9bdc_43f2_00ee_769f, 558, 14,  6521, [0, 4352, 28520, 26344]),
+    (4, 2, "conv", 0x5163_ec70_c71b_bb27, 457, 11,  5612, [26268, 38592, 63842, 57680]),
+    (4, 6, "lci",  0x9fe5_5b51_959c_3fba,  92,  4,  2327, [0, 4576, 10768, 8480]),
+    (4, 6, "conv", 0xb55f_c834_2e6e_88d2,  88,  4,  2291, [18726, 29336, 38801, 33496]),
+    (5, 2, "lci",  0x8970_bea4_2d60_840c, 551, 14,  7860, [0, 4296, 35108, 32960]),
+    (5, 2, "conv", 0x67f5_9317_b180_43f4, 462, 12,  6881, [34888, 47210, 77801, 71640]),
+    (5, 6, "lci",  0x78bb_2dab_b78a_9660, 102,  5,  2921, [0, 5044, 12952, 10430]),
+    (5, 6, "conv", 0x8475_f0c6_3d6b_5714,  87,  4,  2756, [24056, 34386, 45615, 40450]),
+    (6, 2, "lci",  0xf530_4b9d_e56c_f230, 563, 16,  9418, [0, 4376, 42856, 40668]),
+    (6, 2, "conv", 0x91ed_58dc_7589_d0dc, 444, 12,  7871, [43860, 56088, 92538, 86424]),
+    (6, 6, "lci",  0x96dd_d58a_c91c_8246,  96,  5,  3347, [0, 4732, 15374, 13008]),
+    (6, 6, "conv", 0x4682_f420_0137_1d46,  84,  4,  3191, [29510, 39572, 52563, 47532]),
+    (7, 2, "lci",  0xb57c_46a2_ff9c_f95b, 562, 16, 10829, [0, 4368, 50736, 48552]),
+    (7, 2, "conv", 0xb651_97c8_3fdd_0e0b, 440, 14,  8999, [55632, 68312, 111326, 104986]),
+    (7, 6, "lci",  0xd480_3fed_8edf_d536,  95,  4,  3824, [0, 4732, 16940, 14574]),
+    (7, 6, "conv", 0x623b_4679_063f_32aa,  87,  4,  3704, [34848, 44972, 60292, 55230]),
+    (8, 2, "lci",  0xd7ee_4b5a_09d5_f2d6, 550, 14, 12049, [0, 4288, 57488, 55344]),
+    (8, 2, "conv", 0x8bc7_722a_acf7_da7e, 410, 11,  9669, [55230, 66312, 108421, 102880]),
+    (8, 6, "lci",  0xe402_fa49_6712_d189,  98,  5,  4365, [0, 4836, 19842, 17424]),
+    (8, 6, "conv", 0x88f4_2d5d_afc5_a8b1,  86,  4,  4161, [41286, 51448, 68633, 63552]),
+];
+
+#[test]
+fn insertion_is_pinned_in_every_dimension() {
+    let got: Vec<InsertPin> = (1..=8)
+        .flat_map(|dim| [2, 6].map(|cap| (dim, cap)))
+        .flat_map(|(dim, cap)| ["lci", "conv"].map(|mode| insert_pin(dim, cap, mode)))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(d, c, mode, h, n, ht, w, ops)| {
+            format!(
+                "    ({d}, {c}, {:<7} {h:#018x}, {n:>3}, {ht:>2}, {w:>5}, {ops:?}),\n",
+                format!("{mode:?},")
+            )
+        })
+        .collect();
+    assert_eq!(
+        got, INSERT_PINS,
+        "insert pins moved; the current rows:\n{table}"
+    );
+}

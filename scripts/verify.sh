@@ -100,10 +100,13 @@ cargo run --release -q -p moped-bench --bin service_bench -- \
 echo "== nn_replay --smoke (neighbor-index replay gate) =="
 # Records one drone-sparse plan's neighbor-index call stream and replays
 # it alone into SI-MBR V4, exact SI-MBR, kd-tree and linear indexes,
-# printing ns per call and per node visit. Every backend's nearest is
-# exact, so the binary exits non-zero if any replayed nearest distance
-# differs from the recorded one by a single bit, or if an SI-MBR backend
-# returns a different nearest id (the planner's tree depends on it).
+# printing ns per call and per node visit and batch-timed insert ms per
+# plan. Every backend's nearest is exact, so the binary exits non-zero if
+# any replayed nearest distance differs from the recorded one by a single
+# bit, or if an SI-MBR backend returns a different nearest id (the
+# planner's tree depends on it). It also guards the insert ledger: it
+# exits non-zero if the replayed SI-MBR V4 inserts charge an OpCount
+# other than the recorded plan's insert_ops.
 cargo run --release -q -p moped-bench --bin nn_replay -- --smoke
 
 echo "== motion_replay --smoke (motion-check replay gate) =="

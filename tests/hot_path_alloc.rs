@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use moped::collision::{CollisionChecker, CollisionLedger, TwoStageChecker};
-use moped::core::{NeighborIndex, SimbrIndex};
+use moped::core::{NeighborIndex, PlannerParams, SimbrIndex, Variant};
 use moped::env::{Scenario, ScenarioParams};
 use moped::geometry::{Config, InterpolationSteps, OpCount};
 use moped::robot::Robot;
@@ -192,5 +192,32 @@ fn config_check_allocates_nothing_on_mixed_poses() {
     assert_eq!(
         allocs, 0,
         "warm config checks must not touch the heap ({allocs} allocations over 128 poses)"
+    );
+}
+
+#[test]
+fn planning_rounds_average_under_two_allocations() {
+    // A whole drone-sparse RRT* plan, set-up included. What still
+    // allocates: the SIAS neighborhood `Vec` of every accepted sample,
+    // each new node's child list, and the amortized growth of the node
+    // and index-arena vectors. The refinement candidate list is one
+    // buffer reused by every round.
+    let scenario = Scenario::generate(Robot::drone_3d(), &ScenarioParams::with_obstacles(8), 1);
+    let checker = TwoStageChecker::moped(scenario.obstacles.clone());
+    let params = PlannerParams {
+        max_samples: 1_500,
+        seed: 7,
+        ..PlannerParams::default()
+    };
+    let mut planner = Variant::V4Lci
+        .profile()
+        .planner(&scenario, &checker, &params);
+    let mut samples = 0;
+    let allocs = allocations_during(|| samples = planner.plan().stats.samples);
+    assert_eq!(samples, 1_500);
+    assert!(
+        allocs < 2 * samples as u64,
+        "a planning round must average under 2 heap allocations \
+         ({allocs} over {samples} rounds)"
     );
 }
