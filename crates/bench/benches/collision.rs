@@ -59,34 +59,6 @@ fn bench_motion_checks(c: &mut Criterion) {
     g.finish();
 }
 
-/// The batched SoA narrow phase on a full start-to-goal motion, at two
-/// obstacle densities.
-fn bench_narrow_phase(c: &mut Criterion) {
-    let mut g = c.benchmark_group("narrow_phase_drone");
-    for &count in &[16usize, 48] {
-        let s = Scenario::generate(
-            Robot::drone_3d(),
-            &ScenarioParams::with_obstacles(count),
-            21,
-        );
-        let batched = TwoStageChecker::moped(s.obstacles.clone());
-        let steps = InterpolationSteps::default();
-        g.bench_with_input(BenchmarkId::new("batched", count), &s.goal, |b, goal| {
-            b.iter(|| {
-                let mut ledger = CollisionLedger::default();
-                black_box(batched.motion_free(
-                    &s.robot,
-                    &s.start,
-                    black_box(goal),
-                    &steps,
-                    &mut ledger,
-                ))
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_rtree_build(c: &mut Criterion) {
     // Offline construction cost (excluded from runtime in the paper, but
     // worth tracking).
@@ -124,7 +96,6 @@ criterion_group!(
     benches,
     bench_config_checks,
     bench_motion_checks,
-    bench_narrow_phase,
     bench_rtree_build,
     bench_octree
 );

@@ -12,7 +12,7 @@
 //! * [`TwoStageChecker`] — MOPED's §III-A scheme: an offline-built STR
 //!   R-tree over obstacle AABBs filters with cheap AABB–OBB checks
 //!   (stage 1); only survivors get the exact OBB–OBB check (stage 2),
-//!   run as one batched SAT over the pre-encoded obstacle field.
+//!   the same [`sat::obb_obb`] the baseline runs on every pair.
 //! * [`TwoStageChecker`] in [`SecondStage::AabbOnly`] mode — the Fig 18
 //!   ablation: survivors of the first stage are *declared* collisions
 //!   (loose, conservative), trading path quality for check cost.
@@ -132,16 +132,12 @@ fn poses_free<C: CollisionChecker + ?Sized>(
 #[derive(Clone, Debug)]
 pub struct NaiveChecker {
     obstacles: Vec<Obb>,
-    bodies: std::cell::RefCell<Vec<Obb>>,
 }
 
 impl NaiveChecker {
     /// Creates a checker over the given obstacle field.
     pub fn new(obstacles: Vec<Obb>) -> Self {
-        NaiveChecker {
-            obstacles,
-            bodies: std::cell::RefCell::new(Vec::new()),
-        }
+        NaiveChecker { obstacles }
     }
 
     /// The obstacle field being checked against.
@@ -152,17 +148,13 @@ impl NaiveChecker {
 
 impl CollisionChecker for NaiveChecker {
     fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
-        let mut bodies = self.bodies.borrow_mut();
-        robot.body_obbs_into(q, &mut bodies);
-        for body in bodies.iter() {
-            for obs in &self.obstacles {
-                ledger.second_stage.mem_words += obs.encoded_words();
-                if sat::obb_obb(obs, body, &mut ledger.second_stage) {
-                    return false;
-                }
-            }
-        }
-        true
+        SCRATCH.with_borrow_mut(|scratch| {
+            robot.body_obbs_into(q, &mut scratch.bodies);
+            !scratch
+                .bodies
+                .iter()
+                .any(|body| exact_hit(&self.obstacles, body, &mut ledger.second_stage))
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -179,7 +171,6 @@ pub struct NaiveAabbChecker {
     obstacles: Vec<Obb>,
     /// Center and half-extents of each obstacle's AABB relaxation.
     aabbs: Vec<(Vec3, Vec3)>,
-    bodies: std::cell::RefCell<Vec<Obb>>,
 }
 
 impl NaiveAabbChecker {
@@ -192,11 +183,7 @@ impl NaiveAabbChecker {
                 (a.center(), a.half_extents())
             })
             .collect();
-        NaiveAabbChecker {
-            obstacles,
-            aabbs,
-            bodies: std::cell::RefCell::new(Vec::new()),
-        }
+        NaiveAabbChecker { obstacles, aabbs }
     }
 
     /// The original OBB obstacle field.
@@ -207,23 +194,24 @@ impl NaiveAabbChecker {
 
 impl CollisionChecker for NaiveAabbChecker {
     fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
-        let mut bodies = self.bodies.borrow_mut();
-        robot.body_obbs_into(q, &mut bodies);
-        for body in bodies.iter() {
-            let mut prepared = sat::AabbObbBody::new(body);
-            let words = if body.is_planar() { 4 } else { 6 };
-            let mut tested = 0;
-            let hit = self.aabbs.iter().any(|&(c, h)| {
-                tested += 1;
-                prepared.overlaps(c, h)
-            });
-            ledger.first_stage.mem_words += words * tested;
-            prepared.charge(&mut ledger.first_stage);
-            if hit {
-                return false;
+        SCRATCH.with_borrow_mut(|scratch| {
+            robot.body_obbs_into(q, &mut scratch.bodies);
+            for body in &scratch.bodies {
+                let mut prepared = sat::AabbObbBody::new(body);
+                let words = if body.is_planar() { 4 } else { 6 };
+                let mut tested = 0;
+                let hit = self.aabbs.iter().any(|&(c, h)| {
+                    tested += 1;
+                    prepared.overlaps(c, h)
+                });
+                ledger.first_stage.mem_words += words * tested;
+                prepared.charge(&mut ledger.first_stage);
+                if hit {
+                    return false;
+                }
             }
-        }
-        true
+            true
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -248,12 +236,10 @@ pub const RTREE_FANOUT: usize = 4;
 /// MOPED's two-stage checker (§III-A): R-tree AABB filter, then exact
 /// OBB–OBB on survivors.
 ///
-/// The obstacle field is held as a precomputed structure-of-arrays
-/// ([`sat::ObbSoa`]): centers, half-extents, and rotation axes are
-/// extracted once at construction, so the narrow phase streams plain
-/// `f64` lanes instead of re-deriving axes per test. Survivors are
-/// checked in [`sat::SAT_BATCH`]-wide chunks of branch-free full-axis
-/// lanes, with the body's axes prepared once per pose.
+/// Each survivor, in R-tree order, gets the exact [`sat::obb_obb`] with
+/// the obstacle as box A, as in [`NaiveChecker`]; the check stops at the
+/// first hit, and each tested pair is charged its SAT up to the
+/// separating axis plus the obstacle's encoded words.
 ///
 /// The checker is read-only after construction and `Sync`: the per-pose
 /// scratch buffers live in a thread-local, so one checker can be shared
@@ -261,24 +247,39 @@ pub const RTREE_FANOUT: usize = 4;
 #[derive(Clone, Debug)]
 pub struct TwoStageChecker {
     rtree: RTree,
-    soa: sat::ObbSoa,
+    obstacles: Vec<Obb>,
     second: SecondStage,
 }
 
-/// Per-thread buffers reused by every [`TwoStageChecker`] call on that
-/// thread. Each call clears what it reads before filling it
-/// (`body_obbs_into` and `filter_into` clear their outputs), so a panic
-/// mid-check leaves nothing a later call could mistake for its own.
+/// Per-thread buffers reused by every checker call on that thread. Each
+/// call clears what it reads before filling it (`body_obbs_into` and
+/// `filter_into` clear their outputs), so a panic mid-check leaves
+/// nothing a later call could mistake for its own. A call holds the
+/// borrow only around its own kinematics, filter and SAT work, never
+/// around another checker's call.
 #[derive(Default)]
-struct TwoStageScratch {
+struct Scratch {
     bodies: Vec<Obb>,
     stack: Vec<usize>,
     survivors: Vec<usize>,
 }
 
 thread_local! {
-    static SCRATCH: std::cell::RefCell<TwoStageScratch> =
-        std::cell::RefCell::new(TwoStageScratch::default());
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+/// Exact any-hit test of `body` against `obstacles` in order: each tested
+/// pair is charged its OBB–OBB SAT plus the obstacle's encoded words, and
+/// the test stops at the first hit.
+fn exact_hit<'a>(
+    obstacles: impl IntoIterator<Item = &'a Obb>,
+    body: &Obb,
+    ops: &mut OpCount,
+) -> bool {
+    obstacles.into_iter().any(|obs| {
+        ops.mem_words += obs.encoded_words();
+        sat::obb_obb(obs, body, ops)
+    })
 }
 
 impl TwoStageChecker {
@@ -287,7 +288,7 @@ impl TwoStageChecker {
     pub fn new(obstacles: Vec<Obb>, second: SecondStage) -> Self {
         TwoStageChecker {
             rtree: RTree::build(&obstacles, RTREE_FANOUT),
-            soa: sat::ObbSoa::build(obstacles),
+            obstacles,
             second,
         }
     }
@@ -305,7 +306,7 @@ impl TwoStageChecker {
 
     /// The obstacle field.
     pub fn obstacles(&self) -> &[Obb] {
-        self.soa.obbs()
+        &self.obstacles
     }
 
     /// The configured second-stage policy.
@@ -336,6 +337,8 @@ impl TwoStageChecker {
 // build here.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
+    assert_sync::<NaiveChecker>();
+    assert_sync::<NaiveAabbChecker>();
     assert_sync::<TwoStageChecker>();
 };
 
@@ -360,18 +363,8 @@ impl CollisionChecker for TwoStageChecker {
                     SecondStage::AabbOnly => return false,
                     SecondStage::ObbExact => {
                         // Stage 2: exact check on the few survivors only.
-                        let pre = sat::prepare(body);
-                        for &oid in &scratch.survivors {
-                            ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
-                        }
-                        if sat::obb_obb_batch(
-                            &self.soa,
-                            &scratch.survivors,
-                            &pre,
-                            &mut ledger.second_stage,
-                        )
-                        .is_some()
-                        {
+                        let survivors = scratch.survivors.iter().map(|&oid| &self.obstacles[oid]);
+                        if exact_hit(survivors, body, &mut ledger.second_stage) {
                             return false;
                         }
                     }
@@ -442,8 +435,8 @@ mod tests {
         assert!(two.config_free(&robot, &q, &mut ledger));
     }
 
-    /// `n` drone poses from a seeded LCG: each step advances `state` and
-    /// reads the six unit coordinates as consecutive `bits`-wide fields.
+    /// `n` poses from a seeded LCG: each step advances `state` and reads
+    /// the robot's unit coordinates as consecutive `bits`-wide fields.
     fn lcg_poses(
         s: &Scenario,
         n: usize,
@@ -456,7 +449,7 @@ mod tests {
         (0..n)
             .map(|_| {
                 state = state.wrapping_mul(mul).wrapping_add(add);
-                let unit: Vec<f64> = (0..6)
+                let unit: Vec<f64> = (0..s.robot.dof() as u32)
                     .map(|i| ((state >> (i * bits)) & mask) as f64 / mask as f64)
                     .collect();
                 s.robot.config_from_unit(&unit)
@@ -485,25 +478,23 @@ mod tests {
         let s = drone_scene(13, 36);
         let poses = lcg_poses(&s, 120, 99, 2862933555777941757, 3037000493, 7);
         cases.push((s, poses, "36 obstacles, seed 13".to_string()));
-        // A cluster of overlapping rotated boxes, swept by poses along
-        // and beside its axis: bodies here leave several broad-phase
-        // survivors, some colliding and some only AABB-overlapping, so the
-        // batched narrow phase decides between multiple candidates.
-        let mut s = drone_scene(5, 8);
-        s.obstacles = (0..6)
-            .map(|k| {
-                let c = Vec3::new(120.0 + 12.0 * k as f64, 150.0, 150.0);
-                Obb::from_euler(c, Vec3::new(10.0, 25.0, 4.0), 0.3 * k as f64, 0.5, 0.2)
-            })
-            .collect();
-        let poses = (0..120)
-            .map(|i| {
-                let x = 90.0 + 1.5 * (i / 3) as f64;
-                let off = 12.0 * (i % 3) as f64;
-                Config::new(&[x, 140.0 + off, 150.0 - off, 0.2 * i as f64, 0.0, 0.0])
-            })
-            .collect();
+        let (s, poses) = overlapping_cluster();
         cases.push((s, poses, "overlapping cluster".to_string()));
+        // The planar workload: planar body against planar obstacles, so
+        // every exact check takes the 4-axis SAT. Its colliding poses are
+        // ones the two-stage checker can only reject in the exact stage.
+        let s = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(48), 4);
+        let poses = lcg_poses(&s, 150, 3, MUL, 1442695040888963407, 12);
+        let naive = NaiveChecker::new(s.obstacles.clone());
+        let free = poses
+            .iter()
+            .filter(|q| naive.config_free(&s.robot, q, &mut CollisionLedger::default()))
+            .count();
+        assert!(
+            0 < free && free < poses.len(),
+            "planar poses must mix verdicts"
+        );
+        cases.push((s, poses, "planar, 48 obstacles, seed 4".to_string()));
 
         for (s, poses, label) in &cases {
             let naive = NaiveChecker::new(s.obstacles.clone());
@@ -518,6 +509,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A cluster of overlapping rotated boxes, swept by drone poses along
+    /// and beside its axis: bodies here leave several broad-phase
+    /// survivors, some colliding and some only AABB-overlapping, so the
+    /// narrow phase decides between multiple candidates.
+    fn overlapping_cluster() -> (Scenario, Vec<Config>) {
+        let mut s = drone_scene(5, 8);
+        s.obstacles = (0..6)
+            .map(|k| {
+                let c = Vec3::new(120.0 + 12.0 * k as f64, 150.0, 150.0);
+                Obb::from_euler(c, Vec3::new(10.0, 25.0, 4.0), 0.3 * k as f64, 0.5, 0.2)
+            })
+            .collect();
+        let poses = (0..120)
+            .map(|i| {
+                let x = 90.0 + 1.5 * (i / 3) as f64;
+                let off = 12.0 * (i % 3) as f64;
+                Config::new(&[x, 140.0 + off, 150.0 - off, 0.2 * i as f64, 0.0, 0.0])
+            })
+            .collect();
+        (s, poses)
+    }
+
+    /// Each pose's second stage is charged exactly one `sat::obb_obb`
+    /// (obstacle as box A) plus the obstacle's encoded words per survivor
+    /// it tests, in R-tree order, up to and including the first hit.
+    #[test]
+    fn narrow_phase_charges_each_tested_pair_once() {
+        let (s, poses) = overlapping_cluster();
+        let two = TwoStageChecker::moped(s.obstacles.clone());
+        let (mut multi_pair_poses, mut early_hits) = (0, 0);
+        for q in &poses {
+            let mut ledger = CollisionLedger::default();
+            let free = two.config_free(&s.robot, q, &mut ledger);
+
+            let mut expected = OpCount::default();
+            let mut hit = false;
+            let mut tested = 0;
+            for body in s.robot.body_obbs(q) {
+                let survivors = two.rtree().filter_with_stats(
+                    &body,
+                    &mut OpCount::default(),
+                    &mut FilterStats::default(),
+                );
+                for &oid in &survivors {
+                    let obs = &two.obstacles()[oid];
+                    tested += 1;
+                    expected.mem_words += obs.encoded_words();
+                    if sat::obb_obb(obs, &body, &mut expected) {
+                        hit = true;
+                        early_hits += usize::from(oid != *survivors.last().unwrap());
+                        break;
+                    }
+                }
+                if hit {
+                    break;
+                }
+            }
+            multi_pair_poses += usize::from(tested > 1);
+            assert_eq!(free, !hit, "verdict at {q:?}");
+            assert_eq!(ledger.second_stage, expected, "second stage at {q:?}");
+        }
+        assert!(multi_pair_poses > 0, "no pose tested several survivors");
+        assert!(early_hits > 0, "no pose stopped before its last survivor");
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! * **OBB–OBB, 3D**: 15 candidate axes (3 + 3 face axes, 9 edge cross
 //!   products), each verified with dot products — the expensive exact check
-//!   used only in the second stage.
+//!   used only in the second stage. [`obb_obb`] is the one exact test: the
+//!   all-pairs baseline and the two-stage checker's survivors both run it,
+//!   and it stops (and stops charging) at the first separating axis.
 //! * **OBB–OBB, 2D**: 4 candidate axes — used by the planar mobile-robot
 //!   workload.
 //! * **AABB–OBB**: one box is axis-aligned, so the axis set simplifies
@@ -592,245 +594,6 @@ fn obb_obb_2d(a: &Obb, b: &Obb, ops: &mut OpCount) -> bool {
     true
 }
 
-/// Structure-of-arrays obstacle store for the batched narrow phase.
-///
-/// Built once per environment: rotation *columns* (the SAT axes) are
-/// extracted from every obstacle up front, so the per-query kernel streams
-/// contiguous `f64` arrays instead of chasing `Mat3` rows through an
-/// array-of-structs layout. The original boxes are retained for the planar
-/// dispatch lane and for reference-path comparisons.
-#[derive(Clone, Debug)]
-pub struct ObbSoa {
-    obbs: Vec<Obb>,
-    /// Obstacle centers, stride 3.
-    center: Vec<f64>,
-    /// Obstacle half extents, stride 3.
-    half: Vec<f64>,
-    /// Rotation columns (= SAT axes), stride 9: axis `j` of obstacle `i`
-    /// occupies `[i*9 + j*3, i*9 + j*3 + 3)`.
-    axes: Vec<f64>,
-    planar: Vec<bool>,
-}
-
-impl ObbSoa {
-    /// Extracts the SoA columns from `obbs` (axes pulled out once here,
-    /// never again on the query path).
-    pub fn build(obbs: Vec<Obb>) -> Self {
-        let n = obbs.len();
-        let mut center = Vec::with_capacity(n * 3);
-        let mut half = Vec::with_capacity(n * 3);
-        let mut axes = Vec::with_capacity(n * 9);
-        let mut planar = Vec::with_capacity(n);
-        for o in &obbs {
-            let c = o.center();
-            center.extend_from_slice(&[c.x, c.y, c.z]);
-            let h = o.half_extents();
-            half.extend_from_slice(&[h.x, h.y, h.z]);
-            for j in 0..3 {
-                let a = o.axis(j);
-                axes.extend_from_slice(&[a.x, a.y, a.z]);
-            }
-            planar.push(o.is_planar());
-        }
-        ObbSoa {
-            obbs,
-            center,
-            half,
-            axes,
-            planar,
-        }
-    }
-
-    /// Number of obstacles.
-    pub fn len(&self) -> usize {
-        self.obbs.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.obbs.is_empty()
-    }
-
-    /// The original boxes, in store order.
-    pub fn obbs(&self) -> &[Obb] {
-        &self.obbs
-    }
-
-    /// The original box `i`.
-    pub fn get(&self, i: usize) -> &Obb {
-        &self.obbs[i]
-    }
-
-    /// Whether obstacle `i` uses the planar encoding.
-    pub fn is_planar(&self, i: usize) -> bool {
-        self.planar[i]
-    }
-}
-
-/// Robot-body-side precomputation for the batched narrow phase: the body's
-/// rotation columns are extracted once per pose instead of once per
-/// obstacle pair.
-#[derive(Clone, Copy, Debug)]
-pub struct ObbPre {
-    obb: Obb,
-    center: [f64; 3],
-    half: [f64; 3],
-    /// `axes[j]` is rotation column `j` (SAT axis `B_j`).
-    axes: [[f64; 3]; 3],
-    planar: bool,
-}
-
-/// Hoists the body-side axis extraction out of the per-obstacle loop.
-pub fn prepare(body: &Obb) -> ObbPre {
-    let c = body.center();
-    let h = body.half_extents();
-    let mut axes = [[0.0; 3]; 3];
-    for (j, col) in axes.iter_mut().enumerate() {
-        let a = body.axis(j);
-        *col = [a.x, a.y, a.z];
-    }
-    ObbPre {
-        obb: *body,
-        center: [c.x, c.y, c.z],
-        half: [h.x, h.y, h.z],
-        axes,
-        planar: body.is_planar(),
-    }
-}
-
-/// Lane width of the batched narrow phase: survivors are tested in chunks
-/// of this many obstacles between any-hit early-exit checks.
-pub const SAT_BATCH: usize = 4;
-
-/// Batched any-hit SAT: tests `body` against obstacles `ids` from `soa` in
-/// chunks of [`SAT_BATCH`]. Within a chunk every lane runs the *branch-free*
-/// full 15-axis test over the contiguous SoA arrays (separation flags are
-/// OR-combined instead of early-returning), so the chunk loop
-/// autovectorizes; the early exit happens between chunks. Planar-planar
-/// pairs dispatch to the same 4-axis scalar test as [`obb_obb`].
-///
-/// Returns the first intersecting obstacle in `ids` order — exactly the
-/// pair the sequential early-exit loop would have stopped on — or `None`
-/// when every pair is separated. Verdicts are identical to calling
-/// [`obb_obb`] per pair.
-pub fn obb_obb_batch(
-    soa: &ObbSoa,
-    ids: &[usize],
-    body: &ObbPre,
-    ops: &mut OpCount,
-) -> Option<usize> {
-    let mut k = 0;
-    while k < ids.len() {
-        let end = (k + SAT_BATCH).min(ids.len());
-        let mut hits = [false; SAT_BATCH];
-        for (lane, &oid) in ids[k..end].iter().enumerate() {
-            ops.sat_queries += 1;
-            hits[lane] = if soa.is_planar(oid) && body.planar {
-                obb_obb_2d(soa.get(oid), &body.obb, ops)
-            } else {
-                obb_obb_3d_lane(soa, oid, body, ops)
-            };
-        }
-        if hits.iter().any(|&h| h) {
-            for (lane, &oid) in ids[k..end].iter().enumerate() {
-                if hits[lane] {
-                    return Some(oid);
-                }
-            }
-        }
-        k = end;
-    }
-    None
-}
-
-/// One branch-free lane of the batched 3D SAT: same axis tables and
-/// arithmetic order as [`obb_obb_3d`] with obstacle `oid` as box A and the
-/// body as box B, but all 15 axes are always evaluated and the separation
-/// flags OR-combined. Charges the full 15-axis cost (117 mul, 96 add,
-/// 15 cmp) unconditionally — the work this lane actually performs.
-// Indexed loops keep the i/j axis indices aligned with Ericson's tables.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-fn obb_obb_3d_lane(soa: &ObbSoa, oid: usize, b: &ObbPre, ops: &mut OpCount) -> bool {
-    let ha = &soa.half[oid * 3..oid * 3 + 3];
-    let ca = &soa.center[oid * 3..oid * 3 + 3];
-    let aw = &soa.axes[oid * 9..oid * 9 + 9];
-    let hb = &b.half;
-
-    // R[i][j] = a_i · b_j : express B in A's frame (9 three-term dots).
-    let mut r = [[0.0; 3]; 3];
-    for i in 0..3 {
-        for j in 0..3 {
-            r[i][j] = aw[i * 3] * b.axes[j][0]
-                + aw[i * 3 + 1] * b.axes[j][1]
-                + aw[i * 3 + 2] * b.axes[j][2];
-        }
-    }
-    ops.mul += 27;
-    ops.add += 18;
-
-    // Translation in A's frame (3 dots after the world-frame subtract).
-    let tw = [
-        b.center[0] - ca[0],
-        b.center[1] - ca[1],
-        b.center[2] - ca[2],
-    ];
-    let mut t = [0.0; 3];
-    for i in 0..3 {
-        t[i] = tw[0] * aw[i * 3] + tw[1] * aw[i * 3 + 1] + tw[2] * aw[i * 3 + 2];
-    }
-    ops.mul += 9;
-    ops.add += 9;
-
-    let mut abs_r = [[0.0; 3]; 3];
-    for i in 0..3 {
-        for j in 0..3 {
-            abs_r[i][j] = r[i][j].abs() + SAT_EPS;
-        }
-    }
-    ops.add += 9;
-
-    let mut sep = false;
-
-    // Axes L = A_i.
-    for i in 0..3 {
-        let ra = ha[i];
-        let rb = hb[0] * abs_r[i][0] + hb[1] * abs_r[i][1] + hb[2] * abs_r[i][2];
-        sep |= t[i].abs() > ra + rb;
-    }
-    ops.mul += 9;
-    ops.add += 9;
-    ops.cmp += 3;
-
-    // Axes L = B_j.
-    for j in 0..3 {
-        let ra = ha[0] * abs_r[0][j] + ha[1] * abs_r[1][j] + ha[2] * abs_r[2][j];
-        let rb = hb[j];
-        let tp = t[0] * r[0][j] + t[1] * r[1][j] + t[2] * r[2][j];
-        sep |= tp.abs() > ra + rb;
-    }
-    ops.mul += 18;
-    ops.add += 15;
-    ops.cmp += 3;
-
-    // Cross axes L = A_i × B_j.
-    for i in 0..3 {
-        let (u, v) = ((i + 1) % 3, (i + 2) % 3);
-        for j in 0..3 {
-            let (p, q) = ((j + 1) % 3, (j + 2) % 3);
-            let ra = ha[u] * abs_r[v][j] + ha[v] * abs_r[u][j];
-            let rb = hb[p] * abs_r[i][q] + hb[q] * abs_r[i][p];
-            let tp = t[v] * r[u][j] - t[u] * r[v][j];
-            sep |= tp.abs() > ra + rb;
-        }
-    }
-    ops.mul += 54;
-    ops.add += 36;
-    ops.cmp += 9;
-
-    !sep
-}
-
 /// Brute-force intersection oracle for testing: samples a dense lattice of
 /// points inside `a` and reports whether any falls inside `b`, then vice
 /// versa, and finally checks segment-level corner containment. This is a
@@ -999,87 +762,6 @@ mod tests {
         );
         let mut ops = OpCount::default();
         assert_eq!(obb_obb(&a, &b, &mut ops), obb_obb(&b, &a, &mut ops));
-    }
-
-    #[test]
-    fn batched_sat_matches_sequential_verdicts() {
-        // Deterministic pseudo-random scene: the batched kernel must agree
-        // with per-pair `obb_obb` on every query, and report the first
-        // intersecting obstacle in ids order.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let obstacles: Vec<Obb> = (0..23)
-            .map(|_| {
-                Obb::from_euler(
-                    Vec3::new(next() * 10.0, next() * 10.0, next() * 10.0),
-                    Vec3::new(0.3 + next() * 1.5, 0.3 + next() * 1.5, 0.3 + next() * 1.5),
-                    next() * 3.0,
-                    next() * 3.0,
-                    next() * 3.0,
-                )
-            })
-            .collect();
-        let soa = ObbSoa::build(obstacles.clone());
-        let ids: Vec<usize> = (0..obstacles.len()).collect();
-        for _ in 0..40 {
-            let body = Obb::from_euler(
-                Vec3::new(next() * 10.0, next() * 10.0, next() * 10.0),
-                Vec3::splat(0.5 + next()),
-                next() * 3.0,
-                next() * 3.0,
-                next() * 3.0,
-            );
-            let pre = prepare(&body);
-            let batched = obb_obb_batch(&soa, &ids, &pre, &mut OpCount::default());
-            let sequential = ids
-                .iter()
-                .copied()
-                .find(|&i| obb_obb(&obstacles[i], &body, &mut OpCount::default()));
-            assert_eq!(batched, sequential, "batched SAT diverged from scalar");
-        }
-    }
-
-    #[test]
-    fn batched_sat_dispatches_planar_pairs() {
-        let obstacles = vec![
-            Obb::planar(Vec3::new(3.0, 0.0, 0.0), 1.0, 1.0, 0.4),
-            Obb::planar(Vec3::new(0.2, 0.1, 0.0), 1.0, 1.0, -0.2),
-        ];
-        let soa = ObbSoa::build(obstacles.clone());
-        let body = Obb::planar(Vec3::ZERO, 0.5, 0.5, 0.1);
-        let pre = prepare(&body);
-        let mut ops = OpCount::default();
-        let hit = obb_obb_batch(&soa, &[0, 1], &pre, &mut ops);
-        assert_eq!(hit, Some(1));
-        assert_eq!(ops.sat_queries, 2);
-        // Planar lanes pay the 4-axis price, far below the 15-axis lane.
-        let mut full = OpCount::default();
-        obb_obb_batch(
-            &ObbSoa::build(vec![Obb::axis_aligned(Vec3::splat(9.0), Vec3::splat(1.0))]),
-            &[0],
-            &prepare(&Obb::axis_aligned(Vec3::ZERO, Vec3::splat(1.0))),
-            &mut full,
-        );
-        assert!(ops.mul < full.mul, "planar lane should be cheaper");
-    }
-
-    #[test]
-    fn batched_sat_charges_full_lane_cost() {
-        // One separated 3D pair: the branch-free lane always pays all 15
-        // axes (117 mul / 96 add / 15 cmp) plus the setup work.
-        let soa = ObbSoa::build(vec![Obb::axis_aligned(Vec3::splat(9.0), Vec3::splat(1.0))]);
-        let pre = prepare(&Obb::axis_aligned(Vec3::ZERO, Vec3::splat(1.0)));
-        let mut ops = OpCount::default();
-        assert_eq!(obb_obb_batch(&soa, &[0], &pre, &mut ops), None);
-        assert_eq!(ops.mul, 117);
-        assert_eq!(ops.add, 96);
-        assert_eq!(ops.cmp, 15);
-        assert_eq!(ops.sat_queries, 1);
     }
 
     #[test]

@@ -176,7 +176,7 @@ fn motion_check_allocates_nothing_after_warmup() {
 #[test]
 fn config_check_allocates_nothing_on_mixed_poses() {
     // A mix of free and colliding poses runs both the broad phase alone
-    // and the broad plus batched narrow phase; neither path may allocate.
+    // and the broad plus exact narrow phase; neither path may allocate.
     let s = drone_scenario();
     let checker = TwoStageChecker::moped(s.obstacles.clone());
     let mut ledger = CollisionLedger::default();
