@@ -25,6 +25,12 @@
 //! each workload and reports the median of 11 passes; `--smoke` records
 //! scene seed 1 and the drone plan at 1 500 samples, median of 3 (the
 //! `scripts/verify.sh` step).
+//!
+//! The full run's ns columns cannot resolve a change under about 30% on
+//! a shared 2-vCPU host without many alternating runs: ten runs of one
+//! unchanged binary read drone-sparse `motion_free` 711–1 314 ns and
+//! arm-clutter 4 433–8 700 ns. The median of 11 in-process passes does
+//! not remove drift between processes.
 
 use std::cell::RefCell;
 use std::time::Instant;

@@ -42,7 +42,6 @@ mod connect;
 mod index;
 mod planner;
 mod profile;
-pub mod smooth;
 mod variant;
 
 pub use index::{

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::Mul;
 
-use crate::{OpCount, Vec3};
+use crate::Vec3;
 
 /// A 3×3 matrix, stored row-major, used for OBB orientations.
 ///
@@ -34,13 +34,6 @@ impl Mat3 {
     #[inline]
     pub const fn from_rows(r0: [f64; 3], r1: [f64; 3], r2: [f64; 3]) -> Self {
         Mat3 { m: [r0, r1, r2] }
-    }
-
-    /// Creates a matrix whose *columns* are the given vectors.
-    pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
-        Mat3 {
-            m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]],
-        }
     }
 
     /// Rotation about the Z axis by `theta` radians (the 2D rotation used
@@ -156,14 +149,6 @@ impl Mat3 {
         Mat3 { m: out }
     }
 
-    /// Matrix–vector product with operation accounting (9 muls, 6 adds).
-    #[inline]
-    pub fn mul_vec_counted(&self, v: Vec3, ops: &mut OpCount) -> Vec3 {
-        ops.mul += 9;
-        ops.add += 6;
-        *self * v
-    }
-
     /// Returns `true` if `self` is orthonormal with determinant +1 within
     /// tolerance `eps` — i.e. a proper rotation.
     pub fn is_rotation(&self, eps: f64) -> bool {
@@ -274,19 +259,5 @@ mod tests {
         assert_eq!(m.row(0), Vec3::new(1.0, 2.0, 3.0));
         assert_eq!(m.col(0), Vec3::new(1.0, 4.0, 7.0));
         assert_eq!(m.determinant(), 0.0);
-    }
-
-    #[test]
-    fn from_cols_roundtrip() {
-        let m = Mat3::from_cols(Vec3::X, Vec3::Y, Vec3::Z);
-        assert_eq!(m, Mat3::IDENTITY);
-    }
-
-    #[test]
-    fn counted_mul_vec_accumulates() {
-        let mut ops = OpCount::default();
-        let _ = Mat3::IDENTITY.mul_vec_counted(Vec3::X, &mut ops);
-        assert_eq!(ops.mul, 9);
-        assert_eq!(ops.add, 6);
     }
 }

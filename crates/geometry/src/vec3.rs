@@ -73,14 +73,6 @@ impl Vec3 {
         self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
     }
 
-    /// Dot product with operation accounting (3 muls, 2 adds).
-    #[inline]
-    pub fn dot_counted(self, rhs: Vec3, ops: &mut OpCount) -> f64 {
-        ops.mul += 3;
-        ops.add += 2;
-        self.dot(rhs)
-    }
-
     /// Cross product.
     #[inline]
     pub fn cross(self, rhs: Vec3) -> Vec3 {
@@ -109,16 +101,6 @@ impl Vec3 {
     #[inline]
     pub fn norm_sq(self) -> f64 {
         self.dot(self)
-    }
-
-    /// Returns the normalized vector, or `None` for a (near-)zero vector.
-    pub fn normalized(self) -> Option<Vec3> {
-        let n = self.norm();
-        if n <= f64::EPSILON {
-            None
-        } else {
-            Some(self / n)
-        }
     }
 
     /// Component-wise absolute value.
@@ -300,27 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn normalized_zero_is_none() {
-        assert!(Vec3::ZERO.normalized().is_none());
-        let n = Vec3::new(0.0, 0.0, 2.0).normalized().unwrap();
-        assert!((n.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn lerp_endpoints_and_midpoint() {
         let a = Vec3::new(0.0, 0.0, 0.0);
         let b = Vec3::new(2.0, 4.0, 6.0);
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn counted_dot_accumulates_ops() {
-        let mut ops = OpCount::default();
-        let _ = Vec3::X.dot_counted(Vec3::Y, &mut ops);
-        assert_eq!(ops.mul, 3);
-        assert_eq!(ops.add, 2);
     }
 
     #[test]

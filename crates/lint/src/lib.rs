@@ -1,8 +1,8 @@
 //! `moped-lint`: workspace-wide static analysis enforcing the MOPED
 //! determinism, panic-freedom, and float-hygiene contracts.
 //!
-//! The chaos suite (PR 2) *observes* the determinism contract — "a
-//! successful retry is bit-identical to an unfaulted run" — but nothing
+//! The chaos suite *observes* the determinism contract — "every
+//! non-faulted request is bit-identical to a serial run" — but nothing
 //! stopped the next change from reintroducing a wall-clock read into the
 //! planner core or an `unwrap()` into a worker hot path. This crate
 //! closes that gap statically: a hand-rolled Rust lexer (the workspace

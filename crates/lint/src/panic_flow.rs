@@ -3,10 +3,10 @@
 //! entry points* (the closures handed to `spawn(…)` — see
 //! [`crate::callgraph::CrateGraph::entries`]).
 //!
-//! A panic on a worker or supervisor thread kills the thread, not the
-//! process — exactly the failure the serving contracts (guaranteed
-//! ticket resolution, monitor-driven respawn) exist to survive, so the
-//! bar there is *no panics at all*. Flagged sources:
+//! A panic on a worker thread outside its per-job guard ends the thread,
+//! not the process — exactly the failure the serving contracts
+//! (guaranteed ticket resolution, one panic guard per job) exist to
+//! prevent, so the bar there is *no panics at all*. Flagged sources:
 //!
 //! * **indexing** — `xs[i]`, `xs[a + b]`, `&xs[..k]`: out-of-bounds
 //!   panics. A single integer-literal index (`xs[0]` on a

@@ -44,7 +44,6 @@ pub struct Octree {
     extent: f64,
     max_depth: u32,
     node_count: usize,
-    leaf_full: usize,
 }
 
 impl Octree {
@@ -66,33 +65,19 @@ impl Octree {
         assert!(max_depth <= 12, "max_depth > 12 is out of scope");
         let refs: Vec<&Obb> = obstacles.iter().collect();
         let mut node_count = 0usize;
-        let mut leaf_full = 0usize;
-        let root = build_rec(
-            &refs,
-            origin,
-            extent,
-            max_depth,
-            &mut node_count,
-            &mut leaf_full,
-        );
+        let root = build_rec(&refs, origin, extent, max_depth, &mut node_count);
         Octree {
             root,
             origin,
             extent,
             max_depth,
             node_count,
-            leaf_full,
         }
     }
 
     /// Total allocated nodes.
     pub fn node_count(&self) -> usize {
         self.node_count
-    }
-
-    /// Fully-occupied leaf count.
-    pub fn occupied_leaves(&self) -> usize {
-        self.leaf_full
     }
 
     /// Voxel side length at maximum depth.
@@ -185,7 +170,6 @@ fn build_rec(
     extent: f64,
     depth_left: u32,
     node_count: &mut usize,
-    leaf_full: &mut usize,
 ) -> Node {
     *node_count += 1;
     let half = extent / 2.0;
@@ -218,7 +202,6 @@ fn build_rec(
         .all(|d| o.contains_point(c + d))
     };
     if overlapping.iter().any(|o| cube_inside(o)) || depth_left == 0 {
-        *leaf_full += 1;
         return Node::Full;
     }
     let children: Vec<Node> = (0..8)
@@ -229,20 +212,12 @@ fn build_rec(
                     ((idx >> 1) & 1) as f64 * half,
                     ((idx >> 2) & 1) as f64 * half,
                 );
-            build_rec(
-                &overlapping,
-                child_origin,
-                half,
-                depth_left - 1,
-                node_count,
-                leaf_full,
-            )
+            build_rec(&overlapping, child_origin, half, depth_left - 1, node_count)
         })
         .collect();
     let arr: [Node; 8] = children.try_into().expect("eight octants");
     // Coalesce uniform children.
     if arr.iter().all(|c| matches!(c, Node::Full)) {
-        *leaf_full += 1;
         return Node::Full;
     }
     if arr.iter().all(|c| matches!(c, Node::Empty)) {
@@ -262,7 +237,6 @@ mod tests {
     #[test]
     fn empty_world_is_all_free() {
         let tree = Octree::build(&[], Vec3::ZERO, 256.0, 6);
-        assert_eq!(tree.occupied_leaves(), 0);
         assert!(!tree.occupied(Vec3::splat(100.0)));
         let body = Obb::axis_aligned(Vec3::splat(50.0), Vec3::splat(5.0));
         let mut ops = OpCount::default();

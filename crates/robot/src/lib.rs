@@ -336,17 +336,6 @@ impl Robot {
         Config::new(coords)
     }
 
-    /// Clamps a configuration into bounds component-wise.
-    pub fn clamp_config(&self, q: &Config) -> Config {
-        let coords: Vec<f64> = q
-            .as_slice()
-            .iter()
-            .zip(&self.bounds)
-            .map(|(v, (lo, hi))| v.clamp(*lo, *hi))
-            .collect();
-        Config::new(&coords)
-    }
-
     /// Returns `true` if every coordinate lies within bounds.
     pub fn in_bounds(&self, q: &Config) -> bool {
         q.dim() == self.dof()
@@ -579,16 +568,6 @@ mod tests {
             }
             assert!(r.in_bounds(&lo) && r.in_bounds(&hi));
         }
-    }
-
-    #[test]
-    fn clamp_pulls_out_of_range_values_in() {
-        let r = Robot::mobile_2d();
-        let q = Config::new(&[-50.0, 500.0, 10.0]);
-        let c = r.clamp_config(&q);
-        assert!(r.in_bounds(&c));
-        assert_eq!(c[0], 0.0);
-        assert_eq!(c[1], WORKSPACE_EXTENT);
     }
 
     #[test]

@@ -12,19 +12,13 @@
 //! * [`FaultSite::Admission`] fires in the *client* thread inside
 //!   [`PlanService::submit`](crate::PlanService::submit); it is the only
 //!   site where [`FaultKind::QueueFull`] applies.
-//! * [`FaultSite::Planning`] fires inside the worker's panic guard: an
-//!   injected panic is caught and resolved as a typed
-//!   [`FailureReason::Panic`](crate::FailureReason) response (or
-//!   retried, per the configured [`RetryPolicy`](crate::RetryPolicy)).
-//! * [`FaultSite::Dequeue`] and [`FaultSite::Respond`] fire *outside*
-//!   the guard: an injected panic kills the worker thread itself, which
-//!   exercises the supervisor's respawn path and the client-side
-//!   [`FailureReason::WorkerDied`](crate::FailureReason) resolution.
+//! * [`FaultSite::Planning`] fires inside the worker's per-job panic
+//!   guard, just before the plan runs: an injected panic is caught and
+//!   resolved as a typed [`FailureReason::Panic`](crate::FailureReason)
+//!   response, and the worker goes on to its next job.
 //!
 //! Hit counters are shared across the pool, so "every Nth" means every
-//! Nth hit of the site service-wide, not per worker. Injected panic
-//! messages are stable per site on purpose: the retry loop treats two
-//! consecutive identical panics as deterministic and stops retrying.
+//! Nth hit of the site service-wide, not per worker.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,25 +29,16 @@ use std::time::Duration;
 pub enum FaultSite {
     /// Inside `PlanService::submit`, before the queue send (client thread).
     Admission,
-    /// In the worker loop, right after a job is pulled off the queue and
-    /// *outside* the panic guard — a panic here kills the worker.
-    Dequeue,
-    /// At the start of a planning attempt, *inside* the panic guard — a
-    /// panic here becomes a typed failure response.
+    /// Just before a job's plan runs, *inside* the worker's per-job
+    /// panic guard — a panic here becomes a typed failure response.
     Planning,
-    /// After planning, before the response is sent and *outside* the
-    /// panic guard — a panic here kills the worker with the response
-    /// unsent.
-    Respond,
 }
 
 impl fmt::Display for FaultSite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             FaultSite::Admission => "admission",
-            FaultSite::Dequeue => "dequeue",
             FaultSite::Planning => "planning",
-            FaultSite::Respond => "respond",
         };
         f.write_str(name)
     }
@@ -62,7 +47,8 @@ impl fmt::Display for FaultSite {
 /// What happens when a rule fires.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
-    /// Panic at the site (caught or worker-killing, per site semantics).
+    /// Panic at the site (unwinding the client at admission, caught by
+    /// the per-job guard at planning).
     Panic,
     /// Sleep for the given duration (artificial latency).
     Delay(Duration),
@@ -127,11 +113,6 @@ impl FaultPlan {
         self.with_rule(site, FaultKind::Panic, every)
     }
 
-    /// Panic exactly once, on the first hit of `site`.
-    pub fn panic_once(self, site: FaultSite) -> Self {
-        self.with_rule_limited(site, FaultKind::Panic, 1, 1)
-    }
-
     /// Sleep `delay` on every `every`-th hit of `site`.
     pub fn delay_every(self, site: FaultSite, delay: Duration, every: u64) -> Self {
         self.with_rule(site, FaultKind::Delay(delay), every)
@@ -140,12 +121,6 @@ impl FaultPlan {
     /// Force a queue-full rejection on every `every`-th admission.
     pub fn queue_full_every(self, every: u64) -> Self {
         self.with_rule(FaultSite::Admission, FaultKind::QueueFull, every)
-    }
-
-    /// Kill the serving worker on every `every`-th dequeue (a panic
-    /// outside the per-job guard), at most `limit` times.
-    pub fn kill_worker_every(self, every: u64, limit: u64) -> Self {
-        self.with_rule_limited(FaultSite::Dequeue, FaultKind::Panic, every, limit)
     }
 
     /// Whether the plan has no rules (and is therefore inert).
@@ -174,8 +149,7 @@ impl FaultPlan {
         action
     }
 
-    /// The panic message used for injected panics at `site`; stable per
-    /// site so the retry loop can recognise a repeat.
+    /// The panic message used for injected panics at `site`.
     pub(crate) fn panic_message(site: FaultSite) -> String {
         format!("moped-fault: injected panic at {site}")
     }
@@ -205,14 +179,14 @@ mod tests {
             [false, false, true, false, false, true, false, false, true]
         );
         // Hits on other sites do not advance the counter.
-        assert_eq!(plan.fire(FaultSite::Dequeue), None);
+        assert_eq!(plan.fire(FaultSite::Admission), None);
     }
 
     #[test]
     fn limit_caps_total_firings() {
-        let plan = FaultPlan::new().with_rule_limited(FaultSite::Dequeue, FaultKind::Panic, 2, 1);
+        let plan = FaultPlan::new().with_rule_limited(FaultSite::Planning, FaultKind::Panic, 2, 1);
         let fired: Vec<bool> = (0..8)
-            .map(|_| plan.fire(FaultSite::Dequeue).is_some())
+            .map(|_| plan.fire(FaultSite::Planning).is_some())
             .collect();
         assert_eq!(fired.iter().filter(|&&f| f).count(), 1);
         assert!(fired[1], "first firing is on the second hit");
@@ -231,14 +205,14 @@ mod tests {
 
     #[test]
     fn zero_cadence_is_clamped() {
-        let plan = FaultPlan::new().panic_every(FaultSite::Respond, 0);
-        assert!(plan.fire(FaultSite::Respond).is_some());
+        let plan = FaultPlan::new().panic_every(FaultSite::Planning, 0);
+        assert!(plan.fire(FaultSite::Planning).is_some());
     }
 
     #[test]
     fn sites_render() {
         assert_eq!(FaultSite::Admission.to_string(), "admission");
-        assert_eq!(FaultSite::Dequeue.to_string(), "dequeue");
+        assert_eq!(FaultSite::Planning.to_string(), "planning");
         assert_eq!(
             FaultPlan::panic_message(FaultSite::Planning),
             "moped-fault: injected panic at planning"

@@ -44,23 +44,21 @@
 //!   mutex-guarded deque plus a condvar); every idle worker takes the
 //!   oldest job, so no request waits behind a busy worker while another
 //!   sits idle. Responses resolve through per-request one-shot slots.
-//! * **Fault tolerance** — every planning attempt runs inside a panic
-//!   guard, so a panicking request resolves its ticket with a typed
-//!   [`PlanFailure`] instead of wedging the client; a supervisor thread
-//!   respawns workers that die outright, so capacity is never silently
-//!   lost; an optional bounded [`RetryPolicy`] re-attempts panicked
-//!   requests (with jittered backoff, and never blindly re-running a
-//!   panic that has already proven deterministic); and a compiled-in but
-//!   inert-by-default [`FaultPlan`] can inject panics, latency, and
-//!   forced rejections at named sites for chaos testing.
+//! * **Fault tolerance** — everything a worker does for one job runs
+//!   inside one panic guard, so a panicking request resolves its ticket
+//!   with a typed [`PlanFailure`] and the worker moves on to the next
+//!   job. A ticket whose responder is dropped unsent resolves as
+//!   [`FailureReason::WorkerDied`] instead of hanging. A panicked job is
+//!   never re-run: planning is deterministic, so it would panic again.
+//!   A compiled-in but inert-by-default [`FaultPlan`] can inject panics,
+//!   latency, and forced rejections at named sites for chaos testing.
 //! * **Graceful shutdown** — [`PlanService::shutdown`] stops admission,
 //!   drains everything already queued, and joins the workers; every
-//!   outstanding ticket resolves, with a typed shutdown failure if the
-//!   whole pool died mid-drain.
+//!   outstanding ticket resolves before it returns.
 //! * **Observability** — a lock-free [`metrics::Metrics`] registry counts
-//!   every admission outcome (including failures, caught panics, retries,
-//!   and respawns), aggregates per-stage op ledgers, and tracks latency
-//!   in fixed-bucket histograms with text/JSON dumps.
+//!   every admission outcome (including failures and caught panics),
+//!   aggregates per-stage op ledgers, and tracks latency in fixed-bucket
+//!   histograms with text/JSON dumps.
 //!
 //! Only `std` is used: threads, mutexes and condvars, no external runtime.
 //!
@@ -317,14 +315,10 @@ pub struct PlanResponse {
     pub result: PlanResult,
     /// Time spent queued before a worker picked the request up.
     pub queue_wait: Duration,
-    /// Time spent planning (dequeue to response), spanning every attempt
-    /// including retry backoff.
+    /// Time spent planning (dequeue to response).
     pub service_time: Duration,
     /// Index of the worker that served the request.
     pub worker: usize,
-    /// Planning attempts consumed (1 unless earlier attempts panicked
-    /// and the retry policy re-ran the request).
-    pub attempts: u32,
     /// The profile decision this request planned under: the resolved
     /// class, profile, and reason. `None` on untuned services
     /// ([`ServiceConfig::tuner`] unset), which plan with
@@ -335,30 +329,25 @@ pub struct PlanResponse {
 /// Why an admitted request terminally failed instead of being served.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FailureReason {
-    /// Every permitted planning attempt panicked; `message` is the last
-    /// panic payload.
+    /// Serving the request panicked; the worker's per-job guard caught
+    /// it and the request is not re-run.
     Panic {
         /// The panic payload, rendered as a string.
         message: String,
     },
-    /// The worker serving the request died before responding (its panic
-    /// escaped the per-job guard). The supervisor respawns the worker;
-    /// the request itself is not replayed.
+    /// The request's responder was dropped unsent, so no resolution can
+    /// ever arrive. Every path through a worker sends exactly once; this
+    /// is the ticket's reading of an abandoned slot, which only a panic
+    /// outside the per-job guard could leave behind.
     WorkerDied,
-    /// The service shut down with the whole pool dead before any worker
-    /// picked the request up.
-    ShutdownDrained,
 }
 
 impl fmt::Display for FailureReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FailureReason::Panic { message } => {
-                write!(f, "planning attempt panicked: {message}")
-            }
-            FailureReason::WorkerDied => write!(f, "the serving worker died before responding"),
-            FailureReason::ShutdownDrained => {
-                write!(f, "service shut down before the request was served")
+            FailureReason::Panic { message } => write!(f, "planning panicked: {message}"),
+            FailureReason::WorkerDied => {
+                write!(f, "the request was abandoned without a response")
             }
         }
     }
@@ -374,9 +363,6 @@ pub struct PlanFailure {
     pub env: EnvId,
     /// Why the request failed.
     pub reason: FailureReason,
-    /// Planning attempts consumed before giving up (0 when no attempt
-    /// ran, e.g. a shutdown drain or a worker death).
-    pub attempts: u32,
 }
 
 impl fmt::Display for PlanFailure {
@@ -473,64 +459,6 @@ impl fmt::Display for RejectReason {
 
 impl std::error::Error for RejectReason {}
 
-/// Bounded retry for panicked planning attempts. Off by default
-/// (`max_attempts == 1`).
-///
-/// Retries are never blind: planning is deterministic in
-/// `(environment, profile, params)`, so when two consecutive attempts
-/// panic with an identical message the failure has proven itself
-/// deterministic and the worker gives up immediately, whatever
-/// `max_attempts` allows. Backoff between attempts is
-/// `backoff + U[0, jitter)`, with the jitter drawn deterministically
-/// from the `(request id, attempt)` pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total planning attempts per request, including the first;
-    /// 1 disables retries. Clamped to at least 1.
-    pub max_attempts: u32,
-    /// Fixed pause before each retry attempt.
-    pub backoff: Duration,
-    /// Upper bound of the extra uniformly distributed pause added to
-    /// `backoff`.
-    pub jitter: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// No retries, no backoff.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-            jitter: Duration::ZERO,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy allowing `max_attempts` total attempts with no backoff.
-    #[must_use]
-    pub fn attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Sets the fixed backoff between attempts.
-    #[must_use = "builder method returns the updated policy; it does not mutate in place"]
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Sets the jitter bound added to the backoff.
-    #[must_use = "builder method returns the updated policy; it does not mutate in place"]
-    pub fn with_jitter(mut self, jitter: Duration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-}
-
 /// The service-side autotuner: a pinned [`ProfileTable`] resolved on
 /// every admission.
 ///
@@ -573,8 +501,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; admissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Retry policy for panicked planning attempts (off by default).
-    pub retry: RetryPolicy,
     /// Optional fault-injection plan (chaos testing); `None` — the
     /// default — makes the harness completely inert.
     pub faults: Option<Arc<FaultPlan>>,
@@ -587,13 +513,11 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// 4 workers, a 64-deep queue, no retries, no fault injection, no
-    /// autotuner.
+    /// 4 workers, a 64-deep queue, no fault injection, no autotuner.
     fn default() -> Self {
         ServiceConfig {
             workers: 4,
             queue_capacity: 64,
-            retry: RetryPolicy::default(),
             faults: None,
             tuner: None,
         }
@@ -603,9 +527,9 @@ impl Default for ServiceConfig {
 /// A pending request: await the resolution, or cancel the work.
 ///
 /// Every ticket resolves exactly once — with a served response, or with
-/// a typed [`PlanFailure`] if the request panicked, its worker died, or
-/// the service shut down around it. Neither [`wait`](PlanTicket::wait)
-/// nor [`poll`](PlanTicket::poll) ever panics or hangs on a dead worker.
+/// a typed [`PlanFailure`] if the request panicked or its responder was
+/// abandoned. Neither [`wait`](PlanTicket::wait) nor
+/// [`poll`](PlanTicket::poll) ever panics or hangs on an abandoned slot.
 #[derive(Debug)]
 #[must_use = "dropping a ticket discards the request's resolution; call wait() or poll()"]
 pub struct PlanTicket {
@@ -628,10 +552,9 @@ impl PlanTicket {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Blocks until the request resolves. If the serving worker died
-    /// without responding (its responder was dropped unsent), this
-    /// returns a [`FailureReason::WorkerDied`] failure instead of
-    /// panicking.
+    /// Blocks until the request resolves. If the responder was dropped
+    /// unsent, this returns a [`FailureReason::WorkerDied`] failure
+    /// instead of panicking.
     pub fn wait(self) -> PlanOutcome {
         self.slot
             .wait_take()
@@ -640,8 +563,8 @@ impl PlanTicket {
 
     /// Returns the resolution if it is already available, without
     /// blocking. Yields `Some` exactly once: `None` before resolution
-    /// and again after the resolution has been taken. A worker that died
-    /// without responding resolves the ticket with a terminal
+    /// and again after the resolution has been taken. A responder dropped
+    /// unsent resolves the ticket with a terminal
     /// [`FailureReason::WorkerDied`] failure rather than leaving the
     /// caller polling forever.
     pub fn poll(&self) -> Option<PlanOutcome> {
@@ -666,7 +589,6 @@ impl PlanTicket {
             id: self.id,
             env: self.env,
             reason: FailureReason::WorkerDied,
-            attempts: 0,
         }
     }
 }
@@ -699,8 +621,7 @@ pub struct PlanService {
 }
 
 impl PlanService {
-    /// Spawns the worker pool (plus its supervisor) and starts admitting
-    /// requests.
+    /// Spawns the worker pool and starts admitting requests.
     pub fn start(catalog: EnvironmentCatalog, config: ServiceConfig) -> Self {
         supervisor::install_quiet_panic_hook();
         let workers_n = config.workers.max(1);
@@ -709,11 +630,9 @@ impl PlanService {
         let shared = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
             metrics: Arc::clone(&metrics),
-            retry: config.retry,
             faults: config.faults.clone(),
-            shutting_down: AtomicBool::new(false),
         });
-        let pool = Pool::start(workers_n, shared);
+        let pool = Pool::start(workers_n, &shared);
         PlanService {
             queue,
             pool,
@@ -749,13 +668,6 @@ impl PlanService {
     /// The configured pool size.
     pub fn worker_count(&self) -> usize {
         self.config.workers.max(1)
-    }
-
-    /// Worker threads currently running. Transiently below
-    /// [`worker_count`](PlanService::worker_count) between a worker death
-    /// and its supervisor respawn; equal to it in steady state.
-    pub fn alive_workers(&self) -> usize {
-        self.pool.alive()
     }
 
     /// Admits one request. O(1): resolves the environment snapshot and
@@ -811,9 +723,9 @@ impl PlanService {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = Arc::new(AtomicBool::new(false));
         // One-shot resolution slot: every ticket receives exactly one
-        // resolution (worker response, failure, or shutdown drain); a
-        // responder dropped unsent marks the slot abandoned so the
-        // ticket surfaces a typed WorkerDied failure.
+        // resolution (response or failure); a responder dropped unsent
+        // marks the slot abandoned so the ticket surfaces a typed
+        // WorkerDied failure.
         let (slot, responder) = ResponseSlot::pair();
         let now = Instant::now();
         let job = Job {
@@ -875,25 +787,17 @@ impl PlanService {
 
     /// Stops admission, drains every queued request, joins the workers,
     /// and returns the metrics registry. Outstanding [`PlanTicket`]s all
-    /// resolve before this returns — with drained responses in the
-    /// normal case, or typed shutdown failures if the whole pool died
-    /// mid-drain.
+    /// resolve before this returns.
     pub fn shutdown(mut self) -> Arc<Metrics> {
         self.drain_and_join();
         Arc::clone(&self.metrics)
     }
 
     fn drain_and_join(&mut self) {
-        // Stop the supervisor first so graceful worker exits below are
-        // not mistaken for deaths and respawned.
-        self.pool.begin_shutdown();
         // Closing the queue stops admission and wakes parked workers;
         // they drain what was already admitted, then exit.
         self.queue.close();
-        self.pool.join_workers();
-        // If every worker died before the queue emptied, resolve the
-        // leftovers with typed failures so no ticket ever hangs.
-        self.pool.fail_leftovers();
+        self.pool.join();
     }
 }
 
@@ -1096,7 +1000,6 @@ mod tests {
         let response = ticket.wait().into_result().expect("served");
         assert_eq!(response.outcome, Outcome::Completed);
         assert_eq!(response.result.stats.samples, 300);
-        assert_eq!(response.attempts, 1);
         assert!(!response.result.stats.stopped_early);
         // Untuned services never stamp a profile decision.
         assert!(response.profile.is_none());
@@ -1109,19 +1012,27 @@ mod tests {
     }
 
     #[test]
-    fn pool_reports_full_capacity_when_healthy() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let service = PlanService::start(
-            cat,
-            ServiceConfig {
-                workers: 3,
-                ..Default::default()
-            },
-        );
-        assert_eq!(service.worker_count(), 3);
-        assert_eq!(service.alive_workers(), 3);
-        let metrics = service.shutdown();
-        assert_eq!(metrics.worker_respawns(), 0);
+    fn poll_surfaces_an_abandoned_slot_as_worker_died() {
+        let ticket = |slot| PlanTicket {
+            id: 3,
+            env: EnvId(0),
+            cancel: Arc::new(AtomicBool::new(false)),
+            slot,
+            resolved: Cell::new(false),
+        };
+        let reason = |outcome: PlanOutcome| outcome.into_result().map(|_| ()).unwrap_err().reason;
+
+        let (slot, responder) = ResponseSlot::pair();
+        drop(responder);
+        let polled = ticket(slot);
+        let outcome = polled.poll().expect("an abandoned slot resolves");
+        assert_eq!(reason(outcome), FailureReason::WorkerDied);
+        // The resolution was taken; poll does not re-report it.
+        assert!(polled.poll().is_none());
+
+        let (slot, responder) = ResponseSlot::pair();
+        drop(responder);
+        assert_eq!(reason(ticket(slot).wait()), FailureReason::WorkerDied);
     }
 
     #[test]

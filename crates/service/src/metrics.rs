@@ -170,22 +170,20 @@ impl LatencyStats {
 /// cancelled + failed + in_flight_or_queued`; `rejected` counts
 /// admissions that never entered the queue. After a drain
 /// (`PlanService::shutdown`) the in-flight term is zero, which the
-/// integration tests assert. The one exception: a request whose worker
-/// died before responding resolves *client-side* (as a `WorkerDied`
-/// failure on the ticket) and is counted by no terminal counter here —
-/// `worker_respawns` is the server-side trace of those events.
+/// integration tests assert. A ticket whose responder was dropped unsent
+/// resolves *client-side* (as a `WorkerDied` failure) and is counted by
+/// no terminal counter here; the per-job panic guard leaves no known
+/// path to that state.
 #[derive(Debug, Default)]
 pub struct Metrics {
     accepted: AtomicU64,
     rejected: AtomicU64,
-    worker_respawns: AtomicU64,
     faults_injected: AtomicU64,
     completed: AtomicU64,
     deadline_expired: AtomicU64,
     cancelled: AtomicU64,
     failed: AtomicU64,
     panics_caught: AtomicU64,
-    retries: AtomicU64,
     queue_depth: AtomicU64,
     samples: AtomicU64,
     nodes: AtomicU64,
@@ -199,7 +197,7 @@ pub struct Metrics {
     service_latency: LatencyHistogram,
     /// Wall time from admission to dequeue (planning time excluded by
     /// construction: the sample is taken the moment the job leaves the
-    /// queue, before any attempt runs).
+    /// queue, before planning runs).
     queue_wait: LatencyHistogram,
     /// Profile decisions by request class (admission path only — the
     /// client thread takes this lock, never a worker; the map is the one
@@ -228,9 +226,6 @@ impl Metrics {
         accepted / inc_accepted,
         /// Requests refused at admission (full queue, unknown env, shutdown).
         rejected / inc_rejected,
-        /// Worker threads respawned by the supervisor after an
-        /// unexpected death.
-        worker_respawns / inc_worker_respawns,
         /// Faults fired by the configured `FaultPlan` (always zero when
         /// the harness is unconfigured).
         faults_injected / inc_faults_injected,
@@ -240,14 +235,11 @@ impl Metrics {
         deadline_expired / inc_deadline_expired,
         /// Requests cut short by explicit cancellation.
         cancelled / inc_cancelled,
-        /// Requests resolved as typed failures (exhausted panicking
-        /// attempts, or a shutdown drain with the pool dead).
+        /// Requests resolved as typed failures (a caught panic).
         failed / inc_failed,
-        /// Planning attempts that panicked and were caught by the
-        /// worker's per-job guard.
+        /// Jobs that panicked and were caught by the worker's per-job
+        /// guard.
         panics_caught / inc_panics_caught,
-        /// Retry attempts scheduled after a caught panic.
-        retries / inc_retries,
     }
 
     /// Records one admission-time profile decision for `class_id`
@@ -314,9 +306,8 @@ impl Metrics {
     }
 
     pub(crate) fn queue_left(&self) {
-        // Guarded decrement: a crash-recovery path (worker death,
-        // shutdown drain) may try to balance an increment that never
-        // happened; clamping at zero beats wrapping to u64::MAX.
+        // Guarded decrement: clamping at zero beats wrapping to
+        // u64::MAX should a decrement ever outrun its increment.
         let _ = self
             .queue_depth
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
@@ -384,8 +375,6 @@ impl Metrics {
         kv("requests_failed", self.failed().to_string());
         kv("requests_solved", self.solved().to_string());
         kv("panics_caught", self.panics_caught().to_string());
-        kv("retries", self.retries().to_string());
-        kv("worker_respawns", self.worker_respawns().to_string());
         kv("faults_injected", self.faults_injected().to_string());
         kv("queue_depth", self.queue_depth().to_string());
         kv("samples_total", self.samples().to_string());
@@ -446,8 +435,6 @@ impl Metrics {
             ("requests_failed".into(), self.failed().to_string()),
             ("requests_solved".into(), self.solved().to_string()),
             ("panics_caught".into(), self.panics_caught().to_string()),
-            ("retries".into(), self.retries().to_string()),
-            ("worker_respawns".into(), self.worker_respawns().to_string()),
             ("faults_injected".into(), self.faults_injected().to_string()),
             ("queue_depth".into(), self.queue_depth().to_string()),
             ("samples_total".into(), self.samples().to_string()),
@@ -614,16 +601,12 @@ mod tests {
         m.inc_completed();
         m.inc_failed();
         m.inc_panics_caught();
-        m.inc_retries();
-        m.inc_worker_respawns();
         m.record_service_latency(Duration::from_millis(3));
         let text = m.dump_text();
         assert!(text.contains("requests_accepted 1"));
         assert!(text.contains("requests_completed 1"));
         assert!(text.contains("requests_failed 1"));
         assert!(text.contains("panics_caught 1"));
-        assert!(text.contains("retries 1"));
-        assert!(text.contains("worker_respawns 1"));
         assert!(text.contains("faults_injected 0"));
         assert!(text.contains("latency_p99_us"));
         assert!(text.contains("queue_wait_p99_us"));
@@ -631,7 +614,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"requests_accepted\":1"));
         assert!(json.contains("\"requests_failed\":1"));
-        assert!(json.contains("\"worker_respawns\":1"));
+        assert!(json.contains("\"panics_caught\":1"));
         assert!(json.contains("\"latency_buckets\":["));
         assert!(json.contains("\"queue_wait_p99_us\":"));
     }

@@ -10,21 +10,23 @@
 //! traffic (a few thousand sub-millisecond plans per second on two
 //! workers) it did not limit throughput (EXPERIMENTS.md).
 //!
+//! Closing the queue stops admission; workers drain what is already
+//! queued, and `pop_blocking` returns `None` only once the queue is both
+//! closed and empty, so shutdown serves every admitted job.
+//!
 //! The response path is per-request: a [`ResponseSlot`] is a one-shot
 //! mutex+condvar cell. The worker's [`Responder`] half delivers exactly
-//! one resolution; dropping it unsent (a worker death mid-job) marks the
-//! slot abandoned, which the ticket surfaces as a typed `WorkerDied`
-//! failure.
+//! one resolution; dropping it unsent marks the slot abandoned, which the
+//! ticket surfaces as a typed `WorkerDied` failure instead of hanging.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::{Job, PlanOutcome};
 
-/// Locks a mutex, recovering the guard if another thread died while
-/// holding it — every structure in this module tolerates a panicked
-/// holder (a worker death can abandon a guard at any point), and
-/// refusing the lock would wedge the pool.
+/// Locks a mutex, recovering the guard if another thread panicked while
+/// holding it — every structure in this module stays valid under a
+/// panicked holder, and refusing the lock would wedge the pool.
 pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -113,12 +115,6 @@ impl JobQueue {
         lock_ignore_poison(&self.state).closed = true;
         self.ready.notify_all();
     }
-
-    /// Removes and returns every job still queued (used after the whole
-    /// pool has exited, to resolve leftovers with typed failures).
-    pub(crate) fn drain_remaining(&self) -> Vec<Job> {
-        lock_ignore_poison(&self.state).jobs.drain(..).collect()
-    }
 }
 
 /// State of one request's resolution slot.
@@ -135,7 +131,7 @@ enum SlotState {
     Ready(PlanOutcome),
     /// Resolution taken by the ticket.
     Taken,
-    /// The responder was dropped without sending (worker died mid-job).
+    /// The responder was dropped without sending.
     Abandoned,
 }
 
@@ -212,9 +208,8 @@ impl ResponseSlot {
 }
 
 /// The worker-side half of a [`ResponseSlot`]: delivers exactly one
-/// resolution, or — if dropped unsent by an unwinding worker — marks
-/// the slot abandoned so the ticket resolves as `WorkerDied` instead of
-/// hanging.
+/// resolution, or — if dropped unsent — marks the slot abandoned so the
+/// ticket resolves as `WorkerDied` instead of hanging.
 pub(crate) struct Responder {
     slot: Arc<ResponseSlot>,
     sent: bool,
@@ -347,8 +342,7 @@ mod tests {
         responder.send(PlanOutcome::Failed(crate::PlanFailure {
             id: 7,
             env: crate::EnvId(0),
-            reason: crate::FailureReason::ShutdownDrained,
-            attempts: 0,
+            reason: crate::FailureReason::WorkerDied,
         }));
         let TryTake::Resolved(outcome) = slot.try_take() else {
             panic!("resolution must be available");

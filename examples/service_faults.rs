@@ -1,12 +1,10 @@
-//! Fault-tolerance demo: chaos-inject panics, worker kills, and latency
-//! into the serving layer and watch it hold its contract.
+//! Fault-tolerance demo: chaos-inject panics and latency into the
+//! serving layer and watch it hold its contract.
 //!
 //! A 24-request batch runs against a fault plan that panics every 5th
-//! planning attempt, kills one worker outright, and delays every 7th
-//! attempt — with a retry policy that absorbs transient faults. Every
-//! ticket still resolves, non-faulted results stay deterministic, and
-//! the supervisor respawns the killed worker so the pool ends at full
-//! capacity.
+//! plan and delays every 7th. Every ticket still resolves: a panicked
+//! request as a typed failure, the rest with deterministic results. The
+//! worker that caught a panic goes on serving the next job.
 //!
 //! Run with: `cargo run --release --example service_faults`
 
@@ -16,8 +14,7 @@ use std::time::Duration;
 use moped::core::PlannerParams;
 use moped::robot::Robot;
 use moped::service::{
-    EnvironmentCatalog, FaultPlan, FaultSite, PlanOutcome, PlanRequest, PlanService, RetryPolicy,
-    ServiceConfig,
+    EnvironmentCatalog, FaultPlan, FaultSite, PlanOutcome, PlanRequest, PlanService, ServiceConfig,
 };
 
 fn main() {
@@ -28,20 +25,16 @@ fn main() {
         .map(|&id| catalog.get(id).unwrap().name.clone())
         .collect();
 
-    // The chaos plan: every 5th planning attempt panics (caught by the
-    // per-job guard), the 4th dequeue kills its worker outright
-    // (supervisor respawns it), and every 7th attempt gains 5ms of
-    // artificial latency.
+    // The chaos plan: every 5th plan panics (caught by the per-job
+    // guard) and every 7th gains 5ms of artificial latency.
     let faults = Arc::new(
         FaultPlan::new()
             .panic_every(FaultSite::Planning, 5)
-            .kill_worker_every(4, 1)
             .delay_every(FaultSite::Planning, Duration::from_millis(5), 7),
     );
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: 64,
-        retry: RetryPolicy::attempts(2).with_backoff(Duration::from_millis(1)),
         faults: Some(faults),
         tuner: None,
     };
@@ -65,7 +58,7 @@ fn main() {
         .collect();
 
     let outcomes = service.run_batch(requests);
-    println!(" req  environment       resolution        attempts  cost      samples");
+    println!(" req  environment       resolution        worker    cost      samples");
     for (i, outcome) in outcomes.iter().enumerate() {
         match outcome {
             Ok(PlanOutcome::Served(r)) => println!(
@@ -73,7 +66,7 @@ fn main() {
                 r.id,
                 names[i % names.len()],
                 "served",
-                r.attempts,
+                r.worker,
                 r.result.path_cost,
                 r.result.stats.samples,
             ),
@@ -82,24 +75,12 @@ fn main() {
                 f.id,
                 names[i % names.len()],
                 "failed",
-                f.attempts,
+                "-",
                 f.reason,
             ),
             Err(reason) => println!("{i:4}  rejected: {reason}"),
         }
     }
-
-    // Give the supervisor a beat to finish respawning, then show that
-    // capacity was restored.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while service.alive_workers() < service.worker_count() && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    println!(
-        "\npool capacity: {}/{} workers alive",
-        service.alive_workers(),
-        service.worker_count()
-    );
 
     let metrics = service.shutdown();
     println!("\n--- metrics ---\n{}", metrics.dump_text());

@@ -179,4 +179,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude proptest --exclude ra
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== non-test Rust lines (information only, not a gate) =="
+scripts/loc.sh
+
 echo "verify: OK"

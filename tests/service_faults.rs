@@ -1,14 +1,15 @@
 //! Chaos tests for the fault-tolerant serving layer: panics injected
-//! into the worker loop must never hang a ticket, never poison the
-//! determinism of unaffected requests, and never shrink the pool.
+//! into the worker's per-job guard must never hang a ticket, never
+//! poison the determinism of unaffected requests, and never stop a
+//! worker from serving the next job.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use moped::core::{PlannerParams, PlannerProfile};
 use moped::robot::Robot;
 use moped::service::{
-    EnvironmentCatalog, FailureReason, FaultPlan, FaultSite, Outcome, PlanRequest, PlanService,
-    RetryPolicy, ServiceConfig,
+    EnvironmentCatalog, FailureReason, FaultKind, FaultPlan, FaultSite, Outcome, PlanRequest,
+    PlanService, ServiceConfig,
 };
 use std::sync::Arc;
 
@@ -42,23 +43,11 @@ fn serial_reference(catalog: &EnvironmentCatalog, requests: &[PlanRequest]) -> V
         .collect()
 }
 
-/// Spin until the supervisor has restored the pool to full capacity.
-fn await_full_capacity(service: &PlanService) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while service.alive_workers() < service.worker_count() {
-        assert!(
-            Instant::now() < deadline,
-            "supervisor must respawn dead workers"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// The acceptance-criteria chaos batch: every 8th planning attempt in a
+/// The acceptance-criteria chaos batch: every 8th plan in a
 /// 32-request batch panics. Every ticket must resolve (no hang, no
 /// client panic), each faulted request must yield a typed failure, every
 /// non-faulted request must stay bit-identical to a serial
-/// `PlannerProfile::plan` run, and the pool must end at full capacity.
+/// `PlannerProfile::plan` run.
 #[test]
 fn chaos_batch_with_injected_panics_keeps_contract() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
@@ -97,18 +86,13 @@ fn chaos_batch_with_injected_panics_keeps_contract() {
                         if message.contains("injected panic at planning")),
                     "unexpected failure: {failure}"
                 );
-                assert_eq!(failure.attempts, 1, "retries are off");
                 failed += 1;
             }
         }
     }
-    // Retries are off, so planning-site hits == requests: 32 hits fire
-    // the every-8th rule exactly 4 times.
+    // Each request hits the planning site once: 32 hits fire the
+    // every-8th rule exactly 4 times.
     assert_eq!(failed, BATCH / 8);
-
-    // (d) workers caught the panics in place: capacity never dropped.
-    await_full_capacity(&service);
-    assert_eq!(service.alive_workers(), WORKERS);
 
     let metrics = service.shutdown();
     assert_eq!(metrics.accepted(), BATCH as u64);
@@ -121,75 +105,13 @@ fn chaos_batch_with_injected_panics_keeps_contract() {
         "every admitted request has exactly one terminal accounting"
     );
     assert_eq!(metrics.queue_depth(), 0);
-    assert_eq!(metrics.worker_respawns(), 0, "caught panics kill nobody");
 }
 
-/// Worker-killing faults (panics outside the per-job guard): the two
-/// victims' tickets resolve as `WorkerDied`, everything else stays
-/// bit-identical to serial, and the supervisor respawns the pool back to
-/// its configured capacity.
+/// A caught panic costs its job, never the worker: the one worker
+/// answers three injected panics with typed failures, then serves the
+/// fourth request bit-identical to a serial run.
 #[test]
-fn killed_workers_are_respawned_and_tickets_resolve() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let requests = batch_requests(&catalog);
-    let serial = serial_reference(&catalog, &requests);
-
-    // Kill the serving worker on the 9th and 18th dequeues.
-    let faults = Arc::new(FaultPlan::new().kill_worker_every(9, 2));
-    let service = PlanService::start(
-        catalog,
-        ServiceConfig {
-            workers: WORKERS,
-            queue_capacity: BATCH,
-            faults: Some(faults),
-            ..Default::default()
-        },
-    );
-
-    let outcomes = service.run_batch(requests);
-    let mut died = 0usize;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let outcome = outcome.as_ref().expect("batch fits the queue");
-        match outcome.response() {
-            Some(resp) => {
-                assert_eq!(resp.result.path_cost.to_bits(), serial[i], "request {i}");
-            }
-            None => {
-                assert_eq!(
-                    outcome.failure().unwrap().reason,
-                    FailureReason::WorkerDied,
-                    "request {i}"
-                );
-                died += 1;
-            }
-        }
-    }
-    assert_eq!(died, 2, "exactly the two kill-rule victims fail");
-
-    // (d) post-respawn pool capacity equals the configured worker count.
-    await_full_capacity(&service);
-    assert_eq!(service.alive_workers(), WORKERS);
-
-    let metrics = service.shutdown();
-    assert_eq!(metrics.faults_injected(), 2);
-    assert_eq!(metrics.worker_respawns(), 2);
-    // (e) no double-execution: completions account for exactly the
-    // survivors; a re-executed victim would push this past BATCH - 2.
-    assert_eq!(metrics.accepted(), BATCH as u64);
-    assert_eq!(metrics.completed(), (BATCH - 2) as u64);
-    assert_eq!(metrics.queue_depth(), 0);
-    assert_eq!(
-        metrics.panics_caught(),
-        0,
-        "dequeue kills fire outside the per-job guard"
-    );
-}
-
-/// With retries enabled, a once-off injected panic is absorbed: the
-/// faulted request succeeds on its second attempt, bit-identical to a
-/// serial run, and the retry is visible in the response and the metrics.
-#[test]
-fn retry_recovers_transient_panic_bit_identically() {
+fn one_worker_keeps_serving_after_caught_panics() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
     let env = catalog.find("pillar-forest").unwrap();
     let params = PlannerParams {
@@ -200,121 +122,47 @@ fn retry_recovers_transient_panic_bit_identically() {
     let reference =
         PlannerProfile::static_default().plan(&catalog.get(env).unwrap().scenario, &params);
 
-    let faults = Arc::new(FaultPlan::new().panic_once(FaultSite::Planning));
+    let faults =
+        Arc::new(FaultPlan::new().with_rule_limited(FaultSite::Planning, FaultKind::Panic, 1, 3));
     let service = PlanService::start(
         catalog,
         ServiceConfig {
             workers: 1,
-            retry: RetryPolicy::attempts(3)
-                .with_backoff(Duration::from_millis(1))
-                .with_jitter(Duration::from_millis(1)),
             faults: Some(faults),
             ..Default::default()
         },
     );
+    for _ in 0..3 {
+        let failure = service
+            .submit(PlanRequest::new(env, params.clone()))
+            .unwrap()
+            .wait()
+            .into_result()
+            .expect_err("the first three jobs panic");
+        assert!(
+            matches!(failure.reason, FailureReason::Panic { .. }),
+            "unexpected failure: {failure}"
+        );
+    }
     let response = service
         .submit(PlanRequest::new(env, params))
         .unwrap()
         .wait()
         .into_result()
-        .expect("retry must recover the transient fault");
-    assert_eq!(response.attempts, 2);
+        .expect("the worker survived its caught panics");
+    assert_eq!(response.worker, 0);
+    assert_eq!(response.outcome, Outcome::Completed);
     assert_eq!(
         response.result.path_cost.to_bits(),
         reference.path_cost.to_bits(),
-        "the retried run is still bit-identical to serial"
+        "the fourth request is bit-identical to serial"
     );
 
     let metrics = service.shutdown();
-    assert_eq!(metrics.retries(), 1);
-    assert_eq!(metrics.panics_caught(), 1);
-    assert_eq!(metrics.failed(), 0);
+    assert_eq!(metrics.panics_caught(), 3);
+    assert_eq!(metrics.failed(), 3);
     assert_eq!(metrics.completed(), 1);
-}
-
-/// A panic that reproduces identically is deterministic; however many
-/// attempts the policy allows, the worker stops after one confirming
-/// retry instead of burning the budget on a failure that cannot heal.
-#[test]
-fn deterministic_panics_are_not_retried_blindly() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
-    let params = PlannerParams {
-        max_samples: 100,
-        seed: 5,
-        ..PlannerParams::default()
-    };
-
-    // Unlimited panic rule: every attempt fails the same way.
-    let faults = Arc::new(FaultPlan::new().panic_every(FaultSite::Planning, 1));
-    let service = PlanService::start(
-        catalog,
-        ServiceConfig {
-            workers: 1,
-            retry: RetryPolicy::attempts(5),
-            faults: Some(faults),
-            ..Default::default()
-        },
-    );
-    let failure = service
-        .submit(PlanRequest::new(env, params))
-        .unwrap()
-        .wait()
-        .into_result()
-        .expect_err("every attempt panics");
-    assert_eq!(
-        failure.attempts, 2,
-        "first attempt + one confirming retry, despite max_attempts=5"
-    );
-
-    let metrics = service.shutdown();
-    assert_eq!(metrics.retries(), 1);
-    assert_eq!(metrics.panics_caught(), 2);
-    assert_eq!(metrics.failed(), 1);
-}
-
-/// Polling a ticket whose worker died must surface a terminal failure
-/// instead of spinning on `None` forever.
-#[test]
-fn poll_surfaces_worker_death_as_terminal_failure() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
-    let params = PlannerParams {
-        max_samples: 100,
-        seed: 3,
-        ..PlannerParams::default()
-    };
-
-    // The one worker dies on its first dequeue, taking the job with it.
-    let faults = Arc::new(FaultPlan::new().kill_worker_every(1, 1));
-    let service = PlanService::start(
-        catalog,
-        ServiceConfig {
-            workers: 1,
-            faults: Some(faults),
-            ..Default::default()
-        },
-    );
-    let ticket = service.submit(PlanRequest::new(env, params)).unwrap();
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let outcome = loop {
-        if let Some(outcome) = ticket.poll() {
-            break outcome;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "poll must resolve after a worker death"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    assert_eq!(
-        outcome.failure().expect("typed failure").reason,
-        FailureReason::WorkerDied
-    );
-    // The resolution has been taken; poll does not re-report it.
-    assert!(ticket.poll().is_none());
-    service.shutdown();
+    assert_eq!(metrics.accepted(), 4);
 }
 
 /// Forced queue-full faults at admission surface as ordinary
@@ -394,15 +242,14 @@ fn shutdown_resolves_outstanding_tickets_with_drained_results() {
     assert_eq!(metrics.queue_depth(), 0);
 }
 
-/// Shutdown racing a pool that keeps dying: tickets resolve with typed
-/// failures (`WorkerDied` for jobs a dying worker took down,
-/// `ShutdownDrained` for jobs no worker ever picked up) — never a hang.
+/// Shutdown with every job panicking: each outstanding ticket resolves
+/// as a typed `Panic` failure — never a hang — and the accounting
+/// balances.
 #[test]
-fn shutdown_with_dead_pool_fails_tickets_typed() {
+fn shutdown_with_every_job_panicking_fails_tickets_typed() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
     let env = catalog.find("open-meadow").unwrap();
-    // Every dequeue kills the worker; respawns die too.
-    let faults = Arc::new(FaultPlan::new().kill_worker_every(1, u64::MAX));
+    let faults = Arc::new(FaultPlan::new().panic_every(FaultSite::Planning, 1));
     let service = PlanService::start(
         catalog,
         ServiceConfig {
@@ -424,19 +271,18 @@ fn shutdown_with_dead_pool_fails_tickets_typed() {
         .collect();
     let metrics = service.shutdown();
     for ticket in tickets {
-        let failure = ticket
-            .wait()
-            .into_result()
-            .expect_err("no job can survive a pool that dies on every dequeue");
+        let failure = ticket.wait().into_result().expect_err("every job panics");
         assert!(
-            matches!(
-                failure.reason,
-                FailureReason::WorkerDied | FailureReason::ShutdownDrained
-            ),
+            matches!(failure.reason, FailureReason::Panic { .. }),
             "unexpected reason: {}",
             failure.reason
         );
     }
+    assert_eq!(metrics.failed(), 6);
     assert_eq!(metrics.completed(), 0);
+    assert_eq!(
+        metrics.completed() + metrics.deadline_expired() + metrics.cancelled() + metrics.failed(),
+        metrics.accepted()
+    );
     assert_eq!(metrics.queue_depth(), 0, "drain balances the gauge");
 }
