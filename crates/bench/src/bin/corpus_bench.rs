@@ -26,8 +26,6 @@
 //! ahead of static RRT\* on aggregate solved count, and auto ≥ RRT\* on
 //! per-family success for the shelf and maze families.
 
-use std::time::Instant;
-
 use moped_core::PlannerParams;
 use moped_eval::corpus::{
     calibrate_table, family_success_rate, run_auto_column, run_matrix, EngineKind, MatrixCell,
@@ -56,7 +54,7 @@ fn cell_json(c: &MatrixCell) -> String {
     format!(
         "{{\"scenario\":\"{}\",\"family\":\"{}\",\"robot\":\"{}\",\"scenario_seed\":{},\
          \"engine\":\"{}\",\"solved\":{},\"path_cost\":{},\"samples\":{},\"nodes\":{},\
-         \"total_macs\":{},\"wall_ms\":{:.3},\"profile\":{},\"nn_backend\":{},\"class\":{}}}",
+         \"total_macs\":{},\"profile\":{},\"nn_backend\":{},\"class\":{}}}",
         c.scenario_id,
         c.family,
         c.robot,
@@ -67,7 +65,6 @@ fn cell_json(c: &MatrixCell) -> String {
         c.samples,
         c.nodes,
         c.total_macs,
-        c.wall_ms,
         opt_str(&c.profile),
         opt_str(&c.nn_backend),
         opt_str(&c.class_id),
@@ -141,16 +138,12 @@ fn main() {
     let mut cells = run_matrix(&entries, &static_engines, &params);
 
     // Auto column: calibrate over this run's own entries, then plan each
-    // scenario under its class's resolved profile. Probe wall time is
-    // measured here (the calibration itself never reads a clock).
+    // scenario under its class's resolved profile.
     let mut auto_stamp = String::new();
     if run_auto {
-        let t0 = Instant::now();
         let (table, probes) = calibrate_table(&entries, probe_samples);
-        let probe_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         println!(
-            "calibrated {} classes from {} probe outcomes in {probe_wall_ms:.0} ms \
-             (probe budget {probe_samples})",
+            "calibrated {} classes from {} probe outcomes (probe budget {probe_samples})",
             table.len(),
             probes.len(),
         );
@@ -167,8 +160,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",");
         auto_stamp = format!(
-            ",\"auto\":{{\"probe_samples\":{probe_samples},\"probe_wall_ms\":{probe_wall_ms:.3},\
-             \"classes\":{},\"profiles\":[{profiles}]}}",
+            ",\"auto\":{{\"probe_samples\":{probe_samples},\"classes\":{},\"profiles\":[{profiles}]}}",
             table.len(),
         );
         cells.extend(run_auto_column(&entries, &table, &params));

@@ -2,11 +2,9 @@
 //!
 //! [`run_matrix`] drives every engine over every seeded corpus scenario
 //! and returns one [`MatrixCell`] per (scenario, engine) pair — success,
-//! path cost, wall time, and operation counts. The bench harness
+//! path cost and operation counts. The bench harness
 //! serializes the cells into `BENCH_corpus.json`; tests and CI gates
 //! read them directly.
-
-use std::time::Instant;
 
 use moped_core::{Engine, PlanResult, PlannerParams, PlannerProfile, Variant};
 use moped_env::Scenario;
@@ -52,7 +50,7 @@ impl EngineKind {
 }
 
 /// One (scenario, engine) cell of the regression matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MatrixCell {
     /// Corpus id, e.g. `narrow-passage/drone_3d/s1`.
     pub scenario_id: String,
@@ -66,7 +64,7 @@ pub struct MatrixCell {
     pub engine: EngineKind,
     /// Whether a path was found within the sample budget.
     pub solved: bool,
-    /// Path cost (0 when unsolved).
+    /// Path cost (`f64::INFINITY` when unsolved).
     pub path_cost: f64,
     /// Samples drawn.
     pub samples: usize,
@@ -74,8 +72,6 @@ pub struct MatrixCell {
     pub nodes: usize,
     /// Total MAC-equivalent operations.
     pub total_macs: u64,
-    /// Wall-clock time of the planning call, in milliseconds.
-    pub wall_ms: f64,
     /// Resolved profile label (`engine/index`), auto rows only.
     pub profile: Option<String>,
     /// Resolved NN backend name, auto rows only.
@@ -103,11 +99,8 @@ pub fn plan_engine(scenario: &Scenario, engine: EngineKind, params: &PlannerPara
     profile.plan(scenario, params)
 }
 
-/// Runs every engine over every corpus entry; one cell per pair.
-///
-/// Wall time is measured here (eval is outside the determinism contract);
-/// everything else in the cell is bit-deterministic in
-/// `(entry, engine, params)`.
+/// Runs every engine over every corpus entry; one cell per pair. Every
+/// cell is bit-deterministic in `(entry, engine, params)`.
 pub fn run_matrix(
     entries: &[CorpusEntry],
     engines: &[EngineKind],
@@ -117,9 +110,7 @@ pub fn run_matrix(
     for entry in entries {
         let scenario = entry.build();
         for &engine in engines {
-            let t0 = Instant::now();
             let r = plan_engine(&scenario, engine, params);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             cells.push(MatrixCell {
                 scenario_id: entry.id(),
                 family: entry.family.name(),
@@ -131,7 +122,6 @@ pub fn run_matrix(
                 samples: r.stats.samples,
                 nodes: r.stats.nodes,
                 total_macs: r.stats.total_ops().mac_equiv(),
-                wall_ms,
                 profile: None,
                 nn_backend: None,
                 class_id: None,
@@ -143,8 +133,7 @@ pub fn run_matrix(
 
 /// Calibrates a [`ProfileTable`] over the given corpus entries (each
 /// entry is one exemplar of its request class) at the given probe
-/// budget. Deterministic in `(entries, probe_samples)`; callers that
-/// want probe *latency* time this call themselves.
+/// budget. Deterministic in `(entries, probe_samples)`.
 pub fn calibrate_table(
     entries: &[CorpusEntry],
     probe_samples: usize,
@@ -172,9 +161,7 @@ pub fn run_auto_column(
     for entry in entries {
         let scenario = entry.build();
         let res = table.resolve(&RequestClass::of_scenario(&scenario).id());
-        let t0 = Instant::now();
         let r = res.profile.plan(&scenario, params);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         cells.push(MatrixCell {
             scenario_id: entry.id(),
             family: entry.family.name(),
@@ -186,7 +173,6 @@ pub fn run_auto_column(
             samples: r.stats.samples,
             nodes: r.stats.nodes,
             total_macs: r.stats.total_ops().mac_equiv(),
-            wall_ms,
             profile: Some(res.profile.label()),
             nn_backend: Some(res.profile.nn_backend.name().to_string()),
             class_id: Some(res.class_id),
@@ -236,23 +222,16 @@ mod tests {
         for c in &cells {
             assert!(c.samples > 0 && c.samples <= 250, "{}", c.scenario_id);
             assert!(c.total_macs > 0, "{}", c.scenario_id);
-            assert!(c.wall_ms >= 0.0);
             assert!(!c.solved || c.path_cost > 0.0, "{}", c.scenario_id);
         }
     }
 
     #[test]
-    fn matrix_cells_are_deterministic_modulo_wall_time() {
+    fn matrix_cells_are_deterministic() {
         let entries = vec![CorpusEntry::new(Family::Maze, RobotModel::Mobile2d, 2)];
         let a = run_matrix(&entries, &EngineKind::ALL, &quick_params());
         let b = run_matrix(&entries, &EngineKind::ALL, &quick_params());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.solved, y.solved);
-            assert_eq!(x.path_cost.to_bits(), y.path_cost.to_bits());
-            assert_eq!(x.samples, y.samples);
-            assert_eq!(x.nodes, y.nodes);
-            assert_eq!(x.total_macs, y.total_macs);
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -272,14 +251,8 @@ mod tests {
             assert!(class.contains("/d"), "{class}");
             assert!(c.profile.is_some() && c.nn_backend.is_some());
         }
-        // Deterministic modulo wall time, like the static columns.
-        let again = run_auto_column(&entries, &table, &quick_params());
-        for (x, y) in cells.iter().zip(&again) {
-            assert_eq!(x.solved, y.solved);
-            assert_eq!(x.path_cost.to_bits(), y.path_cost.to_bits());
-            assert_eq!(x.profile, y.profile);
-            assert_eq!(x.class_id, y.class_id);
-        }
+        // Deterministic, like the static columns.
+        assert_eq!(cells, run_auto_column(&entries, &table, &quick_params()));
     }
 
     #[test]

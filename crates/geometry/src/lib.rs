@@ -20,12 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use moped_geometry::{Obb, Vec3, OpCount};
+//! use moped_geometry::{sat, Obb, OpCount, Vec3};
 //!
 //! let a = Obb::axis_aligned(Vec3::new(0.0, 0.0, 0.0), Vec3::new(1.0, 1.0, 1.0));
 //! let b = Obb::from_euler(Vec3::new(1.5, 0.0, 0.0), Vec3::new(1.0, 1.0, 1.0), 0.4, 0.0, 0.0);
 //! let mut ops = OpCount::default();
-//! assert!(a.intersects_counted(&b, &mut ops));
+//! assert!(sat::obb_obb(&a, &b, &mut ops));
 //! assert!(ops.mul > 0);
 //! ```
 

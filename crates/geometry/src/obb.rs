@@ -167,11 +167,6 @@ impl Obb {
         crate::sat::obb_obb(self, other, &mut scratch)
     }
 
-    /// Exact OBB–OBB intersection, charging operations to `ops`.
-    pub fn intersects_counted(&self, other: &Obb, ops: &mut OpCount) -> bool {
-        crate::sat::obb_obb(self, other, ops)
-    }
-
     /// Number of 16-bit words in the paper's on-chip encoding of this box
     /// (15 for 3D, 8 for 2D).
     pub fn encoded_words(&self) -> u64 {

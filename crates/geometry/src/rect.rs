@@ -93,7 +93,7 @@ impl Rect {
         Rect { lo, hi }
     }
 
-    /// Generalized d-volume ("area" in the paper's insertion criterion).
+    /// Generalized d-volume ("area" in the paper's insertion rule).
     pub fn measure(&self) -> f64 {
         let mut m = 1.0;
         for i in 0..self.dim() {

@@ -14,12 +14,12 @@
 //!   by four occupancy-grid accelerator instances (\[4\]); neighbor search
 //!   remains the bottleneck it cannot address.
 
-use moped_core::{PlanStats, RoundTrace};
+use moped_core::PlanStats;
 use moped_robot::Robot;
 
 use crate::design::DesignPoint;
 use crate::params;
-use crate::pipeline::{self, RoundCycles};
+use crate::pipeline;
 
 /// A latency/energy/area report for one design running one workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -222,34 +222,6 @@ fn neutral_config(robot: &Robot) -> moped_geometry::Config {
     robot.config_from_unit(&vec![0.5; robot.dof()])
 }
 
-/// Convenience: a synthetic uniform round trace (for tests and quick
-/// what-if sweeps without running a planner).
-pub fn synthetic_trace(
-    rounds: usize,
-    ns: u64,
-    cc: u64,
-    refine: u64,
-    insert: u64,
-) -> Vec<RoundTrace> {
-    vec![
-        RoundTrace {
-            ns_macs: ns,
-            cc_macs: cc,
-            refine_macs: refine,
-            insert_macs: insert,
-            accepted: true,
-            near_count: 4,
-        };
-        rounds
-    ]
-}
-
-/// Converts a synthetic trace into pipeline rounds (re-exported shortcut
-/// for benches).
-pub fn cycles_of(trace: &[RoundTrace]) -> Vec<RoundCycles> {
-    pipeline::rounds_from_trace(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,15 +315,6 @@ mod tests {
         assert!((r.throughput() - 2000.0).abs() < 1e-6);
         assert!((r.energy_efficiency() - 1.0 / 70e-6).abs() < 1.0);
         assert!((r.area_efficiency() - 2000.0 / 0.62).abs() < 1e-6);
-    }
-
-    #[test]
-    fn synthetic_trace_roundtrips_through_pipeline() {
-        let trace = synthetic_trace(100, 480, 640, 200, 64);
-        let rounds = cycles_of(&trace);
-        let rep = pipeline::simulate(&rounds);
-        assert!(rep.speedup() > 1.0);
-        assert_eq!(rounds.len(), 100);
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::{Diagnostic, FileCtx, Severity};
 
 /// Crates whose outputs must be a pure function of their inputs: the
 /// planner core and every kernel under it, plus the scenario/catalog
-/// layer that seeds them. See DESIGN.md §8.
+/// layer that seeds them, the tuner and the corpus matrix that reports
+/// on them. See DESIGN.md §8.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "core",
     "geometry",
@@ -27,6 +28,7 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "env",
     "scenarios",
     "tune",
+    "eval",
 ];
 
 /// Static description of one rule.

@@ -1,5 +1,5 @@
 //! Self-check: the engine runs over the real workspace and must report
-//! nothing. This is the executable form of the acceptance criterion
+//! nothing. This is the executable form of the acceptance check
 //! "the workspace lints clean" — if a contract violation lands, this
 //! test fails alongside the `scripts/verify.sh` lint stage.
 

@@ -665,11 +665,6 @@ impl PlanService {
         Arc::clone(&self.metrics)
     }
 
-    /// The configured pool size.
-    pub fn worker_count(&self) -> usize {
-        self.config.workers.max(1)
-    }
-
     /// Admits one request. O(1): resolves the environment snapshot and
     /// appends the job to the queue; planning happens on a worker.
     /// Rejection (with reason) is immediate when the queue is full, the

@@ -5,16 +5,16 @@
 #
 # A file counts if it is a `.rs` file outside every `tests/` directory
 # and outside `vendor/`, `wallbench/` and `target/`. Each file counts its
-# lines up to (not including) the first line that contains `#[cfg(test)]`,
-# so inline unit-test modules are left out. The match is a plain
-# substring, as in the totals recorded in CHANGES.md: a doc comment that
-# mentions the attribute (a few in `moped-lint`) also ends the count.
+# lines up to (not including) the first line that starts with
+# `#[cfg(test)]`, so inline unit-test modules are left out; a comment
+# that mentions the attribute does not end the count.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Lines before the first `#[cfg(test)]` of the text on stdin.
-count() { awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'; }
+# Lines before the first `#[cfg(test)]` of the text on stdin. It reads
+# to the end: exiting early would close the pipe on `git show` mid-write.
+count() { awk '/^#\[cfg\(test\)\]/ { done = 1 } !done { n++ } END { print n + 0 }'; }
 
 counted() {
     grep -E '\.rs$' | grep -Ev '(^|/)tests/|^(vendor|wallbench|target)/' || true

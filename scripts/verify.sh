@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository verification: the tier-1 gate plus formatting.
 #
-# Everything builds offline — rand/proptest/criterion are vendored
+# Everything builds offline — rand and proptest are vendored
 # API-compatible subsets under vendor/ (see DESIGN.md §2) — so this
 # script needs no network access.
 
@@ -77,13 +77,11 @@ cargo run --release -q -p moped-bench --bin corpus_bench -- \
 
 echo "== corpus_bench full run (corpus-artifact freshness gate) =="
 # Every corpus cell and the calibrated `auto` profile block are a pure
-# function of the seeds; only the wall-clock fields vary between runs.
-# A rerun must therefore match the committed BENCH_corpus.json once
-# `wall_ms` and `probe_wall_ms` are stripped from both (about 3 s).
+# function of the seeds, so a rerun must match the committed
+# BENCH_corpus.json byte for byte (about 3 s).
 cargo run --release -q -p moped-bench --bin corpus_bench -- \
     --samples 900 --out target/corpus_full.json > /dev/null
-strip_wall() { sed -E 's/"(probe_)?wall_ms":[0-9.e+-]+//g' "$1"; }
-if ! diff -q <(strip_wall BENCH_corpus.json) <(strip_wall target/corpus_full.json) > /dev/null; then
+if ! diff -q BENCH_corpus.json target/corpus_full.json > /dev/null; then
     echo "verify: FAIL — BENCH_corpus.json is stale. To re-pin after an intended" \
         "change, copy target/corpus_full.json over BENCH_corpus.json (or rerun" \
         "scripts/bench.sh) and record the moved numbers in EXPERIMENTS.md." >&2
@@ -174,12 +172,16 @@ echo "== cargo doc (rustdoc warnings are errors) =="
 # vendored stand-ins for third-party crates are excluded: their docs are
 # not this project's API.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude proptest --exclude rand \
-    --exclude criterion --no-deps --offline
+    --no-deps --offline
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== non-test Rust lines (information only, not a gate) =="
-scripts/loc.sh
+# The count is not gated, but both modes must run: the working tree and
+# a git revision (HEAD). A plain assignment lets `set -e` see a failure.
+loc_tree=$(scripts/loc.sh)
+loc_head=$(scripts/loc.sh HEAD)
+echo "working tree: $loc_tree, HEAD: $loc_head"
 
 echo "verify: OK"
