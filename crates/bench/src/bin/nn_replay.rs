@@ -32,6 +32,10 @@
 //! is the plan's own: a dropped call or anchor, or an insert that
 //! depends on anything but the call stream, fails here. (Kernel changes
 //! that move the ledger are caught by the insert pins in the tests.)
+//! The exact SI-MBR backend's range search and the linear scan both keep
+//! the entries with squared distance `<= r²`, summed axis by axis, so on
+//! every replayed `neighborhood` call their id sets must be equal; the
+//! sets are compared outside the timed region.
 //! The binary exits non-zero on any mismatch. A full run keeps the fastest of 3
 //! replays per backend; `--smoke` replays one scene at 1 500 samples
 //! once (the `scripts/verify.sh` step).
@@ -172,6 +176,8 @@ struct Replay {
     visits: u64,
     mismatches: u64,
     id_mismatches: u64,
+    /// Each `neighborhood` answer's ids, sorted, in call order.
+    neighborhoods: Vec<Vec<u64>>,
 }
 
 impl Replay {
@@ -217,7 +223,9 @@ fn replay<N: NeighborIndex>(
                 Call::Neighborhood { anchor, q, radius } => {
                     let group = index.neighborhood(anchor, &q, radius, &mut ops);
                     out.neighborhood.ns.push(start.elapsed().as_nanos() as u64);
-                    std::hint::black_box(group);
+                    let mut ids: Vec<u64> = group.iter().map(|&(id, _)| id).collect();
+                    ids.sort_unstable();
+                    out.neighborhoods.push(ids);
                 }
             }
         }
@@ -397,6 +405,15 @@ fn main() {
             id_mismatches += r.id_mismatches;
         }
     }
+    let sets = |backend: &str| {
+        let row = rows.iter().find(|(b, ..)| *b == backend);
+        &row.expect("backend replayed").1.neighborhoods
+    };
+    let set_mismatches = sets("si-mbr-exact")
+        .iter()
+        .zip(sets("linear"))
+        .filter(|(exact, linear)| exact != linear)
+        .count();
     let ledger_mismatches = insert_ops
         .iter()
         .zip(&v4_ledgers)
@@ -405,7 +422,8 @@ fn main() {
     println!(
         "nn_replay: ns per call (mean, p50), batch-timed ms of inserts per plan; \
          {mismatches} nearest-distance mismatches, {id_mismatches} SI-MBR nearest-id mismatches, \
-         {ledger_mismatches} SI-MBR V4 insert-ledger mismatches"
+         {ledger_mismatches} SI-MBR V4 insert-ledger mismatches, \
+         {set_mismatches} SI-MBR exact neighborhood-set mismatches"
     );
     if mismatches > 0 {
         eprintln!("nn_replay: FAIL — a backend's nearest distance differs from the recorded one");
@@ -419,6 +437,10 @@ fn main() {
         eprintln!(
             "nn_replay: FAIL — the SI-MBR V4 replay's insert OpCount differs from a recorded plan's"
         );
+        std::process::exit(1);
+    }
+    if set_mismatches > 0 {
+        eprintln!("nn_replay: FAIL — the exact SI-MBR neighborhood differs from the linear scan's");
         std::process::exit(1);
     }
 }

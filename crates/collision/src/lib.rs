@@ -549,11 +549,7 @@ mod tests {
             let mut hit = false;
             let mut tested = 0;
             for body in s.robot.body_obbs(q) {
-                let survivors = two.rtree().filter_with_stats(
-                    &body,
-                    &mut OpCount::default(),
-                    &mut FilterStats::default(),
-                );
+                let survivors = two.rtree().filter(&body, &mut OpCount::default());
                 for &oid in &survivors {
                     let obs = &two.obstacles()[oid];
                     tested += 1;

@@ -7,7 +7,7 @@ use moped_collision::{
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use moped_geometry::{interpolate, Config, InterpolationSteps};
+use moped_geometry::{Config, InterpolationSteps};
 use moped_robot::Robot;
 use proptest::prelude::*;
 
@@ -104,7 +104,7 @@ fn per_pose_reference(
     ledger: &mut CollisionLedger,
 ) -> bool {
     ledger.motion_queries += 1;
-    for pose in interpolate(from, to, steps) {
+    for pose in steps.poses(from, to) {
         ledger.pose_queries += 1;
         if !checker.config_free(robot, &pose, ledger) {
             return false;

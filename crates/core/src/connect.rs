@@ -215,7 +215,7 @@ mod tests {
         let r = planner.plan();
         if let Some(path) = &r.path {
             for w in path.windows(2) {
-                for p in moped_geometry::interpolate(&w[0], &w[1], &planner.steps) {
+                for p in planner.steps.poses(&w[0], &w[1]) {
                     assert!(!s.config_collides(&p), "path pose collides: {p:?}");
                 }
             }

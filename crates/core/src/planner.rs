@@ -1021,8 +1021,7 @@ mod tests {
         let result = planner.plan();
         if let Some(path) = &result.path {
             for w in path.windows(2) {
-                let poses = moped_geometry::interpolate(&w[0], &w[1], &planner.steps);
-                for p in poses {
+                for p in planner.steps.poses(&w[0], &w[1]) {
                     assert!(!s.config_collides(&p), "path pose collides: {p:?}");
                 }
             }

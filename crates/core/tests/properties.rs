@@ -5,7 +5,6 @@
 use moped_collision::TwoStageChecker;
 use moped_core::{Engine, PlannerParams, RrtStar, SimbrIndex, Variant};
 use moped_env::{Scenario, ScenarioParams};
-use moped_geometry::interpolate;
 use moped_geometry::InterpolationSteps;
 use moped_robot::Robot;
 use proptest::prelude::*;
@@ -53,7 +52,7 @@ proptest! {
                 (s.robot.steering_step() / 4.0).max(1e-3),
             );
             for w in path.windows(2) {
-                for pose in interpolate(&w[0], &w[1], &steps) {
+                for pose in steps.poses(&w[0], &w[1]) {
                     prop_assert!(!s.config_collides(&pose), "{variant}: colliding pose");
                 }
             }

@@ -7,7 +7,7 @@
 //! minimum obstacle distance over every checked pose of every body box.
 
 use moped_env::Scenario;
-use moped_geometry::{gjk, interpolate, Config, InterpolationSteps, OpCount};
+use moped_geometry::{gjk, Config, InterpolationSteps, OpCount};
 
 /// Clearance profile of a path through a scenario.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,7 +35,7 @@ pub fn measure(
     let mut ops = OpCount::default();
     let mut per_pose = Vec::new();
     for w in path.windows(2) {
-        for pose in interpolate(&w[0], &w[1], steps) {
+        for pose in steps.poses(&w[0], &w[1]) {
             let mut pose_min = f64::INFINITY;
             for body in scenario.robot.body_obbs(&pose) {
                 for obs in &scenario.obstacles {

@@ -11,9 +11,9 @@
 //!   used by the exact second collision stage),
 //! * [`sat`] — Separating-Axis-Theorem intersection tests (OBB–OBB 15-axis
 //!   for 3D, 4-axis for 2D; AABB–OBB reduced-cost variants),
-//! * [`Rect`] — d-dimensional minimum bounding rectangles (MBRs) in
-//!   configuration space, with the MINDIST lower bound used for
-//!   branch-and-bound nearest-neighbor search,
+//! * [`gjk`] — GJK distance between OBBs (path-clearance metrics),
+//! * [`InterpolationSteps`] — the discretization of a straight
+//!   configuration-space motion into collision-checked poses,
 //! * [`OpCount`] — the operation-count accounting that every computational
 //!   cost figure in the paper's evaluation is derived from.
 //!
@@ -37,7 +37,6 @@ pub mod gjk;
 mod mat3;
 mod obb;
 mod ops;
-mod rect;
 pub mod sat;
 mod segment;
 mod vec3;
@@ -47,6 +46,5 @@ pub use config::{Config, MAX_DOF};
 pub use mat3::Mat3;
 pub use obb::Obb;
 pub use ops::OpCount;
-pub use rect::Rect;
-pub use segment::{interpolate, InterpolationSteps, Poses};
+pub use segment::{InterpolationSteps, Poses};
 pub use vec3::Vec3;

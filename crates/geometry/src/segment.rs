@@ -104,23 +104,6 @@ impl Default for InterpolationSteps {
     }
 }
 
-/// Returns the checked poses of the straight motion `from -> to` under the
-/// given policy, collected from [`InterpolationSteps::poses`].
-///
-/// # Example
-///
-/// ```
-/// use moped_geometry::{interpolate, Config, InterpolationSteps};
-/// let from = Config::new(&[0.0, 0.0]);
-/// let to = Config::new(&[4.0, 0.0]);
-/// let poses = interpolate(&from, &to, &InterpolationSteps::with_resolution(2.0));
-/// assert_eq!(poses.len(), 2);
-/// assert_eq!(poses[1], to);
-/// ```
-pub fn interpolate(from: &Config, to: &Config, steps: &InterpolationSteps) -> Vec<Config> {
-    steps.poses(from, to).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +111,7 @@ mod tests {
     #[test]
     fn zero_length_motion_has_single_pose() {
         let a = Config::new(&[1.0, 1.0]);
-        let poses = interpolate(&a, &a, &InterpolationSteps::default());
+        let poses: Vec<Config> = InterpolationSteps::default().poses(&a, &a).collect();
         assert_eq!(poses, vec![a]);
     }
 
@@ -136,8 +119,8 @@ mod tests {
     fn last_pose_is_exact_target() {
         let a = Config::new(&[0.0, 0.0, 0.0]);
         let b = Config::new(&[3.7, -1.2, 0.4]);
-        let poses = interpolate(&a, &b, &InterpolationSteps::with_resolution(0.5));
-        assert_eq!(*poses.last().unwrap(), b);
+        let poses = InterpolationSteps::with_resolution(0.5).poses(&a, &b);
+        assert_eq!(poses.last(), Some(b));
     }
 
     #[test]
@@ -145,12 +128,12 @@ mod tests {
         let a = Config::new(&[0.0, 0.0]);
         let b = Config::new(&[10.0, 0.0]);
         let policy = InterpolationSteps::with_resolution(1.0);
-        let poses = interpolate(&a, &b, &policy);
+        let poses = policy.poses(&a, &b);
         assert_eq!(poses.len(), 10);
         let mut prev = a;
-        for p in &poses {
-            assert!(prev.distance(p) <= 1.0 + 1e-9);
-            prev = *p;
+        for p in poses {
+            assert!(prev.distance(&p) <= 1.0 + 1e-9);
+            prev = p;
         }
     }
 
@@ -162,7 +145,7 @@ mod tests {
             resolution: 1.0,
             max_steps: 16,
         };
-        assert_eq!(interpolate(&a, &b, &policy).len(), 16);
+        assert_eq!(policy.poses(&a, &b).len(), 16);
     }
 
     #[test]

@@ -245,35 +245,30 @@ impl RTree {
 
     /// First-stage filter: returns the ids of obstacles whose AABB
     /// relaxation intersects the robot body `robot`, pruning whole
-    /// subtrees whose group AABB is clear. Discards traversal statistics;
-    /// see [`RTree::filter_with_stats`].
-    pub fn filter(&self, robot: &Obb, ops: &mut OpCount) -> Vec<usize> {
-        let mut stats = FilterStats::default();
-        self.filter_with_stats(robot, ops, &mut stats)
-    }
-
-    /// First-stage filter with traversal statistics.
+    /// subtrees whose group AABB is clear.
     ///
-    /// Every AABB–OBB SAT issued is charged to `ops`; node/leaf check
-    /// counts and pruning counts accumulate into `stats`. The result is a
+    /// Every AABB–OBB SAT issued is charged to `ops`. The result is a
     /// *superset* of the truly colliding obstacles (AABBs are
     /// conservative), and — crucially for correctness — never omits a
-    /// colliding obstacle.
-    pub fn filter_with_stats(
-        &self,
-        robot: &Obb,
-        ops: &mut OpCount,
-        stats: &mut FilterStats,
-    ) -> Vec<usize> {
+    /// colliding obstacle. Traversal statistics are discarded; see
+    /// [`RTree::filter_into`].
+    pub fn filter(&self, robot: &Obb, ops: &mut OpCount) -> Vec<usize> {
         let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.filter_into(robot, ops, stats, &mut stack, &mut out);
+        self.filter_into(
+            robot,
+            ops,
+            &mut FilterStats::default(),
+            &mut Vec::new(),
+            &mut out,
+        );
         out
     }
 
-    /// Allocation-free variant of [`RTree::filter_with_stats`]: the caller
-    /// supplies the traversal stack and the output buffer (both are
-    /// cleared first), so planner hot loops can reuse scratch storage.
+    /// [`RTree::filter`] with traversal statistics and without
+    /// allocation: node/leaf check counts and pruning counts accumulate
+    /// into `stats`, and the caller supplies the traversal stack and the
+    /// output buffer (both are cleared first), so planner hot loops can
+    /// reuse scratch storage.
     ///
     /// The body is prepared once per call ([`sat::AabbObbBody`]); each
     /// node and leaf test is charged the modelled cost of a from-scratch
@@ -527,7 +522,13 @@ mod tests {
         let robot = Obb::axis_aligned(Vec3::splat(0.0), Vec3::splat(1.5));
         let mut ops = OpCount::default();
         let mut stats = FilterStats::default();
-        let _ = tree.filter_with_stats(&robot, &mut ops, &mut stats);
+        tree.filter_into(
+            &robot,
+            &mut ops,
+            &mut stats,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
         assert!(
             stats.pruned_subtrees > 0,
             "expected pruning on sparse scene"
@@ -635,7 +636,14 @@ mod tests {
         let mut pose_ops = OpCount::default();
         let mut pose_stats = FilterStats::default();
         let pose = Obb::from_euler(Vec3::splat(10.0), half, 0.4, -0.3, 1.2);
-        let out = tree.filter_with_stats(&pose, &mut pose_ops, &mut pose_stats);
+        let mut out = Vec::new();
+        tree.filter_into(
+            &pose,
+            &mut pose_ops,
+            &mut pose_stats,
+            &mut Vec::new(),
+            &mut out,
+        );
         assert!(out.is_empty());
         assert_eq!((stats, ops), (pose_stats, pose_ops));
         // Through an obstacle, or grazing one by less than the body radius.

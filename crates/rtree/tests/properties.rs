@@ -191,7 +191,8 @@ proptest! {
         let tree = RTree::build(&obstacles, 4);
         let mut ops = OpCount::default();
         let mut stats = FilterStats::default();
-        let out = tree.filter_with_stats(&probe, &mut ops, &mut stats);
+        let mut out = Vec::new();
+        tree.filter_into(&probe, &mut ops, &mut stats, &mut Vec::new(), &mut out);
         prop_assert_eq!(stats.survivors as usize, out.len());
         prop_assert!(stats.pruned_subtrees <= stats.node_checks);
         prop_assert!(stats.leaf_checks as usize <= obstacles.len());

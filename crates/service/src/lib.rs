@@ -122,8 +122,8 @@ pub struct EnvSnapshot {
     pub epoch: u64,
     /// The planning scenario (robot, obstacles, default start/goal).
     pub scenario: Scenario,
-    /// The MOPED two-stage checker over the scenario's obstacles (STR
-    /// R-tree and SoA narrow-phase field), which workers plan against.
+    /// The MOPED two-stage checker over the scenario's obstacles (its STR
+    /// R-tree and the obstacle boxes), which workers plan against.
     pub checker: TwoStageChecker,
     /// The request class this environment buckets into (robot ×
     /// obstacle/density signature), computed once at registration so
@@ -134,7 +134,7 @@ pub struct EnvSnapshot {
 
 impl EnvSnapshot {
     /// Builds a snapshot at epoch 0, paying the checker's R-tree bulk
-    /// load and SoA obstacle extraction once.
+    /// load once.
     pub fn new(name: impl Into<String>, scenario: Scenario) -> Self {
         EnvSnapshot::at_epoch(name, scenario, 0)
     }
@@ -217,7 +217,7 @@ impl EnvironmentCatalog {
     /// Replaces a slot's environment with a new scenario, keeping the
     /// slot's name and bumping its epoch by one. Returns the new epoch.
     ///
-    /// The snapshot (checker build: R-tree bulk load, SoA extraction) is
+    /// The snapshot (checker build: the R-tree bulk load) is
     /// built while holding the slot's write lock, so concurrent swaps of
     /// one slot serialize and each epoch is used exactly once; other
     /// slots and already-admitted requests are unaffected.

@@ -59,7 +59,7 @@
 
 use std::cell::RefCell;
 
-use moped_geometry::{Config, OpCount, Rect, MAX_DOF};
+use moped_geometry::{Config, OpCount, MAX_DOF};
 
 /// Sentinel for "no node": the root's parent, and an entry id absent
 /// from the dense entry → leaf table.
@@ -72,8 +72,26 @@ const MAX_ENTRIES: usize = 32;
 /// overflow item.
 const SPLIT_ITEMS: usize = MAX_ENTRIES + 1;
 
-// `SiMbrTree::nearest_with_stats` and `SiMbrTree::insert` dispatch on
-// every dimension in `1..=MAX_DOF`.
+/// Evaluates `$body` with the const `$D` bound to the run-time dimension
+/// `$dim`: one copy of `$body` per dimension in `1..=MAX_DOF`, so the
+/// kernels it calls run over fixed-length arrays. Insertion, nearest
+/// search and range search all dispatch through it.
+macro_rules! with_dim {
+    ($dim:expr, $D:ident => $body:expr) => {
+        with_dim!($dim, $D => $body; 1 2 3 4 5 6 7 8)
+    };
+    ($dim:expr, $D:ident => $body:expr; $($d:literal)*) => {
+        match $dim {
+            $($d => {
+                const $D: usize = $d;
+                $body
+            })*
+            d => unreachable!("dimension {d} is rejected by SiMbrTree::new"),
+        }
+    };
+}
+
+// `with_dim!` covers every dimension in `1..=MAX_DOF`.
 const _: () = assert!(MAX_DOF == 8);
 
 /// Traversal statistics of nearest searches: how many nodes they
@@ -118,9 +136,9 @@ struct Pending {
 #[derive(Clone, Debug)]
 pub struct SiMbrTree {
     // --- flat SoA arena, all arrays indexed by node id ---
-    /// Rect minimum planes, stride `dim`.
+    /// MBR minimum planes, stride `dim`.
     lo: Vec<f64>,
-    /// Rect maximum planes, stride `dim`.
+    /// MBR maximum planes, stride `dim`.
     hi: Vec<f64>,
     /// Parent node id, `NO_NODE` for the root.
     parent: Vec<u32>,
@@ -237,18 +255,17 @@ impl SiMbrTree {
     // Arena accessors
     // ------------------------------------------------------------------
 
-    #[inline]
-    fn lo_of(&self, n: usize) -> &[f64] {
-        &self.lo[n * self.dim..n * self.dim + self.dim]
+    /// Node `n`'s MBR planes `(lo, hi)`.
+    fn planes(&self, n: usize) -> (&[f64], &[f64]) {
+        let axes = n * self.dim..(n + 1) * self.dim;
+        (&self.lo[axes.clone()], &self.hi[axes])
     }
 
-    #[inline]
-    fn hi_of(&self, n: usize) -> &[f64] {
-        &self.hi[n * self.dim..n * self.dim + self.dim]
-    }
-
-    fn node_rect(&self, n: usize) -> Rect {
-        Rect::new(Config::new(self.lo_of(n)), Config::new(self.hi_of(n)))
+    /// Whether the box `lo..hi` is upright and lies within node `n`'s
+    /// MBR, boundary inclusive; a point is the box `p..p`.
+    fn mbr_contains(&self, n: usize, lo: &[f64], hi: &[f64]) -> bool {
+        let (n_lo, n_hi) = self.planes(n);
+        (0..self.dim).all(|i| n_lo[i] <= lo[i] && lo[i] <= hi[i] && hi[i] <= n_hi[i])
     }
 
     fn set_planes<const D: usize>(&mut self, n: usize, lo: &[f64; D], hi: &[f64; D]) {
@@ -353,17 +370,7 @@ impl SiMbrTree {
     /// dimension, so the ancestor-MBR, descent and split loops run over
     /// fixed-length arrays.
     fn insert(&mut self, id: u64, point: &Config, leaf: Option<usize>, ops: &mut OpCount) {
-        match self.dim {
-            1 => self.insert_fixed::<1>(id, point, leaf, ops),
-            2 => self.insert_fixed::<2>(id, point, leaf, ops),
-            3 => self.insert_fixed::<3>(id, point, leaf, ops),
-            4 => self.insert_fixed::<4>(id, point, leaf, ops),
-            5 => self.insert_fixed::<5>(id, point, leaf, ops),
-            6 => self.insert_fixed::<6>(id, point, leaf, ops),
-            7 => self.insert_fixed::<7>(id, point, leaf, ops),
-            8 => self.insert_fixed::<8>(id, point, leaf, ops),
-            d => unreachable!("dimension {d} is rejected by SiMbrTree::new"),
-        }
+        with_dim!(self.dim, D => self.insert_fixed::<D>(id, point, leaf, ops))
     }
 
     fn insert_fixed<const D: usize>(
@@ -592,19 +599,7 @@ impl SiMbrTree {
     ) -> Option<(u64, f64)> {
         assert_eq!(query.dim(), self.dim, "dimension mismatch");
         self.root?;
-        // One copy of the search per dimension, so the MINDIST and
-        // distance loops run over fixed-length arrays.
-        match self.dim {
-            1 => self.search::<1>(query, ops, stats),
-            2 => self.search::<2>(query, ops, stats),
-            3 => self.search::<3>(query, ops, stats),
-            4 => self.search::<4>(query, ops, stats),
-            5 => self.search::<5>(query, ops, stats),
-            6 => self.search::<6>(query, ops, stats),
-            7 => self.search::<7>(query, ops, stats),
-            8 => self.search::<8>(query, ops, stats),
-            d => unreachable!("dimension {d} is rejected by SiMbrTree::new"),
-        }
+        with_dim!(self.dim, D => self.search::<D>(query, ops, stats))
     }
 
     /// The depth-first core over `D`-dimensional points. Pops a pending
@@ -614,8 +609,8 @@ impl SiMbrTree {
     /// every child and pushes the survivors so the stack holds them in
     /// descending MINDIST order, with the closest on top and ties in slot
     /// order. Op charges are added once per visit: per entry and per
-    /// child they are those of the `Config`/`Rect` kernels, and every
-    /// probe that places a survivor on the stack is one `cmp`.
+    /// child they are those of the `dist_sq` and `mindist_sq` kernels, and
+    /// every probe that places a survivor on the stack is one `cmp`.
     fn search<const D: usize>(
         &self,
         query: &Config,
@@ -711,31 +706,60 @@ impl SiMbrTree {
         assert_eq!(query.dim(), self.dim, "dimension mismatch");
         assert!(radius >= 0.0, "radius must be non-negative");
         let mut out = Vec::new();
-        let Some(root) = self.root else { return out };
-        let r2 = radius * radius;
+        with_dim!(self.dim, D => self.range::<D>(query, radius * radius, ops, &mut out));
+        out
+    }
+
+    /// The range-search core over `D`-dimensional points: pops a node,
+    /// skips it if its MINDIST exceeds `r2`, and otherwise appends the
+    /// leaf entries within `r2` in slot order, or pushes an inner node's
+    /// children in slot order (so the last child is expanded first).
+    /// Per node it charges a 2d-word MBR read and the MINDIST kernel; per
+    /// scored entry a d-word point read, the distance kernel and one
+    /// compare.
+    fn range<const D: usize>(
+        &self,
+        query: &Config,
+        r2: f64,
+        ops: &mut OpCount,
+        out: &mut Vec<Entry>,
+    ) {
+        let Some(root) = self.root else { return };
+        let q: &[f64; D] = query
+            .as_slice()
+            .try_into()
+            .expect("query dimension checked");
+        let (cap, d) = (self.cap, D as u64);
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
-            ops.mem_words += 2 * self.dim as u64;
-            if Rect::mindist_sq_planes(self.lo_of(n), self.hi_of(n), query, ops) > r2 {
+            ops.mem_words += 2 * d;
+            ops.cmp += 2 * d;
+            ops.mul += d;
+            ops.add += 2 * d - 1;
+            if mindist_sq(q, fixed(&self.lo, n), fixed(&self.hi, n)) > r2 {
                 continue;
             }
+            let slots = &self.slots[n * cap..n * cap + self.count[n] as usize];
             if self.is_leaf[n] {
-                for k in 0..self.count[n] as usize {
-                    ops.mem_words += self.dim as u64;
-                    let d2 = query.distance_sq_to_slice_counted(self.entry_pt(n, k), ops);
-                    ops.cmp += 1;
-                    if d2 <= r2 {
+                for (k, &id) in slots.iter().enumerate() {
+                    let p = fixed(&self.pts, n * cap + k);
+                    if dist_sq(q, p) <= r2 {
                         out.push(Entry {
-                            id: self.slots[n * self.cap + k],
-                            point: self.entry_config(n, k),
+                            id,
+                            point: Config::new(p),
                         });
                     }
                 }
+                let m = slots.len() as u64;
+                ops.mem_words += m * d;
+                ops.mul += m * d;
+                ops.add += m * (2 * d - 1);
+                ops.dist_calcs += m;
+                ops.cmp += m;
             } else {
-                stack.extend(self.kids_of(n).iter().map(|&k| k as usize));
+                stack.extend(slots.iter().map(|&k| k as usize));
             }
         }
-        out
     }
 
     /// Steering-informed approximated neighborhood (SIAS, §III-B): the
@@ -765,9 +789,9 @@ impl SiMbrTree {
         })
     }
 
-    /// Linear-scan nearest neighbor over all entries — the reference the
-    /// property tests compare against, and the "no index" baseline of the
-    /// evaluation.
+    /// Linear-scan nearest neighbor over all entries: the oracle the
+    /// tests compare [`SiMbrTree::nearest`] against. (The evaluation's
+    /// no-index baseline is `moped_core::LinearIndex`.)
     pub fn nearest_linear(&self, query: &Config, ops: &mut OpCount) -> Option<(u64, f64)> {
         let mut best = None;
         let mut best_d2 = f64::INFINITY;
@@ -813,13 +837,13 @@ impl SiMbrTree {
         let mut seen_entries = 0usize;
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
-            let rect = self.node_rect(n);
             if self.is_leaf[n] {
                 for k in 0..self.count[n] as usize {
                     seen_entries += 1;
                     let id = self.slots[n * self.cap + k];
-                    if !rect.contains_point(&self.entry_config(n, k)) {
-                        return Some(format!("leaf rect of node {n} misses entry {id}"));
+                    let p = self.entry_pt(n, k);
+                    if !self.mbr_contains(n, p, p) {
+                        return Some(format!("leaf MBR of node {n} misses entry {id}"));
                     }
                     if self.leaf_of(id) != Some(n) {
                         return Some(format!("entry map stale for {id}"));
@@ -834,7 +858,8 @@ impl SiMbrTree {
                     if self.parent[k] != n as u32 {
                         return Some(format!("parent link broken at {k}"));
                     }
-                    if !rect.contains_rect(&self.node_rect(k)) {
+                    let (lo, hi) = self.planes(k);
+                    if !self.mbr_contains(n, lo, hi) {
                         return Some(format!("MBR of {n} misses child {k}"));
                     }
                     stack.push(k);
@@ -877,6 +902,7 @@ fn fixed_mut<const D: usize>(slab: &mut [f64], at: usize) -> &mut [f64; D] {
 
 /// Squared distance from `q` to `p`, summed axis by axis in the order of
 /// `Config::distance_sq_to_slice_counted`, so the two agree to the bit.
+/// (`nearest_linear`, the tests' oracle, uses the latter.)
 #[inline(always)]
 fn dist_sq<const D: usize>(q: &[f64; D], p: &[f64; D]) -> f64 {
     let mut acc = 0.0;
@@ -887,8 +913,13 @@ fn dist_sq<const D: usize>(q: &[f64; D], p: &[f64; D]) -> f64 {
     acc
 }
 
-/// Squared MINDIST from `q` to the rect `lo..hi`, summed axis by axis in
-/// the order of `Rect::mindist_sq_planes`, so the two agree to the bit.
+/// Squared MINDIST from `q` to the MBR `lo..hi` (Cheung & Fu 1998): the
+/// squared distance to the MBR's nearest point, zero inside it, and so a
+/// lower bound on the squared distance to every point the MBR holds.
+///
+/// Each axis's excess is computed without a branch as
+/// `(lo − q).max(0) + (q − hi).max(0)`: because `lo ≤ hi`, at most one
+/// term is positive, and adding an exact zero to it changes nothing.
 #[inline(always)]
 fn mindist_sq<const D: usize>(q: &[f64; D], lo: &[f64; D], hi: &[f64; D]) -> f64 {
     let mut acc = 0.0;
@@ -899,8 +930,8 @@ fn mindist_sq<const D: usize>(q: &[f64; D], lo: &[f64; D], hi: &[f64; D]) -> f64
     acc
 }
 
-/// `Rect::measure` over rect planes: the product of the side lengths,
-/// axis by axis.
+/// The MBR's generalized d-volume ("area" in the paper's insertion rule):
+/// the product of the side lengths, axis by axis.
 #[inline(always)]
 fn measure<const D: usize>(lo: &[f64; D], hi: &[f64; D]) -> f64 {
     let mut m = 1.0;
@@ -910,7 +941,8 @@ fn measure<const D: usize>(lo: &[f64; D], hi: &[f64; D]) -> f64 {
     m
 }
 
-/// `a.union(&b).measure()` over rect planes, without building the union.
+/// The measure of the union of MBRs `a` and `b`, without building the
+/// union: per axis the union's side, multiplied in axis order.
 #[inline(always)]
 fn union_measure<const D: usize>(
     alo: &[f64; D],
@@ -929,10 +961,9 @@ fn union_measure<const D: usize>(
 /// are the pair wasting the most dead area if grouped; the other items,
 /// in slot order, join the group whose MBR grows least.
 ///
-/// Each item's measure is computed once, and a union's measure
-/// multiplies the same per-axis factors in the same order as
-/// `Rect::union(..).measure()`, so every waste and enlargement value,
-/// and with them every decision, is that of the `Rect` formulation.
+/// Each item's measure is computed once. The split decisions, and with
+/// them every tree shape, are pinned per dimension by the insertion pins
+/// in the tests.
 // Index pairs (i, j) over the same items are the algorithm's
 // vocabulary; the seed search needs both indices.
 #[allow(clippy::needless_range_loop)]
@@ -1031,6 +1062,8 @@ impl<const D: usize> SplitGroup<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn c2(x: f64, y: f64) -> Config {
         Config::new(&[x, y])
@@ -1057,6 +1090,51 @@ mod tests {
             }
         }
         (tree, pts)
+    }
+
+    /// MINDIST lower-bounds the distance to every point its MBR holds,
+    /// exactly (the kernel rounds monotonically), in every dimension:
+    /// seeded point sets, their bounding MBR, and queries that per axis
+    /// lie below, on the low face, inside, on the high face or above.
+    /// Against a point, MINDIST is the squared distance to the bit.
+    #[test]
+    fn mindist_lower_bounds_every_member() {
+        fn check<const D: usize>(rng: &mut StdRng) {
+            let mut pts = [[0.0f64; D]; 12];
+            for c in pts.iter_mut().flatten() {
+                *c = rng.gen_range(-20.0..20.0);
+            }
+            let (mut lo, mut hi) = (pts[0], pts[0]);
+            for p in &pts {
+                for i in 0..D {
+                    lo[i] = lo[i].min(p[i]);
+                    hi[i] = hi[i].max(p[i]);
+                }
+            }
+            for _ in 0..16 {
+                let mut q = [0.0; D];
+                for i in 0..D {
+                    q[i] = match rng.gen_range(0..5) {
+                        0 => lo[i] - rng.gen_range(0.0..10.0),
+                        1 => lo[i],
+                        2 => rng.gen_range(lo[i]..=hi[i]),
+                        3 => hi[i],
+                        _ => hi[i] + rng.gen_range(0.0..10.0),
+                    };
+                }
+                let md = mindist_sq(&q, &lo, &hi);
+                for p in &pts {
+                    assert!(dist_sq(&q, p) >= md, "{q:?} to {p:?} under {md}");
+                    assert_eq!(mindist_sq(&q, p, p).to_bits(), dist_sq(&q, p).to_bits());
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x3D15);
+        for _ in 0..64 {
+            for dim in 1..=MAX_DOF {
+                with_dim!(dim, D => check::<D>(&mut rng));
+            }
+        }
     }
 
     #[test]

@@ -126,10 +126,21 @@ proptest! {
         prop_assert!(tree.check_invariants().is_none());
     }
 
+    /// In every dimension the range search returns exactly the entries
+    /// within the radius; the radius grows with `sqrt(dim)` so the sets
+    /// stay non-trivial as the points spread out.
     #[test]
-    fn near_is_exact_range_set(points in arb_points(2, 2..60), qv in prop::collection::vec(-40.0..40.0f64, 2), r in 0.5..20.0f64) {
+    fn near_is_exact_range_set(
+        dim in 1..=8usize,
+        coords in prop::collection::vec(-30.0..30.0f64, 16..480),
+        qv in prop::collection::vec(-40.0..40.0f64, 8),
+        r in 0.5..20.0f64,
+    ) {
+        let points: Vec<Config> = coords.chunks_exact(dim).take(60).map(Config::new).collect();
+        prop_assume!(points.len() >= 2);
         let tree = build_conv(&points, 5);
-        let q = Config::new(&qv);
+        let q = Config::new(&qv[..dim]);
+        let r = r * (dim as f64).sqrt();
         let mut ops = OpCount::default();
         let mut got: Vec<u64> = tree.near(&q, r, &mut ops).iter().map(|e| e.id).collect();
         got.sort_unstable();
@@ -223,19 +234,24 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a (64-bit) offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a (64-bit) step over the eight bytes of `word`.
+fn fnv1a(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a (64-bit) over the ids and coordinate bits of `iter()`, in arena
 /// order: any moved entry, reordered slot or changed split fails it.
 fn arena_hash(tree: &SiMbrTree) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
     for e in tree.iter() {
-        eat(e.id);
+        h = fnv1a(h, e.id);
         for &c in e.point.as_slice() {
-            eat(c.to_bits());
+            h = fnv1a(h, c.to_bits());
         }
     }
     h
@@ -245,19 +261,26 @@ fn arena_hash(tree: &SiMbrTree) -> u64 {
 /// height, memory_words, insert ledger [mul, add, cmp, mem_words])`.
 type InsertPin = (usize, usize, &'static str, u64, usize, usize, u64, [u64; 4]);
 
+/// A seeded value in `[0, 1)`.
+fn unit(state: &mut u64) -> f64 {
+    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A seeded point in `[-30, 30)^dim`.
+fn seeded_point(state: &mut u64, dim: usize) -> Config {
+    let coords: Vec<f64> = (0..dim).map(|_| unit(state) * 60.0 - 30.0).collect();
+    Config::new(&coords)
+}
+
 /// Builds a tree from a seeded 300-point stream in `[-30, 30)^dim` and
-/// returns its pin. `"lci"` anchors each point at its exact nearest
-/// entry, `"conv"` descends from the root; only the insertions are
-/// charged to the pinned ledger.
-fn insert_pin(dim: usize, cap: usize, insertion: &'static str) -> InsertPin {
+/// returns it with the ledger of its insertions. `"lci"` anchors each
+/// point at its exact nearest entry, `"conv"` descends from the root.
+fn seeded_tree(dim: usize, cap: usize, insertion: &str) -> (SiMbrTree, OpCount) {
     let mut state = 0x5EED_0000 ^ (dim as u64) << 8 ^ cap as u64;
     let mut tree = SiMbrTree::new(dim, cap);
     let (mut ops, mut search_ops) = (OpCount::default(), OpCount::default());
     for i in 0..300u64 {
-        let coords: Vec<f64> = (0..dim)
-            .map(|_| (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * 60.0 - 30.0)
-            .collect();
-        let p = Config::new(&coords);
+        let p = seeded_point(&mut state, dim);
         match tree.nearest(&p, &mut search_ops) {
             Some((anchor, _)) if insertion == "lci" => tree.insert_near(i, p, anchor, &mut ops),
             _ => tree.insert_conventional(i, p, &mut ops),
@@ -268,6 +291,13 @@ fn insert_pin(dim: usize, cap: usize, insertion: &'static str) -> InsertPin {
         "{:?}",
         tree.check_invariants()
     );
+    (tree, ops)
+}
+
+/// The pin of one seeded build (see [`seeded_tree`]); only the
+/// insertions are charged to the pinned ledger.
+fn insert_pin(dim: usize, cap: usize, insertion: &'static str) -> InsertPin {
+    let (tree, ops) = seeded_tree(dim, cap, insertion);
     assert_eq!((ops.sqrt, ops.dist_calcs, ops.sat_queries), (0, 0, 0));
     (
         dim,
@@ -340,5 +370,86 @@ fn insertion_is_pinned_in_every_dimension() {
     assert_eq!(
         got, INSERT_PINS,
         "insert pins moved; the current rows:\n{table}"
+    );
+}
+
+/// One pinned range-search run: `(dim, cap, entries returned, FNV-1a of
+/// the returned ids in returned order, near ledger [mul, add, cmp, sqrt,
+/// dist_calcs, sat_queries, mem_words])`.
+type NearPin = (usize, usize, usize, u64, [u64; 7]);
+
+/// Runs 64 seeded range searches on the conventionally built seeded
+/// tree, with radii in `[0, 12·sqrt(dim))`, and returns their pin. Each
+/// query's ids are hashed in the order `near` returns them, then a
+/// separator word.
+fn near_pin(dim: usize, cap: usize) -> NearPin {
+    let (tree, _) = seeded_tree(dim, cap, "conv");
+    let mut state = 0x4EA2_0000 ^ (dim as u64) << 8 ^ cap as u64;
+    let mut ops = OpCount::default();
+    let (mut h, mut returned) = (FNV_OFFSET, 0);
+    for _ in 0..64 {
+        let q = seeded_point(&mut state, dim);
+        let r = unit(&mut state) * 12.0 * (dim as f64).sqrt();
+        for e in tree.near(&q, r, &mut ops) {
+            h = fnv1a(h, e.id);
+            returned += 1;
+        }
+        h = fnv1a(h, u64::MAX);
+    }
+    let OpCount {
+        mul,
+        add,
+        cmp,
+        sqrt,
+        dist_calcs,
+        sat_queries,
+        mem_words,
+    } = ops;
+    (
+        dim,
+        cap,
+        returned,
+        h,
+        [mul, add, cmp, sqrt, dist_calcs, sat_queries, mem_words],
+    )
+}
+
+/// Range-search results, their order and their ledger in every
+/// dimension, at capacities 2 and 6. The order matters: RRT\*'s ranked
+/// parent choice sorts candidates stably, so on a cost tie the first
+/// one `near` returned wins. Taken before `near` ran on the
+/// fixed-dimension kernels.
+#[rustfmt::skip]
+const NEAR_PINS: [NearPin; 16] = [
+    (1, 2, 4173, 0xf1c3_4aa3_be60_389c, [13016, 13016, 21844, 0, 4188, 0, 21844]),
+    (1, 6, 3590, 0x3b9b_81e4_dcb6_9034, [5639, 5639, 7542, 0, 3736, 0, 7542]),
+    (2, 2, 1225, 0xb12f_d854_3b77_bc37, [11914, 17871, 19457, 0, 1457, 0, 20914]),
+    (2, 6, 1407, 0xfa3c_5a1a_0957_7f7f, [9128, 13692, 10789, 0, 2489, 0, 13278]),
+    (3, 2,  785, 0x38ee_bb3b_365e_f08d, [18666, 31110, 31262, 0, 1214, 0, 33690]),
+    (3, 6,  571, 0x93fe_cb8d_ed5a_b347, [12666, 21110, 15917, 0, 1883, 0, 19683]),
+    (4, 2,  349, 0xd42b_87ef_30c9_f308, [22172, 38801, 38366, 0, 854, 0, 40928]),
+    (4, 6,  219, 0x5775_6ecf_1b49_7d74, [15896, 27818, 19297, 0, 1785, 0, 24652]),
+    (5, 2,  167, 0xc9cc_7047_c677_066e, [24620, 44316, 45055, 0, 465, 0, 46915]),
+    (5, 6,  258, 0x1fb3_0ca1_193b_d025, [24175, 43515, 27200, 0, 2350, 0, 36600]),
+    (6, 2,   64, 0x2ce9_94d3_136a_0771, [33174, 60819, 62729, 0, 329, 0, 64374]),
+    (6, 6,   99, 0xf400_0a8b_bad2_5adf, [38610, 70785, 40106, 0, 3374, 0, 56976]),
+    (7, 2,   43, 0x5aab_1ef0_ddba_cbfa, [49735, 92365, 94881, 0, 353, 0, 96999]),
+    (7, 6,   47, 0x3401_0d9c_5758_18d1, [42189, 78351, 49200, 0, 2706, 0, 65436]),
+    (8, 2,   33, 0x552d_550f_c127_bc5c, [57120, 107100, 108345, 0, 393, 0, 111096]),
+    (8, 6,   31, 0x12e7_2a00_8d0c_04b5, [52432, 98310, 57209, 0, 3177, 0, 79448]),
+];
+
+#[test]
+fn near_is_pinned_in_every_dimension() {
+    let got: Vec<NearPin> = (1..=8)
+        .flat_map(|dim| [2, 6].map(|cap| near_pin(dim, cap)))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(d, c, n, h, ops)| format!("    ({d}, {c}, {n:>4}, {h:#018x}, {ops:?}),\n"))
+        .collect();
+    assert_eq!(
+        got, NEAR_PINS,
+        "near pins moved; the current rows:\n{table}"
     );
 }

@@ -104,7 +104,10 @@ echo "== nn_replay --smoke (neighbor-index replay gate) =="
 # bit, or if an SI-MBR backend returns a different nearest id (the
 # planner's tree depends on it). It also guards the insert ledger: it
 # exits non-zero if the replayed SI-MBR V4 inserts charge an OpCount
-# other than the recorded plan's insert_ops.
+# other than the recorded plan's insert_ops, and it checks the exact
+# range search: on every replayed neighborhood call the exact SI-MBR
+# backend must return the linear scan's id set, or the binary exits
+# non-zero.
 cargo run --release -q -p moped-bench --bin nn_replay -- --smoke
 
 echo "== motion_replay --smoke (motion-check replay gate) =="

@@ -34,7 +34,7 @@ fn all_variants_all_robots_produce_sound_paths() {
                 let steps =
                     InterpolationSteps::with_resolution((s.robot.steering_step() / 4.0).max(1e-3));
                 for w in path.windows(2) {
-                    for pose in moped::geometry::interpolate(&w[0], &w[1], &steps) {
+                    for pose in steps.poses(&w[0], &w[1]) {
                         assert!(
                             !s.config_collides(&pose),
                             "{variant} on {}: pose collides",

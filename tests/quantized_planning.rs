@@ -68,7 +68,7 @@ fn quantized_paths_are_actually_safe() {
             let mut grazing = 0usize;
             let mut total = 0usize;
             for w in path.windows(2) {
-                for pose in moped::geometry::interpolate(&w[0], &w[1], &steps) {
+                for pose in steps.poses(&w[0], &w[1]) {
                     total += 1;
                     if s.config_collides(&pose) {
                         grazing += 1;
