@@ -8,17 +8,64 @@ use moped_env::{Scenario, ScenarioParams};
 use moped_geometry::InterpolationSteps;
 use moped_robot::Robot;
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn variant_from(idx: u8) -> Variant {
     Variant::ALL[(idx as usize) % Variant::ALL.len()]
+}
+
+/// One planner run on a generated 2D scene is sound: exact sample count,
+/// endpoints correct, path collision free under the exact oracle, and
+/// cost = sum of edge lengths.
+fn check_planner_soundness(
+    scene_seed: u64,
+    plan_seed: u64,
+    budget: usize,
+    vidx: u8,
+) -> Result<(), TestCaseError> {
+    let s = Scenario::generate(
+        Robot::mobile_2d(),
+        &ScenarioParams::with_obstacles(16),
+        scene_seed,
+    );
+    let variant = variant_from(vidx);
+    let params = PlannerParams {
+        max_samples: budget,
+        seed: plan_seed,
+        ..PlannerParams::default()
+    };
+    let r = variant.profile().plan(&s, &params);
+    prop_assert_eq!(r.stats.samples, budget);
+    if let Some(path) = &r.path {
+        prop_assert_eq!(&path[0], &s.start);
+        prop_assert_eq!(path.last().unwrap(), &s.goal);
+        let summed: f64 = path.windows(2).map(|w| w[0].distance(&w[1])).sum();
+        prop_assert!((summed - r.path_cost).abs() < 1e-6);
+        // Validate at the planner's own discretization (step/4):
+        // collision freedom is only guaranteed at the resolution the
+        // planner checked, a deliberate property of sampling-based
+        // planning.
+        let steps = InterpolationSteps::with_resolution((s.robot.steering_step() / 4.0).max(1e-3));
+        for w in path.windows(2) {
+            for pose in steps.poses(&w[0], &w[1]) {
+                prop_assert!(!s.config_collides(&pose), "{variant}: colliding pose");
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A case the property's shrinker once reduced a failure to.
+#[test]
+fn planner_soundness_scene_69() {
+    check_planner_soundness(69, 1, 234, 0).unwrap();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any (seed, budget, variant) triple yields a sound result on a 2D
-    /// scene: exact sample count, endpoints correct, path collision free
-    /// under the exact oracle, and cost = sum of edge lengths.
+    /// scene (see [`check_planner_soundness`]).
     #[test]
     fn planner_soundness(
         scene_seed in 0u64..200,
@@ -26,37 +73,7 @@ proptest! {
         budget in 100usize..400,
         vidx in 0u8..5,
     ) {
-        let s = Scenario::generate(
-            Robot::mobile_2d(),
-            &ScenarioParams::with_obstacles(16),
-            scene_seed,
-        );
-        let variant = variant_from(vidx);
-        let params = PlannerParams {
-            max_samples: budget,
-            seed: plan_seed,
-            ..PlannerParams::default()
-        };
-        let r = variant.profile().plan(&s, &params);
-        prop_assert_eq!(r.stats.samples, budget);
-        if let Some(path) = &r.path {
-            prop_assert_eq!(&path[0], &s.start);
-            prop_assert_eq!(path.last().unwrap(), &s.goal);
-            let summed: f64 = path.windows(2).map(|w| w[0].distance(&w[1])).sum();
-            prop_assert!((summed - r.path_cost).abs() < 1e-6);
-            // Validate at the planner's own discretization (step/4):
-            // collision freedom is only guaranteed at the resolution the
-            // planner checked, a deliberate property of sampling-based
-            // planning.
-            let steps = InterpolationSteps::with_resolution(
-                (s.robot.steering_step() / 4.0).max(1e-3),
-            );
-            for w in path.windows(2) {
-                for pose in steps.poses(&w[0], &w[1]) {
-                    prop_assert!(!s.config_collides(&pose), "{variant}: colliding pose");
-                }
-            }
-        }
+        check_planner_soundness(scene_seed, plan_seed, budget, vidx)?;
     }
 
     /// Tree invariants hold after any run of any engine (costs

@@ -7,6 +7,7 @@
 
 use moped_geometry::{sat, Aabb, Config, InterpolationSteps, Mat3, Obb, OpCount, Vec3};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn arb_vec3(range: f64) -> impl Strategy<Value = Vec3> {
     (-range..range, -range..range, -range..range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -29,6 +30,36 @@ fn arb_obb() -> impl Strategy<Value = Obb> {
 
 fn arb_config(dim: usize) -> impl Strategy<Value = Config> {
     prop::collection::vec(-50.0..50.0f64, dim).prop_map(|v| Config::new(&v))
+}
+
+/// Interpolated motion poses from `a` to `b` all lie within the
+/// segment's bounding box and end exactly at `b`.
+fn check_interpolation(a: &Config, b: &Config) -> Result<(), TestCaseError> {
+    let poses = InterpolationSteps::with_resolution(1.0).poses(a, b);
+    let mut last = *a;
+    for p in poses {
+        // Floating-point lerp may drift a hair outside the exact
+        // bounding box: sum the squared per-axis excess over it.
+        let drift: f64 = (0..a.dim())
+            .map(|i| {
+                let (lo, hi) = (a[i].min(b[i]), a[i].max(b[i]));
+                let excess = (lo - p[i]).max(0.0) + (p[i] - hi).max(0.0);
+                excess * excess
+            })
+            .sum();
+        prop_assert!(drift < 1e-12, "{p:?} drifts {drift} off {a:?}..{b:?}");
+        last = p;
+    }
+    prop_assert_eq!(&last, b);
+    Ok(())
+}
+
+/// A 4-D pair the property's shrinker once reduced a failure to.
+#[test]
+fn interpolation_stays_on_segment_saved_pair() {
+    let a = Config::new(&[0.0, 0.0, 0.0, -15.847438163728032]);
+    let b = Config::new(&[0.0, 0.0, 0.0, -3.015231526524699]);
+    check_interpolation(&a, &b).unwrap();
 }
 
 proptest! {
@@ -105,26 +136,11 @@ proptest! {
         prop_assert!(u.contains_aabb(&ba) && u.contains_aabb(&bb));
     }
 
-    /// Interpolated motion poses all lie within the segment's bounding
-    /// box and end exactly at the target.
+    /// Interpolated motion poses stay on the segment (see
+    /// [`check_interpolation`]).
     #[test]
     fn interpolation_stays_on_segment(a in arb_config(4), b in arb_config(4)) {
-        let poses = InterpolationSteps::with_resolution(1.0).poses(&a, &b);
-        let mut last = a;
-        for p in poses {
-            // Floating-point lerp may drift a hair outside the exact
-            // bounding box: sum the squared per-axis excess over it.
-            let drift: f64 = (0..4)
-                .map(|i| {
-                    let (lo, hi) = (a[i].min(b[i]), a[i].max(b[i]));
-                    let excess = (lo - p[i]).max(0.0) + (p[i] - hi).max(0.0);
-                    excess * excess
-                })
-                .sum();
-            prop_assert!(drift < 1e-12, "{p:?} drifts {drift} off {a:?}..{b:?}");
-            last = p;
-        }
-        prop_assert_eq!(last, b);
+        check_interpolation(&a, &b)?;
     }
 
     /// Planar SAT and 3D SAT agree for z-aligned planar geometry.

@@ -57,8 +57,10 @@
 //!   outstanding ticket resolves before it returns.
 //! * **Observability** — a lock-free [`metrics::Metrics`] registry counts
 //!   every admission outcome (including failures and caught panics),
-//!   aggregates per-stage op ledgers, and tracks latency in fixed-bucket
-//!   histograms with text/JSON dumps.
+//!   aggregates per-stage op ledgers and per-class profile decisions,
+//!   and renders one key list as a text or JSON dump. Wall time is per
+//!   request: every [`PlanResponse`] carries its own `queue_wait` and
+//!   `service_time`.
 //!
 //! Only `std` is used: threads, mutexes and condvars, no external runtime.
 //!
@@ -1003,7 +1005,6 @@ mod tests {
         assert_eq!(metrics.completed(), 1);
         assert_eq!(metrics.failed(), 0);
         assert_eq!(metrics.queue_depth(), 0);
-        assert_eq!(metrics.service_latency().count(), 1);
     }
 
     #[test]

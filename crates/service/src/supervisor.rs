@@ -126,7 +126,6 @@ fn worker_loop(worker_idx: usize, shared: &WorkerShared) {
             Err(payload) => {
                 shared.metrics.inc_panics_caught();
                 shared.metrics.inc_failed();
-                shared.metrics.record_service_latency(started.elapsed());
                 PlanOutcome::Failed(PlanFailure {
                     id: job.id,
                     env: job.env_id,
@@ -149,7 +148,6 @@ fn serve(worker_idx: usize, job: &Job, shared: &WorkerShared, started: Instant) 
     // Queue wait is admission → dequeue, sampled before planning runs,
     // so planning time can never leak into it.
     let queue_wait = started.duration_since(job.enqueued);
-    metrics.record_queue_wait(queue_wait);
 
     if let Some(plan) = shared.faults.as_deref() {
         match plan.fire(FaultSite::Planning) {
@@ -193,7 +191,6 @@ fn serve(worker_idx: usize, job: &Job, shared: &WorkerShared, started: Instant) 
         Outcome::DeadlineExpired => metrics.inc_deadline_expired(),
     }
     metrics.record_stats(&response.result.stats, response.result.solved());
-    metrics.record_service_latency(service_time);
     response
 }
 

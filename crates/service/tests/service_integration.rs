@@ -1,13 +1,15 @@
 //! End-to-end service tests: determinism under concurrency, deadline
 //! enforcement, and metrics accounting across a full batch.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use moped_core::{PlannerParams, PlannerProfile};
 use moped_geometry::InterpolationSteps;
 use moped_robot::Robot;
 use moped_service::{
-    EnvironmentCatalog, Outcome, PlanRequest, PlanService, RejectReason, ServiceConfig,
+    EnvironmentCatalog, FaultPlan, FaultSite, Outcome, PlanRequest, PlanService, RejectReason,
+    ServiceConfig,
 };
 
 const BATCH: usize = 32;
@@ -216,8 +218,7 @@ fn deadline_expired_in_queue_short_circuits() {
 }
 
 /// Every admitted request is accounted for exactly once after a drain:
-/// `accepted == completed + deadline_expired + cancelled` and the
-/// latency histogram saw every served request.
+/// `accepted == completed + deadline_expired + cancelled`.
 #[test]
 fn metrics_sum_correctly_over_mixed_batch() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
@@ -298,9 +299,6 @@ fn metrics_sum_correctly_over_mixed_batch() {
     assert_eq!(metrics.cancelled(), cancelled);
     assert_eq!(completed + expired + cancelled, BATCH as u64);
     assert_eq!(metrics.queue_depth(), 0);
-    // Served requests == histogram observations; queued-expired requests
-    // are served (with an empty result), so counts line up exactly.
-    assert_eq!(metrics.service_latency().count(), BATCH as u64);
     assert!(
         metrics.deadline_expired() >= 1,
         "the 10ms deadlines must bite"
@@ -395,11 +393,8 @@ fn malformed_params_are_rejected_at_admission() {
 
 /// Queue-wait accounting is admission → dequeue only: a pool with idle
 /// workers must report (near-)zero queue wait, because each request is
-/// picked up the moment it lands on a shard — planning time never leaks
-/// into the queue-wait histogram. (The closed-batch benchmark once
-/// reported 320ms+ queue-wait p99 at every pool size; that was genuine
-/// queueing of a 64-deep backlog, but this invariant is what makes the
-/// number trustworthy.)
+/// picked up the moment it lands in the queue — planning time never
+/// leaks into a response's `queue_wait`.
 #[test]
 fn idle_pool_reports_near_zero_queue_wait() {
     let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
@@ -432,15 +427,46 @@ fn idle_pool_reports_near_zero_queue_wait() {
             response.queue_wait
         );
     }
-    let metrics = service.shutdown();
-    let queue_wait = metrics.queue_wait();
-    assert_eq!(queue_wait.count(), 8);
-    // Generous bound for slow CI machines; the point is that this is
-    // microseconds-to-low-milliseconds, not the planning time (tens of
-    // milliseconds) and not a backlog (hundreds).
-    assert!(
-        queue_wait.quantile(0.99) < Duration::from_millis(50),
-        "idle-pool queue-wait p99 was {:?}",
-        queue_wait.quantile(0.99)
+    service.shutdown();
+}
+
+/// The pool serves jobs in parallel, whatever the host's core count:
+/// four workers take four requests whose planning is padded by a 200ms
+/// injected sleep, so each request is dequeued the moment it lands. A
+/// pool that serialized its workers would hold the k-th request about
+/// k × 200ms in the queue.
+#[test]
+fn pool_runs_jobs_concurrently() {
+    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    let env = catalog.find("open-meadow").unwrap();
+    let faults = FaultPlan::new().delay_every(FaultSite::Planning, Duration::from_millis(200), 1);
+    let service = PlanService::start(
+        catalog,
+        ServiceConfig {
+            workers: 4,
+            faults: Some(Arc::new(faults)),
+            ..Default::default()
+        },
     );
+    let tickets: Vec<_> = (0..4u64)
+        .map(|seed| {
+            let params = PlannerParams {
+                max_samples: 50,
+                seed,
+                ..PlannerParams::default()
+            };
+            service.submit(PlanRequest::new(env, params)).unwrap()
+        })
+        .collect();
+    for ticket in tickets {
+        let response = ticket.wait().into_result().expect("served");
+        assert!(
+            response.queue_wait < Duration::from_millis(100),
+            "request {} queued for {:?} behind busy workers",
+            response.id,
+            response.queue_wait
+        );
+    }
+    let metrics = service.shutdown();
+    assert_eq!(metrics.faults_injected(), 4);
 }

@@ -88,13 +88,6 @@ if ! diff -q BENCH_corpus.json target/corpus_full.json > /dev/null; then
     exit 1
 fi
 
-echo "== service_bench --smoke (scaling gate) =="
-# Tiny open-loop run; the binary itself enforces the gate (4-worker
-# throughput >= 1.5x 1-worker on >=4-cpu machines, a no-collapse floor
-# on smaller ones) and exits non-zero on failure.
-cargo run --release -q -p moped-bench --bin service_bench -- \
-    --smoke --out target/service_smoke.json
-
 echo "== nn_replay --smoke (neighbor-index replay gate) =="
 # Records one drone-sparse plan's neighbor-index call stream and replays
 # it alone into SI-MBR V4, exact SI-MBR, kd-tree and linear indexes,
