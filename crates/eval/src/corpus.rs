@@ -9,7 +9,9 @@
 use moped_core::{Engine, PlanResult, PlannerParams, PlannerProfile, Variant};
 use moped_env::Scenario;
 use moped_scenarios::CorpusEntry;
-use moped_tune::{CalibrationConfig, Calibrator, ProbeOutcome, ProfileTable, RequestClass};
+use moped_tune::{
+    CalibrationConfig, Calibrator, ProbeOutcome, ProfileTable, RequestClass, Resolution,
+};
 
 /// A planning engine column in the regression matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -111,24 +113,35 @@ pub fn run_matrix(
         let scenario = entry.build();
         for &engine in engines {
             let r = plan_engine(&scenario, engine, params);
-            cells.push(MatrixCell {
-                scenario_id: entry.id(),
-                family: entry.family.name(),
-                robot: moped_scenarios::robot_slug(entry.robot),
-                scenario_seed: entry.seed,
-                engine,
-                solved: r.solved(),
-                path_cost: r.path_cost,
-                samples: r.stats.samples,
-                nodes: r.stats.nodes,
-                total_macs: r.stats.total_ops().mac_equiv(),
-                profile: None,
-                nn_backend: None,
-                class_id: None,
-            });
+            cells.push(matrix_cell(entry, engine, &r, None));
         }
     }
     cells
+}
+
+/// One matrix row: the entry's identity, the plan's outcome and counts,
+/// and — for auto rows — the profile resolution it planned under.
+fn matrix_cell(
+    entry: &CorpusEntry,
+    engine: EngineKind,
+    r: &PlanResult,
+    res: Option<&Resolution>,
+) -> MatrixCell {
+    MatrixCell {
+        scenario_id: entry.id(),
+        family: entry.family.name(),
+        robot: moped_scenarios::robot_slug(entry.robot),
+        scenario_seed: entry.seed,
+        engine,
+        solved: r.solved(),
+        path_cost: r.path_cost,
+        samples: r.stats.samples,
+        nodes: r.stats.nodes,
+        total_macs: r.stats.total_ops().mac_equiv(),
+        profile: res.map(|res| res.profile.label()),
+        nn_backend: res.map(|res| res.profile.nn_backend.name().to_string()),
+        class_id: res.map(|res| res.class_id.clone()),
+    }
 }
 
 /// Calibrates a [`ProfileTable`] over the given corpus entries (each
@@ -162,21 +175,7 @@ pub fn run_auto_column(
         let scenario = entry.build();
         let res = table.resolve(&RequestClass::of_scenario(&scenario).id());
         let r = res.profile.plan(&scenario, params);
-        cells.push(MatrixCell {
-            scenario_id: entry.id(),
-            family: entry.family.name(),
-            robot: moped_scenarios::robot_slug(entry.robot),
-            scenario_seed: entry.seed,
-            engine: EngineKind::Auto,
-            solved: r.solved(),
-            path_cost: r.path_cost,
-            samples: r.stats.samples,
-            nodes: r.stats.nodes,
-            total_macs: r.stats.total_ops().mac_equiv(),
-            profile: Some(res.profile.label()),
-            nn_backend: Some(res.profile.nn_backend.name().to_string()),
-            class_id: Some(res.class_id),
-        });
+        cells.push(matrix_cell(entry, EngineKind::Auto, &r, Some(&res)));
     }
     cells
 }

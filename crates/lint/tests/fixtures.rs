@@ -292,10 +292,11 @@ fn lock_order_cycle_good() {
 #[test]
 fn lock_blocking_bad() {
     // Line 12: a direct `recv` with the `inner` guard live; line 18: a
-    // call that transitively reaches `join` with the guard live.
+    // call that transitively reaches `join` with the guard live; line
+    // 27: a channel `send` with the guard live.
     assert_eq!(
         findings("bad_lock_blocking.rs", "service"),
-        vec![("lock-order", 12), ("lock-order", 18)]
+        vec![("lock-order", 12), ("lock-order", 18), ("lock-order", 27)]
     );
 }
 

@@ -1,5 +1,5 @@
-//! Seeded blocking-while-locked: a `recv` performed with a guard live,
-//! and a call that transitively reaches a `join` with a guard live.
+//! Seeded blocking-while-locked: a `recv` and a channel `send` with a guard
+//! live, and a call that transitively reaches a `join` with a guard live.
 use std::sync::Mutex;
 
 pub struct Drainer {
@@ -20,5 +20,10 @@ impl Drainer {
 
     fn reap(&self, _state: u32) {
         let _ = self.handle.join();
+    }
+
+    pub fn answer(&self, outcome: u32) {
+        let state = lock_ignore_poison(&self.inner);
+        let _ = self.tx.send(outcome + *state);
     }
 }

@@ -123,11 +123,6 @@ impl FaultPlan {
         self.with_rule(FaultSite::Admission, FaultKind::QueueFull, every)
     }
 
-    /// Whether the plan has no rules (and is therefore inert).
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Records one hit of `site` against every matching rule and returns
     /// the action of the first rule whose cadence and limit allow it to
     /// fire, if any.
@@ -162,7 +157,6 @@ mod tests {
     #[test]
     fn empty_plan_never_fires() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
         for _ in 0..100 {
             assert_eq!(plan.fire(FaultSite::Planning), None);
         }

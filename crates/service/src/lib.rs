@@ -43,11 +43,12 @@
 //! * **FIFO dispatch** — admitted jobs wait in one bounded FIFO (a
 //!   mutex-guarded deque plus a condvar); every idle worker takes the
 //!   oldest job, so no request waits behind a busy worker while another
-//!   sits idle. Responses resolve through per-request one-shot slots.
+//!   sits idle. Each ticket resolves through its own bound-1
+//!   `sync_channel`, so a worker's `send` never waits for the client.
 //! * **Fault tolerance** — everything a worker does for one job runs
 //!   inside one panic guard, so a panicking request resolves its ticket
 //!   with a typed [`PlanFailure`] and the worker moves on to the next
-//!   job. A ticket whose responder is dropped unsent resolves as
+//!   job. A ticket whose response sender is dropped unsent resolves as
 //!   [`FailureReason::WorkerDied`] instead of hanging. A panicked job is
 //!   never re-run: planning is deterministic, so it would panic again.
 //!   A compiled-in but inert-by-default [`FaultPlan`] can inject panics,
@@ -62,7 +63,8 @@
 //!   request: every [`PlanResponse`] carries its own `queue_wait` and
 //!   `service_time`.
 //!
-//! Only `std` is used: threads, mutexes and condvars, no external runtime.
+//! Only `std` is used: threads, mutexes, condvars and bounded channels, no
+//! external runtime.
 //!
 //! # Example
 //!
@@ -92,6 +94,7 @@ mod supervisor;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvError, SyncSender, TryRecvError};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -105,7 +108,7 @@ use moped_tune::{ProfileTable, RequestClass, Resolution};
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use metrics::Metrics;
 
-use queue::{JobQueue, PushRefused, Responder, ResponseSlot, TryTake};
+use queue::{JobQueue, PushRefused};
 use supervisor::{Pool, WorkerShared};
 
 /// An immutable, shareable environment: the scenario plus its two-stage
@@ -337,10 +340,11 @@ pub enum FailureReason {
         /// The panic payload, rendered as a string.
         message: String,
     },
-    /// The request's responder was dropped unsent, so no resolution can
-    /// ever arrive. Every path through a worker sends exactly once; this
-    /// is the ticket's reading of an abandoned slot, which only a panic
-    /// outside the per-job guard could leave behind.
+    /// The request's response sender was dropped unsent, so no
+    /// resolution can ever arrive. Every path through a worker sends
+    /// exactly once; this is the ticket's reading of a disconnected
+    /// channel, which only a panic outside the per-job guard could leave
+    /// behind.
     WorkerDied,
 }
 
@@ -529,16 +533,18 @@ impl Default for ServiceConfig {
 /// A pending request: await the resolution, or cancel the work.
 ///
 /// Every ticket resolves exactly once — with a served response, or with
-/// a typed [`PlanFailure`] if the request panicked or its responder was
-/// abandoned. Neither [`wait`](PlanTicket::wait) nor
-/// [`poll`](PlanTicket::poll) ever panics or hangs on an abandoned slot.
+/// a typed [`PlanFailure`] if the request panicked or its response
+/// sender was dropped unsent. Neither [`wait`](PlanTicket::wait) nor
+/// [`poll`](PlanTicket::poll) ever panics or hangs on a dropped sender.
 #[derive(Debug)]
 #[must_use = "dropping a ticket discards the request's resolution; call wait() or poll()"]
 pub struct PlanTicket {
     id: u64,
     env: EnvId,
     cancel: Arc<AtomicBool>,
-    slot: Arc<ResponseSlot>,
+    response: Receiver<PlanOutcome>,
+    /// Set once `poll` has yielded: a served ticket's drained channel
+    /// reads `Disconnected`, which must not be re-reported as a failure.
     resolved: Cell<bool>,
 }
 
@@ -554,36 +560,32 @@ impl PlanTicket {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Blocks until the request resolves. If the responder was dropped
-    /// unsent, this returns a [`FailureReason::WorkerDied`] failure
-    /// instead of panicking.
+    /// Blocks until the request resolves. If the response sender was
+    /// dropped unsent, this returns a [`FailureReason::WorkerDied`]
+    /// failure instead of panicking.
     pub fn wait(self) -> PlanOutcome {
-        self.slot
-            .wait_take()
-            .unwrap_or_else(|| PlanOutcome::Failed(self.disconnect_failure()))
+        self.response
+            .recv()
+            .unwrap_or_else(|RecvError| PlanOutcome::Failed(self.disconnect_failure()))
     }
 
     /// Returns the resolution if it is already available, without
     /// blocking. Yields `Some` exactly once: `None` before resolution
-    /// and again after the resolution has been taken. A responder dropped
-    /// unsent resolves the ticket with a terminal
+    /// and again after the resolution has been taken. A response sender
+    /// dropped unsent resolves the ticket with a terminal
     /// [`FailureReason::WorkerDied`] failure rather than leaving the
     /// caller polling forever.
     pub fn poll(&self) -> Option<PlanOutcome> {
         if self.resolved.get() {
             return None;
         }
-        match self.slot.try_take() {
-            TryTake::Pending => None,
-            TryTake::Resolved(outcome) => {
-                self.resolved.set(true);
-                Some(outcome)
-            }
-            TryTake::Abandoned => {
-                self.resolved.set(true);
-                Some(PlanOutcome::Failed(self.disconnect_failure()))
-            }
-        }
+        let outcome = match self.response.try_recv() {
+            Err(TryRecvError::Empty) => return None,
+            Ok(outcome) => outcome,
+            Err(TryRecvError::Disconnected) => PlanOutcome::Failed(self.disconnect_failure()),
+        };
+        self.resolved.set(true);
+        Some(outcome)
     }
 
     fn disconnect_failure(&self) -> PlanFailure {
@@ -604,7 +606,9 @@ pub(crate) struct Job {
     pub(crate) deadline_at: Option<Instant>,
     pub(crate) cancel: Arc<AtomicBool>,
     pub(crate) enqueued: Instant,
-    pub(crate) respond: Responder,
+    /// The ticket's one-shot answer: a bound-1 channel, so the worker's
+    /// `send` never waits for the client to read.
+    pub(crate) respond: SyncSender<PlanOutcome>,
     /// Admission-time profile resolution (tuned services only). Frozen
     /// here so a concurrent table rewrite can never move an in-flight
     /// request off the profile it was admitted with.
@@ -719,11 +723,11 @@ impl PlanService {
         });
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = Arc::new(AtomicBool::new(false));
-        // One-shot resolution slot: every ticket receives exactly one
-        // resolution (response or failure); a responder dropped unsent
-        // marks the slot abandoned so the ticket surfaces a typed
+        // Every ticket receives exactly one resolution (response or
+        // failure) through a bound-1 channel; a sender dropped unsent
+        // disconnects it, which the ticket surfaces as a typed
         // WorkerDied failure.
-        let (slot, responder) = ResponseSlot::pair();
+        let (respond, response) = mpsc::sync_channel(1);
         let now = Instant::now();
         let job = Job {
             id,
@@ -733,7 +737,7 @@ impl PlanService {
             deadline_at: request.deadline.map(|d| now + d),
             cancel: Arc::clone(&cancel),
             enqueued: now,
-            respond: responder,
+            respond,
             profile,
         };
         // The gauge must go up *before* the job becomes visible to the
@@ -748,7 +752,7 @@ impl PlanService {
                     id,
                     env: request.env,
                     cancel,
-                    slot,
+                    response,
                     resolved: Cell::new(false),
                 })
             }
@@ -1009,26 +1013,27 @@ mod tests {
 
     #[test]
     fn poll_surfaces_an_abandoned_slot_as_worker_died() {
-        let ticket = |slot| PlanTicket {
-            id: 3,
-            env: EnvId(0),
-            cancel: Arc::new(AtomicBool::new(false)),
-            slot,
-            resolved: Cell::new(false),
+        // A ticket whose sender was dropped without sending.
+        let abandoned = || {
+            let (respond, response) = mpsc::sync_channel::<PlanOutcome>(1);
+            drop(respond);
+            PlanTicket {
+                id: 3,
+                env: EnvId(0),
+                cancel: Arc::new(AtomicBool::new(false)),
+                response,
+                resolved: Cell::new(false),
+            }
         };
         let reason = |outcome: PlanOutcome| outcome.into_result().map(|_| ()).unwrap_err().reason;
 
-        let (slot, responder) = ResponseSlot::pair();
-        drop(responder);
-        let polled = ticket(slot);
-        let outcome = polled.poll().expect("an abandoned slot resolves");
+        let polled = abandoned();
+        let outcome = polled.poll().expect("an abandoned ticket resolves");
         assert_eq!(reason(outcome), FailureReason::WorkerDied);
         // The resolution was taken; poll does not re-report it.
         assert!(polled.poll().is_none());
 
-        let (slot, responder) = ResponseSlot::pair();
-        drop(responder);
-        assert_eq!(reason(ticket(slot).wait()), FailureReason::WorkerDied);
+        assert_eq!(reason(abandoned().wait()), FailureReason::WorkerDied);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use moped_core::PlanStats;
 /// cancelled + failed + in_flight_or_queued`; `rejected` counts
 /// admissions that never entered the queue. After a drain
 /// (`PlanService::shutdown`) the in-flight term is zero, which the
-/// integration tests assert. A ticket whose responder was dropped unsent
-/// resolves *client-side* (as a `WorkerDied` failure) and is counted by
+/// integration tests assert. A ticket whose response sender was dropped
+/// unsent resolves *client-side* (as a `WorkerDied` failure) and is counted by
 /// no terminal counter here; the per-job panic guard leaves no known
 /// path to that state.
 #[derive(Debug, Default)]

@@ -1,5 +1,4 @@
-//! The bounded FIFO admission queue and the one-shot response slot that
-//! resolves each ticket.
+//! The bounded FIFO admission queue.
 //!
 //! The queue is one `Mutex<VecDeque<Job>>` plus a `Condvar`. Admission
 //! appends under the lock, refusing the job outright when `capacity`
@@ -13,16 +12,11 @@
 //! Closing the queue stops admission; workers drain what is already
 //! queued, and `pop_blocking` returns `None` only once the queue is both
 //! closed and empty, so shutdown serves every admitted job.
-//!
-//! The response path is per-request: a [`ResponseSlot`] is a one-shot
-//! mutex+condvar cell. The worker's [`Responder`] half delivers exactly
-//! one resolution; dropping it unsent marks the slot abandoned, which the
-//! ticket surfaces as a typed `WorkerDied` failure instead of hanging.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::{Job, PlanOutcome};
+use crate::Job;
 
 /// Locks a mutex, recovering the guard if another thread panicked while
 /// holding it — every structure in this module stays valid under a
@@ -31,9 +25,9 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Why a push was refused (the job itself is dropped; its responder
-/// marks the slot abandoned, which is harmless because no ticket has
-/// been handed out for a refused admission).
+/// Why a push was refused (the job itself is dropped with its response
+/// sender, which is harmless because no ticket has been handed out for
+/// a refused admission).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PushRefused {
     /// The queue holds `capacity` jobs already.
@@ -117,137 +111,11 @@ impl JobQueue {
     }
 }
 
-/// State of one request's resolution slot.
-// The size gap between variants is deliberate: a resolution is built
-// once per request and moved through the slot exactly once, so boxing
-// the outcome would trade a single move for a heap allocation on the
-// hot path (same reasoning as `PlanOutcome` itself).
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum SlotState {
-    /// No resolution yet.
-    Pending,
-    /// Resolution delivered, not yet taken by the ticket.
-    Ready(PlanOutcome),
-    /// Resolution taken by the ticket.
-    Taken,
-    /// The responder was dropped without sending.
-    Abandoned,
-}
-
-/// Result of a non-blocking slot probe.
-// Same deliberate size gap as `SlotState`: the outcome is moved out at
-// the poll site exactly once, so boxing it would only add a heap
-// allocation to the response path.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum TryTake {
-    /// Nothing delivered yet.
-    Pending,
-    /// The resolution, taken exactly once.
-    Resolved(PlanOutcome),
-    /// The responder is gone and no resolution will ever arrive.
-    Abandoned,
-}
-
-/// A one-shot resolution cell: one mutex + condvar per request, no
-/// channel machinery. See the module docs.
-#[derive(Debug)]
-pub(crate) struct ResponseSlot {
-    state: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-impl ResponseSlot {
-    /// A fresh slot and its (single) responder half.
-    pub(crate) fn pair() -> (Arc<ResponseSlot>, Responder) {
-        let slot = Arc::new(ResponseSlot {
-            state: Mutex::new(SlotState::Pending),
-            ready: Condvar::new(),
-        });
-        let responder = Responder {
-            slot: Arc::clone(&slot),
-            sent: false,
-        };
-        (slot, responder)
-    }
-
-    /// Blocks until the slot resolves. `None` means the responder was
-    /// dropped unsent — the caller maps that to a `WorkerDied` failure.
-    pub(crate) fn wait_take(&self) -> Option<PlanOutcome> {
-        let mut state = lock_ignore_poison(&self.state);
-        loop {
-            if matches!(*state, SlotState::Pending) {
-                state = self
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            return match std::mem::replace(&mut *state, SlotState::Taken) {
-                SlotState::Ready(outcome) => Some(outcome),
-                _ => None,
-            };
-        }
-    }
-
-    /// Non-blocking probe; yields the resolution at most once.
-    pub(crate) fn try_take(&self) -> TryTake {
-        let mut state = lock_ignore_poison(&self.state);
-        match &*state {
-            SlotState::Pending => TryTake::Pending,
-            SlotState::Abandoned | SlotState::Taken => TryTake::Abandoned,
-            SlotState::Ready(_) => {
-                let SlotState::Ready(outcome) = std::mem::replace(&mut *state, SlotState::Taken)
-                else {
-                    return TryTake::Abandoned; // just matched Ready above
-                };
-                TryTake::Resolved(outcome)
-            }
-        }
-    }
-}
-
-/// The worker-side half of a [`ResponseSlot`]: delivers exactly one
-/// resolution, or — if dropped unsent — marks the slot abandoned so the
-/// ticket resolves as `WorkerDied` instead of hanging.
-pub(crate) struct Responder {
-    slot: Arc<ResponseSlot>,
-    sent: bool,
-}
-
-impl Responder {
-    /// Delivers the resolution and wakes the waiting ticket, if any.
-    pub(crate) fn send(mut self, outcome: PlanOutcome) {
-        self.sent = true;
-        {
-            let mut state = lock_ignore_poison(&self.slot.state);
-            if matches!(*state, SlotState::Pending) {
-                *state = SlotState::Ready(outcome);
-            }
-        }
-        self.slot.ready.notify_all();
-    }
-}
-
-impl Drop for Responder {
-    fn drop(&mut self) {
-        if self.sent {
-            return;
-        }
-        {
-            let mut state = lock_ignore_poison(&self.slot.state);
-            if matches!(*state, SlotState::Pending) {
-                *state = SlotState::Abandoned;
-            }
-        }
-        self.slot.ready.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Arc};
     use std::time::Instant;
 
     use moped_core::PlannerParams;
@@ -263,7 +131,7 @@ mod tests {
     }
 
     fn job(id: u64, env: &Arc<EnvSnapshot>) -> Job {
-        let (_slot, respond) = ResponseSlot::pair();
+        let (respond, _ticket) = mpsc::sync_channel(1);
         Job {
             id,
             env_id: EnvId(0),
@@ -333,30 +201,5 @@ mod tests {
         let drained: Vec<u64> = std::iter::from_fn(|| q.pop_blocking().map(|j| j.id)).collect();
         assert_eq!(drained, [0, 1, 2]);
         assert!(q.pop_blocking().is_none());
-    }
-
-    #[test]
-    fn slot_round_trips_a_resolution() {
-        let (slot, responder) = ResponseSlot::pair();
-        assert!(matches!(slot.try_take(), TryTake::Pending));
-        responder.send(PlanOutcome::Failed(crate::PlanFailure {
-            id: 7,
-            env: crate::EnvId(0),
-            reason: crate::FailureReason::WorkerDied,
-        }));
-        let TryTake::Resolved(outcome) = slot.try_take() else {
-            panic!("resolution must be available");
-        };
-        assert_eq!(outcome.failure().map(|f| f.id), Some(7));
-        // Taken exactly once.
-        assert!(matches!(slot.try_take(), TryTake::Abandoned));
-    }
-
-    #[test]
-    fn dropped_responder_abandons_the_slot() {
-        let (slot, responder) = ResponseSlot::pair();
-        drop(responder);
-        assert!(matches!(slot.try_take(), TryTake::Abandoned));
-        assert!(slot.wait_take().is_none());
     }
 }

@@ -3,8 +3,8 @@
 //! A worker runs everything it does for one job inside one
 //! `catch_unwind`: queue-wait sampling, the [`FaultSite::Planning`]
 //! fault site, the plan itself, building the [`PlanResponse`] and the
-//! outcome counters. The job's responder stays outside the guard and
-//! sends exactly once: the response, or a typed
+//! outcome counters. The job's response sender stays outside the guard
+//! and sends exactly once: the response, or a typed
 //! [`FailureReason::Panic`]. A caught panic costs its job, never the
 //! worker, which takes the next job; a worker thread ends only when the
 //! queue is closed and drained.
@@ -107,7 +107,7 @@ impl Pool {
         for handle in self.workers.drain(..) {
             // A worker ends only once the queue is closed and drained;
             // an `Err` here would be a panic outside the per-job guard,
-            // whose in-flight ticket its dropped responder already
+            // whose in-flight ticket its dropped response sender already
             // resolved as `WorkerDied`.
             let _ = handle.join();
         }
@@ -136,7 +136,7 @@ fn worker_loop(worker_idx: usize, shared: &WorkerShared) {
             }
         };
         // A dropped ticket just discards the resolution.
-        job.respond.send(outcome);
+        let _ = job.respond.send(outcome);
     }
 }
 

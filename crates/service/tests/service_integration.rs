@@ -2,7 +2,7 @@
 //! enforcement, and metrics accounting across a full batch.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use moped_core::{PlannerParams, PlannerProfile};
 use moped_geometry::InterpolationSteps;
@@ -469,4 +469,53 @@ fn pool_runs_jobs_concurrently() {
     }
     let metrics = service.shutdown();
     assert_eq!(metrics.faults_injected(), 4);
+}
+
+/// Responses never rendezvous: a worker's answer lands in the ticket's
+/// bound-1 channel whether or not the client ever reads it. One worker
+/// serves three requests whose tickets are never read (the first is
+/// dropped at once, the other two stay alive) and must still serve a
+/// fourth; a rendezvous (bound-0) channel would park the worker on the
+/// second ticket's `send` and starve the fourth.
+#[test]
+fn unread_and_dropped_tickets_never_stall_a_worker() {
+    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    let env = catalog.find("open-meadow").unwrap();
+    let service = PlanService::start(
+        catalog,
+        ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    let submit = |seed| {
+        let params = PlannerParams {
+            max_samples: 50,
+            seed,
+            ..PlannerParams::default()
+        };
+        service.submit(PlanRequest::new(env, params)).unwrap()
+    };
+    drop(submit(0));
+    let unread = [submit(1), submit(2)];
+    let last = submit(3);
+    let give_up = Instant::now() + Duration::from_secs(30);
+    let outcome = loop {
+        if let Some(outcome) = last.poll() {
+            break outcome;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "the worker stalled on an unread ticket"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(
+        outcome.into_result().expect("served").outcome,
+        Outcome::Completed
+    );
+    drop(unread);
+    let metrics = service.shutdown();
+    assert_eq!(metrics.completed(), 4);
+    assert_eq!(metrics.queue_depth(), 0);
 }
