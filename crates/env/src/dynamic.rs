@@ -7,8 +7,6 @@
 //! and spin over time, with deterministic evolution so replanning
 //! experiments are reproducible.
 
-use std::f64::consts::PI;
-
 use moped_geometry::{Mat3, Obb, Vec3};
 use moped_robot::WORKSPACE_EXTENT;
 use rand::rngs::StdRng;
@@ -125,20 +123,16 @@ impl DynamicScenario {
     }
 }
 
-/// Returns a modest default spin bound (quarter turn per second).
-pub fn default_spin() -> f64 {
-    PI / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ScenarioParams;
     use moped_robot::Robot;
+    use std::f64::consts::PI;
 
     fn dynamic_scene(seed: u64) -> DynamicScenario {
         let base = Scenario::generate(Robot::drone_3d(), &ScenarioParams::with_obstacles(12), seed);
-        DynamicScenario::animate(base, 10.0, default_spin(), seed)
+        DynamicScenario::animate(base, 10.0, PI / 2.0, seed)
     }
 
     #[test]
@@ -191,7 +185,7 @@ mod tests {
     #[test]
     fn planar_scene_stays_planar() {
         let base = Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(8), 2);
-        let d = DynamicScenario::animate(base, 8.0, default_spin(), 2);
+        let d = DynamicScenario::animate(base, 8.0, PI / 2.0, 2);
         for o in d.obstacles_at(17.2) {
             assert!(o.is_planar());
             assert_eq!(o.center().z, 0.0);

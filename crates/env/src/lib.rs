@@ -23,7 +23,6 @@
 
 #![deny(missing_docs)]
 
-pub mod catalog;
 pub mod dynamic;
 
 use std::f64::consts::PI;

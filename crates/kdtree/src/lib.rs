@@ -12,9 +12,6 @@
 //! * **Exact nearest-neighbor search** with hyperplane pruning, charging
 //!   the same [`OpCount`] ledger as the SI-MBR-Tree so costs compare
 //!   apples-to-apples.
-//! * An optional **bulk rebuild** (median split) so experiments can also
-//!   model the "rebuild from scratch periodically" mitigation strategy
-//!   and account for its cost.
 //!
 //! # Example
 //!
@@ -279,52 +276,6 @@ impl KdTree {
         }
     }
 
-    /// Rebuilds the tree as a balanced median-split KD-tree over the same
-    /// points, charging the full O(n log n) construction cost — the
-    /// mitigation the paper notes dynamic workloads must repeatedly pay.
-    pub fn rebuild_balanced(&mut self, ops: &mut OpCount) {
-        let mut items: Vec<(u64, Config)> = self.nodes.iter().map(|n| (n.id, n.point)).collect();
-        self.nodes.clear();
-        self.root = None;
-        let dim = self.dim;
-        let root = self.build_rec(&mut items, 0, dim, ops);
-        self.root = root;
-    }
-
-    fn build_rec(
-        &mut self,
-        items: &mut [(u64, Config)],
-        axis: usize,
-        dim: usize,
-        ops: &mut OpCount,
-    ) -> Option<usize> {
-        if items.is_empty() {
-            return None;
-        }
-        let mid = items.len() / 2;
-        items.sort_by(|a, b| a.1[axis].partial_cmp(&b.1[axis]).expect("finite coords"));
-        // Charge an n log n comparison sort at this level.
-        let n = items.len() as u64;
-        ops.cmp += n * (64 - n.leading_zeros() as u64).max(1);
-        let (id, point) = items[mid];
-        let slot = self.nodes.len();
-        self.nodes.push(Node {
-            id,
-            point,
-            axis,
-            left: None,
-            right: None,
-        });
-        let next = (axis + 1) % dim;
-        let (lo, rest) = items.split_at_mut(mid);
-        let hi = &mut rest[1..];
-        let l = self.build_rec(lo, next, dim, ops);
-        let r = self.build_rec(hi, next, dim, ops);
-        self.nodes[slot].left = l;
-        self.nodes[slot].right = r;
-        Some(slot)
-    }
-
     /// Linear-scan reference nearest neighbor.
     pub fn nearest_linear(&self, query: &Config, ops: &mut OpCount) -> Option<(u64, f64)> {
         let mut best: Option<(u64, f64)> = None;
@@ -422,24 +373,11 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_balances_depth() {
-        // Sorted insertion degenerates to a list; rebuild should restore
-        // logarithmic depth.
+    fn sorted_insertion_degenerates() {
+        // Sequential insertion without rebalancing degenerates to a list.
         let pts: Vec<Config> = (0..127).map(|i| Config::new(&[i as f64, 0.0])).collect();
-        let mut tree = build(&pts);
+        let tree = build(&pts);
         assert!(tree.depth() > 60, "sorted insertion should degenerate");
-        let mut ops = OpCount::default();
-        tree.rebuild_balanced(&mut ops);
-        assert!(
-            tree.depth() <= 8,
-            "median rebuild should balance: {}",
-            tree.depth()
-        );
-        assert!(ops.cmp > 0);
-        // Search still exact.
-        let q = Config::new(&[63.2, 0.0]);
-        let a = tree.nearest(&q, &mut ops).unwrap();
-        assert_eq!(a.0, 63);
     }
 
     #[test]

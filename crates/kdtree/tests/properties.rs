@@ -39,19 +39,6 @@ proptest! {
         prop_assert!((got - linear_nearest(&points, &q)).abs() < 1e-9);
     }
 
-    /// Balanced rebuild preserves exactness and the point set.
-    #[test]
-    fn rebuild_preserves_answers(points in arb_points(3, 1..60), qv in prop::collection::vec(-60.0..60.0f64, 3)) {
-        let mut tree = build(&points);
-        let q = Config::new(&qv);
-        let mut ops = OpCount::default();
-        let before = tree.nearest(&q, &mut ops).unwrap().1;
-        tree.rebuild_balanced(&mut ops);
-        prop_assert_eq!(tree.len(), points.len());
-        let after = tree.nearest(&q, &mut ops).unwrap().1;
-        prop_assert!((before - after).abs() < 1e-9);
-    }
-
     /// Range search returns exactly the in-radius identifiers.
     #[test]
     fn near_is_exact(points in arb_points(5, 1..50), r in 1.0..40.0f64) {
@@ -68,15 +55,5 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    /// Rebuild bounds the depth to O(log n).
-    #[test]
-    fn rebuild_is_balanced(points in arb_points(2, 8..200)) {
-        let mut tree = build(&points);
-        let mut ops = OpCount::default();
-        tree.rebuild_balanced(&mut ops);
-        let bound = ((points.len() as f64).log2().ceil() as usize) + 2;
-        prop_assert!(tree.depth() <= bound, "depth {} > bound {bound}", tree.depth());
     }
 }

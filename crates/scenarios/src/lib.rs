@@ -87,11 +87,6 @@ impl Family {
             Family::Dynamic => "dynamic",
         }
     }
-
-    /// Resolves a family from its [`name`](Family::name).
-    pub fn from_name(name: &str) -> Option<Family> {
-        Family::ALL.into_iter().find(|f| f.name() == name)
-    }
 }
 
 /// One corpus cell: a family instantiated for a robot model at a seed.
@@ -221,8 +216,8 @@ fn maze(robot: Robot, seed: u64) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x3A2E_0002);
     let planar = robot.workspace_is_2d();
     let arm = is_arm(&robot);
-    // Arms get the maze scaled into their reachable shell (the catalog
-    // pattern); free-flying robots thread the full workspace.
+    // Arms get the maze scaled ×0.35 into their reachable shell;
+    // free-flying robots thread the full workspace.
     let scale = if arm { 0.35 } else { 1.0 };
     let span = WORKSPACE_EXTENT * scale;
     let origin = (WORKSPACE_EXTENT - span) / 2.0;
@@ -495,8 +490,8 @@ fn is_arm(robot: &Robot) -> bool {
     !matches!(robot.model(), RobotModel::Mobile2d | RobotModel::Drone3d)
 }
 
-/// Drops obstacles whose AABB reaches into the arm base keep-out ball
-/// (the same guarantee the random generator and catalog provide).
+/// Drops obstacles whose AABB reaches into the 12-unit keep-out ball
+/// around the arm base, so an arm never starts in contact.
 fn filter_arm_keep_out(obstacles: Vec<Obb>) -> Vec<Obb> {
     let mid = WORKSPACE_EXTENT / 2.0;
     let base = Vec3::new(mid, mid, 0.0);
@@ -719,11 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn family_names_round_trip() {
-        for family in Family::ALL {
-            assert_eq!(Family::from_name(family.name()), Some(family));
-        }
-        assert_eq!(Family::from_name("no-such-family"), None);
+    fn corpus_id_spells_family_robot_seed() {
         let entry = CorpusEntry::new(Family::Shelf, RobotModel::XArm7, 7);
         assert_eq!(entry.id(), "shelf/xarm7/s7");
     }

@@ -71,10 +71,12 @@
 //! ```
 //! use moped_service::{EnvironmentCatalog, PlanRequest, PlanService, ServiceConfig};
 //! use moped_core::PlannerParams;
-//! use moped_robot::Robot;
+//! use moped_robot::RobotModel;
+//! use moped_scenarios::{CorpusEntry, Family};
 //!
-//! let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-//! let env = catalog.find("open-meadow").unwrap();
+//! let mut catalog = EnvironmentCatalog::new();
+//! let scene = CorpusEntry::new(Family::Clutter, RobotModel::Mobile2d, 1);
+//! let env = catalog.register(scene.id(), scene.build());
 //! let service = PlanService::start(catalog, ServiceConfig { workers: 2, ..Default::default() });
 //! let params = PlannerParams { max_samples: 200, seed: 7, ..Default::default() };
 //! let ticket = service.submit(PlanRequest::new(env, params)).unwrap();
@@ -100,9 +102,7 @@ use std::time::{Duration, Instant};
 
 use moped_collision::TwoStageChecker;
 use moped_core::{PlanResult, PlannerParams};
-use moped_env::catalog::{build as build_scene, NamedScene};
 use moped_env::Scenario;
-use moped_robot::Robot;
 use moped_tune::{ProfileTable, RequestClass, Resolution};
 
 pub use fault::{FaultKind, FaultPlan, FaultSite};
@@ -195,15 +195,6 @@ impl EnvironmentCatalog {
     /// An empty catalog.
     pub fn new() -> Self {
         EnvironmentCatalog::default()
-    }
-
-    /// A catalog holding every named benchmark scene for `robot`.
-    pub fn standard(robot: &Robot) -> Self {
-        let mut cat = EnvironmentCatalog::new();
-        for scene in NamedScene::ALL {
-            cat.register(scene.name(), build_scene(scene, robot.clone()));
-        }
-        cat
     }
 
     /// Registers an environment at epoch 0, returning its id.
@@ -811,6 +802,19 @@ impl Drop for PlanService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moped_robot::{Robot, RobotModel};
+    use moped_scenarios::{CorpusEntry, Family};
+
+    /// The five `mobile_2d` corpus cells at seed 1, registered under
+    /// their corpus ids.
+    fn mobile_catalog() -> EnvironmentCatalog {
+        let mut cat = EnvironmentCatalog::new();
+        for family in Family::ALL {
+            let scene = CorpusEntry::new(family, RobotModel::Mobile2d, 1);
+            cat.register(scene.id(), scene.build());
+        }
+        cat
+    }
 
     fn small_params(samples: usize, seed: u64) -> PlannerParams {
         PlannerParams {
@@ -822,12 +826,13 @@ mod tests {
 
     #[test]
     fn catalog_registers_and_finds() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        assert_eq!(cat.len(), NamedScene::ALL.len());
-        for scene in NamedScene::ALL {
-            let id = cat.find(scene.name()).expect("registered");
+        let cat = mobile_catalog();
+        assert_eq!(cat.len(), Family::ALL.len());
+        for family in Family::ALL {
+            let name = CorpusEntry::new(family, RobotModel::Mobile2d, 1).id();
+            let id = cat.find(&name).expect("registered");
             let snap = cat.get(id).unwrap();
-            assert_eq!(snap.name, scene.name());
+            assert_eq!(snap.name, name);
             assert_eq!(snap.checker.rtree().len(), snap.scenario.obstacles.len());
         }
         assert!(cat.find("nope").is_none());
@@ -836,7 +841,7 @@ mod tests {
     #[test]
     fn swap_bumps_epoch_and_new_requests_see_it() {
         let mut cat = EnvironmentCatalog::new();
-        let epochs = moped_scenarios::dynamic_epochs(moped_robot::RobotModel::Mobile2d, 3, 3, 2.5);
+        let epochs = moped_scenarios::dynamic_epochs(RobotModel::Mobile2d, 3, 3, 2.5);
         let env = cat.register("drifting-clutter", epochs[0].clone());
         assert_eq!(cat.get(env).unwrap().epoch, 0);
 
@@ -949,7 +954,7 @@ mod tests {
     #[test]
     fn in_flight_requests_keep_their_admitted_snapshot() {
         let mut cat = EnvironmentCatalog::new();
-        let epochs = moped_scenarios::dynamic_epochs(moped_robot::RobotModel::Mobile2d, 5, 2, 2.5);
+        let epochs = moped_scenarios::dynamic_epochs(RobotModel::Mobile2d, 5, 2, 2.5);
         let env = cat.register("drifting-clutter", epochs[0].clone());
         let service = PlanService::start(
             cat,
@@ -972,7 +977,7 @@ mod tests {
 
     #[test]
     fn unknown_environment_is_rejected() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
+        let cat = mobile_catalog();
         let service = PlanService::start(cat, ServiceConfig::default());
         let bogus = EnvId(99);
         let err = service
@@ -986,8 +991,8 @@ mod tests {
 
     #[test]
     fn single_request_round_trips() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let env = cat.find("open-meadow").unwrap();
+        let cat = mobile_catalog();
+        let env = cat.find("clutter/mobile_2d/s1").unwrap();
         let service = PlanService::start(
             cat,
             ServiceConfig {
@@ -1038,8 +1043,8 @@ mod tests {
 
     #[test]
     fn cancellation_returns_best_so_far() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let env = cat.find("pillar-forest").unwrap();
+        let cat = mobile_catalog();
+        let env = cat.find("clutter/mobile_2d/s1").unwrap();
         let service = PlanService::start(
             cat,
             ServiceConfig {
@@ -1063,8 +1068,8 @@ mod tests {
 
     #[test]
     fn queue_full_rejects_with_reason() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let env = cat.find("slalom-corridor").unwrap();
+        let cat = mobile_catalog();
+        let env = cat.find("maze/mobile_2d/s1").unwrap();
         let service = PlanService::start(
             cat,
             ServiceConfig {
@@ -1108,8 +1113,8 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_work() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let env = cat.find("open-meadow").unwrap();
+        let cat = mobile_catalog();
+        let env = cat.find("clutter/mobile_2d/s1").unwrap();
         let service = PlanService::start(
             cat,
             ServiceConfig {
@@ -1141,8 +1146,8 @@ mod tests {
     fn tuned_baseline_profile_plans_on_the_naive_checker() {
         // A profile whose collision stage is naive bypasses the
         // snapshot's two-stage checker and still matches the serial plan.
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let env = cat.find("open-meadow").unwrap();
+        let cat = mobile_catalog();
+        let env = cat.find("clutter/mobile_2d/s1").unwrap();
         let class = cat.get(env).unwrap().class.clone();
         let baseline = moped_core::Variant::V0Baseline.profile();
         let mut table = ProfileTable::static_default();
@@ -1176,8 +1181,8 @@ mod tests {
 
     #[test]
     fn tuned_requests_resolve_profiles_and_stamp_responses() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let env = cat.find("open-meadow").unwrap();
+        let cat = mobile_catalog();
+        let env = cat.find("clutter/mobile_2d/s1").unwrap();
         let class = cat.get(env).unwrap().class.clone();
         let mut table = ProfileTable::static_default();
         table.insert(
@@ -1231,8 +1236,8 @@ mod tests {
 
     #[test]
     fn poll_reports_pending_then_resolution() {
-        let cat = EnvironmentCatalog::standard(&Robot::mobile_2d());
-        let env = cat.find("open-meadow").unwrap();
+        let cat = mobile_catalog();
+        let env = cat.find("clutter/mobile_2d/s1").unwrap();
         let service = PlanService::start(
             cat,
             ServiceConfig {

@@ -6,13 +6,25 @@ use std::time::{Duration, Instant};
 
 use moped_core::{PlannerParams, PlannerProfile};
 use moped_geometry::InterpolationSteps;
-use moped_robot::Robot;
+use moped_robot::RobotModel;
+use moped_scenarios::{CorpusEntry, Family};
 use moped_service::{
     EnvironmentCatalog, FaultPlan, FaultSite, Outcome, PlanRequest, PlanService, RejectReason,
     ServiceConfig,
 };
 
 const BATCH: usize = 32;
+
+/// The five `mobile_2d` corpus cells at seed 1, registered under their
+/// corpus ids.
+fn mobile_catalog() -> EnvironmentCatalog {
+    let mut catalog = EnvironmentCatalog::new();
+    for family in Family::ALL {
+        let scene = CorpusEntry::new(family, RobotModel::Mobile2d, 1);
+        catalog.register(scene.id(), scene.build());
+    }
+    catalog
+}
 
 fn batch_requests(catalog: &EnvironmentCatalog) -> Vec<PlanRequest> {
     let env_ids: Vec<_> = catalog.ids().collect();
@@ -34,7 +46,7 @@ fn batch_requests(catalog: &EnvironmentCatalog) -> Vec<PlanRequest> {
 /// same `(environment, params)` pair.
 #[test]
 fn concurrent_batch_matches_serial_bit_for_bit() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    let catalog = mobile_catalog();
     let requests = batch_requests(&catalog);
 
     // Serial reference first, against the same snapshots.
@@ -105,7 +117,7 @@ fn concurrent_batch_matches_serial_bit_for_bit() {
 #[test]
 fn repeated_batches_are_reproducible() {
     let run = || {
-        let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+        let catalog = mobile_catalog();
         let requests = batch_requests(&catalog);
         let service = PlanService::start(
             catalog,
@@ -136,8 +148,8 @@ fn repeated_batches_are_reproducible() {
 /// answer instead of hanging the worker, and be counted as expired.
 #[test]
 fn deadline_is_enforced_with_best_so_far_result() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("pillar-forest").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let service = PlanService::start(
         catalog,
         ServiceConfig {
@@ -177,8 +189,8 @@ fn deadline_is_enforced_with_best_so_far_result() {
 /// immediately with an empty best-so-far result.
 #[test]
 fn deadline_expired_in_queue_short_circuits() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     // One worker, hogged; the second request's deadline expires in queue.
     let service = PlanService::start(
         catalog,
@@ -221,7 +233,7 @@ fn deadline_expired_in_queue_short_circuits() {
 /// `accepted == completed + deadline_expired + cancelled`.
 #[test]
 fn metrics_sum_correctly_over_mixed_batch() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    let catalog = mobile_catalog();
     let env_ids: Vec<_> = catalog.ids().collect();
     let service = PlanService::start(
         catalog,
@@ -338,8 +350,8 @@ fn reject_reasons_render() {
 /// panic or wedge) a worker, which keeps serving valid requests.
 #[test]
 fn malformed_params_are_rejected_at_admission() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let robot = catalog.get(env).unwrap().scenario.robot.clone();
     let service = PlanService::start(
         catalog,
@@ -397,8 +409,8 @@ fn malformed_params_are_rejected_at_admission() {
 /// leaks into a response's `queue_wait`.
 #[test]
 fn idle_pool_reports_near_zero_queue_wait() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let service = PlanService::start(
         catalog,
         ServiceConfig {
@@ -437,8 +449,8 @@ fn idle_pool_reports_near_zero_queue_wait() {
 /// k × 200ms in the queue.
 #[test]
 fn pool_runs_jobs_concurrently() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let faults = FaultPlan::new().delay_every(FaultSite::Planning, Duration::from_millis(200), 1);
     let service = PlanService::start(
         catalog,
@@ -479,8 +491,8 @@ fn pool_runs_jobs_concurrently() {
 /// second ticket's `send` and starve the fourth.
 #[test]
 fn unread_and_dropped_tickets_never_stall_a_worker() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let service = PlanService::start(
         catalog,
         ServiceConfig {

@@ -103,16 +103,6 @@ impl Calibrator {
         self.exemplars.entry(class).or_default().push(s.clone());
     }
 
-    /// Total exemplars registered.
-    pub fn exemplar_count(&self) -> usize {
-        self.exemplars.values().map(Vec::len).sum()
-    }
-
-    /// Classes with at least one exemplar.
-    pub fn class_count(&self) -> usize {
-        self.exemplars.len()
-    }
-
     /// Probes every candidate on every class and returns the calibrated
     /// table plus the full probe record (for bench stamps and tests).
     /// The winner per class maximizes solved count, then minimizes total
@@ -208,8 +198,11 @@ mod tests {
         cal.add_scenario(&CorpusEntry::new(Family::Shelf, RobotModel::Mobile2d, 1).build());
         cal.add_scenario(&CorpusEntry::new(Family::Shelf, RobotModel::Mobile2d, 2).build());
         let (table, outcomes) = cal.calibrate();
-        assert_eq!(cal.exemplar_count(), 2);
-        let classes = cal.class_count();
+        let classes = outcomes
+            .iter()
+            .map(|o| &o.class_id)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
         assert_eq!(outcomes.len(), classes * default_candidates().len());
         for o in &outcomes {
             assert!(o.solved <= o.exemplars);

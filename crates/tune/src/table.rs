@@ -48,11 +48,6 @@ impl ProfileTable {
         ProfileTable::new(PlannerProfile::static_default())
     }
 
-    /// The fallback profile.
-    pub fn default_profile(&self) -> &PlannerProfile {
-        &self.default
-    }
-
     /// Installs (or replaces) the entry for `class_id`.
     pub fn insert(&mut self, class_id: &str, profile: PlannerProfile, reason: &str) {
         self.entries
@@ -181,7 +176,7 @@ mod tests {
         assert_eq!(hit.reason, "probe won");
         let miss = t.resolve("xarm7/d7/o-many/v-dense");
         assert!(!miss.from_table);
-        assert_eq!(&miss.profile, t.default_profile());
+        assert_eq!(miss.profile, PlannerProfile::static_default());
         assert_eq!(miss.reason, "default");
     }
 

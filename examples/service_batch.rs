@@ -10,13 +10,19 @@
 use std::time::Duration;
 
 use moped::core::PlannerParams;
-use moped::robot::Robot;
+use moped::robot::RobotModel;
+use moped::scenarios::{CorpusEntry, Family};
 use moped::service::{
     EnvironmentCatalog, Outcome, PlanOutcome, PlanRequest, PlanService, ServiceConfig,
 };
 
 fn main() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    // The five mobile-robot corpus scenes, served under their corpus ids.
+    let mut catalog = EnvironmentCatalog::new();
+    for family in Family::ALL {
+        let scene = CorpusEntry::new(family, RobotModel::Mobile2d, 1);
+        catalog.register(scene.id(), scene.build());
+    }
     let env_ids: Vec<_> = catalog.ids().collect();
     let names: Vec<String> = env_ids
         .iter()
@@ -61,7 +67,9 @@ fn main() {
     }
 
     let responses = service.run_batch(requests);
-    println!(" req  environment       outcome          solved  cost      samples  worker");
+    println!(
+        " req  environment                  outcome          solved  cost      samples  worker"
+    );
     for (i, resp) in responses.iter().enumerate() {
         match resp {
             Ok(PlanOutcome::Served(r)) => {
@@ -71,7 +79,7 @@ fn main() {
                     Outcome::Cancelled => "cancelled",
                 };
                 println!(
-                    "{:4}  {:16}  {:16} {:6}  {:8.1}  {:7}  {:6}",
+                    "{:4}  {:27}  {:16} {:6}  {:8.1}  {:7}  {:6}",
                     r.id,
                     names[i % names.len()],
                     outcome,

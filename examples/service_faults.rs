@@ -12,13 +12,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use moped::core::PlannerParams;
-use moped::robot::Robot;
+use moped::robot::RobotModel;
+use moped::scenarios::{CorpusEntry, Family};
 use moped::service::{
     EnvironmentCatalog, FaultPlan, FaultSite, PlanOutcome, PlanRequest, PlanService, ServiceConfig,
 };
 
 fn main() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    // The five mobile-robot corpus scenes, served under their corpus ids.
+    let mut catalog = EnvironmentCatalog::new();
+    for family in Family::ALL {
+        let scene = CorpusEntry::new(family, RobotModel::Mobile2d, 1);
+        catalog.register(scene.id(), scene.build());
+    }
     let env_ids: Vec<_> = catalog.ids().collect();
     let names: Vec<String> = env_ids
         .iter()
@@ -58,11 +64,11 @@ fn main() {
         .collect();
 
     let outcomes = service.run_batch(requests);
-    println!(" req  environment       resolution        worker    cost      samples");
+    println!(" req  environment                  resolution        worker    cost      samples");
     for (i, outcome) in outcomes.iter().enumerate() {
         match outcome {
             Ok(PlanOutcome::Served(r)) => println!(
-                "{:4}  {:16}  {:16} {:9}  {:8.1}  {:7}",
+                "{:4}  {:27}  {:16} {:9}  {:8.1}  {:7}",
                 r.id,
                 names[i % names.len()],
                 "served",
@@ -71,7 +77,7 @@ fn main() {
                 r.result.stats.samples,
             ),
             Ok(PlanOutcome::Failed(f)) => println!(
-                "{:4}  {:16}  {:16} {:9}  ({})",
+                "{:4}  {:27}  {:16} {:9}  ({})",
                 f.id,
                 names[i % names.len()],
                 "failed",

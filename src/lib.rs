@@ -3,8 +3,8 @@
 //! A full reproduction of the HPCA'24 MOPED algorithm/hardware co-design:
 //! an RRT\* motion-planning engine accelerated by a two-stage collision
 //! scheme, the SI-MBR-Tree neighbor index with steering-informed
-//! approximated search and O(1) insertion, a speculate-and-repair pipeline
-//! model, and hierarchical multi-level caching.
+//! approximated search and O(1) insertion, and a speculate-and-repair
+//! pipeline model.
 //!
 //! This facade crate re-exports the public API of every subsystem:
 //!

@@ -6,7 +6,8 @@
 use std::time::Duration;
 
 use moped::core::{PlannerParams, PlannerProfile};
-use moped::robot::Robot;
+use moped::robot::RobotModel;
+use moped::scenarios::{CorpusEntry, Family};
 use moped::service::{
     EnvironmentCatalog, FailureReason, FaultKind, FaultPlan, FaultSite, Outcome, PlanRequest,
     PlanService, ServiceConfig,
@@ -15,6 +16,17 @@ use std::sync::Arc;
 
 const BATCH: usize = 32;
 const WORKERS: usize = 4;
+
+/// The five `mobile_2d` corpus cells at seed 1, registered under their
+/// corpus ids.
+fn mobile_catalog() -> EnvironmentCatalog {
+    let mut catalog = EnvironmentCatalog::new();
+    for family in Family::ALL {
+        let scene = CorpusEntry::new(family, RobotModel::Mobile2d, 1);
+        catalog.register(scene.id(), scene.build());
+    }
+    catalog
+}
 
 fn batch_requests(catalog: &EnvironmentCatalog) -> Vec<PlanRequest> {
     let env_ids: Vec<_> = catalog.ids().collect();
@@ -50,7 +62,7 @@ fn serial_reference(catalog: &EnvironmentCatalog, requests: &[PlanRequest]) -> V
 /// `PlannerProfile::plan` run.
 #[test]
 fn chaos_batch_with_injected_panics_keeps_contract() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    let catalog = mobile_catalog();
     let requests = batch_requests(&catalog);
     let serial = serial_reference(&catalog, &requests);
 
@@ -112,8 +124,8 @@ fn chaos_batch_with_injected_panics_keeps_contract() {
 /// fourth request bit-identical to a serial run.
 #[test]
 fn one_worker_keeps_serving_after_caught_panics() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("pillar-forest").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let params = PlannerParams {
         max_samples: 300,
         seed: 42,
@@ -170,8 +182,8 @@ fn one_worker_keeps_serving_after_caught_panics() {
 /// without changing the result.
 #[test]
 fn admission_and_latency_faults_behave_as_load_conditions() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let faults = Arc::new(FaultPlan::new().queue_full_every(2).delay_every(
         FaultSite::Planning,
         Duration::from_millis(20),
@@ -212,8 +224,8 @@ fn admission_and_latency_faults_behave_as_load_conditions() {
 /// resolves with a drained result — never a hang, never a panic.
 #[test]
 fn shutdown_resolves_outstanding_tickets_with_drained_results() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let service = PlanService::start(
         catalog,
         ServiceConfig {
@@ -247,8 +259,8 @@ fn shutdown_resolves_outstanding_tickets_with_drained_results() {
 /// balances.
 #[test]
 fn shutdown_with_every_job_panicking_fails_tickets_typed() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
-    let env = catalog.find("open-meadow").unwrap();
+    let catalog = mobile_catalog();
+    let env = catalog.find("clutter/mobile_2d/s1").unwrap();
     let faults = Arc::new(FaultPlan::new().panic_every(FaultSite::Planning, 1));
     let service = PlanService::start(
         catalog,

@@ -7,13 +7,26 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use moped::core::{PlannerParams, PlannerProfile};
-use moped::robot::{Robot, RobotModel};
+use moped::robot::RobotModel;
+use moped::scenarios::{smoke_corpus, CorpusEntry, Family};
 use moped::service::{EnvironmentCatalog, Outcome, PlanRequest, PlanService, ServiceConfig, Tuner};
 use moped::tune::ProfileTable;
 
+/// One pool serving 3-, 6- and 7-DoF environments: the smoke corpus
+/// (four mobile cells and the drone narrow passage) plus the xArm-7
+/// clutter cell, each registered under its corpus id.
+fn mixed_dof_catalog() -> EnvironmentCatalog {
+    let mut catalog = EnvironmentCatalog::new();
+    let arm = CorpusEntry::new(Family::Clutter, RobotModel::XArm7, 1);
+    for scene in smoke_corpus().into_iter().chain([arm]) {
+        catalog.register(scene.id(), scene.build());
+    }
+    catalog
+}
+
 #[test]
 fn batch_is_deterministic_and_deadlines_bite() {
-    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    let catalog = mixed_dof_catalog();
     let env_ids: Vec<_> = catalog.ids().collect();
 
     let requests: Vec<PlanRequest> = (0..12u64)
