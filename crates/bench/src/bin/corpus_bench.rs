@@ -207,6 +207,26 @@ fn main() {
         }
     }
 
+    // Lazy refinement's work per RRT* engine: deferred parent edges
+    // checked, and how many of them were repaired.
+    let mut lazy = Vec::new();
+    for engine in [EngineKind::ReferenceRrtStar, EngineKind::MopedRrtStar] {
+        if !static_engines.contains(&engine) {
+            continue;
+        }
+        let rows = cells.iter().filter(|c| c.engine == engine);
+        let (checked, repairs) =
+            rows.fold((0, 0), |(d, r), c| (d + c.deferred_checked, r + c.repairs));
+        println!(
+            "{}: {checked} deferred edges checked, {repairs} repaired",
+            engine.name()
+        );
+        lazy.push(format!(
+            "{{\"engine\":\"{}\",\"deferred_checked\":{checked},\"repairs\":{repairs}}}",
+            engine.name()
+        ));
+    }
+
     // Config stamp: everything needed to reproduce the run bit-for-bit
     // (the auto block pins the calibrated table alongside its budget).
     let ids = entries
@@ -219,9 +239,10 @@ fn main() {
         "{{\"bench\":\"corpus_matrix\",\"smoke\":{smoke},\
          \"config\":{{\"planner_seed\":{seed},\"samples_per_plan\":{samples},\
          \"scenario_count\":{},\"scenario_ids\":[{ids}]{auto_stamp}}},\
-         \"summary\":[{}],\"rows\":[{body}]}}",
+         \"summary\":[{}],\"lazy_refinement\":[{}],\"rows\":[{body}]}}",
         entries.len(),
         summary.join(","),
+        lazy.join(","),
     );
     match std::fs::write(&out, &json) {
         Ok(()) => println!("wrote {out}"),

@@ -137,7 +137,9 @@ pub struct RoundTrace {
     /// Collision-check work in the extension phase.
     pub cc_macs: u64,
     /// Tree-refinement work (parent choice, rewiring and the goal
-    /// connection), collision checks included.
+    /// connection), collision checks included. The last recorded round
+    /// also carries RRT\*'s path-extraction walk, so the trace sums to
+    /// the plan's ledger.
     pub refine_macs: u64,
     /// Index-insertion work.
     pub insert_macs: u64,
@@ -164,11 +166,19 @@ pub struct PlanStats {
     pub collision: CollisionLedger,
     /// Rewire operations that actually changed a parent.
     pub rewires: u64,
+    /// Deferred parent edges that RRT\* checked because the returned
+    /// path or a rewire hung from them.
+    pub deferred_checked: u64,
+    /// Deferred edges that collided and were repaired onto the node's
+    /// fallback parent.
+    pub repairs: u64,
     /// Per-round trace (present when requested).
     pub rounds: Vec<RoundTrace>,
     /// Anytime-quality profile: `(sample index, best path cost)` each
-    /// time the best known solution improved — RRT\*'s asymptotic
-    /// optimality made visible.
+    /// time a goal connection improved the best known solution. Costs
+    /// are as known when recorded, deferred edges included, so a repair
+    /// can leave the returned [`PlanResult::path_cost`] above the last
+    /// entry.
     pub solution_history: Vec<(usize, f64)>,
     /// `true` when the run was cut short by a stop hook (deadline or
     /// cancellation) before exhausting its sampling budget; the result
@@ -218,6 +228,13 @@ pub(crate) struct TreeNode {
     pub(crate) parent: Option<usize>,
     pub(crate) children: Vec<usize>,
     pub(crate) cost: f64,
+    /// Whether the edge from `parent` was checked collision free. Only
+    /// RRT\*'s parent choice leaves an edge unchecked (deferred).
+    pub(crate) verified: bool,
+    /// The parent a deferred edge falls back on if it collides:
+    /// `x_nearest`, whose edge to this node the extension checked. A
+    /// `u32` packs it with `verified` into one word of the node.
+    pub(crate) fallback: u32,
 }
 
 /// An RRT\* planner instance bound to a scenario.
@@ -239,6 +256,16 @@ pub struct RrtStar<'a, N: NeighborIndex> {
     journal_enabled: bool,
     pub(crate) journal: Option<Journal>,
     replay: Option<Replay>,
+}
+
+/// What [`RrtStar::verify_path`] found on a path to the root.
+enum PathCheck {
+    /// Every edge on the path is verified.
+    Verified,
+    /// A deferred edge collided and was repaired; the path changed.
+    Repaired,
+    /// The path crosses a dead edge.
+    Blocked,
 }
 
 /// Pre-decoded sample stream consumed instead of the RNG when replaying
@@ -308,7 +335,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
 
     /// Records a deterministic event journal during the next [`plan`]
     /// call: every sample draw (goal-bias draws included), accept,
-    /// reject, rewire, and goal improvement, plus the sampler seed.
+    /// reject, rewire, goal improvement, and each deferred-edge verdict
+    /// and repair of RRT\*'s lazy refinement, plus the sampler seed.
     /// Retrieve it afterwards with [`take_journal`]; feeding it to
     /// [`with_replay`] on a fresh planner over the same scenario
     /// reproduces the run bit-identically.
@@ -474,6 +502,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             parent: None,
             children: Vec::new(),
             cost: 0.0,
+            verified: true,
+            fallback: id as u32,
         });
         if id > 0 {
             let index = self.trees[0].fresh();
@@ -484,8 +514,10 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
     }
 
     /// Adds `q` to `tree` as a child of `parent` with root-relative
-    /// `cost`, indexes it (`hint` is the insertion anchor), and journals
-    /// the accept; returns the new node id.
+    /// `cost`, indexes it, and journals the accept; returns the new node
+    /// id. `hint` is the node `q` was steered from: the insertion anchor,
+    /// and the fallback parent whose edge the extension checked. An edge
+    /// from any other `parent` is deferred.
     pub(crate) fn attach(
         &mut self,
         tree: usize,
@@ -501,6 +533,8 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             parent: Some(parent),
             children: Vec::new(),
             cost,
+            verified: parent == hint,
+            fallback: hint as u32,
         });
         self.nodes[parent].children.push(id);
         self.trees[tree].insert(id as u64, q, Some(hint as u64), &mut stats.insert_ops);
@@ -525,11 +559,11 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
         let (mut rng, budget) = self.begin_run();
         self.plant_root(self.scenario.start, &mut stats);
 
-        let mut best_goal: Option<(usize, f64)> = None; // (node, node→goal dist)
-
-        // Refinement candidates `(cost through, node)`: one buffer that
-        // every round clears and refills.
-        let mut candidates: Vec<(f64, usize)> = Vec::new();
+        // Every checked goal connection `(node, node→goal dist)`; the
+        // last one is the best when it was recorded.
+        let mut goals: Vec<(usize, f64)> = Vec::new();
+        // Nodes whose deferred edge collides and cannot be repaired.
+        let mut dead: Vec<usize> = Vec::new();
 
         for round in 0..budget {
             if self.stop_requested(round) {
@@ -566,47 +600,27 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             trace.ns_macs = (stats.ns_ops - ns_mark).mac_equiv();
 
             // --- Refinement: choose best parent ------------------------
-            // Candidates are ranked by prospective cost and the first
-            // collision-free edge wins (the ranked-order check means the
-            // nearest node's already-verified edge usually terminates the
-            // scan immediately, exactly the paper's low-check refinement).
+            // Lazy: x_new attaches to the cheapest candidate unchecked.
+            // Nearly every such edge is free, so its check is deferred
+            // until the returned path or a rewire hangs from it;
+            // x_nearest's edge, checked by the extension, is the
+            // fallback.
             let refine_mark = self.ledger_macs(&stats) + stats.other_ops.mac_equiv();
-            let nearest_through = self.nodes[nearest_idx].cost
+            let mut parent = nearest_idx;
+            let mut best_cost = self.nodes[nearest_idx].cost
                 + self.nodes[nearest_idx]
                     .q
                     .distance_counted(&x_new, &mut stats.other_ops);
-            candidates.clear();
-            candidates.push((nearest_through, nearest_idx));
             for (cand_id, cand_q) in &near {
                 let ci = *cand_id as usize;
                 if ci == nearest_idx {
                     continue;
                 }
                 let c = self.nodes[ci].cost + cand_q.distance_counted(&x_new, &mut stats.other_ops);
-                candidates.push((c, ci));
-            }
-            candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
-            stats.other_ops.cmp += candidates.len() as u64;
-            let mut parent = nearest_idx;
-            let mut best_cost = nearest_through;
-            for &(c, ci) in &candidates {
-                if ci == nearest_idx {
-                    // Edge already verified collision free above.
+                stats.other_ops.cmp += 1;
+                if c < best_cost {
                     parent = ci;
                     best_cost = c;
-                    break;
-                }
-                let q = self.nodes[ci].q;
-                if self.checker.motion_free(
-                    &self.scenario.robot,
-                    &q,
-                    &x_new,
-                    &self.steps,
-                    &mut stats.collision,
-                ) {
-                    parent = ci;
-                    best_cost = c;
-                    break;
                 }
             }
 
@@ -618,14 +632,19 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             stats.nodes = self.nodes.len();
 
             // --- Rewire ------------------------------------------------
+            // A rewire hangs a neighbor from x_new's path, so the first
+            // one verifies that path; a rewire then never moves a node
+            // under an unverified one. A repair on the path raises x_new's
+            // cost, so the bound is tested again after the check.
+            let mut path_free = None;
             for (cand_id, cand_q) in &near {
                 let ci = *cand_id as usize;
                 if ci == parent || ci == new_idx {
                     continue;
                 }
-                let through = best_cost + x_new.distance_counted(cand_q, &mut stats.other_ops);
+                let d = x_new.distance_counted(cand_q, &mut stats.other_ops);
                 stats.other_ops.cmp += 1;
-                if through < self.nodes[ci].cost
+                if self.nodes[new_idx].cost + d < self.nodes[ci].cost
                     && self.checker.motion_free(
                         &self.scenario.robot,
                         &x_new,
@@ -633,11 +652,21 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                         &self.steps,
                         &mut stats.collision,
                     )
+                    && *path_free.get_or_insert_with(|| loop {
+                        match self.verify_path(new_idx, &mut dead, &mut stats) {
+                            PathCheck::Verified => break true,
+                            PathCheck::Blocked => break false,
+                            PathCheck::Repaired => {}
+                        }
+                    })
                 {
-                    self.reparent(ci, new_idx, through);
-                    stats.rewires += 1;
-                    if let Some(j) = &mut self.journal {
-                        j.record_rewire(ci as u64, new_idx as u64, through);
+                    let through = self.nodes[new_idx].cost + d;
+                    if through < self.nodes[ci].cost {
+                        self.reparent(ci, new_idx, through);
+                        stats.rewires += 1;
+                        if let Some(j) = &mut self.journal {
+                            j.record_rewire(ci as u64, new_idx as u64, through);
+                        }
                     }
                 }
             }
@@ -649,7 +678,9 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             stats.other_ops.cmp += 1;
             let total = self.nodes[new_idx].cost + gd;
             if gd <= self.params.goal_tolerance
-                && best_goal.is_none_or(|(bi, bd)| total < self.nodes[bi].cost + bd)
+                && goals
+                    .last()
+                    .is_none_or(|&(bi, bd)| total < self.nodes[bi].cost + bd)
                 && self.checker.motion_free(
                     &self.scenario.robot,
                     &x_new,
@@ -658,7 +689,7 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
                     &mut stats.collision,
                 )
             {
-                best_goal = Some((new_idx, gd));
+                goals.push((new_idx, gd));
                 self.record_goal(&mut stats, new_idx, total);
             }
             trace.refine_macs = (self.ledger_macs(&stats) + stats.other_ops.mac_equiv())
@@ -669,17 +700,11 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             }
         }
 
-        // Re-evaluate the best goal connection: rewiring may have lowered
-        // some node's cost after it was recorded.
-        let (path, path_cost) = match best_goal {
+        let (path, path_cost) = match self.verify_goal_path(goals, &mut dead, &mut stats) {
             None => (None, f64::INFINITY),
             Some((node, gd)) => {
-                let mut chain = Vec::new();
-                let mut cur = Some(node);
-                while let Some(i) = cur {
-                    chain.push(self.nodes[i].q);
-                    cur = self.nodes[i].parent;
-                }
+                let mut chain: Vec<Config> =
+                    self.path_to_root(node).map(|i| self.nodes[i].q).collect();
                 chain.reverse();
                 chain.push(self.scenario.goal);
                 (Some(chain), self.nodes[node].cost + gd)
@@ -692,6 +717,105 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
             path_cost,
             stats,
         }
+    }
+
+    /// Path extraction: picks the goal connection that is cheapest by
+    /// current cost (rewiring may have lowered a node's cost after it was
+    /// recorded) and verifies its path with [`RrtStar::verify_path`]. A
+    /// repair redoes the pick; a path through a dead edge drops that goal
+    /// connection. Each redo repairs or kills an edge or drops a
+    /// connection, so the walk ends, and the path it returns holds only
+    /// checked edges. Its work is charged to the last recorded round's
+    /// refinement.
+    fn verify_goal_path(
+        &mut self,
+        mut goals: Vec<(usize, f64)>,
+        dead: &mut Vec<usize>,
+        stats: &mut PlanStats,
+    ) -> Option<(usize, f64)> {
+        let mark = self.ledger_macs(stats) + stats.other_ops.mac_equiv();
+        let picked = loop {
+            let total = |k: usize| self.nodes[goals[k].0].cost + goals[k].1;
+            let Some(k) = (0..goals.len()).min_by(|&a, &b| total(a).total_cmp(&total(b))) else {
+                break None;
+            };
+            match self.verify_path(goals[k].0, dead, stats) {
+                PathCheck::Verified => break Some(goals[k]),
+                PathCheck::Repaired => {}
+                PathCheck::Blocked => {
+                    goals.remove(k);
+                }
+            }
+        };
+        let walk_macs =
+            (self.ledger_macs(stats) + stats.other_ops.mac_equiv()).saturating_sub(mark);
+        if let Some(last) = stats.rounds.last_mut() {
+            last.refine_macs += walk_macs;
+        }
+        picked
+    }
+
+    /// Walks `node`'s path to the root and checks each deferred edge on it
+    /// once, stopping at the first that collides. That edge is repaired
+    /// onto its node's fallback parent, the verified extension edge, and
+    /// the cost change propagates through the subtree. A fallback inside
+    /// the node's own subtree would close a cycle; only a repair can put
+    /// it there, because a rewire never moves a node under an unverified
+    /// one. Such an edge is marked dead instead, and a path through a dead
+    /// edge is blocked before any of its edges is checked.
+    fn verify_path(
+        &mut self,
+        node: usize,
+        dead: &mut Vec<usize>,
+        stats: &mut PlanStats,
+    ) -> PathCheck {
+        if self.path_to_root(node).any(|i| dead.contains(&i)) {
+            return PathCheck::Blocked;
+        }
+        let mut next = Some(node);
+        while let Some(i) = next {
+            next = self.nodes[i].parent;
+            let Some(parent) = next.filter(|_| !self.nodes[i].verified) else {
+                continue;
+            };
+            let free = self.checker.motion_free(
+                &self.scenario.robot,
+                &self.nodes[parent].q,
+                &self.nodes[i].q,
+                &self.steps,
+                &mut stats.collision,
+            );
+            stats.deferred_checked += 1;
+            if let Some(j) = &mut self.journal {
+                j.record_deferred(i as u64, free);
+            }
+            if free {
+                self.nodes[i].verified = true;
+                continue;
+            }
+            let fallback = self.nodes[i].fallback as usize;
+            if self.path_to_root(fallback).any(|a| a == i) {
+                dead.push(i);
+                return PathCheck::Blocked;
+            }
+            let q = self.nodes[i].q;
+            let cost = self.nodes[fallback].cost
+                + self.nodes[fallback]
+                    .q
+                    .distance_counted(&q, &mut stats.other_ops);
+            self.reparent(i, fallback, cost);
+            stats.repairs += 1;
+            if let Some(j) = &mut self.journal {
+                j.record_repair(i as u64, fallback as u64, cost);
+            }
+            return PathCheck::Repaired;
+        }
+        PathCheck::Verified
+    }
+
+    /// Node ids from `node` up its parent chain to the root, inclusive.
+    fn path_to_root(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(node), |&i| self.nodes[i].parent)
     }
 
     /// Total collision-ledger MACs (both stages).
@@ -707,12 +831,14 @@ impl<'a, N: NeighborIndex> RrtStar<'a, N> {
         r.clamp(self.step, 4.0 * self.step)
     }
 
-    /// Moves `node` under `new_parent` with the given new cost and
-    /// propagates the cost delta through the subtree.
+    /// Moves `node` under `new_parent` over an edge already checked free,
+    /// with the given new cost, and propagates the cost delta through the
+    /// subtree.
     fn reparent(&mut self, node: usize, new_parent: usize, new_cost: f64) {
         let old_parent = self.nodes[node].parent.expect("root is never rewired");
         self.nodes[old_parent].children.retain(|&c| c != node);
         self.nodes[node].parent = Some(new_parent);
+        self.nodes[node].verified = true;
         self.nodes[new_parent].children.push(node);
         let delta = new_cost - self.nodes[node].cost;
         let mut stack = vec![node];
@@ -783,6 +909,7 @@ mod tests {
     use crate::{LinearIndex, SimbrIndex};
     use moped_collision::{NaiveChecker, TwoStageChecker};
     use moped_env::ScenarioParams;
+    use moped_obs::JournalEvent;
     use moped_robot::Robot;
 
     fn quick_params(samples: usize, seed: u64) -> PlannerParams {
@@ -1120,7 +1247,8 @@ mod tests {
         // journal, so the f64 hex round trip is part of what's verified.
         let journal = Journal::parse(&journal.serialize()).expect("wire round trip");
         let mut replayer = RrtStar::new(&s, &checker, SimbrIndex::moped(3), quick_params(400, 23))
-            .with_replay(&journal);
+            .with_replay(&journal)
+            .with_journal_recording();
         let replayed = replayer.plan();
         assert_eq!(original.path_cost.to_bits(), replayed.path_cost.to_bits());
         assert_eq!(original.stats.nodes, replayed.stats.nodes);
@@ -1128,6 +1256,196 @@ mod tests {
         assert_eq!(original.stats.rewires, replayed.stats.rewires);
         assert_eq!(original.stats.total_ops(), replayed.stats.total_ops());
         assert!(replayer.check_tree_invariants().is_none());
+        // The whole event stream replays, the extraction walk's verdicts
+        // included.
+        let rejournal = replayer.take_journal().expect("journaling was enabled");
+        assert_eq!(journal.serialize(), rejournal.serialize());
+        assert!(journal
+            .events()
+            .iter()
+            .any(|e| matches!(e, JournalEvent::Deferred { .. })));
+    }
+
+    /// Delegates to an inner checker, except that the listed motions
+    /// `(from, to)` collide; logs every motion it finds free.
+    struct ForcedCollisions<'a> {
+        inner: &'a dyn CollisionChecker,
+        colliding: Vec<(Config, Config)>,
+        free: std::cell::RefCell<Vec<(Config, Config)>>,
+    }
+
+    impl CollisionChecker for ForcedCollisions<'_> {
+        fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
+            self.inner.config_free(robot, q, ledger)
+        }
+
+        fn motion_free(
+            &self,
+            robot: &Robot,
+            from: &Config,
+            to: &Config,
+            steps: &InterpolationSteps,
+            ledger: &mut CollisionLedger,
+        ) -> bool {
+            let free = self.inner.motion_free(robot, from, to, steps, ledger)
+                && !self.colliding.contains(&(*from, *to));
+            if free {
+                self.free.borrow_mut().push((*from, *to));
+            }
+            free
+        }
+
+        fn name(&self) -> &'static str {
+            "forced-collisions"
+        }
+    }
+
+    #[test]
+    fn colliding_deferred_edges_are_repaired_off_the_returned_path() {
+        let s = moped_env::Scenario::generate(
+            Robot::mobile_2d(),
+            &ScenarioParams::with_obstacles(16),
+            9,
+        );
+        let inner = TwoStageChecker::moped(s.obstacles.clone());
+        let params = quick_params(400, 23);
+        // A first run names the deferred edges that extraction checks
+        // and finds free; the second run's checker makes them collide.
+        let mut first =
+            RrtStar::new(&s, &inner, SimbrIndex::moped(3), params.clone()).with_journal_recording();
+        first.plan();
+        let tree = first.tree_snapshot();
+        let colliding: Vec<(Config, Config)> = first
+            .take_journal()
+            .expect("journaling was enabled")
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                JournalEvent::Deferred { node, free: true } => {
+                    let (q, parent, _) = tree[node as usize];
+                    Some((tree[parent.expect("not the root")].0, q))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(!colliding.is_empty(), "the first run checks deferred edges");
+
+        let checker = ForcedCollisions {
+            inner: &inner,
+            colliding,
+            free: std::cell::RefCell::new(Vec::new()),
+        };
+        let mut planner = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params.clone())
+            .with_journal_recording();
+        let r = planner.plan();
+        assert!(r.stats.repairs > 0, "a forced collision is repaired");
+        let path = r.path.as_ref().expect("the repaired plan still solves");
+        for edge in path.windows(2).map(|w| (w[0], w[1])) {
+            assert!(
+                !checker.colliding.contains(&edge),
+                "path uses a colliding edge"
+            );
+            assert!(
+                checker.free.borrow().contains(&edge),
+                "path edge never checked"
+            );
+        }
+        assert!(planner.check_tree_invariants().is_none());
+        // The repair moved the path onto costlier fallback edges, above
+        // the last cost recorded while those edges were still deferred.
+        let last = r.stats.solution_history.last().expect("solved").1;
+        assert!(r.path_cost > last, "{} vs {last}", r.path_cost);
+
+        let journal = planner.take_journal().expect("journaling was enabled");
+        assert!(journal
+            .events()
+            .iter()
+            .any(|e| matches!(e, JournalEvent::Repair { .. })));
+        let mut replayer = RrtStar::new(&s, &checker, SimbrIndex::moped(3), params)
+            .with_replay(&journal)
+            .with_journal_recording();
+        let replayed = replayer.plan();
+        assert_eq!(r.path_cost.to_bits(), replayed.path_cost.to_bits());
+        assert_eq!(r.stats.total_ops(), replayed.stats.total_ops());
+        let rejournal = replayer.take_journal().expect("journaling was enabled");
+        assert_eq!(journal.serialize(), rejournal.serialize());
+    }
+
+    #[test]
+    fn a_rewire_verifies_the_path_it_hangs_from() {
+        // SIAS without LCI rewires often. Were a rewire free to hang a
+        // deferred node's fallback below that node, a colliding deferred
+        // edge could be neither kept nor repaired, and this plan would
+        // lose its only goal connection.
+        let s = moped_scenarios::CorpusEntry::new(
+            moped_scenarios::Family::Shelf,
+            moped_robot::RobotModel::Drone3d,
+            2,
+        )
+        .build();
+        let checker = TwoStageChecker::moped(s.obstacles.clone());
+        let mut planner =
+            crate::Variant::V3Sias
+                .profile()
+                .planner(&s, &checker, &quick_params(700, 7));
+        let r = planner.plan();
+        assert!(r.stats.rewires > 0);
+        assert!(r.solved(), "the goal connection survives its repairs");
+        assert!(r.stats.repairs > 0);
+        assert!(planner.check_tree_invariants().is_none());
+    }
+
+    #[test]
+    fn fallback_inside_own_subtree_kills_the_edge_and_its_goal_connections() {
+        // 0 → 1 ⇢ 2 → 3: edge 1 ⇢ 2 is deferred with fallback 3, which a
+        // rewire has since moved under 2. Repairing onto 3 would close a
+        // cycle, so the edge dies with every goal connection through it.
+        let s = moped_env::Scenario::generate(
+            Robot::mobile_2d(),
+            &ScenarioParams::with_obstacles(0),
+            1,
+        );
+        let inner = NaiveChecker::new(Vec::new());
+        let q = |x: f64, y: f64| Config::new(&[x, y, 0.0]);
+        let checker = ForcedCollisions {
+            inner: &inner,
+            colliding: vec![(q(1.0, 0.0), q(2.0, 0.0))],
+            free: std::cell::RefCell::new(Vec::new()),
+        };
+        let mut planner = RrtStar::new(&s, &checker, LinearIndex::new(), quick_params(1, 0));
+        let node = |q, parent, children, cost, fallback| TreeNode {
+            q,
+            parent,
+            children,
+            cost,
+            verified: parent.is_none_or(|p| p != 1),
+            fallback,
+        };
+        planner.nodes = vec![
+            node(q(0.0, 0.0), None, vec![1], 0.0, 0),
+            node(q(1.0, 0.0), Some(0), vec![2], 1.0, 0),
+            node(q(2.0, 0.0), Some(1), vec![3], 2.0, 3),
+            node(q(2.0, 1.0), Some(2), vec![], 3.0, 2),
+        ];
+        planner.journal = Some(Journal::new(0, 3));
+        let mut stats = PlanStats::default();
+        // Goal connections through 3 (total 4) and 2 (total 4.5) both
+        // cross the dead edge; the costlier one through 1 survives.
+        let mut dead = Vec::new();
+        let picked =
+            planner.verify_goal_path(vec![(1, 10.0), (3, 1.0), (2, 2.5)], &mut dead, &mut stats);
+        assert_eq!(dead, [2]);
+        assert_eq!(picked, Some((1, 10.0)));
+        assert_eq!((stats.deferred_checked, stats.repairs), (1, 0));
+        assert_eq!(
+            planner.take_journal().expect("journal installed").events(),
+            [JournalEvent::Deferred {
+                node: 2,
+                free: false
+            }]
+        );
+        assert_eq!(planner.nodes[2].parent, Some(1), "no repair, no cycle");
+        assert!(planner.check_tree_invariants().is_none());
     }
 
     #[test]

@@ -91,6 +91,23 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// Checks that every obstacle field — center, half extents and
+    /// rotation — is finite. The R-tree bulk load orders obstacles by
+    /// center and bounds them by their boxes, so a NaN or infinite field
+    /// cannot be indexed. Endpoints are not checked yet.
+    pub fn validate(&self) -> Result<(), String> {
+        for (i, obb) in self.obstacles.iter().enumerate() {
+            let rot = obb.rotation();
+            let finite = obb.center().is_finite()
+                && obb.half_extents().is_finite()
+                && (0..3).all(|c| rot.col(c).is_finite());
+            if !finite {
+                return Err(format!("obstacle {i} has a non-finite field: {obb:?}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Generates a random task: obstacles first, then rejection-sampled
     /// collision-free start and goal configurations. Deterministic in
     /// `(robot model, params, seed)`.

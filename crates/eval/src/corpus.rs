@@ -74,6 +74,10 @@ pub struct MatrixCell {
     pub nodes: usize,
     /// Total MAC-equivalent operations.
     pub total_macs: u64,
+    /// Deferred parent edges RRT\* checked (see `PlanStats`).
+    pub deferred_checked: u64,
+    /// Deferred edges repaired onto their fallback parent.
+    pub repairs: u64,
     /// Resolved profile label (`engine/index`), auto rows only.
     pub profile: Option<String>,
     /// Resolved NN backend name, auto rows only.
@@ -138,6 +142,8 @@ fn matrix_cell(
         samples: r.stats.samples,
         nodes: r.stats.nodes,
         total_macs: r.stats.total_ops().mac_equiv(),
+        deferred_checked: r.stats.deferred_checked,
+        repairs: r.stats.repairs,
         profile: res.map(|res| res.profile.label()),
         nn_backend: res.map(|res| res.profile.nn_backend.name().to_string()),
         class_id: res.map(|res| res.class_id.clone()),

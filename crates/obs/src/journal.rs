@@ -3,9 +3,11 @@
 //!
 //! The planner records one [`JournalEvent::Sample`] per sampling round —
 //! the drawn `x_rand` coordinates, goal-bias draws included — plus the
-//! accept/reject/rewire/goal outcomes. Because everything downstream of
-//! the sample stream (nearest, steering, collision, rewiring) is a pure
-//! function of the scenario and the tree, replaying the sample stream
+//! accept/reject/rewire/goal outcomes, and each deferred parent edge
+//! RRT\*'s lazy refinement checks and each repair. Because everything
+//! downstream of the sample stream (nearest, steering, collision,
+//! rewiring, path extraction) is a pure function of the scenario and the
+//! tree, replaying the sample stream
 //! through `moped-core` reproduces the run bit-identically: same tree,
 //! same node count, same path cost to the last mantissa bit.
 //!
@@ -23,6 +25,9 @@
 //! r collision
 //! w 3 5 4020000000000000
 //! g 7 4059000000000000
+//! d 5 free
+//! d 3 collision
+//! p 3 1 4022000000000000
 //! end
 //! ```
 
@@ -95,6 +100,26 @@ pub enum JournalEvent {
         from: u64,
         /// Bridge node in the tree that was connected to.
         to: u64,
+    },
+    /// RRT\* checked the deferred edge from `node`'s parent to `node`:
+    /// the parent choice attaches without a check, and an edge is checked
+    /// only when the returned path or a rewire hangs from it.
+    Deferred {
+        /// Node whose parent edge was checked.
+        node: u64,
+        /// Whether the edge is collision free.
+        free: bool,
+    },
+    /// A deferred edge collided, and `node` moved onto its fallback
+    /// parent `new_parent` (the extension's verified edge) at cost
+    /// `cost`.
+    Repair {
+        /// Repaired node id.
+        node: u64,
+        /// Its fallback parent id.
+        new_parent: u64,
+        /// Its new cost-to-come.
+        cost: f64,
     },
 }
 
@@ -195,6 +220,20 @@ impl Journal {
         self.events.push(JournalEvent::Link { from, to });
     }
 
+    /// Records the verdict on a deferred edge (RRT\* lazy refinement).
+    pub fn record_deferred(&mut self, node: u64, free: bool) {
+        self.events.push(JournalEvent::Deferred { node, free });
+    }
+
+    /// Records a repair onto a fallback parent (RRT\* lazy refinement).
+    pub fn record_repair(&mut self, node: u64, new_parent: u64, cost: f64) {
+        self.events.push(JournalEvent::Repair {
+            node,
+            new_parent,
+            cost,
+        });
+    }
+
     /// Number of recorded tree bridges.
     pub fn links(&self) -> usize {
         self.events
@@ -236,6 +275,17 @@ impl Journal {
                 }
                 JournalEvent::Link { from, to } => {
                     let _ = writeln!(out, "l {from} {to}");
+                }
+                JournalEvent::Deferred { node, free } => {
+                    let verdict = if *free { "free" } else { "collision" };
+                    let _ = writeln!(out, "d {node} {verdict}");
+                }
+                JournalEvent::Repair {
+                    node,
+                    new_parent,
+                    cost,
+                } => {
+                    let _ = writeln!(out, "p {node} {new_parent} {}", f64_hex(*cost));
                 }
             }
         }
@@ -309,6 +359,22 @@ impl Journal {
                     from: parse_u64(&fields, 0, lineno)?,
                     to: parse_u64(&fields, 1, lineno)?,
                 }),
+                "d" => {
+                    let free = match field(&fields, 1, lineno)? {
+                        "free" => true,
+                        "collision" => false,
+                        other => return Err(format!("line {lineno}: unknown verdict {other:?}")),
+                    };
+                    journal.events.push(JournalEvent::Deferred {
+                        node: parse_u64(&fields, 0, lineno)?,
+                        free,
+                    });
+                }
+                "p" => journal.events.push(JournalEvent::Repair {
+                    node: parse_u64(&fields, 0, lineno)?,
+                    new_parent: parse_u64(&fields, 1, lineno)?,
+                    cost: hex_f64(field(&fields, 2, lineno)?, lineno)?,
+                }),
                 "end" => saw_end = true,
                 other => return Err(format!("line {lineno}: unknown tag {other:?}")),
             }
@@ -359,6 +425,9 @@ mod tests {
         j.record_rewire(1, 2, 2.5);
         j.record_link(2, 1);
         j.record_goal(2, 9.125);
+        j.record_deferred(2, true);
+        j.record_deferred(1, false);
+        j.record_repair(1, 0, 3.0625);
         j
     }
 
@@ -375,6 +444,35 @@ mod tests {
         let rows: Vec<&[f64]> = back.sample_rows().collect();
         assert_eq!(rows[1][0].to_bits(), std::f64::consts::PI.to_bits());
         assert_eq!(rows[1][2].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn lazy_refinement_tags_round_trip() {
+        let j = sample_journal();
+        let text = j.serialize();
+        assert!(text.contains("\nd 2 free\nd 1 collision\np 1 0 4008800000000000\n"));
+        let back = Journal::parse(&text).expect("parse");
+        assert_eq!(
+            &back.events()[back.events().len() - 3..],
+            [
+                JournalEvent::Deferred {
+                    node: 2,
+                    free: true
+                },
+                JournalEvent::Deferred {
+                    node: 1,
+                    free: false
+                },
+                JournalEvent::Repair {
+                    node: 1,
+                    new_parent: 0,
+                    cost: 3.0625
+                },
+            ]
+        );
+        assert!(Journal::parse("moped-journal v1\nd 4 maybe\nend\n").is_err());
+        assert!(Journal::parse("moped-journal v1\nd 4\nend\n").is_err());
+        assert!(Journal::parse("moped-journal v1\np 4 1\nend\n").is_err());
     }
 
     #[test]

@@ -439,6 +439,9 @@ pub enum RejectReason {
     /// The request's planner parameters are malformed; the message is
     /// [`PlannerParams::validate`]'s.
     InvalidRequest(String),
+    /// A swapped-in environment is malformed; the message is
+    /// [`Scenario::validate`]'s.
+    InvalidEnvironment(String),
 }
 
 impl fmt::Display for RejectReason {
@@ -450,6 +453,7 @@ impl fmt::Display for RejectReason {
             RejectReason::UnknownEnvironment => write!(f, "unknown environment id"),
             RejectReason::ShuttingDown => write!(f, "service is shutting down"),
             RejectReason::InvalidRequest(why) => write!(f, "invalid request: {why}"),
+            RejectReason::InvalidEnvironment(why) => write!(f, "invalid environment: {why}"),
         }
     }
 }
@@ -649,8 +653,13 @@ impl PlanService {
     /// admitted after this call plan against `scenario`; requests already
     /// queued or planning keep the snapshot they were admitted with.
     /// Returns the slot's new epoch (also reported per-request in
-    /// [`PlanResponse::epoch`]).
+    /// [`PlanResponse::epoch`]). A scenario that fails
+    /// [`Scenario::validate`] is rejected before its snapshot is built,
+    /// and the slot keeps its current snapshot.
     pub fn swap_env(&self, id: EnvId, scenario: Scenario) -> Result<u64, RejectReason> {
+        scenario
+            .validate()
+            .map_err(RejectReason::InvalidEnvironment)?;
         self.catalog
             .swap(id, scenario)
             .ok_or(RejectReason::UnknownEnvironment)
@@ -885,6 +894,60 @@ mod tests {
             service.swap_env(EnvId(99), epochs[0].clone()),
             Err(RejectReason::UnknownEnvironment)
         );
+        service.shutdown();
+    }
+
+    #[test]
+    fn swap_rejects_non_finite_obstacles_and_keeps_the_old_snapshot() {
+        use moped_geometry::{Mat3, Obb, Vec3};
+
+        let cat = mobile_catalog();
+        let env = cat.ids().next().expect("registered");
+        let service = PlanService::start(
+            cat,
+            ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let good = service.catalog().get(env).unwrap().scenario.clone();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let unit = Vec3::splat(1.0);
+        let bad_boxes = [
+            Obb::axis_aligned(Vec3::new(nan, 5.0, 0.0), unit),
+            Obb::axis_aligned(Vec3::new(5.0, inf, 0.0), unit),
+            Obb::axis_aligned(Vec3::new(5.0, 5.0, -inf), unit),
+            Obb::axis_aligned(Vec3::splat(5.0), Vec3::new(1.0, inf, 1.0)),
+            Obb::axis_aligned(Vec3::splat(5.0), unit).with_rotation(Mat3 {
+                m: [[1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, 1.0]],
+            }),
+        ];
+        for obb in bad_boxes {
+            let mut bad = good.clone();
+            bad.obstacles.push(obb);
+            let err = service.swap_env(env, bad).expect_err("non-finite obstacle");
+            assert!(
+                matches!(&err, RejectReason::InvalidEnvironment(why) if why.contains("obstacle")),
+                "{err}"
+            );
+        }
+        // A NaN half extent never gets that far: `Obb::new` refuses it.
+        let nan_half = std::panic::catch_unwind(|| {
+            Obb::axis_aligned(Vec3::splat(5.0), Vec3::new(nan, 1.0, 1.0))
+        });
+        assert!(nan_half.is_err());
+
+        let kept = service.catalog().get(env).unwrap();
+        assert_eq!(kept.epoch, 0, "a rejected swap keeps the old snapshot");
+        assert_eq!(kept.scenario.obstacles, good.obstacles);
+        let served = service
+            .submit(PlanRequest::new(env, small_params(150, 3)))
+            .unwrap()
+            .wait()
+            .into_result()
+            .expect("served on the kept snapshot");
+        assert_eq!(served.epoch, 0);
+        assert_eq!(service.swap_env(env, good), Ok(1));
         service.shutdown();
     }
 

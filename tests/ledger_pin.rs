@@ -26,7 +26,12 @@
 //! when the two-stage narrow phase became one early-exit `sat::obb_obb`
 //! per survivor, stopping at the first hit: a pair is charged up to its
 //! separating axis instead of all 15, and no verdict, path, tree or
-//! journal moved.
+//! journal moved. The RRT\* collision ledgers, MAC totals, journal,
+//! round-trace, tree and ledger hashes were re-taken when RRT\*'s parent
+//! choice became lazy: `x_new` attaches to its cheapest candidate
+//! unchecked, and only deferred edges on the returned path are checked.
+//! Trees and journals moved; no pinned path cost, solution history or
+//! search counter did, and the RRT-Connect rows are unchanged.
 
 use moped::collision::{CollisionLedger, TwoStageChecker};
 use moped::core::{AnyIndex, PlanResult, PlannerParams, Variant};
@@ -49,30 +54,30 @@ fn xarm7_clutter_plan_ledger_is_pinned() {
     let result = Variant::V4Lci.profile().plan(&scenario, &params);
     let expected = CollisionLedger {
         first_stage: OpCount {
-            mul: 10_734_369,
-            add: 14_001_006,
-            cmp: 2_253_923,
+            mul: 3_650_205,
+            add: 4_757_606,
+            cmp: 765_960,
             sqrt: 0,
             dist_calcs: 0,
-            sat_queries: 465_295,
-            mem_words: 2_791_770,
+            sat_queries: 158_009,
+            mem_words: 948_054,
         },
         second_stage: OpCount {
-            mul: 19_878,
-            add: 18_549,
-            cmp: 1_622,
+            mul: 11_721,
+            add: 10_819,
+            cmp: 1_024,
             sqrt: 0,
             dist_calcs: 0,
-            sat_queries: 347,
-            mem_words: 5_205,
+            sat_queries: 193,
+            mem_words: 2_895,
         },
-        motion_queries: 1_558,
-        pose_queries: 11_138,
+        motion_queries: 867,
+        pose_queries: 3_737,
         filter: FilterStats {
-            node_checks: 357_675,
-            leaf_checks: 107_620,
-            pruned_subtrees: 247_841,
-            survivors: 347,
+            node_checks: 120_609,
+            leaf_checks: 37_400,
+            pruned_subtrees: 83_295,
+            survivors: 193,
         },
     };
     assert_eq!(result.stats.collision, expected);
@@ -102,30 +107,30 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
     let result = planner.plan();
     let expected = CollisionLedger {
         first_stage: OpCount {
-            mul: 7_113_003,
-            add: 8_931_086,
-            cmp: 1_447_590,
+            mul: 2_445_417,
+            add: 3_067_058,
+            cmp: 497_602,
             sqrt: 0,
             dist_calcs: 0,
-            sat_queries: 286_140,
-            mem_words: 1_716_840,
+            sat_queries: 98_100,
+            mem_words: 588_600,
         },
         second_stage: OpCount {
-            mul: 40_203,
-            add: 39_263,
-            cmp: 1_982,
+            mul: 18_399,
+            add: 17_635,
+            cmp: 1_122,
             sqrt: 0,
             dist_calcs: 0,
-            sat_queries: 905,
-            mem_words: 13_575,
+            sat_queries: 380,
+            mem_words: 5_700,
         },
-        motion_queries: 8_422,
-        pose_queries: 59_914,
+        motion_queries: 4_772,
+        pose_queries: 20_644,
         filter: FilterStats {
-            node_checks: 137_320,
-            leaf_checks: 148_820,
-            pruned_subtrees: 61_412,
-            survivors: 905,
+            node_checks: 47_292,
+            leaf_checks: 50_808,
+            pruned_subtrees: 21_266,
+            survivors: 380,
         },
     };
     assert_eq!(result.stats.collision, expected);
@@ -179,11 +184,11 @@ fn drone_sparse_plan_ledger_and_search_are_pinned() {
 /// columns were folded into one `PlannerProfile` assembly path; any stack
 /// that plans differently from the one it replaced fails here.
 const LADDER_ROWS: [(&str, u64, usize, u64); 6] = [
-    ("V0-baseline", 0x4073_1892_0db1_4260, 400, 3_450_307),
-    ("V1-TSPS", 0x4073_1892_0db1_4260, 400, 1_435_134),
-    ("V2-STNS", 0x4073_1892_0db1_4260, 400, 841_918),
-    ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 1_276_902),
-    ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 1_107_453),
+    ("V0-baseline", 0x4073_1892_0db1_4260, 400, 2_690_740),
+    ("V1-TSPS", 0x4073_1892_0db1_4260, 400, 1_271_133),
+    ("V2-STNS", 0x4073_1892_0db1_4260, 400, 677_917),
+    ("V3-SIAS", 0x4071_9577_9606_bc50, 400, 686_977),
+    ("V4-LCI", 0x4072_6a41_847d_2bdf, 400, 554_769),
     ("moped-rrt-connect", 0x4075_183b_916f_f669, 99, 198_934),
 ];
 
@@ -237,13 +242,13 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4072_6a41_847d_2bdf,
         268,
         400,
-        1_107_453,
+        554_769,
         [
-            0xa737_e2b4_84fd_40c5,
-            0x9214_073e_9960_5bf8,
+            0x2ba8_40d9_92b8_354d,
+            0x95a0_a9ae_7572_119d,
             0x7d44_0a2b_f81b_4568,
-            0xb69a_d862_1b8d_87bc,
-            0x568f_2923_d8da_af34,
+            0x0181_2c23_d295_c64d,
+            0x74db_298d_15e5_95b0,
         ],
     ),
     (
@@ -263,13 +268,13 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4067_73aa_e651_b210,
         353,
         400,
-        1_815_476,
+        853_908,
         [
-            0xf873_5d52_3391_c885,
-            0x5415_0920_6781_dca1,
+            0xda4d_db33_2630_6958,
+            0x4b6f_efdd_aefa_6627,
             0xc448_2f94_1ac1_7fc8,
-            0x1af1_9ebd_be46_ecfa,
-            0x1fb7_942f_cb83_12c3,
+            0xc766_46f1_be1a_e8f8,
+            0xfc8d_824c_e21b_dd91,
         ],
     ),
     (
@@ -289,13 +294,13 @@ const ENGINE_ROWS: [EngineRow; 6] = [
         0x4017_7742_47c7_88ab,
         380,
         400,
-        12_341_419,
+        4_622_766,
         [
-            0xb1d4_63f8_40aa_cb2e,
-            0x314b_c9ee_0ce2_0208,
+            0xb2ad_80fb_12f5_a92f,
+            0xbfc0_1f0a_532e_7f56,
             0x53ea_4c5d_36ca_1c63,
-            0xf385_9bee_0149_ddfc,
-            0xf434_1ccb_f1f0_09cb,
+            0xce95_46b2_3684_0474,
+            0x14e5_8827_e965_7919,
         ],
     ),
     (
